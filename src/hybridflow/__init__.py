@@ -9,13 +9,13 @@ through probes.
 
 from .engine import (EngineConfig, EngineState, Probe, RunReport,
                      SimulationEngine, advance_step, apply_system_influences,
-                     build_state, notify_probes, run_simulation)
+                     build_state, notify_probes)
 from .generation import (Distribution, FlowMassGenerator, FlowProfile,
                          ScriptedGenerator, VehicleMix)
 from .hybrid import (BoundaryInterface, Cluster, aggregate_cluster,
                      disaggregate_cluster, total_mass)
 from .lod import (Action, LodController, LodPolicy, merge_clusters,
-                  plan_transitions, split_cluster)
+                  split_cluster)
 from .macro import (CflViolation, FundamentalDiagram, MacroCell, MacroSegment,
                     cell_mean_speed, ctm_step, demand, fd_flow, supply)
 from .micro import (DriverParams, Perception, Vehicle, behavior_chain,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -126,6 +127,16 @@ def _parse_lod_overrides(text: str, base: LodPolicy) -> LodPolicy:
     return dataclasses.replace(base, **values)
 
 
+def _non_negative(kind):
+    """argparse type: a finite number of `kind` that is at least zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridflow",
@@ -135,16 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True,
                      help="scenario main file or directory")
     group = run.add_mutually_exclusive_group()
-    group.add_argument("--steps", type=int, help="number of steps to run")
-    group.add_argument("--duration", type=float, help="simulated seconds to run")
-    run.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    group.add_argument("--steps", type=_non_negative(int), help="number of steps to run")
+    group.add_argument("--duration", type=_non_negative(float),
+                       help="simulated seconds to run")
+    run.add_argument("--seed", type=_non_negative(int), default=0,
+                     help="rng seed (default 0)")
     run.add_argument("--out", default="./out", help="output directory")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--lod", default="", help="policy overrides, key=value[,key=value]")
     run.add_argument("--probes", default=",".join(PROBE_NAMES),
                      help="comma list from: " + ", ".join(PROBE_NAMES))
-    run.add_argument("--workers", type=int, default=1,
-                     help="parallelism for the per-vehicle phases")
     return parser
 
 
@@ -188,7 +199,7 @@ def run_command(argv: list[str]) -> int:
         probes["audit"] = MassAuditProbe()
     canary = CanaryProbe()
 
-    config = EngineConfig(steps=steps, seed=args.seed, workers=args.workers)
+    config = EngineConfig(steps=steps, seed=args.seed)
     engine = SimulationEngine(config, list(probes.values()) + [canary])
     started = time.perf_counter()
     try:

@@ -7,8 +7,7 @@ influences (removals, level-of-detail actions, insertions).  Probes observe
 the state only between steps, when it is consistent.
 
 The engine is deterministic: given the same scenario, seed and number of
-steps it produces identical states regardless of the worker count used for
-the per-vehicle phases.
+steps it produces identical states.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import bisect
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +26,11 @@ from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      absorb_crossed_remainder, aggregate_cluster,
                      boundary_gate_open, build_cell_layout,
                      disaggregate_cluster, lanes_at, macro_to_micro_release,
-                     micro_to_macro_flux)
+                     micro_to_macro_flux, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
-from .macro import MacroSegment, cell_mean_speed, ctm_step
+from .macro import MacroSegment, ctm_step
+from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
 from .micro import (AdjacentView, BehaviorContext, DriverParams, Perception,
                     Vehicle, VehicleIntent, behavior_chain)
 from .network import Route, compute_route, lanes_to_destination, permitted_entry_lane
@@ -121,7 +120,6 @@ class EngineConfig:
     steps: int | None = None          # overrides scenario duration
     dt: float | None = None           # overrides scenario time step
     seed: int = 0
-    workers: int = 1
     perception_horizon: float = 200.0
     nav_horizon: float = 300.0
     lod_enabled: bool = True
@@ -215,7 +213,7 @@ class EngineState:
         return iid
 
     def release_rng(self, chain_id: str, position: float) -> np.random.Generator:
-        key = (chain_id, int(round(position * 1000)))
+        key = (chain_id, pos_key(position))
         if key not in self._release_rngs:
             self._release_rngs[key] = np.random.default_rng(
                 stream_seed(self.seed, f"release:{chain_id}:{key[1]}"))
@@ -261,9 +259,8 @@ class EngineState:
         road_id, pos = _locate_upstream(chain, cluster.end)
         if abs(pos - self.network.roads[road_id].length) > 1e-6:
             return None
-        for sink in self.sinks_by_road.get(road_id, []):
-            return sink
-        return None
+        sinks = self.sinks_by_road.get(road_id)
+        return sinks[0] if sinks else None
 
     # -- audits ----------------------------------------------------------------
 
@@ -453,7 +450,7 @@ def _new_interface(state: EngineState, chain, up: Cluster, down: Cluster,
     itf = BoundaryInterface(id=state.new_interface_id(), chain_id=chain.id,
                             position=pos, upstream_id=up.id, downstream_id=down.id,
                             lanes=lanes_at(chain, state.network, pos))
-    state.interfaces[(chain.id, int(round(pos * 1000)))] = itf
+    state.interfaces[(chain.id, pos_key(pos))] = itf
     return itf
 
 
@@ -552,8 +549,7 @@ class Scene:
             up = state.clusters[itf.upstream_id]
             if down.representation == MACRO and up.representation == MICRO:
                 open_ = boundary_gate_open(down.segment, itf.lanes)
-                free = (state.fd.rho_jam - down.segment.rho[0]) \
-                    * down.segment.dx[0] * down.segment.lanes[0]
+                free = down.segment.room(0)
                 self.gates.setdefault(itf.chain_id, []).append((itf.position, open_))
                 self.gate_entries.setdefault(itf.chain_id, []).append((itf.position, key))
                 self.gate_budget[key] = int(math.floor(free)) if open_ else 0
@@ -640,7 +636,7 @@ class Scene:
                        if t.from_road == road_id})
         return succ[0] if len(succ) == 1 else None
 
-    def lane_view(self, veh: Vehicle, lane: int, cross_node: bool) -> AdjacentView:
+    def lane_view(self, veh: Vehicle, lane: int) -> AdjacentView:
         """Leader/follower views in one lane of the vehicle's road."""
         state = self.state
         road = state.network.roads[veh.road]
@@ -653,7 +649,7 @@ class Scene:
             dist, leader = found
             lead_gap = max(dist - leader.length, MIN_PERCEIVED_GAP)
             lead_dv = veh.speed - leader.speed
-        elif cross_node:
+        else:
             remaining = self.horizon - (road.length - veh.position)
             cursor_road, cursor_route = veh.road, veh.route
             offset = road.length - veh.position
@@ -702,10 +698,9 @@ class Scene:
     def perceive(self, veh: Vehicle) -> tuple[Perception, BehaviorContext]:
         state = self.state
         road = state.network.roads[veh.road]
-        own = self.lane_view(veh, veh.lane, cross_node=True)
-        left = self.lane_view(veh, veh.lane - 1, cross_node=True) \
-            if veh.lane > 0 else None
-        right = self.lane_view(veh, veh.lane + 1, cross_node=True) \
+        own = self.lane_view(veh, veh.lane)
+        left = self.lane_view(veh, veh.lane - 1) if veh.lane > 0 else None
+        right = self.lane_view(veh, veh.lane + 1) \
             if veh.lane < road.lane_count - 1 else None
         perception = Perception(
             leader_gap=own.leader_gap, leader_dv=own.leader_dv,
@@ -804,28 +799,17 @@ def _refresh_restrictions(state: EngineState) -> None:
                     seg.capacity_factor[i] = min(seg.capacity_factor[i], rs.factor)
 
 
-def _decide(state: EngineState, scene: Scene, config: EngineConfig,
+def _decide(state: EngineState, scene: Scene,
             vehicles: list[Vehicle]) -> dict[str, VehicleIntent]:
-    """Phases 1-3: perceive, memorize, decide, optionally in parallel."""
-
-    def evaluate(veh: Vehicle) -> tuple[str, VehicleIntent, float]:
-        perception, ctx = scene.perceive(veh)
-        intent = behavior_chain(veh, perception, ctx)
-        return veh.id, intent, perception.leader_gap
-
-    if config.workers > 1 and len(vehicles) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(evaluate, vehicles))
-    else:
-        results = [evaluate(v) for v in vehicles]
-
+    """Phases 1-3: perceive, memorize, decide.  Memorization writes only the
+    vehicle's own memory, which no other vehicle perceives, so each vehicle
+    memorizes as soon as it has decided."""
     intents: dict[str, VehicleIntent] = {}
-    by_id = {v.id: v for v in vehicles}
-    for vid, intent, gap in results:
-        veh = by_id[vid]
-        veh.prev_leader_gap = gap    # memorization
+    for veh in vehicles:
+        perception, ctx = scene.perceive(veh)
+        intents[veh.id] = behavior_chain(veh, perception, ctx)
+        veh.prev_leader_gap = perception.leader_gap    # memorization
         _serve_stop_signs(state, veh)
-        intents[vid] = intent
     return intents
 
 
@@ -1007,7 +991,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         entry_cpos = next_chain.to_chain_pos(nxt, 0.0)
         target = state.cluster_at(next_chain.id, entry_cpos)
         if target.representation == MACRO:
-            key = (next_chain.id, int(round(target.start * 1000)))
+            key = (next_chain.id, pos_key(target.start))
             if scene.gate_budget.get(key, 0) >= 1:
                 scene.gate_budget[key] -= 1
                 crossings[key] = crossings.get(key, 0) + 1
@@ -1107,7 +1091,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     if wrap_flux is not None:
         inflow = wrap_flux
     elif itf_up is not None:
-        key = (itf_up.chain_id, int(round(itf_up.position * 1000)))
+        key = (itf_up.chain_id, pos_key(itf_up.position))
         up = state.clusters[itf_up.upstream_id]
         if up.representation == MICRO:
             micro_up = True
@@ -1120,7 +1104,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     if wrap_flux is not None:
         supply = wrap_flux
     elif itf_down is not None:
-        key_down = (itf_down.chain_id, int(round(itf_down.position * 1000)))
+        key_down = (itf_down.chain_id, pos_key(itf_down.position))
         down = state.clusters[itf_down.downstream_id]
         if down.representation == MACRO:
             supply = snap.supply_down[key_down]
@@ -1181,8 +1165,7 @@ def _release_into_micro(state: EngineState, scene: Scene, itf: BoundaryInterface
 def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
                      removals: list, emissions: list) -> None:
     """Phase 6: removals, then level-of-detail actions, then insertions."""
-    for sink_id, veh in sorted(removals, key=lambda r: r[1].id):
-        state.ledger.absorbed += 1
+    state.ledger.absorbed += len(removals)
 
     if config.lod_enabled:
         _observe_and_plan(state, config)
@@ -1195,7 +1178,7 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
     for gen in state.generators:
         entry = _entry_cluster(state, gen)
         if entry is not None and entry.representation == MACRO:
-            _dissolve_retry_queue(state, gen, entry)
+            _dissolve_queue(entry.segment, gen.retry)
             continue
         kept = []
         while gen.retry:
@@ -1230,15 +1213,12 @@ def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> b
     return True
 
 
-def _dissolve_retry_queue(state: EngineState, gen, cluster: Cluster) -> None:
-    """Queued discrete insertions melt into the entry cell's density."""
-    seg = cluster.segment
-    while gen.retry:
-        room = (seg.fd.rho_jam - seg.rho[0]) * seg.dx[0] * seg.lanes[0]
-        if room < 1.0:
-            break
+def _dissolve_queue(seg: MacroSegment, queue) -> None:
+    """Queued whole vehicles melt into the entry cell's density, front
+    first, while the cell can seat one more."""
+    while queue and seg.room(0) >= 1.0:
         seg.rho[0] += 1.0 / (seg.dx[0] * seg.lanes[0])
-        gen.retry.popleft()
+        queue.popleft()
 
 
 def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
@@ -1283,13 +1263,8 @@ def _cluster_ratio(state: EngineState, cluster: Cluster) -> float:
 def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
     ratios = {c.id: _cluster_ratio(state, c) for c in clusters}
-    cell_ratios = {}
-    for c in clusters:
-        if c.representation == MACRO:
-            seg = c.segment
-            speeds = np.array([cell_mean_speed(seg.cell(i), state.fd)
-                               for i in range(len(seg))])
-            cell_ratios[c.id] = speeds / state.fd.v_f
+    cell_ratios = {c.id: c.segment.cell_speeds() / state.fd.v_f
+                   for c in clusters if c.representation == MACRO}
     state.controller.observe(clusters, ratios, cell_ratios, state.step)
 
     micro_count = state.micro_vehicle_count()
@@ -1333,7 +1308,7 @@ def _apply_action(state: EngineState, action: Action) -> None:
         return
 
     if action.kind == "merge":
-        key = (action.chain_id, int(round(action.position * 1000)))
+        key = (action.chain_id, pos_key(action.position))
         itf = state.interfaces.get(key)
         if itf is None:
             return
@@ -1387,24 +1362,19 @@ def _apply_action(state: EngineState, action: Action) -> None:
         aggregate_cluster(cluster, chain, state.network, state.fd,
                           state.policy.target_dx)
         itf_up = state.itf_up.get(cluster.id)
+        seg = cluster.segment
         if itf_up is not None:
             # the downstream side is continuous now: fractional carryover and
             # whole queued vehicles dissolve into the entry cell
-            seg = cluster.segment
             frac = float(np.sum(itf_up.carryover))
             if frac > 0:
                 left = bank_mass_into_segment(seg, 0, frac)
                 itf_up.carryover *= left / frac
-            while itf_up.pending:
-                room = (seg.fd.rho_jam - seg.rho[0]) * seg.dx[0] * seg.lanes[0]
-                if room < 1.0:
-                    break
-                seg.rho[0] += 1.0 / (seg.dx[0] * seg.lanes[0])
-                itf_up.pending.popleft()
+            _dissolve_queue(seg, itf_up.pending)
         else:
             gen = state.generator_at_entry(cluster)
             if gen is not None:
-                _dissolve_retry_queue(state, gen, cluster)
+                _dissolve_queue(seg, gen.retry)
         side = (itf_up.mass() if itf_up is not None else 0.0) \
             + (float(len(gen_pre.retry)) if gen_pre is not None else 0.0)
         state.controller.mark_switch(cluster.id, state.step, refined=False)
@@ -1465,7 +1435,7 @@ def _place_near(state: EngineState, cluster: Cluster, chain, position: float,
                     >= peer.params.s0:
                 break
             candidate = peer.position - peer.length - veh.params.s0
-    start_road_pos = _cluster_floor_position(state, cluster, chain, veh.road)
+    start_road_pos = max(cluster.start - chain.offset_of(veh.road), 0.0)
     if candidate < start_road_pos:
         return False
     ahead = [v for v in peers if v.position > candidate]
@@ -1476,12 +1446,6 @@ def _place_near(state: EngineState, cluster: Cluster, chain, position: float,
     veh.position = candidate
     cluster.vehicles[veh.id] = veh
     return True
-
-
-def _cluster_floor_position(state: EngineState, cluster: Cluster, chain,
-                            road_id: str) -> float:
-    offset = chain.offset_of(road_id)
-    return max(cluster.start - offset, 0.0)
 
 
 def _flow(state: EngineState, cluster_id: str, rate_in: float,
@@ -1521,7 +1485,7 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
 
     if trace is not None:
         trace.extend(["perception", "memorization", "decision"])
-    intents = _decide(state, scene, config, vehicles)
+    intents = _decide(state, scene, vehicles)
 
     if trace is not None:
         trace.append("natural")
@@ -1612,7 +1576,8 @@ def notify_probes(probes, event: str, *args) -> list[tuple[str, str, str]]:
 
 
 class SimulationEngine:
-    """Reference engine: sequential phases with optional parallel decision."""
+    """Reference engine: runs the phases in sequence, notifying probes at
+    every consistent instant."""
 
     def __init__(self, config: EngineConfig, probes=()):
         self.config = config
@@ -1650,10 +1615,3 @@ class SimulationEngine:
         finally:
             self.report.wall_time = time.perf_counter() - started
 
-
-def run_simulation(model: ScenarioModel, config: EngineConfig,
-                   probes=()) -> tuple[EngineState, RunReport]:
-    """Convenience wrapper returning the final state and the run report."""
-    engine = SimulationEngine(config, probes)
-    state = engine.run(model)
-    return state, engine.report

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .micro import DriverParams
-from .network import SinkPoint
 
 _PARAM_FIELDS = ("v0", "T", "a_max", "b", "delta", "s0", "p", "da_th", "b_safe")
 
@@ -27,8 +26,16 @@ _UPPER = {"p": 1.0}
 
 
 def stream_seed(global_seed: int, name: str) -> list[int]:
-    """Independent, reproducible seed material for one named rng stream."""
-    return [global_seed & 0xFFFFFFFF, zlib.crc32(name.encode())]
+    """Independent, reproducible seed material for one named rng stream.
+
+    Seed bits above 31 extend the material only when one is set, so every
+    seed below 2**32 keeps the stream it always had."""
+    if global_seed < 0:
+        raise ValueError(f"seed must be non-negative, got {global_seed}")
+    material = [global_seed & 0xFFFFFFFF, zlib.crc32(name.encode())]
+    if global_seed >> 32:
+        material.append(global_seed >> 32)
+    return material
 
 
 @dataclass(frozen=True)
@@ -219,7 +226,3 @@ class ScriptedGenerator:
     def settle_macro_inflow(self, accepted: float, dt: float) -> float:
         return 0.0
 
-
-def absorb(sink: SinkPoint, crossed) -> list:
-    """Removal influences for vehicles whose motion passed the sink."""
-    return [(sink.id, veh.id) for veh in crossed]

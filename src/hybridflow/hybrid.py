@@ -30,6 +30,12 @@ class OverCapacity(RuntimeError):
     """More vehicles in an extent than its jam capacity can hold."""
 
 
+def pos_key(position: float) -> int:
+    """Chain position rounded to the millimetre: the key of interfaces, cell
+    persistence counters and per-boundary release streams."""
+    return int(round(position * 1000))
+
+
 @dataclass
 class Cluster:
     """One extent of a chain with exactly one active representation."""
@@ -51,12 +57,6 @@ class Cluster:
         if self.representation == MICRO:
             return float(len(self.vehicles))
         return self.segment.total_mass()
-
-    def contains(self, chain_pos: float) -> bool:
-        return self.start - 1e-9 <= chain_pos < self.end - 1e-9
-
-    def sorted_vehicles(self) -> list[Vehicle]:
-        return sorted(self.vehicles.values(), key=lambda v: v.id)
 
 
 @dataclass
@@ -150,8 +150,7 @@ def boundary_gate_open(segment: MacroSegment, incoming_lanes: int) -> bool:
 
     When closed, upstream micro vehicles are held by a virtual standing
     leader at the boundary instead of crossing."""
-    free = (segment.fd.rho_jam - segment.rho[0]) * segment.dx[0] * segment.lanes[0]
-    return free >= incoming_lanes
+    return segment.room(0) >= incoming_lanes
 
 
 def absorb_crossed_remainder(segment: MacroSegment, inflow: float,
@@ -259,14 +258,14 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
     if cluster.representation != MACRO:
         raise ValueError(f"cluster {cluster.id} is not macro")
     seg = cluster.segment
-    fd = seg.fd
+    speeds = seg.cell_speeds()
     vehicles: list[Vehicle] = []
     acc = 0.0
     spill = 0.0   # vehicles pushed upstream by the minimum-spacing rule
     for i in range(len(seg) - 1, -1, -1):
         dx = float(seg.dx[i])
         lanes = int(seg.lanes[i])
-        speed = cell_mean_speed(seg.cell(i), fd)
+        speed = float(speeds[i])
         start = float(cluster.cell_starts[i])
         road_id, road_pos = chain.locate(min(start + 1e-6, chain.length))
         road_pos = start - chain.offset_of(road_id)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster
+from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
 from .macro import MacroSegment
 
 
@@ -64,10 +64,6 @@ class Action:
     chain_id: str
     position: float    # split/merge: boundary; refine/coarsen: any inner point
     trigger: str       # "jam" | "budget" | "recovery"
-
-
-def _pos_key(position: float) -> int:
-    return int(round(position * 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def bank_mass_into_segment(segment: MacroSegment, cell: int, mass: float) -> flo
     could not be banked anywhere (normally zero)."""
     i = cell
     while mass > 1e-15 and i >= 0:
-        room = (segment.fd.rho_jam - segment.rho[i]) * segment.dx[i] * segment.lanes[i]
+        room = segment.room(i)
         take = min(room, mass)
         if take > 0:
             segment.rho[i] += take / (segment.dx[i] * segment.lanes[i])
@@ -239,7 +235,7 @@ class LodController:
             if cluster.representation == MACRO:
                 arr = cell_ratios[cluster.id]
                 for start, ratio in zip(cluster.cell_starts, arr):
-                    key = (cluster.chain_id, _pos_key(float(start)))
+                    key = (cluster.chain_id, pos_key(float(start)))
                     live_cells.add(key)
                     if ratio < self.policy.theta_down:
                         self.cell_low[key] = self.cell_low.get(key, 0) + 1
@@ -262,7 +258,7 @@ class LodController:
             raise ValueError("jam flags are defined for macro clusters")
         flags = np.zeros(len(cluster.segment), dtype=bool)
         for i, start in enumerate(cluster.cell_starts):
-            key = (cluster.chain_id, _pos_key(float(start)))
+            key = (cluster.chain_id, pos_key(float(start)))
             flags[i] = self.cell_low.get(key, 0) >= self.policy.persistence
         return flags
 
@@ -367,9 +363,3 @@ class LodController:
 
         return actions
 
-
-def plan_transitions(controller: LodController, clusters, interfaces, step: int,
-                     micro_vehicles: int, macro_capable) -> list[Action]:
-    """Functional entry point over LodController.plan, same contract."""
-    return controller.plan(clusters, interfaces, step, micro_vehicles,
-                           macro_capable)

@@ -123,17 +123,16 @@ class MacroSegment:
     def __len__(self) -> int:
         return len(self.dx)
 
-    @property
-    def cells(self) -> list[MacroCell]:
-        return [MacroCell(dx=float(d), lanes=int(l), rho=float(r), capacity_factor=float(c))
-                for d, l, r, c in zip(self.dx, self.lanes, self.rho, self.capacity_factor)]
-
     def cell(self, i: int) -> MacroCell:
         return MacroCell(dx=float(self.dx[i]), lanes=int(self.lanes[i]),
                          rho=float(self.rho[i]), capacity_factor=float(self.capacity_factor[i]))
 
     def total_mass(self) -> float:
         return float(np.sum(self.rho * self.dx * self.lanes))
+
+    def room(self, i: int) -> float:
+        """Vehicles cell i can still take before it reaches jam density."""
+        return (self.fd.rho_jam - self.rho[i]) * self.dx[i] * self.lanes[i]
 
     def demand_profile(self) -> np.ndarray:
         return self.lanes * np.minimum(self.fd.v_f * self.rho,
@@ -143,17 +142,27 @@ class MacroSegment:
         return self.lanes * np.minimum(self.capacity_factor * self.fd.q_max,
                                        self.fd.w * (self.fd.rho_jam - self.rho))
 
+    def cell_speeds(self) -> np.ndarray:
+        """Mean speed per cell, equal to `cell_mean_speed` of every cell:
+        v_f in empty cells, otherwise the flow at the density clamped as
+        `fd_flow` clamps it, divided by the density."""
+        fd = self.fd
+        rho = self.rho
+        if np.any(rho > fd.rho_jam + 1e-12):
+            raise DensityOutOfRange(f"rho={float(np.max(rho))} outside [0, {fd.rho_jam}]")
+        clamped = np.minimum(np.maximum(rho, 0.0), fd.rho_jam)
+        flow = np.minimum(np.minimum(fd.v_f * clamped, self.capacity_factor * fd.q_max),
+                          fd.w * (fd.rho_jam - clamped))
+        occupied = rho > 0.0
+        return np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
+
     def mean_speed(self) -> float:
         """Mass-weighted mean speed over the segment (v_f when empty)."""
         mass = self.rho * self.dx * self.lanes
         total = float(np.sum(mass))
         if total <= 0:
             return self.fd.v_f
-        caps = self.capacity_factor * self.fd.q_max
-        flow = np.minimum(np.minimum(self.fd.v_f * self.rho, caps),
-                          self.fd.w * (self.fd.rho_jam - self.rho))
-        speeds = np.where(self.rho > 0, flow / np.maximum(self.rho, 1e-300), self.fd.v_f)
-        return float(np.sum(mass * speeds) / total)
+        return float(np.sum(mass * self.cell_speeds()) / total)
 
 
 def ctm_step(segment: MacroSegment, upstream_inflow: float,

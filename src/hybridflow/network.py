@@ -120,9 +120,6 @@ class RoadNetwork:
     def outgoing(self, node_id: str) -> list[Road]:
         return [r for r in self.roads.values() if r.from_node == node_id]
 
-    def sinks_on_road(self, road_id: str) -> list[SinkPoint]:
-        return [s for s in self.end_points.values() if s.road == road_id]
-
     def speed_limit_at(self, road_id: str, lane: int, position: float) -> float:
         """Effective limit at a point: road limit, lowered by the nearest
         upstream speed_limit sign applying to the lane."""

@@ -44,6 +44,15 @@ class TestExitCodes:
         assert rc == 1
         assert "in1-rhythm.xml" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--steps", "-5"),
+                                            ("--duration", "-2.5")])
+    def test_negative_number_is_exit_one(self, tmp_path, capsys, flag, value):
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
+                          flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"argument {flag}: must be a non-negative number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_policy_override_is_exit_one(self, tmp_path):
         rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
                           "--steps", "5", "--lod", "theta_down=2",

@@ -236,9 +236,9 @@ class TestSystemInfluences:
 
 
 class TestDeterminism:
-    def digests(self, workers, steps=300):
+    def digests(self, steps=300):
         model = parse_scenario(FIXTURES / "hybrid")
-        config = EngineConfig(steps=steps, seed=42, workers=workers)
+        config = EngineConfig(steps=steps, seed=42)
         state = build_state(model, config)
         out = []
         for _ in range(steps):
@@ -246,12 +246,8 @@ class TestDeterminism:
             out.append(state.state_digest())
         return out
 
-    def test_identical_digests_across_runs_and_workers(self):
-        a = self.digests(workers=1)
-        b = self.digests(workers=1)
-        c = self.digests(workers=4)
-        assert a == b
-        assert a == c
+    def test_identical_digests_across_runs(self):
+        assert self.digests() == self.digests()
 
 
 class TestCanary:

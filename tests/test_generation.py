@@ -1,5 +1,7 @@
 """Source and sink behavior: accumulators, scripts, distributions, streams."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,22 @@ class TestDistributions:
 class TestStreams:
     def test_stream_seeds_differ_by_name(self):
         assert stream_seed(1, "gen:a") != stream_seed(1, "gen:b")
+
+    def test_seed_bits_above_31_select_other_streams(self):
+        def draws(seed):
+            return np.random.default_rng(stream_seed(seed, "gen:a")).random(4).tolist()
+
+        assert draws(7) != draws(2**32 + 7)
+        assert draws(2**32 - 1) != draws(2**33 - 1)
+        assert draws(2**32 + 7) != draws(2**33 + 7)
+
+    def test_seeds_below_2_pow_32_keep_their_material(self):
+        for seed in (0, 7, 2**31, 2**32 - 1):
+            assert stream_seed(seed, "gen:a") == [seed, zlib.crc32(b"gen:a")]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            stream_seed(-1, "gen:a")
 
     def test_generator_streams_are_independent(self):
         """Adding a second generator must not disturb the first one's draws."""

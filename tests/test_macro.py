@@ -87,6 +87,34 @@ class TestMeanSpeed:
         assert v == pytest.approx(0.9615384615, abs=1e-9)
 
 
+class TestCellSpeeds:
+    def random_segment(self, rng, n=200):
+        """Cells drawn across the diagram: empty, critical, jammed, within
+        the clamping tolerance of both ends, and anywhere in between."""
+        special = [0.0, FD.rho_c, FD.rho_jam, FD.rho_jam + 5e-13, -5e-13]
+        rho = np.where(rng.random(n) < 0.5, rng.choice(special, n),
+                       rng.uniform(0.0, FD.rho_jam, n))
+        return MacroSegment(dx=rng.uniform(20.0, 150.0, n),
+                            lanes=rng.integers(1, 4, n), rho=rho, fd=FD,
+                            capacity_factor=rng.choice([1.0, 0.3], n))
+
+    def test_bitwise_equal_to_scalar_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            seg = self.random_segment(rng)
+            expected = np.array([cell_mean_speed(seg.cell(i), FD)
+                                 for i in range(len(seg))])
+            assert seg.cell_speeds().tobytes() == expected.tobytes()
+
+    def test_density_above_jam_raises_like_the_oracle(self):
+        seg = uniform_segment(rho=0.05)
+        seg.rho[3] = FD.rho_jam + 1e-9
+        with pytest.raises(DensityOutOfRange):
+            cell_mean_speed(seg.cell(3), FD)
+        with pytest.raises(DensityOutOfRange):
+            seg.cell_speeds()
+
+
 def uniform_segment(n=10, rho=0.01, dx=100.0, lanes=1):
     return MacroSegment(dx=[dx] * n, lanes=[lanes] * n, rho=[rho] * n, fd=FD)
 
