@@ -193,6 +193,7 @@ class EngineState:
         self.lod_rng = np.random.default_rng(stream_seed(config.seed, "disaggregate"))
         self._release_rngs: dict[tuple[str, int], np.random.Generator] = {}
         self._route_cache: dict[tuple[str, str | None], Route | None] = {}
+        self._edge_lookups: dict[tuple[str, str], object] = {}   # see reindex
         self.initial_mass = 0.0
 
     # -- identifiers and streams -------------------------------------------
@@ -242,25 +243,43 @@ class EngineState:
         for itf in self.interfaces.values():
             self.itf_down[itf.upstream_id] = itf
             self.itf_up[itf.downstream_id] = itf
+        self._edge_lookups = {}
+
+    # The three look-ups below depend only on the partition, so each answer
+    # is kept until the next `reindex`.
 
     def generator_at_entry(self, cluster: Cluster):
         """Flow source whose connector sits at this cluster's upstream edge."""
-        chain = self.chains[cluster.chain_id]
-        for gen in self.generators:
-            if self.chain_of_road.get(gen.road) is not chain:
-                continue
-            if abs(chain.to_chain_pos(gen.road, gen.position) - cluster.start) < 1e-6:
-                return gen
-        return None
+        key = ("entry", cluster.id)
+        if key not in self._edge_lookups:
+            chain = self.chains[cluster.chain_id]
+            self._edge_lookups[key] = next(
+                (gen for gen in self.generators
+                 if self.chain_of_road.get(gen.road) is chain
+                 and abs(chain.to_chain_pos(gen.road, gen.position) - cluster.start) < 1e-6),
+                None)
+        return self._edge_lookups[key]
 
     def sink_at_end(self, cluster: Cluster):
         """Sink at this cluster's downstream edge, if the edge is a road end."""
-        chain = self.chains[cluster.chain_id]
-        road_id, pos = _locate_upstream(chain, cluster.end)
-        if abs(pos - self.network.roads[road_id].length) > 1e-6:
-            return None
-        sinks = self.sinks_by_road.get(road_id)
-        return sinks[0] if sinks else None
+        key = ("end", cluster.id)
+        if key not in self._edge_lookups:
+            chain = self.chains[cluster.chain_id]
+            road_id, pos = _locate_upstream(chain, cluster.end)
+            sinks = None
+            if abs(pos - self.network.roads[road_id].length) <= 1e-6:
+                sinks = self.sinks_by_road.get(road_id)
+            self._edge_lookups[key] = sinks[0] if sinks else None
+        return self._edge_lookups[key]
+
+    def entry_cluster(self, gen) -> Cluster | None:
+        """Cluster holding a generator's connector (None off every chain)."""
+        key = ("generator", gen.id)
+        if key not in self._edge_lookups:
+            chain = self.chain_of_road.get(gen.road)
+            self._edge_lookups[key] = None if chain is None else self.cluster_at(
+                chain.id, chain.to_chain_pos(gen.road, gen.position))
+        return self._edge_lookups[key]
 
     # -- audits ----------------------------------------------------------------
 
@@ -793,10 +812,10 @@ def _refresh_restrictions(state: EngineState) -> None:
                 continue
             a = chain.to_chain_pos(rs.road, rs.start)
             b = chain.to_chain_pos(rs.road, rs.end)
-            for i, s in enumerate(cluster.cell_starts):
-                e = s + seg.dx[i]
-                if min(b, e) - max(a, s) > 1e-9:
-                    seg.capacity_factor[i] = min(seg.capacity_factor[i], rs.factor)
+            starts = cluster.cell_starts
+            overlap = np.minimum(b, starts + seg.dx) - np.maximum(a, starts) > 1e-9
+            np.minimum(seg.capacity_factor, rs.factor, out=seg.capacity_factor,
+                       where=overlap)
 
 
 def _decide(state: EngineState, scene: Scene,
@@ -838,7 +857,7 @@ def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _Boun
     """Phase 4: generator emissions and frozen macro boundary conditions."""
     emissions: list[tuple[str, InsertionSpec]] = []
     for gen in state.generators:
-        entry_cluster = _entry_cluster(state, gen)
+        entry_cluster = state.entry_cluster(gen)
         if entry_cluster is not None and entry_cluster.representation == MACRO:
             continue   # handled as continuous inflow in the macro reaction
         for spec in gen.generation_influences(state.time, state.dt):
@@ -856,13 +875,6 @@ def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _Boun
         else:
             snap.throttled[key] = itf.throttled()
     return emissions, snap
-
-
-def _entry_cluster(state: EngineState, gen) -> Cluster | None:
-    chain = state.chain_of_road.get(gen.road)
-    if chain is None:
-        return None
-    return state.cluster_at(chain.id, chain.to_chain_pos(gen.road, gen.position))
 
 
 # -- micro reaction -----------------------------------------------------------
@@ -1176,7 +1188,7 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
     for gen_id, spec in emissions:
         by_gen[gen_id].retry.append(spec)
     for gen in state.generators:
-        entry = _entry_cluster(state, gen)
+        entry = state.entry_cluster(gen)
         if entry is not None and entry.representation == MACRO:
             _dissolve_queue(entry.segment, gen.retry)
             continue
@@ -1250,21 +1262,22 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
 
 # -- level-of-detail observation and application ---------------------------------
 
-def _cluster_ratio(state: EngineState, cluster: Cluster) -> float:
-    """Mean speed over free speed; empty extents count as free flow."""
-    if cluster.representation == MACRO:
-        return cluster.segment.mean_speed() / state.fd.v_f
-    if not cluster.vehicles:
-        return 1.0
-    mean = sum(v.speed for v in cluster.vehicles.values()) / len(cluster.vehicles)
-    return mean / state.fd.v_f
-
-
 def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
-    ratios = {c.id: _cluster_ratio(state, c) for c in clusters}
-    cell_ratios = {c.id: c.segment.cell_speeds() / state.fd.v_f
-                   for c in clusters if c.representation == MACRO}
+    v_f = state.fd.v_f
+    ratios: dict[str, float] = {}        # mean speed over free speed
+    cell_ratios: dict[str, np.ndarray] = {}
+    for c in clusters:
+        if c.representation == MACRO:
+            # one speed pass serves the cell flags and the cluster ratio
+            speeds = c.segment.cell_speeds()
+            cell_ratios[c.id] = speeds / v_f
+            ratios[c.id] = c.segment.mean_speed(speeds) / v_f
+        elif c.vehicles:
+            ratios[c.id] = sum(v.speed for v in c.vehicles.values()) \
+                / len(c.vehicles) / v_f
+        else:
+            ratios[c.id] = 1.0           # empty extents count as free flow
     state.controller.observe(clusters, ratios, cell_ratios, state.step)
 
     micro_count = state.micro_vehicle_count()

@@ -36,6 +36,12 @@ def pos_key(position: float) -> int:
     return int(round(position * 1000))
 
 
+def pos_keys(positions: np.ndarray) -> np.ndarray:
+    """`pos_key` of every position, as int64: `np.rint` rounds half to even
+    like `round`, so each key equals its scalar counterpart."""
+    return np.rint(np.asarray(positions, dtype=float) * 1000).astype(np.int64)
+
+
 @dataclass
 class Cluster:
     """One extent of a chain with exactly one active representation."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
+from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_keys
 from .macro import MacroSegment
 
 
@@ -171,13 +171,16 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
 class LodController:
     """Keeps persistence counters and cooldowns; turns them into plans.
 
-    Cell counters are keyed by absolute chain position so they survive
-    splits, merges and representation switches of the enclosing cluster.
+    Cell counters are keyed by absolute chain position (`pos_key` of the
+    cell start) so they survive splits, merges and representation switches
+    of the enclosing cluster.  Each chain keeps its live cell keys as one
+    sorted int64 array with the counters in a parallel array.
     """
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
-        self.cell_low: dict[tuple[str, int], int] = {}     # consecutive slow steps
+        self.cell_keys: dict[str, np.ndarray] = {}   # chain id -> sorted cell keys
+        self.cell_low: dict[str, np.ndarray] = {}    # chain id -> consecutive slow steps
         self.cluster_high: dict[str, int] = {}             # consecutive recovered steps
         self.last_jam_step: dict[str, int] = {}
         self.cooldown_until: dict[str, int] = {}
@@ -229,18 +232,12 @@ class LodController:
         """Advance persistence counters from this step's consistent state.
 
         `ratios` maps cluster id to mean-speed / free-speed; `cell_ratios`
-        maps macro cluster ids to the per-cell ratio array."""
-        live_cells: set[tuple[str, int]] = set()
+        maps macro cluster ids to the per-cell ratio array.  Counters of
+        cells that no longer exist (refined regions) are dropped."""
+        macro: dict[str, list[Cluster]] = {}
         for cluster in clusters:
             if cluster.representation == MACRO:
-                arr = cell_ratios[cluster.id]
-                for start, ratio in zip(cluster.cell_starts, arr):
-                    key = (cluster.chain_id, pos_key(float(start)))
-                    live_cells.add(key)
-                    if ratio < self.policy.theta_down:
-                        self.cell_low[key] = self.cell_low.get(key, 0) + 1
-                    else:
-                        self.cell_low[key] = 0
+                macro.setdefault(cluster.chain_id, []).append(cluster)
             ratio = ratios[cluster.id]
             if ratio > self.policy.theta_up:
                 self.cluster_high[cluster.id] = self.cluster_high.get(cluster.id, 0) + 1
@@ -248,19 +245,42 @@ class LodController:
                 self.cluster_high[cluster.id] = 0
             if ratio < self.policy.theta_down:
                 self.last_jam_step[cluster.id] = step
-        # drop counters for cells that no longer exist (refined regions)
-        for key in [k for k in self.cell_low if k not in live_cells]:
-            del self.cell_low[key]
+
+        cell_keys: dict[str, np.ndarray] = {}
+        cell_low: dict[str, np.ndarray] = {}
+        for chain_id, members in macro.items():
+            # cells run downstream within a cluster and clusters do not
+            # overlap, so clusters in start order give sorted keys
+            members.sort(key=lambda c: c.start)
+            if len(members) == 1:
+                starts, ratio = members[0].cell_starts, cell_ratios[members[0].id]
+            else:
+                starts = np.concatenate([c.cell_starts for c in members])
+                ratio = np.concatenate([cell_ratios[c.id] for c in members])
+            keys = pos_keys(starts)
+            cell_keys[chain_id] = keys
+            cell_low[chain_id] = np.where(ratio < self.policy.theta_down,
+                                          self._counts(chain_id, keys) + 1, 0)
+        self.cell_keys = cell_keys
+        self.cell_low = cell_low
+
+    def _counts(self, chain_id: str, keys: np.ndarray) -> np.ndarray:
+        """Current counter of each cell key on a chain, 0 for unknown keys."""
+        known = self.cell_keys.get(chain_id)
+        if known is None:
+            return np.zeros(len(keys), dtype=np.int64)
+        idx = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        return np.where(known[idx] == keys, self.cell_low[chain_id][idx], 0)
 
     def detect_jam(self, cluster: Cluster) -> np.ndarray:
         """Per-cell flags: speed ratio below theta_down for K consecutive steps."""
         if cluster.representation != MACRO:
             raise ValueError("jam flags are defined for macro clusters")
-        flags = np.zeros(len(cluster.segment), dtype=bool)
-        for i, start in enumerate(cluster.cell_starts):
-            key = (cluster.chain_id, pos_key(float(start)))
-            flags[i] = self.cell_low.get(key, 0) >= self.policy.persistence
-        return flags
+        low = self.cell_low.get(cluster.chain_id)
+        if low is None or low.max() < self.policy.persistence:
+            return np.zeros(len(cluster.segment), dtype=bool)   # none on the chain
+        return self._counts(cluster.chain_id, pos_keys(cluster.cell_starts)) \
+            >= self.policy.persistence
 
     # -- planning ------------------------------------------------------------
 

@@ -156,13 +156,16 @@ class MacroSegment:
         occupied = rho > 0.0
         return np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
 
-    def mean_speed(self) -> float:
-        """Mass-weighted mean speed over the segment (v_f when empty)."""
+    def mean_speed(self, speeds: np.ndarray | None = None) -> float:
+        """Mass-weighted mean speed over the segment (v_f when empty).
+        `speeds`, when given, is this state's `cell_speeds()`."""
         mass = self.rho * self.dx * self.lanes
         total = float(np.sum(mass))
         if total <= 0:
             return self.fd.v_f
-        return float(np.sum(mass * self.cell_speeds()) / total)
+        if speeds is None:
+            speeds = self.cell_speeds()
+        return float(np.sum(mass * speeds) / total)
 
 
 def ctm_step(segment: MacroSegment, upstream_inflow: float,

@@ -7,8 +7,9 @@ import pytest
 
 from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
                                RemoveVehicle, Scene, SimulationEngine,
-                               UnknownTarget, advance_step,
-                               apply_system_influences, build_state)
+                               UnknownTarget, _refresh_restrictions,
+                               advance_step, apply_system_influences,
+                               build_state)
 from hybridflow.generation import InsertionSpec
 from hybridflow.micro import DriverParams, Vehicle
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
@@ -308,6 +309,67 @@ class TestSpeedCaps:
         state.time = 150.0                                   # restriction expired
         scene2 = Scene(state, config)
         assert scene2.speed_cap("r", 1, 550.0) == 25.0
+
+
+class TestRestrictionFactors:
+    """Active restrictions cap the capacity factor of every macro cell they
+    overlap by more than 1e-9 m; two overlapping restrictions take the lower
+    factor."""
+
+    def build(self, tmp_path):
+        root = tmp_path / "works"
+        root.mkdir()
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n'
+            '<simulation time_step="0.25" duration="60">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            '</simulation>\n')
+        (root / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>\n'
+            '  <node id="a" kind="crossroads"/>\n  <node id="b" kind="crossroads"/>\n'
+            '  <road id="r" from="a" to="b" length="1003.7" lanes="2" speed_limit="25"/>\n'
+            '</infrastructure>\n')
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n  <end_point id="out" road="r"/>\n'
+            '  <cluster representation="macro" road="r" start="0" end="1003.7"/>\n'
+            '  <restriction road="r" start="250" end="430" factor="0.5" '
+            'from_t="0" to_t="100"/>\n'
+            '  <restriction road="r" start="401" end="501.8500000005" factor="0.3" '
+            'from_t="40" to_t="200"/>\n</level>\n')
+        return build_state(parse_scenario(root), EngineConfig())
+
+    @staticmethod
+    def cell_by_cell(state, cluster):
+        """The factors computed one cell at a time."""
+        chain = state.chains[cluster.chain_id]
+        seg = cluster.segment
+        factors = np.ones(len(seg))
+        for rs in state.model.restrictions:
+            if not rs.from_t <= state.time < rs.to_t or rs.road not in chain.roads:
+                continue
+            a = chain.to_chain_pos(rs.road, rs.start)
+            b = chain.to_chain_pos(rs.road, rs.end)
+            for i, s in enumerate(cluster.cell_starts):
+                e = s + seg.dx[i]
+                if min(b, e) - max(a, s) > 1e-9:
+                    factors[i] = min(factors[i], rs.factor)
+        return factors
+
+    def test_factors_equal_cell_by_cell_overlap(self, tmp_path):
+        state = self.build(tmp_path)
+        (cluster,) = state.clusters.values()
+        seen = []
+        for t in (0.0, 50.0, 150.0, 250.0):
+            state.time = t
+            _refresh_restrictions(state)
+            expected = self.cell_by_cell(state, cluster)
+            assert np.array_equal(cluster.segment.capacity_factor, expected), t
+            seen.append(expected.tolist())
+        one = [1.0] * 10
+        assert seen[0] == one[:2] + [0.5] * 3 + one[5:]
+        assert seen[1] == one[:2] + [0.5, 0.3, 0.3] + one[5:]
+        assert seen[2] == one[:3] + [0.3, 0.3] + one[5:]   # 5e-10 m into cell 5 is none
+        assert seen[3] == one
 
 
 class TestSaturatedGate:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hybridflow.hybrid import MACRO, BoundaryInterface, Cluster
+from hybridflow.hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
 from hybridflow.lod import (LodController, LodPolicy, NotAdjacent,
                             RepresentationMismatch, TooSmall, merge_clusters,
                             split_cluster)
@@ -86,6 +88,128 @@ class TestDetectJam:
         left, right = split_cluster(cluster, 500.0, CHAIN)
         assert ctl.detect_jam(left).all()
         assert ctl.detect_jam(right).all()
+
+
+class DictCounters:
+    """Reference for the jam counters: one dict entry per (chain, cell key),
+    updated cell by cell, as `LodController` kept them before its arrays."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.cell_low: dict[tuple[str, int], int] = {}
+
+    def observe(self, clusters, cell_ratios):
+        live = set()
+        for cluster in clusters:
+            if cluster.representation != MACRO:
+                continue
+            for start, ratio in zip(cluster.cell_starts, cell_ratios[cluster.id]):
+                key = (cluster.chain_id, pos_key(float(start)))
+                live.add(key)
+                if ratio < self.policy.theta_down:
+                    self.cell_low[key] = self.cell_low.get(key, 0) + 1
+                else:
+                    self.cell_low[key] = 0
+        for key in [k for k in self.cell_low if k not in live]:
+            del self.cell_low[key]
+
+    def detect_jam(self, cluster):
+        return np.array([self.cell_low.get((cluster.chain_id, pos_key(float(s))), 0)
+                         >= self.policy.persistence for s in cluster.cell_starts],
+                        dtype=bool)
+
+
+ORACLE_CHAINS = {
+    "open": Chain(id="open", roads=("o",), offsets=(0.0,), length=2000.0, cyclic=False),
+    "ring": Chain(id="ring", roads=("g",), offsets=(0.0,), length=1500.0, cyclic=True),
+}
+
+
+def fresh_macro(cid, chain_id, start, end, target_dx):
+    """Macro cluster over [start, end) with equal cells near target_dx."""
+    n = max(1, round((end - start) / target_dx))
+    cell = (end - start) / n
+    cluster = Cluster(id=cid, chain_id=chain_id, start=start, end=end,
+                      representation=MACRO)
+    cluster.segment = MacroSegment(dx=[cell] * n, lanes=[1.0] * n,
+                                   rho=np.zeros(n), fd=FD)
+    cluster.cell_starts = start + np.arange(n) * cell
+    return cluster
+
+
+class TestCountersMatchDictReference:
+    """Random observations interleaved with splits, merges, refines and
+    coarsens on an open and a cyclic chain: after every operation the
+    array-backed flags equal the dict-keyed reference for every macro
+    cluster."""
+
+    @given(st.data())
+    def test_flags_equal_reference(self, data):
+        policy = LodPolicy(persistence=3)
+        ctl, ref = LodController(policy), DictCounters(policy)
+        ids = iter(f"k{i}" for i in range(10_000))
+        clusters = [fresh_macro(next(ids), chain.id, 0.0, chain.length,
+                                data.draw(st.sampled_from([50.0, 75.0, 100.0, 130.0])))
+                    for chain in ORACLE_CHAINS.values()]
+        ratio = st.sampled_from([0.1, 0.3, policy.theta_down, 0.7, 1.0])
+
+        for _ in range(data.draw(st.integers(1, 40))):
+            kind = data.draw(st.sampled_from(
+                ["observe", "observe", "observe", "split", "merge", "refine", "coarsen"]))
+            macro = [c for c in clusters if c.representation == MACRO]
+            micro = [c for c in clusters if c.representation == MICRO]
+            if kind == "observe":
+                cell_ratios = {c.id: np.array(data.draw(st.lists(
+                    ratio, min_size=len(c.segment), max_size=len(c.segment))))
+                    for c in macro}
+                shown = data.draw(st.permutations(clusters))
+                ctl.observe(shown, {c.id: 1.0 for c in shown}, cell_ratios, 0)
+                ref.observe(shown, cell_ratios)
+            elif kind == "split":
+                splittable = [c for c in macro if len(c.segment) > 1] + micro
+                if not splittable:
+                    continue
+                target = data.draw(st.sampled_from(splittable))
+                if target.representation == MACRO:
+                    at = float(target.cell_starts[data.draw(
+                        st.integers(1, len(target.segment) - 1))])
+                else:
+                    at = data.draw(st.sampled_from([target.start + 0.25 * target.length,
+                                                    target.start + 0.5 * target.length]))
+                left, right = split_cluster(target, at, ORACLE_CHAINS[target.chain_id])
+                left.id, right.id = next(ids), next(ids)
+                clusters[clusters.index(target):clusters.index(target) + 1] = [left, right]
+            elif kind == "merge":
+                pairs = [(a, b) for a, b in zip(clusters, clusters[1:])
+                         if a.chain_id == b.chain_id and a.end == b.start
+                         and a.representation == b.representation]
+                if not pairs:
+                    continue
+                a, b = data.draw(st.sampled_from(pairs))
+                shared = BoundaryInterface(id="i", chain_id=a.chain_id, position=b.start,
+                                           upstream_id=a.id, downstream_id=b.id, lanes=1)
+                merged, _, _ = merge_clusters(a, b, shared, ORACLE_CHAINS[a.chain_id],
+                                              lambda: next(ids))
+                clusters[clusters.index(a):clusters.index(b) + 1] = [merged]
+            elif kind == "refine":
+                if not macro:
+                    continue
+                target = data.draw(st.sampled_from(macro))
+                clusters[clusters.index(target)] = Cluster(
+                    id=target.id, chain_id=target.chain_id, start=target.start,
+                    end=target.end)
+            else:
+                if not micro:
+                    continue
+                target = data.draw(st.sampled_from(micro))
+                clusters[clusters.index(target)] = fresh_macro(
+                    target.id, target.chain_id, target.start, target.end,
+                    data.draw(st.sampled_from([40.0, 60.0, 100.0, 125.0])))
+
+            for cluster in clusters:
+                if cluster.representation == MACRO:
+                    assert np.array_equal(ctl.detect_jam(cluster),
+                                          ref.detect_jam(cluster)), (kind, cluster.id)
 
 
 class TestSplit:
