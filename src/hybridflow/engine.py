@@ -130,12 +130,43 @@ class EngineConfig:
     wall_clock_budget_ms: float | None = None
 
 
+def _compensated_add(acc: list[float], term: float) -> None:
+    """One Neumaier summation step on acc = [running sum, lost round-off]."""
+    total = acc[0] + term
+    if abs(acc[0]) >= abs(term):
+        acc[1] += (acc[0] - total) + term
+    else:
+        acc[1] += (term - total) + acc[0]
+    acc[0] = total
+
+
 @dataclass
 class Ledger:
+    """What sources emitted and sinks destroyed.
+
+    The continuous masses add tens of thousands of small terms, which a
+    plain float sum drifts from by more than the 1e-9 audit bound; each is
+    kept as a compensated [sum, round-off] pair instead."""
+
     inserted: int = 0                 # whole vehicles emitted by sources
     absorbed: int = 0                 # whole vehicles destroyed at sinks
-    macro_in_mass: float = 0.0        # continuous inflow into macro entries
-    macro_out_mass: float = 0.0       # continuous outflow at macro chain ends
+    # continuous inflow into macro entries, outflow at macro chain ends
+    macro_in: list[float] = field(default_factory=lambda: [0.0, 0.0])
+    macro_out: list[float] = field(default_factory=lambda: [0.0, 0.0])
+
+    @property
+    def macro_in_mass(self) -> float:
+        return self.macro_in[0] + self.macro_in[1]
+
+    @property
+    def macro_out_mass(self) -> float:
+        return self.macro_out[0] + self.macro_out[1]
+
+    def add_macro_in(self, mass: float) -> None:
+        _compensated_add(self.macro_in, mass)
+
+    def add_macro_out(self, mass: float) -> None:
+        _compensated_add(self.macro_out, mass)
 
 
 @dataclass(frozen=True)
@@ -1133,7 +1164,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
         absorb_crossed_remainder(seg, inflow, accepted, state.dt)
     elif itf_up is None and gen is not None:
         settled = gen.settle_macro_inflow(accepted, state.dt)
-        state.ledger.macro_in_mass += settled
+        state.ledger.add_macro_in(settled)
 
     if itf_down is not None:
         down = state.clusters[itf_down.downstream_id]
@@ -1142,7 +1173,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     else:
         sink = state.sink_at_end(cluster)
         if sink is not None:
-            state.ledger.macro_out_mass += outflow * state.dt
+            state.ledger.add_macro_out(outflow * state.dt)
 
 
 def _release_into_micro(state: EngineState, scene: Scene, itf: BoundaryInterface,

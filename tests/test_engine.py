@@ -1,5 +1,6 @@
 """Engine contract tests: phases, probes, influences, determinism."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
                                UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
                                build_state)
-from hybridflow.generation import InsertionSpec
+from hybridflow import engine
+from hybridflow.generation import FlowMassGenerator, InsertionSpec
 from hybridflow.micro import DriverParams, Vehicle
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
@@ -234,6 +236,71 @@ class TestSystemInfluences:
         cluster.vehicles[blocker.id] = blocker
         with pytest.raises(Exception):
             apply_system_influences(state, [AddVehicle(self.spec())])
+
+
+class TestLedgerSums:
+    """The ledger's continuous masses equal the exact sum of their terms
+    after thousands of additions, not a drifting float running sum."""
+
+    CORRIDORS = 8
+
+    def build(self, tmp_path):
+        root = tmp_path / "entries"
+        root.mkdir()
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n'
+            '<simulation time_step="0.25" duration="250">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            '</simulation>\n')
+        roads, level = [], []
+        for k in range(self.CORRIDORS):
+            roads += [f'  <node id="a{k}" kind="crossroads"/>',
+                      f'  <node id="b{k}" kind="crossroads"/>',
+                      f'  <road id="r{k}" from="a{k}" to="b{k}" length="1000" lanes="2" '
+                      'speed_limit="25"/>']
+            level += [f'  <cluster representation="macro" road="r{k}" start="0" end="1000"/>',
+                      f'  <input_point id="in{k}" road="r{k}" lanes="all" '
+                      f'generation_ref="gen.xml" rhythm_ref="rhythm{k}.xml"/>',
+                      f'  <end_point id="out{k}" road="r{k}"/>']
+            (root / f"rhythm{k}.xml").write_text(
+                '<?xml version="1.0"?>\n<rhythm kind="flow">\n'
+                f'  <flow t="0" q="{1234.5 + 97.3 * k}"/>\n</rhythm>\n')
+        (root / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>\n' + "\n".join(roads)
+            + '\n</infrastructure>\n')
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n' + "\n".join(level) + '\n</level>\n')
+        (root / "gen.xml").write_text(
+            '<?xml version="1.0"?>\n<generation>\n'
+            '  <vehicle_length distribution="constant" value="4"/>\n</generation>\n')
+        return parse_scenario(root)
+
+    def test_macro_masses_match_fsum_of_their_terms(self, tmp_path, monkeypatch):
+        settled, discharged = [], []
+        settle = FlowMassGenerator.settle_macro_inflow
+        ctm_step = engine.ctm_step
+
+        def record_settle(gen, accepted, dt):
+            settled.append(settle(gen, accepted, dt))
+            return settled[-1]
+
+        def record_outflow(segment, inflow, supply, dt):
+            accepted, outflow = ctm_step(segment, inflow, supply, dt)
+            discharged.append(outflow * dt)   # every corridor ends at a sink
+            return accepted, outflow
+
+        monkeypatch.setattr(FlowMassGenerator, "settle_macro_inflow", record_settle)
+        monkeypatch.setattr(engine, "ctm_step", record_outflow)
+        config = EngineConfig(seed=1)
+        state = build_state(self.build(tmp_path), config)
+        for _ in range(1000):
+            advance_step(state, config)
+
+        assert len(settled) == len(discharged) == 1000 * self.CORRIDORS
+        exact_in, exact_out = math.fsum(settled), math.fsum(discharged)
+        assert exact_in > 1000 and exact_out > 500
+        assert abs(state.ledger.macro_in_mass - exact_in) <= 2 * math.ulp(exact_in)
+        assert abs(state.ledger.macro_out_mass - exact_out) <= 2 * math.ulp(exact_out)
 
 
 class TestDeterminism:
