@@ -179,8 +179,8 @@ class LodController:
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
-        self.cell_keys: dict[str, np.ndarray] = {}   # chain id -> sorted cell keys
-        self.cell_low: dict[str, np.ndarray] = {}    # chain id -> consecutive slow steps
+        self.cell_keys: dict[str, np.ndarray] = {}         # chain id -> sorted cell keys
+        self.cell_low: dict[str, np.ndarray] = {}          # consecutive slow steps per key
         self.cluster_high: dict[str, int] = {}             # consecutive recovered steps
         self.last_jam_step: dict[str, int] = {}
         self.cooldown_until: dict[str, int] = {}

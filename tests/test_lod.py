@@ -92,7 +92,7 @@ class TestDetectJam:
 
 class DictCounters:
     """Reference for the jam counters: one dict entry per (chain, cell key),
-    updated cell by cell, as `LodController` kept them before its arrays."""
+    updated cell by cell."""
 
     def __init__(self, policy):
         self.policy = policy
