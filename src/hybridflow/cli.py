@@ -24,7 +24,7 @@ from .engine import EngineConfig, SimulationEngine
 from .lod import LodPolicy
 from .probes import (CanaryProbe, MassAuditProbe, StepRecordProbe,
                      TrajectoryProbe, TransitionLogProbe, fmt)
-from .scenario import ScenarioError, parse_scenario
+from .scenario import ScenarioError, check_time_step, parse_scenario
 
 STEP_COLUMNS = ("step", "time", "cluster", "chain", "representation", "start",
                 "end", "vehicles", "mean_density", "mean_speed", "inflow",
@@ -171,6 +171,7 @@ def run_command(argv: list[str]) -> int:
         model = parse_scenario(args.scenario)
         if args.lod:
             model.lod = _parse_lod_overrides(args.lod, model.lod)
+            check_time_step(model, args.scenario)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -25,15 +25,16 @@ from .generation import (FlowMassGenerator, InsertionSpec, ScriptedGenerator,
 from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      absorb_crossed_remainder, aggregate_cluster,
                      boundary_gate_open, build_cell_layout,
-                     disaggregate_cluster, lanes_at, macro_to_micro_release,
-                     micro_to_macro_flux, pos_key)
+                     disaggregate_cluster, drain, lanes_at,
+                     macro_to_micro_release, micro_to_macro_flux, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
 from .macro import MacroSegment, ctm_step
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
 from .micro import (AdjacentView, BehaviorContext, DriverParams, Perception,
                     Vehicle, VehicleIntent, behavior_chain)
-from .network import Route, compute_route, lanes_to_destination, permitted_entry_lane
+from .network import (Route, compute_route, lanes_to_destination,
+                      permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
 
 INF = float("inf")
@@ -50,6 +51,10 @@ STOP_ZONE = 5.0
 OVERLAP_TOLERANCE = 0.25
 #: perceived gaps never drop below this; near-contact reads as emergency
 MIN_PERCEIVED_GAP = 0.01
+#: how far ahead and behind a vehicle perceives others, m
+PERCEPTION_HORIZON = 200.0
+#: more boundaries than this in one step means the walk is not advancing
+MAX_BOUNDARIES = 50
 
 
 class SimulationError(RuntimeError):
@@ -118,13 +123,9 @@ class RunReport:
 @dataclass
 class EngineConfig:
     steps: int | None = None          # overrides scenario duration
-    dt: float | None = None           # overrides scenario time step
     seed: int = 0
-    perception_horizon: float = 200.0
-    nav_horizon: float = 300.0
     lod_enabled: bool = True
     abort_at_step: int | None = None  # fault-injection hook for error-path tests
-    trace_phases: bool = False
     # optional, non-deterministic: coarsen under load when a step's wall time
     # exceeds this bound (the deterministic vehicle budget is the default)
     wall_clock_budget_ms: float | None = None
@@ -197,7 +198,7 @@ class EngineState:
         self.fd = model.fd
         self.policy = model.lod
         self.release_mix = model.release_mix
-        self.dt = config.dt if config.dt is not None else model.time_step
+        self.dt = model.time_step
         self.seed = config.seed
         self.step = 0
         self.time = 0.0
@@ -216,7 +217,6 @@ class EngineState:
         self.last_step_wall_ms: float | None = None
         self.in_system_phase = False
         self.last_flows: dict[str, list[float]] = {}
-        self.phase_trace: list[str] = []
 
         self._next_vehicle = 0
         self._next_cluster = 0
@@ -573,12 +573,11 @@ def _default_route(state: EngineState, road_id: str) -> Route | None:
 # ---------------------------------------------------------------------------
 
 class Scene:
-    """Per-step, read-only view used by perception and insertion checks."""
+    """Per-step view used by perception and insertion checks; it also
+    holds this step's gate budgets and counts the crossings."""
 
-    def __init__(self, state: EngineState, config: EngineConfig):
+    def __init__(self, state: EngineState):
         self.state = state
-        self.horizon = config.perception_horizon
-        self.nav_horizon = config.nav_horizon
         # per (road, lane): parallel sorted lists of positions and vehicles
         self.index: dict[tuple[str, int], tuple[list, list]] = {}
         grouped: dict[tuple[str, int], list] = {}
@@ -590,22 +589,23 @@ class Scene:
         for key, vehicles in grouped.items():
             vehicles.sort(key=lambda v: (v.position, v.id))
             self.index[key] = ([v.position for v in vehicles], vehicles)
-        # micro->macro gates, per chain, sorted by position
-        self.gates: dict[str, list[tuple[float, bool]]] = {}
-        self.gate_entries: dict[str, list] = {}
+        # micro->macro gates per chain, sorted by position, as (position,
+        # interface key, open); a cycle's wrap gate sits at the chain end
+        self.gates: dict[str, list[tuple[float, tuple[str, int], bool]]] = {}
         self.gate_budget: dict[tuple[str, int], int] = {}
+        self.crossings: dict[tuple[str, int], int] = {}
         for key, itf in state.interfaces.items():
             down = state.clusters[itf.downstream_id]
             up = state.clusters[itf.upstream_id]
             if down.representation == MACRO and up.representation == MICRO:
+                chain = state.chains[itf.chain_id]
+                pos = itf.position if itf.position > 1e-9 or not chain.cyclic \
+                    else chain.length
                 open_ = boundary_gate_open(down.segment, itf.lanes)
-                free = down.segment.room(0)
-                self.gates.setdefault(itf.chain_id, []).append((itf.position, open_))
-                self.gate_entries.setdefault(itf.chain_id, []).append((itf.position, key))
-                self.gate_budget[key] = int(math.floor(free)) if open_ else 0
+                self.gates.setdefault(chain.id, []).append((pos, key, open_))
+                self.gate_budget[key] = int(math.floor(down.segment.room(0))) \
+                    if open_ else 0
         for entries in self.gates.values():
-            entries.sort()
-        for entries in self.gate_entries.values():
             entries.sort()
 
     # -- speed caps -----------------------------------------------------------
@@ -625,17 +625,30 @@ class Scene:
 
     # -- neighbor queries -------------------------------------------------------
 
-    def _gate_ahead(self, chain_id: str, cpos: float, horizon: float):
-        """Nearest closed gate within the horizon, as a distance, or None."""
-        chain = self.state.chains[chain_id]
+    def gate_ahead(self, chain, cpos: float, horizon: float = INF,
+                   closed_only: bool = False):
+        """Nearest micro-to-macro gate strictly ahead of a chain position and
+        within the horizon, as (distance, interface key), or None.  Ahead
+        wraps around cyclic chains."""
         best = None
-        for pos, open_ in self.gates.get(chain_id, []):
+        for pos, key, open_ in self.gates.get(chain.id, ()):
+            if closed_only and open_:
+                continue
             d = pos - cpos
             if chain.cyclic and d <= 1e-9:
                 d += chain.length
-            if 1e-9 < d <= horizon and not open_:
-                best = d if best is None else min(best, d)
+            if 1e-9 < d <= horizon and (best is None or d < best[0]):
+                best = (d, key)
         return best
+
+    def cross_gate(self, key) -> bool:
+        """Spend one place of a gate's budget and count the crossing;
+        False when the gate has no place left."""
+        if self.gate_budget.get(key, 0) < 1:
+            return False
+        self.gate_budget[key] -= 1
+        self.crossings[key] = self.crossings.get(key, 0) + 1
+        return True
 
     def _leader_on(self, road_id: str, lane: int, position: float,
                    exclude: str | None):
@@ -681,9 +694,7 @@ class Scene:
     def _next_road(self, road_id: str, route: Route | None) -> str | None:
         if route is not None:
             return route.next_after(road_id)
-        succ = sorted({t.to_road for t in
-                       self.state.network.nodes[self.state.network.roads[road_id].to_node].turns
-                       if t.from_road == road_id})
+        succ = road_successors(self.state.network, road_id)
         return succ[0] if len(succ) == 1 else None
 
     def lane_view(self, veh: Vehicle, lane: int) -> AdjacentView:
@@ -695,12 +706,12 @@ class Scene:
 
         lead_gap, lead_dv = INF, 0.0
         found = self._leader_on(veh.road, lane, veh.position, veh.id)
-        if found is not None and found[0] <= self.horizon:
+        if found is not None and found[0] <= PERCEPTION_HORIZON:
             dist, leader = found
             lead_gap = max(dist - leader.length, MIN_PERCEIVED_GAP)
             lead_dv = veh.speed - leader.speed
         else:
-            remaining = self.horizon - (road.length - veh.position)
+            remaining = PERCEPTION_HORIZON - (road.length - veh.position)
             cursor_road, cursor_route = veh.road, veh.route
             offset = road.length - veh.position
             hop_lane = lane
@@ -712,7 +723,7 @@ class Scene:
                 if entry is None:
                     break
                 found = self._leader_on(nxt, entry, -1.0, veh.id)
-                if found is not None and found[0] - 1.0 + offset <= self.horizon:
+                if found is not None and found[0] - 1.0 + offset <= PERCEPTION_HORIZON:
                     dist = found[0] - 1.0 + offset
                     lead_gap = max(dist - found[1].length, MIN_PERCEIVED_GAP)
                     lead_dv = veh.speed - found[1].speed
@@ -730,15 +741,15 @@ class Scene:
 
         # standing obstacles: unserved stop signs and closed gates
         sign_d = self._sign_obstacle(veh, lane)
-        if sign_d is not None and sign_d <= self.horizon and sign_d < lead_gap:
+        if sign_d is not None and sign_d <= PERCEPTION_HORIZON and sign_d < lead_gap:
             lead_gap, lead_dv = sign_d, veh.speed
-        gate_d = self._gate_ahead(chain.id, cpos, self.horizon)
-        if gate_d is not None and gate_d < lead_gap:
-            lead_gap, lead_dv = gate_d, veh.speed
+        gate = self.gate_ahead(chain, cpos, PERCEPTION_HORIZON, closed_only=True)
+        if gate is not None and gate[0] < lead_gap:
+            lead_gap, lead_dv = gate[0], veh.speed
 
         fol_gap, fol_speed = INF, 0.0
         found = self._follower_on(veh.road, lane, veh.position, veh.id)
-        if found is not None and found[0] <= self.horizon:
+        if found is not None and found[0] <= PERCEPTION_HORIZON:
             dist, follower = found
             fol_gap = dist - veh.length
             fol_speed = follower.speed
@@ -773,7 +784,7 @@ class Scene:
                 permitted = frozenset(t.from_lane for t in node.turns
                                       if t.from_road == veh.road and t.to_road == nxt)
         ctx = BehaviorContext(lane_count=road.lane_count, permitted_lanes=permitted,
-                              distance_to_node=distance, nav_horizon=self.nav_horizon)
+                              distance_to_node=distance)
         return perception, ctx
 
     # -- insertion support -------------------------------------------------------
@@ -950,11 +961,11 @@ def _integrate(veh: Vehicle, accel: float, dt: float) -> float:
 
 
 def _micro_reaction(state: EngineState, scene: Scene,
-                    intents: dict[str, VehicleIntent]) -> tuple[dict, list]:
-    """Integrate all micro vehicles; returns (gate crossings, sink removals)."""
+                    intents: dict[str, VehicleIntent]) -> list:
+    """Integrate all micro vehicles; returns the sink removals.  Gate
+    crossings are counted on the scene."""
     _apply_lane_changes(state, scene, intents)
 
-    crossings: dict[tuple[str, int], int] = {}
     removals: list[tuple[str, Vehicle]] = []
     moving: list[tuple[Cluster, Vehicle]] = []
     for cluster in state.clusters.values():
@@ -967,34 +978,21 @@ def _micro_reaction(state: EngineState, scene: Scene,
         intent = intents.get(veh.id)
         accel = intent.acceleration if intent is not None else 0.0
         displacement = _integrate(veh, accel, state.dt)
-        _walk(state, scene, cluster, veh, displacement, crossings, removals)
+        _walk(state, scene, cluster, veh, displacement, removals)
 
     _rehome_and_check(state)
-    return crossings, removals
+    return removals
 
 
 def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
-          displacement: float, crossings, removals) -> None:
+          displacement: float, removals) -> None:
     """Advance one vehicle along its path, handling gates, sinks and nodes."""
     remaining = displacement
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 50:
-            raise SimulationError(f"{veh.id} crossed too many boundaries in one step")
+    for _ in range(MAX_BOUNDARIES):
         road = state.network.roads[veh.road]
         chain = state.chain_of_road[veh.road]
-        cpos = chain.to_chain_pos(veh.road, veh.position)
-
-        gate_dist = INF
-        gate_key = None
-        for pos, key in scene.gate_entries.get(chain.id, ()):
-            pos = pos if pos > 1e-9 else (chain.length if chain.cyclic else 0.0)
-            d = pos - cpos
-            if chain.cyclic and d <= 1e-9:
-                d += chain.length
-            if 1e-9 < d < gate_dist:
-                gate_dist, gate_key = d, key
+        gate = scene.gate_ahead(chain, chain.to_chain_pos(veh.road, veh.position))
+        gate_dist, gate_key = gate if gate is not None else (INF, None)
 
         dist_to_end = road.length - veh.position
         if remaining < min(dist_to_end, gate_dist) - 1e-12:
@@ -1003,46 +1001,32 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
 
         if gate_dist <= dist_to_end + 1e-12:
             # reached a micro-to-macro boundary
-            if scene.gate_budget.get(gate_key, 0) >= 1:
-                scene.gate_budget[gate_key] -= 1
-                crossings[gate_key] = crossings.get(gate_key, 0) + 1
-                cluster.vehicles.pop(veh.id, None)
-                _flow(state, cluster.id, 0.0, 1.0 / state.dt)
+            if scene.cross_gate(gate_key):
+                _leave(state, cluster, veh)
                 return
             veh.position += max(gate_dist - NODE_STANDOFF, 0.0)
             veh.speed = 0.0
             break
 
         # reached the road end
-        sinks = state.sinks_by_road.get(veh.road, [])
+        sinks = state.sinks_by_road.get(veh.road)
         if sinks:
-            cluster.vehicles.pop(veh.id, None)
+            _leave(state, cluster, veh)
             removals.append((sinks[0].id, veh))
-            _flow(state, cluster.id, 0.0, 1.0 / state.dt)
             return
         nxt = scene._next_road(veh.road, veh.route)
-        if nxt is None:
-            veh.position = max(veh.position, road.length - NODE_STANDOFF)
-            veh.speed = 0.0
-            break
-        entry = permitted_entry_lane(state.network, veh.road, veh.lane, nxt)
+        entry = None if nxt is None else \
+            permitted_entry_lane(state.network, veh.road, veh.lane, nxt)
         if entry is None:
-            veh.position = max(veh.position, road.length - NODE_STANDOFF)
-            veh.speed = 0.0
+            _hold_at_node(veh, road)
             break
         next_chain = state.chain_of_road[nxt]
-        entry_cpos = next_chain.to_chain_pos(nxt, 0.0)
-        target = state.cluster_at(next_chain.id, entry_cpos)
+        target = state.cluster_at(next_chain.id, next_chain.to_chain_pos(nxt, 0.0))
         if target.representation == MACRO:
-            key = (next_chain.id, pos_key(target.start))
-            if scene.gate_budget.get(key, 0) >= 1:
-                scene.gate_budget[key] -= 1
-                crossings[key] = crossings.get(key, 0) + 1
-                cluster.vehicles.pop(veh.id, None)
-                _flow(state, cluster.id, 0.0, 1.0 / state.dt)
+            if scene.cross_gate((next_chain.id, pos_key(target.start))):
+                _leave(state, cluster, veh)
                 return
-            veh.position = max(veh.position, road.length - NODE_STANDOFF)
-            veh.speed = 0.0
+            _hold_at_node(veh, road)
             break
         remaining -= dist_to_end
         blocker = _first_vehicle_on(state, nxt, entry)
@@ -1050,8 +1034,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
             landing = blocker.position - blocker.length - 0.1
             if landing < 0.0:
                 # the entry slot is occupied: wait at the node
-                veh.position = max(veh.position, road.length - NODE_STANDOFF)
-                veh.speed = min(veh.speed, blocker.speed)
+                _hold_at_node(veh, road, min(veh.speed, blocker.speed))
                 break
             veh.road, veh.lane, veh.position = nxt, entry, landing
             veh.speed = min(veh.speed, blocker.speed)
@@ -1059,16 +1042,29 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
             break
         veh.road, veh.lane, veh.position = nxt, entry, 0.0
         veh.satisfied_stops.clear()
+    else:
+        raise SimulationError(f"{veh.id} crossed too many boundaries in one step")
 
     # ownership may have changed within or across chains
     chain = state.chain_of_road[veh.road]
     cpos = chain.to_chain_pos(veh.road, veh.position)
     owner = state.cluster_at(chain.id, min(cpos, chain.length - 1e-9))
     if owner.id != cluster.id:
-        cluster.vehicles.pop(veh.id, None)
+        _leave(state, cluster, veh)
         owner.vehicles[veh.id] = veh
-        _flow(state, cluster.id, 0.0, 1.0 / state.dt)
         _flow(state, owner.id, 1.0 / state.dt, 0.0)
+
+
+def _leave(state: EngineState, cluster: Cluster, veh: Vehicle) -> None:
+    """Take a vehicle out of its cluster and count it as outflow."""
+    cluster.vehicles.pop(veh.id, None)
+    _flow(state, cluster.id, 0.0, 1.0 / state.dt)
+
+
+def _hold_at_node(veh: Vehicle, road, speed: float = 0.0) -> None:
+    """Stop a vehicle short of the node at its road's end."""
+    veh.position = max(veh.position, road.length - NODE_STANDOFF)
+    veh.speed = speed
 
 
 def _first_vehicle_on(state: EngineState, road_id: str, lane: int):
@@ -1106,18 +1102,17 @@ def _rehome_and_check(state: EngineState) -> None:
 
 # -- macro reaction -----------------------------------------------------------
 
-def _macro_reaction(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
-                    crossings: dict) -> None:
+def _macro_reaction(state: EngineState, scene: Scene, snap: _BoundarySnapshot) -> None:
     """Advance every macro segment with the frozen boundary conditions."""
     for chain_id in sorted(state.order):
         for cluster in state.chain_clusters(chain_id):
             if cluster.representation != MACRO:
                 continue
-            _step_segment(state, scene, snap, crossings, cluster)
+            _step_segment(state, scene, snap, cluster)
 
 
 def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
-                  crossings: dict, cluster: Cluster) -> None:
+                  cluster: Cluster) -> None:
     seg = cluster.segment
     itf_up = state.itf_up.get(cluster.id)
     itf_down = state.itf_down.get(cluster.id)
@@ -1138,7 +1133,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
         up = state.clusters[itf_up.upstream_id]
         if up.representation == MICRO:
             micro_up = True
-            inflow = micro_to_macro_flux(crossings.get(key, 0), state.dt)
+            inflow = micro_to_macro_flux(scene.crossings.get(key, 0), state.dt)
         else:
             inflow = min(snap.demand_up[key], snap.supply_down[key])
     elif gen is not None:
@@ -1181,26 +1176,21 @@ def _release_into_micro(state: EngineState, scene: Scene, itf: BoundaryInterface
     chain = state.chains[itf.chain_id]
     road_id, road_pos = chain.locate(itf.position if itf.position > 1e-9 else 0.0)
     rng = state.release_rng(itf.chain_id, itf.position)
-    road = state.network.roads[road_id]
+    macro_to_micro_release(
+        itf, outflow, up.segment.cell(len(up.segment) - 1), state.fd, state.dt,
+        lambda lane, speed: _released_vehicle(state, rng, road_id, lane, road_pos, speed),
+        lambda veh: _admit(state, scene, down, veh))
 
-    def make_vehicle(lane: int, speed: float) -> Vehicle:
-        params, length = state.release_mix.sample(rng)
-        return Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
-                       position=road_pos, speed=min(speed, road.speed_limit),
-                       length=length, params=params,
-                       route=_default_route(state, road_id))
 
-    def try_insert(veh: Vehicle) -> bool:
-        if not scene.can_insert(veh.road, veh.lane, veh.position, veh.speed,
-                                veh.params, veh.length):
-            return False
-        down.vehicles[veh.id] = veh
-        scene.register(veh)
-        _flow(state, down.id, 1.0 / state.dt, 0.0)
-        return True
-
-    macro_to_micro_release(itf, outflow, up.segment.cell(len(up.segment) - 1),
-                           state.fd, state.dt, make_vehicle, try_insert)
+def _released_vehicle(state: EngineState, rng, road_id: str, lane: int,
+                      position: float, speed: float) -> Vehicle:
+    """A vehicle condensed from macro mass: release-mix driver, speed capped
+    by the road's limit, fastest route to any sink."""
+    params, length = state.release_mix.sample(rng)
+    return Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
+                   position=position,
+                   speed=min(speed, state.network.roads[road_id].speed_limit),
+                   length=length, params=params, route=_default_route(state, road_id))
 
 
 # -- system reaction ------------------------------------------------------------
@@ -1222,34 +1212,34 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
         entry = state.entry_cluster(gen)
         if entry is not None and entry.representation == MACRO:
             _dissolve_queue(entry.segment, gen.retry)
-            continue
-        kept = []
-        while gen.retry:
-            spec = gen.retry.popleft()
-            if not _try_insert_spec(state, scene, spec):
-                kept.append(spec)
-                break
-        kept.extend(gen.retry)
-        gen.retry.clear()
-        gen.retry.extend(kept)
+        else:
+            drain(gen.retry, lambda spec: _try_insert_spec(state, scene, spec))
 
 
 def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> bool:
-    speed = spec.speed
-    cap = scene.speed_cap(spec.road, spec.lane, spec.position)
-    if speed is None:
-        speed = min(spec.params.v0, cap)
-    if not scene.can_insert(spec.road, spec.lane, spec.position, speed,
-                            spec.params, spec.length):
-        return False
     chain = state.chain_of_road[spec.road]
     cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
     if cluster.representation != MICRO:
         return False
-    veh = Vehicle(id=state.new_vehicle_id(), road=spec.road, lane=spec.lane,
-                  position=spec.position, speed=speed, length=spec.length,
-                  params=spec.params,
-                  route=_route_for(state, spec.road, spec.destination))
+    speed = spec.speed
+    if speed is None:
+        speed = min(spec.params.v0, scene.speed_cap(spec.road, spec.lane, spec.position))
+    veh = Vehicle(id="", road=spec.road, lane=spec.lane, position=spec.position,
+                  speed=speed, length=spec.length, params=spec.params)
+    if not _admit(state, scene, cluster, veh):
+        return False
+    veh.route = _route_for(state, spec.road, spec.destination)
+    return True
+
+
+def _admit(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle) -> bool:
+    """Place a vehicle in a micro cluster when the insertion gap allows and
+    count it as inflow.  A vehicle without an id gets one only once placed,
+    so refused insertions consume no vehicle id."""
+    if not scene.can_insert(veh.road, veh.lane, veh.position, veh.speed,
+                            veh.params, veh.length):
+        return False
+    veh.id = veh.id or state.new_vehicle_id()
     cluster.vehicles[veh.id] = veh
     scene.register(veh)
     _flow(state, cluster.id, 1.0 / state.dt, 0.0)
@@ -1270,25 +1260,10 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
     for key in sorted(state.interfaces):
         itf = state.interfaces[key]
         down = state.clusters[itf.downstream_id]
-        up = state.clusters[itf.upstream_id]
-        if down.representation != MICRO or not itf.pending:
-            continue
-        if up.representation == MACRO:
-            continue   # the macro reaction already drained it this step
-        kept = []
-        while itf.pending:
-            veh = itf.pending.popleft()
-            if scene.can_insert(veh.road, veh.lane, veh.position, veh.speed,
-                                veh.params, veh.length):
-                down.vehicles[veh.id] = veh
-                scene.register(veh)
-                _flow(state, down.id, 1.0 / state.dt, 0.0)
-            else:
-                kept.append(veh)
-                break
-        kept.extend(itf.pending)
-        itf.pending.clear()
-        itf.pending.extend(kept)
+        # behind a macro upstream the macro reaction drained it this step
+        if down.representation == MICRO and \
+                state.clusters[itf.upstream_id].representation != MACRO:
+            drain(itf.pending, lambda veh: _admit(state, scene, down, veh))
 
 
 # -- level-of-detail observation and application ---------------------------------
@@ -1379,18 +1354,11 @@ def _apply_action(state: EngineState, action: Action) -> None:
     cluster = state.cluster_at(action.chain_id, action.position)
     if action.kind == "refine" and cluster.representation == MACRO:
         pre = cluster.mass()
-        min_spacing = state.release_mix.min_spacing()
-
-        def make_vehicle(road_id, lane, position, speed):
-            params, length = state.release_mix.sample(state.lod_rng)
-            road = state.network.roads[road_id]
-            return Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
-                           position=position, speed=min(speed, road.speed_limit),
-                           length=length, params=params,
-                           route=_default_route(state, road_id))
-
-        vehicles, residual = disaggregate_cluster(cluster, chain, state.network,
-                                                  make_vehicle, min_spacing)
+        vehicles, residual = disaggregate_cluster(
+            cluster, chain, state.network,
+            lambda road_id, lane, position, speed: _released_vehicle(
+                state, state.lod_rng, road_id, lane, position, speed),
+            state.release_mix.min_spacing())
         _bank_fraction(state, cluster, residual)
         state.controller.mark_switch(cluster.id, state.step, refined=True)
         _log_transition(state, action, (cluster.id,), pre,
@@ -1398,14 +1366,16 @@ def _apply_action(state: EngineState, action: Action) -> None:
         return
 
     if action.kind == "coarsen" and cluster.representation == MICRO:
-        itf_up_pre = state.itf_up.get(cluster.id)
-        gen_pre = state.generator_at_entry(cluster) if itf_up_pre is None else None
-        side = (itf_up_pre.mass() if itf_up_pre is not None else 0.0) \
-            + (float(len(gen_pre.retry)) if gen_pre is not None else 0.0)
-        pre = cluster.mass() + side
+        itf_up = state.itf_up.get(cluster.id)
+        gen = state.generator_at_entry(cluster) if itf_up is None else None
+
+        def held_upstream() -> float:
+            return (itf_up.mass() if itf_up is not None else 0.0) \
+                + (float(len(gen.retry)) if gen is not None else 0.0)
+
+        pre = cluster.mass() + held_upstream()
         aggregate_cluster(cluster, chain, state.network, state.fd,
                           state.policy.target_dx)
-        itf_up = state.itf_up.get(cluster.id)
         seg = cluster.segment
         if itf_up is not None:
             # the downstream side is continuous now: fractional carryover and
@@ -1415,14 +1385,11 @@ def _apply_action(state: EngineState, action: Action) -> None:
                 left = bank_mass_into_segment(seg, 0, frac)
                 itf_up.carryover *= left / frac
             _dissolve_queue(seg, itf_up.pending)
-        else:
-            gen = state.generator_at_entry(cluster)
-            if gen is not None:
-                _dissolve_queue(seg, gen.retry)
-        side = (itf_up.mass() if itf_up is not None else 0.0) \
-            + (float(len(gen_pre.retry)) if gen_pre is not None else 0.0)
+        elif gen is not None:
+            _dissolve_queue(seg, gen.retry)
         state.controller.mark_switch(cluster.id, state.step, refined=False)
-        _log_transition(state, action, (cluster.id,), pre, cluster.mass() + side)
+        _log_transition(state, action, (cluster.id,), pre,
+                        cluster.mass() + held_upstream())
         return
 
 
@@ -1516,7 +1483,6 @@ def _log_transition(state: EngineState, action: Action, cluster_ids: tuple,
 def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     """Run one full phase cycle; the state is consistent again on return."""
     step_started = time.perf_counter()
-    trace = state.phase_trace if config.trace_phases else None
     state.last_flows = {}
     _refresh_restrictions(state)
 
@@ -1525,26 +1491,11 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
         cluster = state.clusters[cid]
         if cluster.representation == MICRO:
             vehicles.extend(sorted(cluster.vehicles.values(), key=lambda v: v.id))
-    scene = Scene(state, config)
-
-    if trace is not None:
-        trace.extend(["perception", "memorization", "decision"])
+    scene = Scene(state)
     intents = _decide(state, scene, vehicles)
-
-    if trace is not None:
-        trace.append("natural")
     emissions, snap = _natural(state)
-
-    if trace is not None:
-        trace.append("reaction_micro")
-    crossings, removals = _micro_reaction(state, scene, intents)
-
-    if trace is not None:
-        trace.append("reaction_macro")
-    _macro_reaction(state, scene, snap, crossings)
-
-    if trace is not None:
-        trace.append("system")
+    removals = _micro_reaction(state, scene, intents)
+    _macro_reaction(state, scene, snap)
     state.in_system_phase = True
     try:
         _system_reaction(state, scene, config, removals, emissions)
@@ -1554,8 +1505,6 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     state.step += 1
     state.time = state.step * state.dt
     state.last_step_wall_ms = (time.perf_counter() - step_started) * 1000.0
-    if trace is not None:
-        trace.append("advance")
     return state
 
 
@@ -1584,7 +1533,7 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     for action in actions:
         _apply_action(state, action)
 
-    scene = Scene(state, EngineConfig())
+    scene = Scene(state)
     for infl in additions:
         if not _try_insert_spec(state, scene, infl.spec):
             if infl.generator_id is not None:

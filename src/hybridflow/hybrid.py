@@ -177,6 +177,16 @@ def absorb_crossed_remainder(segment: MacroSegment, inflow: float,
     segment.rho[0] = min(segment.rho[0], segment.fd.rho_jam)
 
 
+def drain(queue: deque, place) -> list:
+    """Place queued items front first until `place(item)` refuses one; the
+    refused item and everything behind it stay queued in order (FIFO: no
+    item may jump one ahead of it).  Returns the placed items."""
+    placed = []
+    while queue and place(queue[0]):
+        placed.append(queue.popleft())
+    return placed
+
+
 def macro_to_micro_release(interface: BoundaryInterface, outflow: float,
                            boundary_cell, fd: FundamentalDiagram, dt: float,
                            make_vehicle, try_insert) -> list[Vehicle]:
@@ -189,19 +199,7 @@ def macro_to_micro_release(interface: BoundaryInterface, outflow: float,
     interface.accumulate(outflow, dt)
     speed = cell_mean_speed(boundary_cell, fd)
 
-    inserted: list[Vehicle] = []
-    retry = deque()
-    while interface.pending:
-        veh = interface.pending.popleft()
-        if try_insert(veh):
-            inserted.append(veh)
-        else:
-            retry.append(veh)
-            # FIFO: nothing behind a blocked candidate may jump it
-            retry.extend(interface.pending)
-            interface.pending.clear()
-    interface.pending = retry
-
+    inserted = drain(interface.pending, try_insert)
     for lane in interface.due_release_lanes():
         veh = make_vehicle(lane, speed)
         if not interface.pending and try_insert(veh):

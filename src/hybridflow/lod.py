@@ -10,6 +10,7 @@ Hysteresis plus a per-cluster cooldown keep representations from flapping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ class LodPolicy:
             raise ValueError("need 0 < theta_down < theta_up <= 1")
         if self.persistence < 1 or self.cooldown < 0:
             raise ValueError("persistence >= 1 and cooldown >= 0 required")
+        # written so that NaN fails as well
+        if not (0 < self.target_dx < math.inf and 0 <= self.min_cluster_length < math.inf):
+            raise ValueError("need a finite target_dx > 0 and min_cluster_length >= 0")
+        if self.micro_vehicle_budget < 0:
+            raise ValueError("micro_vehicle_budget >= 0 required")
 
 
 @dataclass(frozen=True)

@@ -179,17 +179,38 @@ def _load_xml(path: Path) -> ET.Element:
         raise ScenarioSyntaxError(path, line, exc.msg if hasattr(exc, "msg") else str(exc))
 
 
-def _attr(el: ET.Element, name: str, path: Path, cast=str, default=None):
+def _attr(el: ET.Element, name: str, path: Path, cast=str, default=None,
+          allow_inf: bool = False):
+    """Read one attribute through `cast`, the only place numbers are parsed.
+    A float must be finite; `allow_inf` also admits `inf`, which the
+    canonical serializer writes for open-ended values."""
     raw = el.get(name)
     if raw is None:
         if default is not None:
             return default
         raise SchemaViolation(path, f"<{el.tag} {name}>", "missing attribute")
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError):
         raise SchemaViolation(path, f"<{el.tag} {name}>",
                               f"cannot read {raw!r} as {cast.__name__}")
+    if cast is float and not (math.isfinite(value) or allow_inf and value == math.inf):
+        raise SchemaViolation(path, f"<{el.tag} {name}>",
+                              f"{raw!r} is not a finite number")
+    return value
+
+
+def _build(cls, path: Path, fld: str, **kwargs):
+    """Construct a validated value object; its ValueError names the file."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaViolation(path, fld, str(exc))
+
+
+def _overrides(el: ET.Element, path: Path) -> dict[str, float]:
+    """Driver-parameter attributes of a <vehicle> or <event>."""
+    return {k: _attr(el, k, path, float) for k in _PARAM_NAMES if el.get(k)}
 
 
 def _lanes_attr(el: ET.Element, path: Path) -> frozenset[int] | None:
@@ -239,7 +260,8 @@ def parse_scenario(root_file: str | Path) -> ScenarioModel:
     fd = FundamentalDiagram()
     macro_el = root.find("macro")
     if macro_el is not None:
-        fd = FundamentalDiagram(
+        fd = _build(
+            FundamentalDiagram, root_path, "<macro>",
             v_f=_attr(macro_el, "free_speed", root_path, float, fd.v_f),
             rho_jam=_attr(macro_el, "jam_density", root_path, float, fd.rho_jam),
             q_max=_attr(macro_el, "capacity", root_path, float, fd.q_max))
@@ -247,7 +269,8 @@ def parse_scenario(root_file: str | Path) -> ScenarioModel:
     lod = LodPolicy()
     lod_el = root.find("lod")
     if lod_el is not None:
-        lod = LodPolicy(
+        lod = _build(
+            LodPolicy, root_path, "<lod>",
             theta_down=_attr(lod_el, "theta_down", root_path, float, lod.theta_down),
             theta_up=_attr(lod_el, "theta_up", root_path, float, lod.theta_up),
             persistence=_attr(lod_el, "persistence", root_path, int, lod.persistence),
@@ -412,7 +435,8 @@ def _parse_rhythm(path: Path) -> tuple[str, FlowProfile | None, tuple, bool]:
             if t < last_t:
                 raise SchemaViolation(path, "<event t>", "events must be time-ordered")
             last_t = t
-            overrides = {k: float(el.get(k)) for k in _PARAM_NAMES if el.get(k)}
+            overrides = _overrides(el, path)
+            _build(DriverParams, path, "<event>", **overrides)   # checked here, built later
             events.append((t, {
                 "lane": _attr(el, "lane", path, int),
                 "speed": _attr(el, "speed", path, float, -1.0),
@@ -438,13 +462,22 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
     for el in root.findall("input_point"):
         pid = _attr(el, "id", path)
         road = known_road(_attr(el, "road", path), f"input point {pid} road")
+        lane_count = network.roads[road].lane_count
         lanes = _lanes_attr(el, path)
         lane_tuple = tuple(sorted(lanes)) if lanes is not None \
-            else tuple(range(network.roads[road].lane_count))
+            else tuple(range(lane_count))
+        if any(not 0 <= lane < lane_count for lane in lane_tuple):
+            raise SchemaViolation(path, f"<input_point {pid} lanes>",
+                                  f"{lane_tuple} not within lanes 0..{lane_count - 1} of {road}")
         gen_ref = _attr(el, "generation_ref", path)
         rhythm_ref = _attr(el, "rhythm_ref", path)
         mix = _parse_generation(base / gen_ref, network)
         kind, profile, events, poisson = _parse_rhythm(base / rhythm_ref)
+        for _t, event in events:
+            if not 0 <= event["lane"] < lane_count:
+                raise SchemaViolation(base / rhythm_ref, "<event lane>",
+                                      f"{event['lane']} not within lanes 0..{lane_count - 1} "
+                                      f"of {road}, the road of input point {pid}")
         points.append(GenerationPoint(
             input=InputPoint(id=pid, road=road, lanes=lane_tuple),
             mix=mix, kind=kind, profile=profile, events=events,
@@ -454,11 +487,7 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
     for el in root.findall("end_point"):
         sid = _attr(el, "id", path)
         road = known_road(_attr(el, "road", path), f"end point {sid} road")
-        cap_raw = el.get("capacity", "inf")
-        try:
-            capacity = float(cap_raw)
-        except ValueError:
-            raise SchemaViolation(path, f"<end_point {sid} capacity>", f"bad value {cap_raw!r}")
+        capacity = _attr(el, "capacity", path, float, math.inf, allow_inf=True)
         sinks.append(SinkPoint(id=sid, road=road, capacity=capacity))
 
     clusters = []
@@ -489,12 +518,11 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
     vehicles = []
     for el in root.findall("vehicle"):
         road = known_road(_attr(el, "road", path), "vehicle road")
-        overrides = {k: float(el.get(k)) for k in _PARAM_NAMES if el.get(k)}
         vehicles.append(VehicleSpec(
             road=road, lane=_attr(el, "lane", path, int),
             position=_attr(el, "position", path, float),
             speed=_attr(el, "speed", path, float),
-            params=DriverParams(**overrides),
+            params=_build(DriverParams, path, "<vehicle>", **_overrides(el, path)),
             length=_attr(el, "length", path, float, 4.0),
             destination=el.get("destination")))
 
@@ -504,7 +532,7 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
                         end=_attr(el, "end", path, float),
                         factor=_attr(el, "factor", path, float),
                         from_t=_attr(el, "from_t", path, float, 0.0),
-                        to_t=_attr(el, "to_t", path, float, math.inf))
+                        to_t=_attr(el, "to_t", path, float, math.inf, allow_inf=True))
         for el in root.findall("restriction"))
 
     release_mix = None
@@ -587,10 +615,15 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
                                   f"chain {chain.id} not fully covered "
                                   f"({cursor} of {chain.length} m)")
 
-    # the explicit step must satisfy the macro stability bound
+    check_time_step(model, root_path)
+
+
+def check_time_step(model: ScenarioModel, path) -> None:
+    """The time step must satisfy the stability bound of the policy's cell
+    size; run again when the policy changes after loading."""
     bound = model.lod.target_dx / 2.0 / model.fd.max_wave_speed
     if model.time_step > bound + 1e-12:
-        raise SchemaViolation(root_path, "time_step",
+        raise SchemaViolation(path, "time_step",
                               f"{model.time_step} s violates the stability bound "
                               f"{bound:.4f} s for {model.lod.target_dx} m cells")
 

@@ -53,40 +53,35 @@ class TestExitCodes:
         assert f"argument {flag}: must be a non-negative number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_invalid_policy_override_is_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("override", [
+        "theta_down=2", "target_dx=0", "target_dx=nan", "min_cluster_length=-1",
+        "micro_vehicle_budget=-1",
+        "target_dx=10"])   # valid policy, but 0.25 s steps are unstable on 10 m cells
+    def test_invalid_policy_override_is_exit_one(self, tmp_path, capsys, override):
         rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
-                          "--steps", "5", "--lod", "theta_down=2",
+                          "--steps", "5", "--lod", override,
                           "--out", str(tmp_path / "out")])
         assert rc == 1   # rejected as a scenario/config problem
+        assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_runtime_error_is_exit_two(self, tmp_path, capsys):
-        # parses fine, but the declared macro extent produces a 5 m cell on
-        # the first road, which the engine's exact stability check rejects
-        root = tmp_path / "sliver"
-        root.mkdir()
-        (root / "scenario.xml").write_text(
-            '<?xml version="1.0"?>\n'
-            '<simulation time_step="0.25" duration="10">\n'
-            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
-            '</simulation>\n')
-        (root / "infra.xml").write_text(
-            '<?xml version="1.0"?>\n<infrastructure>\n'
-            '  <node id="a" kind="crossroads"/>\n'
-            '  <node id="b" kind="crossroads"/>\n'
-            '  <node id="c" kind="crossroads"/>\n'
-            '  <road id="r1" from="a" to="b" length="1000" lanes="1" speed_limit="25"/>\n'
-            '  <road id="r2" from="b" to="c" length="1000" lanes="1" speed_limit="25"/>\n'
-            '  <turn node="b" from_road="r1" from_lane="0" to_road="r2" to_lane="0"/>\n'
-            '</infrastructure>\n')
-        (root / "level.xml").write_text(
-            '<?xml version="1.0"?>\n<level>\n'
-            '  <end_point id="out" road="r2"/>\n'
-            '  <cluster representation="micro" road="r1" start="0" end="995"/>\n'
-            '  <cluster representation="macro">\n'
-            '    <extent road="r1" start="995" end="1000"/>\n'
-            '    <extent road="r2" start="0" end="1000"/>\n'
-            '  </cluster>\n'
-            '</level>\n')
+    @pytest.mark.parametrize("filename,old,new", [
+        ("scenario.xml", 'time_step="0.25"', 'time_step="nan"'),
+        ("level.xml", 'lanes="all"', 'lanes="7"')])
+    def test_bad_number_or_lane_names_its_file(self, tmp_path, capsys,
+                                               filename, old, new):
+        root = tmp_path / "bad"
+        shutil.copytree(FIXTURES / "minimal", root)
+        path = root / filename
+        path.write_text(path.read_text().replace(old, new, 1))
+        rc = run_command(["run", "--scenario", str(root), "--steps", "5",
+                          "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_runtime_error_is_exit_two(self, tmp_path, capsys, sliver_scenario):
+        # parses fine; the engine's exact stability check rejects it
+        root = sliver_scenario
         rc = run_command(["run", "--scenario", str(root),
                           "--steps", "5", "--out", str(tmp_path / "out")])
         assert rc == 2

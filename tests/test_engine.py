@@ -8,7 +8,7 @@ import pytest
 
 from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
                                RemoveVehicle, Scene, SimulationEngine,
-                               UnknownTarget, _refresh_restrictions,
+                               SimulationError, UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
                                build_state)
 from hybridflow import engine
@@ -38,11 +38,11 @@ class TestRunAndProbes:
         assert probe.calls == ["start", "initialized",
                                "step_end", "step_end", "step_end", "final"]
 
-    def test_invalid_dt_fires_on_error_before_any_step(self):
+    def test_invalid_dt_fires_on_error_before_any_step(self, sliver_scenario):
         probe = CallSequenceProbe()
-        engine = SimulationEngine(EngineConfig(steps=10, dt=30.0), [probe])
-        with pytest.raises(Exception):
-            engine.run(load("hybrid"))
+        engine = SimulationEngine(EngineConfig(steps=10), [probe])
+        with pytest.raises(SimulationError, match="stability bound"):
+            engine.run(parse_scenario(sliver_scenario))
         assert probe.calls == ["start", "error"]
         assert engine.report.steps_executed == 0
 
@@ -87,15 +87,22 @@ class TestRunAndProbes:
 
 
 class TestPhases:
-    def test_phase_sequence_is_fixed(self):
-        model = load("minimal")
-        config = EngineConfig(steps=3, trace_phases=True)
-        state = build_state(model, config)
+    PHASES = ("_decide", "_natural", "_micro_reaction", "_macro_reaction",
+              "_system_reaction")
+
+    def test_phase_sequence_is_fixed(self, monkeypatch):
+        calls = []   # (phase, step counter when it ran); state is the first argument
+        for name in self.PHASES:
+            def record(state, *args, _name=name, _phase=getattr(engine, name)):
+                calls.append((_name, state.step))
+                return _phase(state, *args)
+            monkeypatch.setattr(engine, name, record)
+        config = EngineConfig(steps=3)
+        state = build_state(load("minimal"), config)
         for _ in range(3):
             advance_step(state, config)
-        cycle = ["perception", "memorization", "decision", "natural",
-                 "reaction_micro", "reaction_macro", "system", "advance"]
-        assert state.phase_trace == cycle * 3
+        # every phase of a step runs before the step counter advances
+        assert calls == [(name, k) for k in range(3) for name in self.PHASES]
 
     def test_time_advances_with_steps(self):
         model = load("minimal")
@@ -180,7 +187,7 @@ class TestPerceptionOracle:
                    for o in cluster.vehicles.values()):
                 continue
             cluster.vehicles[veh.id] = veh
-        scene = Scene(state, config)
+        scene = Scene(state)
         for veh in cluster.vehicles.values():
             perception, _ = scene.perceive(veh)
             oracle = self.brute_force(state, veh)
@@ -367,15 +374,78 @@ class TestSpeedCaps:
 
     def test_sign_restriction_and_yield_caps(self, tmp_path):
         state, config = self.build(tmp_path)
-        scene = Scene(state, config)
+        scene = Scene(state)
         assert scene.speed_cap("r", 0, 100.0) == 25.0       # before everything
         assert scene.speed_cap("r", 0, 350.0) == 15.0       # past the limit sign
         assert scene.speed_cap("r", 1, 350.0) == 25.0       # other lane unaffected
         assert scene.speed_cap("r", 1, 550.0) == 0.4 * 25.0  # inside restriction
         assert scene.speed_cap("r", 0, 790.0) == 5.0         # yield approach
         state.time = 150.0                                   # restriction expired
-        scene2 = Scene(state, config)
+        scene2 = Scene(state)
         assert scene2.speed_cap("r", 1, 550.0) == 25.0
+
+
+class TestGateQuery:
+    """One nearest-gate query serves perception and the vehicle walk: it
+    looks strictly ahead, wraps around a cycle, and filters closed gates
+    within a horizon."""
+
+    def build(self, tmp_path):
+        # a 2 km ring of four 500 m roads, macro/micro/macro/micro: gates at
+        # 1000 m (closed, jammed cell behind it) and at the wrap point 0 (open)
+        root = tmp_path / "gates"
+        root.mkdir()
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n'
+            '<simulation time_step="0.25" duration="60">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            '</simulation>\n')
+        roads = ["ra", "rb", "rc", "rd"]
+        infra = [f'  <node id="n{k}" kind="crossroads"/>' for k in range(4)]
+        level = []
+        for k, rid in enumerate(roads):
+            nxt = roads[(k + 1) % 4]
+            infra += [f'  <road id="{rid}" from="n{k}" to="n{(k + 1) % 4}" length="500" '
+                      'lanes="1" speed_limit="25"/>',
+                      f'  <turn node="n{(k + 1) % 4}" from_road="{rid}" from_lane="0" '
+                      f'to_road="{nxt}" to_lane="0"/>']
+            rep = "macro" if k % 2 == 0 else "micro"
+            level.append(f'  <cluster representation="{rep}" road="{rid}" start="0" end="500"/>')
+        level.append('  <initial_density road="rc" start="0" end="500" value="0.15"/>')
+        (root / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>\n' + "\n".join(infra)
+            + '\n</infrastructure>\n')
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n' + "\n".join(level) + '\n</level>\n')
+        state = build_state(parse_scenario(root), EngineConfig())
+        return Scene(state), state.chain_of_road["ra"]
+
+    def test_nearest_gate_ahead_wraps_and_filters(self, tmp_path):
+        scene, chain = self.build(tmp_path)
+        assert chain.cyclic and chain.length == 2000.0
+        wrap, mid = (chain.id, 0), (chain.id, 1000000)
+        assert scene.gates[chain.id] == [(1000.0, mid, False), (2000.0, wrap, True)]
+        # the wrap gate at position 0, seen from just before the chain end
+        assert scene.gate_ahead(chain, 1999.0) == (1.0, wrap)
+        # the nearer of the two gates; a gate exactly here is behind
+        assert scene.gate_ahead(chain, 900.0) == (100.0, mid)
+        assert scene.gate_ahead(chain, 1500.0) == (500.0, wrap)
+        assert scene.gate_ahead(chain, 1000.0) == (1000.0, wrap)
+        # closed gates only, around the ring and within a horizon
+        assert scene.gate_ahead(chain, 1999.0, closed_only=True) == (1001.0, mid)
+        assert scene.gate_ahead(chain, 1999.0, 200.0, closed_only=True) is None
+        assert scene.gate_ahead(chain, 900.0, 100.0, closed_only=True) == (100.0, mid)
+        assert scene.gate_ahead(chain, 899.0, 100.0, closed_only=True) is None
+
+    def test_crossing_spends_the_gate_budget(self, tmp_path):
+        scene, chain = self.build(tmp_path)
+        wrap, mid = (chain.id, 0), (chain.id, 1000000)
+        assert not scene.cross_gate(mid)          # closed: no place at all
+        places = scene.gate_budget[wrap]
+        assert places == 15                      # an empty 100 m cell at 0.15 veh/m
+        assert all(scene.cross_gate(wrap) for _ in range(places))
+        assert not scene.cross_gate(wrap)
+        assert scene.crossings == {wrap: places}
 
 
 class TestRestrictionFactors:

@@ -221,10 +221,19 @@ class TestRelease:
         for _ in range(24):   # bank three vehicles, all blocked
             macro_to_micro_release(itf, 0.5, cell, FD, 0.25, make, lambda v: False)
         queued = [v.id for v in itf.pending]
+        # the second candidate is refused: the drain stops there, the first
+        # goes and the other two stay queued in their order
+        tried = []
+        out = macro_to_micro_release(itf, 0.0, cell, FD, 0.25, make,
+                                     lambda v: tried.append(v.id) or len(tried) == 1)
+        assert tried == queued[:2]
+        assert [v.id for v in out] == queued[:1]
+        assert [v.id for v in itf.pending] == queued[1:]
         released = []
-        macro_to_micro_release(itf, 0.0, cell, FD, 0.25, make,
-                               lambda v: released.append(v.id) or True)
-        assert released == queued
+        out = macro_to_micro_release(itf, 0.0, cell, FD, 0.25, make,
+                                     lambda v: released.append(v.id) or True)
+        assert released == [v.id for v in out] == queued[1:]
+        assert not itf.pending
 
     def test_release_speed_is_cell_mean_speed(self):
         itf = self.interface()

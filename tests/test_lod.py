@@ -49,6 +49,15 @@ class TestPolicy:
         with pytest.raises(ValueError):
             LodPolicy(persistence=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("target_dx", 0.0), ("target_dx", -5.0), ("target_dx", float("nan")),
+        ("target_dx", float("inf")), ("min_cluster_length", -1.0),
+        ("min_cluster_length", float("nan")), ("micro_vehicle_budget", -1)])
+    def test_sizes_and_budget_bounded(self, field, value):
+        with pytest.raises(ValueError):
+            LodPolicy(**{field: value})
+        LodPolicy(min_cluster_length=0.0, micro_vehicle_budget=0)   # the bounds themselves
+
 
 class TestDetectJam:
     def test_free_flow_never_flags(self):

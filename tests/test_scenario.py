@@ -1,5 +1,6 @@
 """Scenario file-set parsing, diagnostics and canonical round-trips."""
 
+import math
 import shutil
 from pathlib import Path
 
@@ -125,6 +126,73 @@ class TestDiagnostics:
         with pytest.raises(SchemaViolation) as err:
             parse_scenario(root)
         assert "stability" in str(err.value)
+
+
+def _script(lane=0, extra=""):
+    return ('<?xml version="1.0"?>\n<rhythm kind="script">\n'
+            f'  <event t="1" lane="{lane}" speed="20"{extra}/>\n</rhythm>\n')
+
+
+def _append(closing, element):
+    return closing, f"  {element}\n{closing}"
+
+
+# single-fault mutants of the minimal fixture: (file, old text, new text);
+# old text None replaces the whole file.  The road has lanes 0 and 1.
+BAD_INPUTS = {
+    "flow_q_inf": ("in1-rhythm.xml", 'q="600"', 'q="inf"'),
+    "flow_q_nan": ("in1-rhythm.xml", 'q="600"', 'q="nan"'),
+    "time_step_nan": ("scenario.xml", 'time_step="0.25"', 'time_step="nan"'),
+    "duration_inf": ("scenario.xml", 'duration="600"', 'duration="inf"'),
+    "lod_target_dx_zero": ("scenario.xml",
+                           *_append("</simulation>", '<lod target_dx="0"/>')),
+    "density_nan": ("level.xml", *_append(
+        "</level>", '<initial_density road="r1" start="0" end="500" value="nan"/>')),
+    "vehicle_v0_text": ("level.xml", *_append(
+        "</level>", '<vehicle road="r1" lane="0" position="10" speed="5" v0="abc"/>')),
+    "event_v0_text": ("in1-rhythm.xml", None, _script(extra=' v0="abc"')),
+    "event_v0_negative": ("in1-rhythm.xml", None, _script(extra=' v0="-1"')),
+    "input_lanes_high": ("level.xml", 'lanes="all"', 'lanes="7"'),
+    "input_lanes_negative": ("level.xml", 'lanes="all"', 'lanes="-1"'),
+    "event_lane_high": ("in1-rhythm.xml", None, _script(lane=9)),
+}
+
+
+def mutate(tmp_path: Path, name: str) -> tuple[Path, str]:
+    """A copy of the minimal fixture with one bad input; returns the root
+    and the name of the file that holds the fault."""
+    filename, old, new = BAD_INPUTS[name]
+    root = _copy_fixture(tmp_path)
+    path = root / filename
+    text = new if old is None else path.read_text().replace(old, new, 1)
+    assert text != path.read_text()
+    path.write_text(text)
+    return root, filename
+
+
+class TestNumbersAndLanes:
+    """Non-finite numbers, unreadable overrides and lanes outside the road
+    are rejected at load, naming the file; `inf` is read only where the
+    canonical serializer writes it."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_names_its_file(self, tmp_path, name):
+        root, filename = mutate(tmp_path, name)
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        assert str(err.value).startswith(str(root / filename))
+
+    def test_inf_where_the_serializer_writes_it(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        path = root / "level.xml"
+        path.write_text(path.read_text().replace(
+            '<end_point id="out1" road="r1"/>',
+            '<end_point id="out1" road="r1" capacity="inf"/>\n'
+            '  <restriction road="r1" start="0" end="100" factor="0.5" '
+            'from_t="0" to_t="inf"/>'))
+        model = parse_scenario(root)
+        assert model.network.end_points["out1"].capacity == math.inf
+        assert model.restrictions[0].to_t == math.inf
 
 
 class TestRoundTrip:
