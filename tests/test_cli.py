@@ -53,15 +53,21 @@ class TestExitCodes:
         assert f"argument {flag}: must be a non-negative number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_invalid_policy_override_is_exit_one(self, tmp_path):
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
+                          "--steps", "5", "--lod", "theta_down=2",
+                          "--out", str(tmp_path / "out")])
+        assert rc == 1   # rejected as a scenario/config problem
+
     @pytest.mark.parametrize("override", [
-        "theta_down=2", "target_dx=0", "target_dx=nan", "min_cluster_length=-1",
+        "target_dx=0", "target_dx=nan", "min_cluster_length=-1",
         "micro_vehicle_budget=-1",
         "target_dx=10"])   # valid policy, but 0.25 s steps are unstable on 10 m cells
-    def test_invalid_policy_override_is_exit_one(self, tmp_path, capsys, override):
+    def test_out_of_bounds_policy_override_is_exit_one(self, tmp_path, capsys, override):
         rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
                           "--steps", "5", "--lod", override,
                           "--out", str(tmp_path / "out")])
-        assert rc == 1   # rejected as a scenario/config problem
+        assert rc == 1
         assert "scenario error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
