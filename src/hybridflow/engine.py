@@ -224,7 +224,7 @@ class EngineState:
         self.lod_rng = np.random.default_rng(stream_seed(config.seed, "disaggregate"))
         self._release_rngs: dict[tuple[str, int], np.random.Generator] = {}
         self._route_cache: dict[tuple[str, str | None], Route | None] = {}
-        self._edge_lookups: dict[tuple[str, str], object] = {}   # see reindex
+        self._edge_lookups: dict[tuple, object] = {}   # see reindex
         self.initial_mass = 0.0
 
     # -- identifiers and streams -------------------------------------------
@@ -276,8 +276,8 @@ class EngineState:
             self.itf_up[itf.downstream_id] = itf
         self._edge_lookups = {}
 
-    # The three look-ups below depend only on the partition, so each answer
-    # is kept until the next `reindex`.
+    # The look-ups below depend only on the partition and the network, so
+    # each answer is kept until the next `reindex`.
 
     def generator_at_entry(self, cluster: Cluster):
         """Flow source whose connector sits at this cluster's upstream edge."""
@@ -301,6 +301,35 @@ class EngineState:
             if abs(pos - self.network.roads[road_id].length) <= 1e-6:
                 sinks = self.sinks_by_road.get(road_id)
             self._edge_lookups[key] = sinks[0] if sinks else None
+        return self._edge_lookups[key]
+
+    def next_road(self, road_id: str, route: Route | None) -> str | None:
+        """Road a vehicle takes after this one: its route's next road, or
+        the only successor when it has no route; None when neither exists."""
+        if route is not None:
+            return route.next_after(road_id)
+        succ = road_successors(self.network, road_id)
+        return succ[0] if len(succ) == 1 else None
+
+    def permitted_lanes(self, road_id: str, route: Route | None) -> frozenset[int] | None:
+        """Lanes of a road from which a vehicle's path continues; None when a
+        sink ends the road, so that any lane will do."""
+        key = ("permitted", road_id, route)
+        if key not in self._edge_lookups:
+            road = self.network.roads[road_id]
+            permitted = None
+            if not self.sinks_by_road.get(road_id):
+                nxt = self.next_road(road_id, route)
+                if nxt is None:
+                    permitted = frozenset()
+                elif route is not None:
+                    permitted = frozenset(lanes_to_destination(
+                        self.network, road_id, road.to_node, route))
+                else:
+                    node = self.network.nodes[road.to_node]
+                    permitted = frozenset(t.from_lane for t in node.turns
+                                          if t.from_road == road_id and t.to_road == nxt)
+            self._edge_lookups[key] = permitted
         return self._edge_lookups[key]
 
     def entry_cluster(self, gen) -> Cluster | None:
@@ -691,12 +720,6 @@ class Scene:
             best = d if best is None else min(best, d)
         return best
 
-    def _next_road(self, road_id: str, route: Route | None) -> str | None:
-        if route is not None:
-            return route.next_after(road_id)
-        succ = road_successors(self.state.network, road_id)
-        return succ[0] if len(succ) == 1 else None
-
     def lane_view(self, veh: Vehicle, lane: int) -> AdjacentView:
         """Leader/follower views in one lane of the vehicle's road."""
         state = self.state
@@ -716,7 +739,7 @@ class Scene:
             offset = road.length - veh.position
             hop_lane = lane
             while remaining > 0 and math.isinf(lead_gap):
-                nxt = self._next_road(cursor_road, cursor_route)
+                nxt = state.next_road(cursor_road, cursor_route)
                 if nxt is None:
                     break
                 entry = permitted_entry_lane(state.network, cursor_road, hop_lane, nxt)
@@ -769,22 +792,9 @@ class Scene:
             left=left, right=right,
             follower_gap=own.follower_gap, follower_speed=own.follower_speed)
 
-        permitted = None
-        distance = road.length - veh.position
-        sink_here = bool(state.sinks_by_road.get(veh.road))
-        if not sink_here:
-            nxt = self._next_road(veh.road, veh.route)
-            if nxt is None:
-                permitted = frozenset()
-            elif veh.route is not None:
-                permitted = frozenset(lanes_to_destination(
-                    state.network, veh.road, road.to_node, veh.route))
-            else:
-                node = state.network.nodes[road.to_node]
-                permitted = frozenset(t.from_lane for t in node.turns
-                                      if t.from_road == veh.road and t.to_road == nxt)
-        ctx = BehaviorContext(lane_count=road.lane_count, permitted_lanes=permitted,
-                              distance_to_node=distance)
+        ctx = BehaviorContext(lane_count=road.lane_count,
+                              permitted_lanes=state.permitted_lanes(veh.road, veh.route),
+                              distance_to_node=road.length - veh.position)
         return perception, ctx
 
     # -- insertion support -------------------------------------------------------
@@ -1014,7 +1024,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
             _leave(state, cluster, veh)
             removals.append((sinks[0].id, veh))
             return
-        nxt = scene._next_road(veh.road, veh.route)
+        nxt = state.next_road(veh.road, veh.route)
         entry = None if nxt is None else \
             permitted_entry_lane(state.network, veh.road, veh.lane, nxt)
         if entry is None:
