@@ -31,9 +31,10 @@ from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
 from .macro import MacroSegment, ctm_step
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
-from .micro import (AdjacentView, BehaviorContext, DriverParams, Perception,
-                    Vehicle, VehicleIntent, behavior_chain)
-from .network import (Route, compute_route, lanes_to_destination,
+from .micro import (NAV_HORIZON, REASONS, VIEW_OFFSETS, AdjacentView, BehaviorContext,
+                    DriverArrays, DriverParams, Perception, PerceptionArrays, Vehicle,
+                    VehicleIntent, behavior_chain, behavior_chains)
+from .network import (MAX_LANES, Route, compute_route, lanes_to_destination,
                       permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
 
@@ -195,6 +196,7 @@ class EngineState:
         self.network = model.network
         self.chains = {c.id: c for c in model.chains}
         self.chain_of_road = {rid: c for c in model.chains for rid in c.roads}
+        self.road_arrays = RoadArrays.of(self.network, self.chain_of_road)
         self.fd = model.fd
         self.policy = model.lod
         self.release_mix = model.release_mix
@@ -310,6 +312,17 @@ class EngineState:
             return route.next_after(road_id)
         succ = road_successors(self.network, road_id)
         return succ[0] if len(succ) == 1 else None
+
+    def next_entry(self, road_id: str, lane: int, route: Route | None):
+        """(next road, entry lane) a vehicle in this lane continues on, or
+        None when its path ends or the node has no turn for the lane."""
+        key = ("entry", road_id, lane, route)
+        if key not in self._edge_lookups:
+            nxt = self.next_road(road_id, route)
+            entry = None if nxt is None else \
+                permitted_entry_lane(self.network, road_id, lane, nxt)
+            self._edge_lookups[key] = None if entry is None else (nxt, entry)
+        return self._edge_lookups[key]
 
     def permitted_lanes(self, road_id: str, route: Route | None) -> frozenset[int] | None:
         """Lanes of a road from which a vehicle's path continues; None when a
@@ -601,6 +614,48 @@ def _default_route(state: EngineState, road_id: str) -> Route | None:
 # Perception scene
 # ---------------------------------------------------------------------------
 
+#: batch perception keys a (road, lane) pair as road index * stride + lane
+_LANE_STRIDE = MAX_LANES + 1
+
+
+@dataclass(frozen=True)
+class RoadArrays:
+    """Per-road constants in sorted road-id order, for batch perception."""
+
+    index: dict               # road id -> row
+    length: np.ndarray
+    lane_count: np.ndarray
+    speed_limit: np.ndarray
+    chain_offset: np.ndarray  # where the road starts on its chain
+    chain: np.ndarray         # chain number of the road
+    chain_number: dict        # chain id -> chain number
+    signed: list              # (row, road) of every road with signs
+
+    @classmethod
+    def of(cls, network, chain_of_road) -> RoadArrays:
+        ids = sorted(network.roads)
+        roads = [network.roads[rid] for rid in ids]
+        chain_number = {cid: k for k, cid in
+                        enumerate(sorted({c.id for c in chain_of_road.values()}))}
+        return cls(index={rid: k for k, rid in enumerate(ids)},
+                   length=np.array([r.length for r in roads], dtype=float),
+                   lane_count=np.array([r.lane_count for r in roads]),
+                   speed_limit=np.array([r.speed_limit for r in roads], dtype=float),
+                   chain_offset=np.array([chain_of_road[r].offset_of(r) for r in ids],
+                                         dtype=float),
+                   chain=np.array([chain_number[chain_of_road[r].id] for r in ids]),
+                   chain_number=chain_number,
+                   signed=[(k, r) for k, r in enumerate(roads) if r.signs])
+
+
+def _sort_keys(group: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """(group, position) pairs as complex numbers, which numpy sorts and
+    searches by real part, then imaginary part, with exact comparisons."""
+    keys = np.empty(group.shape, dtype=complex)
+    keys.real = group
+    keys.imag = position
+    return keys
+
 class Scene:
     """Per-step view used by perception and insertion checks; it also
     holds this step's gate budgets and counts the crossings."""
@@ -720,10 +775,32 @@ class Scene:
             best = d if best is None else min(best, d)
         return best
 
+    def _leader_beyond(self, veh: Vehicle, lane: int) -> tuple[float, float] | None:
+        """(gap, speed difference) to the first vehicle on the roads after the
+        vehicle's own, reached from `lane` along its path, when that vehicle
+        is within the perception horizon."""
+        state = self.state
+        offset = state.network.roads[veh.road].length - veh.position
+        remaining = PERCEPTION_HORIZON - offset
+        road_id = veh.road
+        while remaining > 0:
+            hop = state.next_entry(road_id, lane, veh.route)
+            if hop is None:
+                return None
+            road_id, lane = hop
+            found = self._leader_on(road_id, lane, -1.0, veh.id)
+            if found is not None and found[0] - 1.0 + offset <= PERCEPTION_HORIZON:
+                dist = found[0] - 1.0 + offset
+                return (max(dist - found[1].length, MIN_PERCEIVED_GAP),
+                        veh.speed - found[1].speed)
+            length = state.network.roads[road_id].length
+            remaining -= length
+            offset += length
+        return None
+
     def lane_view(self, veh: Vehicle, lane: int) -> AdjacentView:
         """Leader/follower views in one lane of the vehicle's road."""
         state = self.state
-        road = state.network.roads[veh.road]
         chain = state.chain_of_road[veh.road]
         cpos = chain.to_chain_pos(veh.road, veh.position)
 
@@ -734,27 +811,9 @@ class Scene:
             lead_gap = max(dist - leader.length, MIN_PERCEIVED_GAP)
             lead_dv = veh.speed - leader.speed
         else:
-            remaining = PERCEPTION_HORIZON - (road.length - veh.position)
-            cursor_road, cursor_route = veh.road, veh.route
-            offset = road.length - veh.position
-            hop_lane = lane
-            while remaining > 0 and math.isinf(lead_gap):
-                nxt = state.next_road(cursor_road, cursor_route)
-                if nxt is None:
-                    break
-                entry = permitted_entry_lane(state.network, cursor_road, hop_lane, nxt)
-                if entry is None:
-                    break
-                found = self._leader_on(nxt, entry, -1.0, veh.id)
-                if found is not None and found[0] - 1.0 + offset <= PERCEPTION_HORIZON:
-                    dist = found[0] - 1.0 + offset
-                    lead_gap = max(dist - found[1].length, MIN_PERCEIVED_GAP)
-                    lead_dv = veh.speed - found[1].speed
-                    break
-                nxt_len = state.network.roads[nxt].length
-                remaining -= nxt_len
-                offset += nxt_len
-                cursor_road, hop_lane = nxt, entry
+            found = self._leader_beyond(veh, lane)
+            if found is not None:
+                lead_gap, lead_dv = found
 
         # a vehicle physically alongside blocks the lane outright
         if lane != veh.lane and self.slot_occupied(veh.road, lane, veh.position,
@@ -796,6 +855,172 @@ class Scene:
                               permitted_lanes=state.permitted_lanes(veh.road, veh.route),
                               distance_to_node=road.length - veh.position)
         return perception, ctx
+
+    # -- batch perception -------------------------------------------------------
+
+    def perceive_all(self):
+        """`perceive` for every micro vehicle at once, as arrays.
+
+        Returns (vehicles, speed, length, lane, driver parameters,
+        PerceptionArrays) with the vehicles sorted by (road, lane, position,
+        id), or None when there is no micro vehicle.  Entry by entry the
+        floats equal what `perceive` gives: neighbours in the own and both
+        adjacent lanes come from searches in one sorted key array, and stop
+        signs, closed gates and speed caps are applied per sign, gate or
+        restriction over all vehicles at once."""
+        if not self.index:
+            return None
+        state, roads = self.state, self.state.road_arrays
+        keys = sorted(self.index)
+        lists = [self.index[key][1] for key in keys]
+        vehicles = [veh for vehs in lists for veh in vehs]
+        sizes = [len(vehs) for vehs in lists]
+        road = np.repeat([roads.index[road_id] for road_id, _ in keys], sizes)
+        lane = np.repeat([lane for _, lane in keys], sizes)
+        x = np.array([pos for key in keys for pos in self.index[key][0]], dtype=float)
+        speed = np.array([veh.speed for veh in vehicles], dtype=float)
+        length = np.array([veh.length for veh in vehicles], dtype=float)
+        n = len(vehicles)
+
+        # rows: own lane, right, left (micro.VIEW_OFFSETS)
+        view_lane = lane + VIEW_OFFSETS
+        exists = np.array((np.ones(n, dtype=bool), lane < roads.lane_count[road] - 1,
+                           lane > 0))
+        group = road * _LANE_STRIDE + view_lane
+        sorted_group = group[0]
+        sorted_keys = _sort_keys(sorted_group, x)
+
+        at = np.searchsorted(sorted_keys, _sort_keys(group, x + 1e-9), "right")
+        ahead = np.minimum(at, n - 1)
+        dist = x[ahead] - x
+        found = (at < n) & (sorted_group[ahead] == group) & (dist <= PERCEPTION_HORIZON)
+        gap = dist - length[ahead]
+        lead_gap = np.where(found, np.where(MIN_PERCEIVED_GAP > gap, MIN_PERCEIVED_GAP, gap),
+                            INF)
+        lead_dv = np.where(found, speed - speed[ahead], 0.0)
+        distance = roads.length[road] - x
+        beyond = exists & ~found & (PERCEPTION_HORIZON - distance > 0)
+        for k in np.flatnonzero(beyond).tolist():
+            row, i = divmod(k, n)
+            leader = self._leader_beyond(vehicles[i], int(view_lane[row, i]))
+            if leader is not None:
+                lead_gap[row, i], lead_dv[row, i] = leader
+
+        # standing obstacles: unserved stop signs, then closed gates
+        sign = self._stop_distances(vehicles, road, x, view_lane)
+        if sign is not None:
+            hit = (sign <= PERCEPTION_HORIZON) & (sign < lead_gap)
+            lead_gap = np.where(hit, sign, lead_gap)
+            lead_dv = np.where(hit, speed, lead_dv)
+        gate = self._closed_gate_distances(road, x)
+        if gate is not None:
+            hit = gate < lead_gap
+            lead_gap = np.where(hit, gate, lead_gap)
+            lead_dv = np.where(hit, speed, lead_dv)
+
+        at = np.searchsorted(sorted_keys, _sort_keys(group, x - 1e-9), "left") - 1
+        behind = np.maximum(at, 0)
+        dist = x - x[behind]
+        found = (at >= 0) & (sorted_group[behind] == group) & (dist <= PERCEPTION_HORIZON)
+        fol_gap = np.where(found, dist - length, INF)
+        fol_speed = np.where(found, speed[behind], 0.0)
+
+        # slot_occupied: a vehicle alongside blocks an adjacent lane outright
+        side = group[1:]
+        lo = np.searchsorted(sorted_keys, _sort_keys(side, x - length - 1e-9), "right")
+        hi = np.searchsorted(sorted_keys, _sort_keys(side, x + 16.0), "right")
+        rear = x - length
+        occupied = np.zeros(side.shape, dtype=bool)
+        for k in range(int(np.max(hi - lo, initial=0))):
+            occupied |= (lo + k < hi) & (rear[np.minimum(lo + k, n - 1)] < x + 1e-9)
+        occupied = np.concatenate((np.zeros((1, n), dtype=bool), occupied & exists[1:]))
+        lead_gap[occupied] = MIN_PERCEIVED_GAP
+        lead_dv[occupied] = 0.0
+        fol_gap[occupied] = MIN_PERCEIVED_GAP
+        fol_speed = np.where(occupied, speed, fol_speed)
+
+        permitted = [None] * n
+        for i in np.flatnonzero(distance < NAV_HORIZON).tolist():
+            permitted[i] = state.permitted_lanes(vehicles[i].road, vehicles[i].route)
+        perception = PerceptionArrays(
+            exists=exists, leader_gap=lead_gap, leader_dv=lead_dv, follower_gap=fol_gap,
+            follower_speed=fol_speed, speed_limit=self._speed_caps(road, lane, x),
+            distance_to_node=distance, permitted_lanes=permitted)
+        params = DriverArrays.stack([veh.params for veh in vehicles])
+        return vehicles, speed, length, lane, params, perception
+
+    def _closed_gate_distances(self, road: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+        """Per vehicle, `gate_ahead(..., PERCEPTION_HORIZON, closed_only=True)`
+        as a distance, INF where there is none; None when no gate is closed."""
+        state, roads = self.state, self.state.road_arrays
+        best = None
+        for chain_id, entries in self.gates.items():
+            closed = [pos for pos, _key, open_ in entries if not open_]
+            if not closed:
+                continue
+            if best is None:
+                best = np.full(len(x), INF)
+                cpos = roads.chain_offset[road] + x
+            chain = state.chains[chain_id]
+            on = roads.chain[road] == roads.chain_number[chain_id]
+            for pos in closed:
+                d = pos - cpos
+                if chain.cyclic:
+                    d = np.where(d <= 1e-9, d + chain.length, d)
+                hit = on & (d > 1e-9) & (d <= PERCEPTION_HORIZON) & (d < best)
+                best = np.where(hit, d, best)
+        return best
+
+    def _stop_distances(self, vehicles, road, x, view_lane) -> np.ndarray | None:
+        """Per vehicle and view row, the distance to the nearest stop sign
+        ahead that applies to the row's lane and that the vehicle has not
+        served, INF where there is none; None when no road with vehicles has
+        a stop sign."""
+        best = None
+        for ri, road_obj in self.state.road_arrays.signed:
+            stops = [sign for sign in road_obj.signs if sign.kind == "stop"]
+            rows = np.flatnonzero(road == ri).tolist()
+            if not stops or not rows:
+                continue
+            if best is None:
+                best = np.full(view_lane.shape, INF)
+            for sign in stops:
+                unserved = np.zeros(len(x), dtype=bool)
+                unserved[rows] = [(road_obj.id, sign.position) not in vehicles[i].satisfied_stops
+                                  for i in rows]
+                d = sign.position - x
+                hit = unserved & ~(sign.position <= x + 1e-9) & (d < best)
+                if sign.lanes is not None:
+                    hit &= np.isin(view_lane, sorted(sign.lanes))
+                best = np.where(hit, d, best)
+        return best
+
+    def _speed_caps(self, road: np.ndarray, lane: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """`speed_cap` of every vehicle at its own position and lane."""
+        state, roads = self.state, self.state.road_arrays
+        cap = roads.speed_limit[road]
+        for ri, road_obj in roads.signed:
+            on = road == ri
+            if not on.any():
+                continue
+            applies = [on if sign.lanes is None else on & np.isin(lane, sorted(sign.lanes))
+                       for sign in road_obj.signs]
+            nearest = np.full(len(x), -1.0)
+            for sign, at in zip(road_obj.signs, applies):
+                if sign.kind == "speed_limit":
+                    hit = at & (sign.position <= x) & (sign.position > nearest)
+                    nearest = np.where(hit, sign.position, nearest)
+                    cap = np.where(hit, min(road_obj.speed_limit, float(sign.value)), cap)
+            for sign, at in zip(road_obj.signs, applies):
+                if sign.kind == "yield":
+                    hit = at & (sign.position - YIELD_ZONE <= x) & (x <= sign.position)
+                    cap = np.where(hit & (YIELD_SPEED < cap), YIELD_SPEED, cap)
+        for rs in state.model.restrictions:
+            if rs.road in roads.index and rs.from_t <= state.time < rs.to_t:
+                limit = rs.factor * state.fd.v_f
+                hit = (road == roads.index[rs.road]) & (rs.start <= x) & (x < rs.end)
+                cap = np.where(hit & (limit < cap), limit, cap)
+        return cap
 
     # -- insertion support -------------------------------------------------------
 
@@ -870,18 +1095,41 @@ def _refresh_restrictions(state: EngineState) -> None:
                        where=overlap)
 
 
-def _decide(state: EngineState, scene: Scene,
-            vehicles: list[Vehicle]) -> dict[str, VehicleIntent]:
-    """Phases 1-3: perceive, memorize, decide.  Memorization writes only the
-    vehicle's own memory, which no other vehicle perceives, so each vehicle
-    memorizes as soon as it has decided."""
-    intents: dict[str, VehicleIntent] = {}
-    for veh in vehicles:
-        perception, ctx = scene.perceive(veh)
-        intents[veh.id] = behavior_chain(veh, perception, ctx)
-        veh.prev_leader_gap = perception.leader_gap    # memorization
-        _serve_stop_signs(state, veh)
-    return intents
+def _decide(state: EngineState, scene: Scene) -> dict[str, VehicleIntent]:
+    """Phases 1-3 for all micro vehicles in one batch: perceive, decide,
+    memorize.  Decisions read only the step-start state: memorization writes
+    the vehicle's own memory, which no other vehicle perceives."""
+    batch = scene.perceive_all()
+    if batch is None:
+        return {}
+    vehicles, speed, length, lane, params, perception = batch
+    accel, change, reason, raises = behavior_chains(speed, length, lane, params, perception)
+    if raises.any():
+        _raise_as_scalar(state, scene, {vehicles[i].id for i in np.flatnonzero(raises)})
+    for veh, gap in zip(vehicles, perception.leader_gap[0].tolist()):
+        veh.prev_leader_gap = gap    # memorization
+    for i in np.flatnonzero(~(speed > STOP_SPEED)).tolist():
+        _serve_stop_signs(state, vehicles[i])
+    ids = [veh.id for veh in vehicles]
+    return dict(zip(ids, map(VehicleIntent, ids, accel.tolist(), change.tolist(),
+                             [REASONS[r] for r in reason.tolist()])))
+
+
+def _raise_as_scalar(state: EngineState, scene: Scene, suspects: set[str]) -> None:
+    """Rerun the scalar chain on the vehicles the batch flagged, in the
+    order the per-vehicle loop decided in (clusters, then vehicles, by id),
+    memorizing as that loop did, so that the first one that raises does so
+    with the scalar error."""
+    for cid in sorted(state.clusters):
+        cluster = state.clusters[cid]
+        if cluster.representation != MICRO:
+            continue
+        for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id):
+            perception, ctx = scene.perceive(veh)
+            if veh.id in suspects:
+                behavior_chain(veh, perception, ctx)
+            veh.prev_leader_gap = perception.leader_gap
+            _serve_stop_signs(state, veh)
 
 
 def _serve_stop_signs(state: EngineState, veh: Vehicle) -> None:
@@ -1024,12 +1272,11 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
             _leave(state, cluster, veh)
             removals.append((sinks[0].id, veh))
             return
-        nxt = state.next_road(veh.road, veh.route)
-        entry = None if nxt is None else \
-            permitted_entry_lane(state.network, veh.road, veh.lane, nxt)
-        if entry is None:
+        hop = state.next_entry(veh.road, veh.lane, veh.route)
+        if hop is None:
             _hold_at_node(veh, road)
             break
+        nxt, entry = hop
         next_chain = state.chain_of_road[nxt]
         target = state.cluster_at(next_chain.id, next_chain.to_chain_pos(nxt, 0.0))
         if target.representation == MACRO:
@@ -1496,13 +1743,8 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     state.last_flows = {}
     _refresh_restrictions(state)
 
-    vehicles = []
-    for cid in sorted(state.clusters):
-        cluster = state.clusters[cid]
-        if cluster.representation == MICRO:
-            vehicles.extend(sorted(cluster.vehicles.values(), key=lambda v: v.id))
     scene = Scene(state)
-    intents = _decide(state, scene, vehicles)
+    intents = _decide(state, scene)
     emissions, snap = _natural(state)
     removals = _micro_reaction(state, scene, intents)
     _macro_reaction(state, scene, snap)

@@ -5,6 +5,11 @@ uses an incentive/safety trade-off weighted by a politeness factor.  A
 three-part behavior chain arbitrates between mandatory navigation changes,
 opportunistic overtaking, and plain longitudinal control.
 
+The scalar functions take one vehicle at a time and are the reference.
+`behavior_chains` is their array form over many vehicles, which the engine
+runs once per step; entry by entry it returns exactly the scalar chain's
+floats.
+
 Conventions: `position` is the front bumper, measured from the road start.
 A gap is always bumper-to-bumper (leader rear minus own front).  All
 functions here are pure; state mutation is the engine's job.
@@ -13,12 +18,20 @@ functions here are pure; state mutation is the engine's job.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 INF = float("inf")
 
 #: direction encoding for lane changes (lane 0 is leftmost)
 LEFT, STAY, RIGHT = -1, 0, 1
+#: distance to the next node within which a needed lane change is mandatory, m
+NAV_HORIZON = 300.0
 
 
 class NonPositiveGap(ValueError):
@@ -63,6 +76,13 @@ class DriverParams:
             raise ValueError("politeness must lie in [0, 1]")
         if self.da_th < 0:
             raise ValueError("incentive threshold must be >= 0")
+
+    @cached_property
+    def packed(self) -> bytes:
+        """The nine parameters as float64 bytes in field order, the row
+        `DriverArrays.stack` reads."""
+        return struct.pack("9d", self.v0, self.T, self.a_max, self.b, self.delta,
+                           self.s0, self.p, self.da_th, self.b_safe)
 
 
 @dataclass
@@ -226,11 +246,10 @@ class BehaviorContext:
     lane_count: int
     permitted_lanes: frozenset[int] | None = None   # None: any lane continues
     distance_to_node: float = INF                   # m to the next node
-    nav_horizon: float = 300.0
+    nav_horizon: float = NAV_HORIZON
 
 
-@dataclass(frozen=True)
-class VehicleIntent:
+class VehicleIntent(NamedTuple):
     """The single influence a vehicle emits each step."""
 
     vehicle_id: str
@@ -275,3 +294,193 @@ def behavior_chain(vehicle: Vehicle, perception: Perception,
     if decision != STAY:
         return VehicleIntent(vehicle.id, accel, decision, "overtaking")
     return VehicleIntent(vehicle.id, accel, STAY, "acceleration")
+
+
+# ---------------------------------------------------------------------------
+# Array form
+# ---------------------------------------------------------------------------
+#
+# Entry i of every array describes vehicle i.  Each formula keeps the scalar
+# code's operand order, and min/max keep Python's choice between equal
+# operands, so every float equals the scalar chain's.  Powers go through
+# Python's own `**`: `np.power` differs from it in the last bit on some
+# inputs.
+
+#: lane offset of each row of a view stack: row d is the lane in direction d
+VIEW_OFFSETS = np.array([[STAY], [RIGHT], [LEFT]])
+
+#: `behavior_chains` reason codes, indexing the reasons `behavior_chain` gives
+REASONS = ("acceleration", "overtaking", "navigation", "navigation_blocked")
+_ACCELERATION, _OVERTAKING, _NAVIGATION, _NAVIGATION_BLOCKED = range(4)
+
+
+class DriverArrays(NamedTuple):
+    """`DriverParams` of many vehicles, one float64 array per field."""
+
+    v0: np.ndarray
+    T: np.ndarray
+    a_max: np.ndarray
+    b: np.ndarray
+    delta: np.ndarray
+    s0: np.ndarray
+    p: np.ndarray
+    da_th: np.ndarray
+    b_safe: np.ndarray
+
+    @classmethod
+    def stack(cls, params: list[DriverParams]) -> DriverArrays:
+        rows = np.frombuffer(b"".join([p.packed for p in params]), dtype=np.float64)
+        return cls(*rows.reshape(len(params), 9).T)
+
+
+@dataclass(frozen=True)
+class PerceptionArrays:
+    """`Perception` and `BehaviorContext` of n vehicles.
+
+    The view fields are (3, n) stacks whose row d is the lane in direction
+    d (STAY, RIGHT, LEFT: rows 0, 1 and -1), so row 0 holds the scalar
+    Perception's own fields and rows 1 and -1 its `right` and `left` views.
+    Where `exists` is False the lane is missing, the scalar view is None and
+    the other entries are not read.  `permitted_lanes` is a list read only
+    where `distance_to_node` is below NAV_HORIZON."""
+
+    exists: np.ndarray
+    leader_gap: np.ndarray
+    leader_dv: np.ndarray
+    follower_gap: np.ndarray
+    follower_speed: np.ndarray
+    speed_limit: np.ndarray
+    distance_to_node: np.ndarray
+    permitted_lanes: list
+
+
+def _py_min(a, b):
+    """Python's min(a, b) entry by entry: `a` unless `b` is smaller."""
+    return np.where(b < a, b, a)
+
+
+def _py_max(a, b):
+    """Python's max(a, b) entry by entry: `a` unless `b` is larger."""
+    return np.where(b > a, b, a)
+
+
+def _powers(bases: np.ndarray, exponents, where: np.ndarray) -> np.ndarray:
+    """bases ** exponents through Python's float power, at `where` unless the
+    base is zero or negative; 0.0 elsewhere.  A zero base gives 0.0 for the
+    exponents used here (>= 1); a negative one makes the scalar call raise
+    before its power."""
+    at = where & ~(bases <= 0.0)
+    out = np.zeros(bases.shape)
+    if isinstance(exponents, np.ndarray):
+        full = np.empty(bases.shape)
+        full[...] = exponents
+        exponents = full[at].tolist()
+    else:
+        exponents = repeat(exponents)
+    out[at] = list(map(pow, bases[at].tolist(), exponents))
+    return out
+
+
+def _navigation(lane: np.ndarray, perception: PerceptionArrays, raises: np.ndarray):
+    """Which vehicles must change lanes for their route, and to which side:
+    toward the nearest permitted lane, the lower index on a tie."""
+    must = np.zeros(len(lane), dtype=bool)
+    side = np.zeros(len(lane), dtype=np.int64)
+    lanes = lane.tolist()
+    for i in np.flatnonzero(perception.distance_to_node < NAV_HORIZON).tolist():
+        permitted = perception.permitted_lanes[i]
+        if permitted is None or lanes[i] in permitted:
+            continue
+        must[i] = True
+        if not permitted:
+            raises[i] = True     # the scalar min() over no lane raises
+            continue
+        target = min(permitted, key=lambda l: (abs(l - lanes[i]), l))
+        side[i] = RIGHT if target > lanes[i] else LEFT
+    return must, side
+
+
+def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
+                    params: DriverArrays, perception: PerceptionArrays):
+    """`behavior_chain` for n vehicles at once.
+
+    Returns (acceleration, lane_change, reason code into REASONS, raises).
+    `raises` marks every vehicle whose scalar chain may raise: the caller
+    runs the scalar chain on those to raise its exact error.  IDM runs in
+    stages of stacked rows: first the driver's own acceleration and both
+    sides' safety, then, where a side is safe, both sides' incentives, then
+    the navigation gate.
+    """
+    n = len(speed)
+    v = speed
+    lg, ldv = perception.leader_gap, perception.leader_dv
+    fg, fs = perception.follower_gap, perception.follower_speed
+    raises = np.zeros(n, dtype=bool)
+    root = 2.0 * np.sqrt(params.a_max * params.b)
+
+    def accelerations(v, s, dv, free, where):
+        """idm_acceleration over stacked rows given their free-road terms
+        (v / v0) ** delta; 0.0 outside `where`."""
+        raises[...] |= (where & ((v < 0) | (s <= 0))).any(axis=0)
+        dynamic = v * params.T + v * dv / root
+        ratio = (params.s0 + _py_max(0.0, dynamic)) / s
+        interaction = _powers(ratio, 2, where & ~np.isinf(s))
+        return np.where(where, params.a_max * (1.0 - free - interaction), 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v0 = _py_max(_py_min(params.v0, perception.speed_limit), 0.1)
+        # the driver's own acceleration and each side's safety criterion
+        base = perception.exists[1:] & ~(lg[1:] <= 0) & ~(fg[1:] <= 0)
+        where = np.concatenate((np.ones((1, n), dtype=bool), base))
+        speeds = np.concatenate((v[None], fs[1:]))
+        free = _powers(speeds / v0, params.delta, where)
+        a = accelerations(speeds, np.concatenate((lg[:1], fg[1:])),
+                          np.concatenate((ldv[:1], fs[1:] - v)), free, where)
+        accel, a_new = a[0], a[1:]
+        safe = base & (a_new >= -params.b_safe)
+
+        # incentives of both sides, with the old follower's terms shared
+        decision = np.zeros(n, dtype=np.int64)
+        if safe.any():
+            old = safe.any(axis=0) & ~((fg[0] <= 0) | np.isinf(fg[0]))
+            free_old = _powers(fs[0] / v0, params.delta, old)
+            gap_now = fg[1:] + length + lg[1:]
+            dv_now = np.where(np.isfinite(lg[1:]), fs[1:] - (v - ldv[1:]), 0.0)
+            gap_after = fg[0] + length + lg[0]
+            dv_after = np.where(np.isfinite(lg[0]), fs[0] - (v - ldv[0]), 0.0)
+            b = accelerations(
+                np.concatenate((v[None], v[None], fs[1:], fs[:1], fs[:1])),
+                np.concatenate((lg[1:], gap_now, fg[:1], gap_after[None])),
+                np.concatenate((ldv[1:], dv_now, (fs[0] - v)[None], dv_after[None])),
+                np.concatenate((free[:1], free[:1], free[1:], free_old[None], free_old[None])),
+                np.concatenate((safe, safe, old[None], old[None])))
+            a_self_new, a_new_now, a_old_now, a_old_after = b[:2], b[2:4], b[4], b[5]
+            gain = (a_self_new - accel
+                    + params.p * ((a_new - a_new_now) + (a_old_after - a_old_now)))
+            right_ok, left_ok = safe & (gain > params.da_th)
+            go_left = left_ok & (~right_ok | (gain[1] > gain[0]))
+            decision = np.where(go_left, LEFT, np.where(right_ok, RIGHT, STAY))
+
+        # navigation: hold back before the node; change only where safe
+        # under the driver's own desired speed
+        must, side = _navigation(lane, perception, raises)
+        if must.any():
+            columns = np.arange(n)
+            exists, gap, fol_gap, fol_speed = (
+                rows[side, columns] for rows in (perception.exists, lg, fg, fs))
+            target = must & exists & ~(gap <= 0) & ~(fol_gap <= 0)
+            hold = must & (perception.distance_to_node > 0)
+            c = accelerations(np.array((v, fol_speed)),
+                              np.array((perception.distance_to_node, fol_gap)),
+                              np.array((v, fol_speed - v)),
+                              np.array((free[0], _powers(fol_speed / params.v0, params.delta,
+                                                         target))),
+                              np.array((hold, target)))
+            accel = np.where(hold & (c[0] < accel), c[0], accel)
+            nav_ok = target & (c[1] >= -params.b_safe)
+            decision = np.where(must, np.where(nav_ok, side, STAY), decision)
+
+    reason = np.where(decision != STAY, _OVERTAKING, _ACCELERATION)
+    if must.any():
+        reason = np.where(must, np.where(nav_ok, _NAVIGATION, _NAVIGATION_BLOCKED), reason)
+    return accel, decision, reason, raises

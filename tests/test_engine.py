@@ -1,10 +1,13 @@
 """Engine contract tests: phases, probes, influences, determinism."""
 
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
                                RemoveVehicle, Scene, SimulationEngine,
@@ -13,7 +16,8 @@ from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
                                build_state)
 from hybridflow import engine
 from hybridflow.generation import FlowMassGenerator, InsertionSpec
-from hybridflow.micro import DriverParams, Vehicle
+from hybridflow.hybrid import MICRO
+from hybridflow.micro import DriverParams, Vehicle, behavior_chain
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
 
@@ -154,7 +158,130 @@ class TestKinematics:
                     last_pos[key] = v.position
 
 
+def _signs(draw, rng, length, lanes):
+    """Up to two stop, yield or speed-limit signs, each on all lanes or one."""
+    out = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["stop", "yield", "speed_limit"]))
+        on = "all" if lanes == 1 or draw(st.booleans()) else str(draw(st.integers(0, lanes - 1)))
+        value = f' value="{rng.uniform(5, 30):.2f}"' if kind == "speed_limit" else ""
+        out.append(f'<sign kind="{kind}" position="{rng.uniform(0, length):.2f}" '
+                   f'lanes="{on}"{value}/>')
+    return "".join(out)
+
+
+@st.composite
+def perception_scenes(draw):
+    """A scenario with every situation perception distinguishes, as
+    (file name -> XML text, lengths of the roads with vehicles, fraction of
+    stop signs already served, seed):
+
+    * a branch: road a (1-3 lanes) splits into b and c, each lane of a
+      turning to b, to c, to both or nowhere, so routed vehicles on a must
+      change lanes near the node and see leaders across it;
+    * a line d -> e -> f whose macro tail f sits behind an open or a closed
+      gate, with routed and unrouted vehicles;
+    * a ring r0 -> r1 -> r2 -> r0 whose macro road r0 starts at the chain's
+      wrap gate, open or closed, and a one-road loop s, where a vehicle's
+      look-ahead comes back to its own lane;
+    * signs on a, d and e, and a restriction that is active or not yet.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    la, lb, lc = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    line, ring, loop = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    lengths = {"a": 400.0, "b": 150.0, "c": 150.0, "d": 300.0, "e": 150.0, "f": 300.0,
+               "r0": 100.0, "r1": 120.0, "r2": 120.0, "s": 150.0}
+    lanes = {"a": la, "b": lb, "c": lc, "d": line, "e": line, "f": line,
+             "r0": ring, "r1": ring, "r2": ring, "s": loop}
+    signs = {rid: _signs(draw, rng, lengths[rid], lanes[rid]) for rid in ("a", "d", "e")}
+    limits = {rid: draw(st.sampled_from([25, 30, 36])) for rid in lengths}
+    ends = {"a": ("p0", "x"), "b": ("x", "qb"), "c": ("x", "qc"), "d": ("l0", "l1"),
+            "e": ("l1", "l2"), "f": ("l2", "l3"), "r0": ("g0", "g1"), "r1": ("g1", "g2"),
+            "r2": ("g2", "g0"), "s": ("h0", "h0")}
+    nodes = sorted({n for pair in ends.values() for n in pair})
+    infra = ['<?xml version="1.0"?>', "<infrastructure>"]
+    infra += [f'<node id="{n}" kind="{"highway_extraction" if n == "x" else "crossroads"}"/>'
+              for n in nodes]
+    for rid, (a, b) in ends.items():
+        infra.append(f'<road id="{rid}" from="{a}" to="{b}" length="{lengths[rid]:g}" '
+                     f'lanes="{lanes[rid]}" speed_limit="{limits[rid]}">'
+                     f'{signs.get(rid, "")}</road>')
+    # every lane of a turns to b, c, both or nowhere; b and c stay reachable
+    targets = [draw(st.sampled_from([("b",), ("c",), ("b", "c"), ()])) for _ in range(la)]
+    targets[0] = tuple(sorted(set(targets[0]) | {"b"}))
+    targets[-1] = tuple(sorted(set(targets[-1]) | {"c"}))
+    for lane, roads in enumerate(targets):
+        for rid in roads:
+            infra.append(f'<turn node="x" from_road="a" from_lane="{lane}" to_road="{rid}" '
+                         f'to_lane="{draw(st.integers(0, lanes[rid] - 1))}"/>')
+    for node, a, b in (("l1", "d", "e"), ("l2", "e", "f"), ("g1", "r0", "r1"),
+                       ("g2", "r1", "r2"), ("g0", "r2", "r0"), ("h0", "s", "s")):
+        infra.append(f'<turn node="{node}" from_road="{a}" to_road="{b}" lanes="all"/>')
+    infra.append("</infrastructure>")
+
+    jam = {True: "0.149", False: f"{rng.uniform(0, 0.05):.3f}"}
+    active = draw(st.booleans())
+    level = ['<?xml version="1.0"?>', "<level>",
+             '<end_point id="sb" road="b"/>', '<end_point id="sc" road="c"/>',
+             '<end_point id="sf" road="f"/>',
+             '<cluster representation="micro"><extent road="d" start="0" end="300"/>'
+             '<extent road="e" start="0" end="150"/></cluster>',
+             '<cluster representation="macro" road="f" start="0" end="300"/>',
+             f'<initial_density road="f" start="0" end="300" value="{jam[draw(st.booleans())]}"/>',
+             '<cluster representation="macro" road="r0" start="0" end="100"/>',
+             '<cluster representation="micro"><extent road="r1" start="0" end="120"/>'
+             '<extent road="r2" start="0" end="120"/></cluster>',
+             f'<initial_density road="r0" start="0" end="100" value="{jam[draw(st.booleans())]}"/>',
+             f'<restriction road="{draw(st.sampled_from(["a", "d"]))}" start="100" end="250" '
+             f'factor="0.3" from_t="{0 if active else 1000}"/>']
+    destinations = {"a": ["sb", "sc"], "b": ["sb", None], "c": ["sc", None],
+                    "d": ["sf", None], "e": ["sf", None], "r1": [None], "r2": [None], "s": [None]}
+    for rid, choices in destinations.items():
+        for lane in range(lanes[rid]):
+            positions, cursor = [], 0.0
+            for _ in range(draw(st.integers(0, 3))):
+                cursor += float(rng.uniform(6.5, 90))
+                if cursor > lengths[rid]:
+                    break
+                positions.append(cursor)
+            for pos in positions:
+                dest = choices[int(rng.integers(len(choices)))]
+                dest = f' destination="{dest}"' if dest else ""
+                speed = 0.0 if rng.random() < 0.15 else rng.uniform(0, 32)
+                level.append(f'<vehicle road="{rid}" lane="{lane}" position="{pos:.2f}" '
+                             f'speed="{speed:.2f}" length="{rng.uniform(3, 6):.2f}" '
+                             f'v0="{rng.uniform(15, 38):.2f}"{dest}/>')
+                if lane + 1 < lanes[rid] and draw(st.booleans()):
+                    # a vehicle alongside in the next lane
+                    level.append(f'<vehicle road="{rid}" lane="{lane + 1}" '
+                                 f'position="{min(pos + rng.uniform(-3, 3), lengths[rid]):.2f}" '
+                                 f'speed="10"{dest}/>')
+    level.append("</level>")
+    files = {"scenario.xml": '<?xml version="1.0"?>\n<simulation time_step="0.25" '
+                             'duration="60"><infrastructure ref="infrastructure.xml"/>'
+                             '<level ref="level.xml"/></simulation>\n',
+             "infrastructure.xml": "\n".join(infra) + "\n",
+             "level.xml": "\n".join(level) + "\n"}
+    return files, draw(st.sampled_from([0.0, 0.5])), int(rng.integers(2**31))
+
+
+def _scalar_decisions(state):
+    """What the per-vehicle loop decides and memorizes, vehicle by vehicle."""
+    scene = Scene(state)
+    out = {}
+    for cluster in state.clusters.values():
+        if cluster.representation == MICRO:
+            for veh in cluster.vehicles.values():
+                perception, ctx = scene.perceive(veh)
+                out[veh.id] = (behavior_chain(veh, perception, ctx), perception.leader_gap)
+    return out
+
+
 class TestPerceptionOracle:
+    """Scalar perception against an exhaustive scan, and the engine's batch
+    decide against the scalar perceive -> behavior_chain chain, which it
+    must equal float for float, errors included."""
+
     def brute_force(self, state, veh, horizon=200.0):
         """Exhaustive pairwise neighbor scan on one road."""
         road = state.network.roads[veh.road]
@@ -201,6 +328,77 @@ class TestPerceptionOracle:
             fol = oracle(veh.lane, ahead=False)
             if fol is not None:
                 assert perception.follower_gap == pytest.approx(fol[0] - veh.length)
+
+
+    @given(perception_scenes())
+    def test_batch_equals_scalar_chain(self, scene):
+        files, served, seed = scene
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            state = build_state(parse_scenario(Path(tmp)), EngineConfig(seed=seed))
+        rng = np.random.default_rng(seed)
+        stops = [(rid, sign.position) for rid, road in state.network.roads.items()
+                 for sign in road.signs if sign.kind == "stop"]
+        config = EngineConfig(seed=seed)
+        for _ in range(3):
+            for cluster in state.clusters.values():
+                for veh in cluster.vehicles.values():
+                    veh.satisfied_stops.update(
+                        stop for stop in stops if stop[0] == veh.road and rng.random() < served)
+            expected = _scalar_decisions(state)
+            intents = engine._decide(state, Scene(state))
+            assert intents.keys() == expected.keys()
+            vehicles = {veh.id: veh for c in state.clusters.values()
+                        for veh in c.vehicles.values()}
+            for vid, (intent, gap) in expected.items():
+                assert intents[vid] == intent
+                assert vehicles[vid].prev_leader_gap == gap
+            try:
+                advance_step(state, config)
+            except SimulationError:
+                break
+
+    def build_branch(self, tmp_path, vehicle):
+        root = tmp_path / "branch"
+        root.mkdir(parents=True)
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="60">'
+            '<infrastructure ref="infra.xml"/><level ref="level.xml"/></simulation>\n')
+        (root / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>'
+            '<node id="p" kind="crossroads"/><node id="x" kind="highway_extraction"/>'
+            '<node id="qb" kind="crossroads"/><node id="qc" kind="crossroads"/>'
+            '<road id="a" from="p" to="x" length="400" lanes="2" speed_limit="25"/>'
+            '<road id="b" from="x" to="qb" length="150" lanes="1" speed_limit="25"/>'
+            '<road id="c" from="x" to="qc" length="150" lanes="1" speed_limit="25"/>'
+            '<turn node="x" from_road="a" from_lane="0" to_road="b" to_lane="0"/>'
+            '<turn node="x" from_road="a" from_lane="1" to_road="c" to_lane="0"/>'
+            '</infrastructure>\n')
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level><end_point id="sb" road="b"/>'
+            '<end_point id="sc" road="c"/>'
+            '<vehicle road="a" lane="0" position="20" speed="10" destination="sb"/>'
+            f'{vehicle}</level>\n')
+        return build_state(parse_scenario(root), EngineConfig())
+
+    @pytest.mark.parametrize("vehicle,negative", [
+        # unrouted before a branch: no lane continues, the chain's min() raises
+        ('<vehicle road="a" lane="1" position="300" speed="10"/>', False),
+        ('<vehicle road="a" lane="1" position="300" speed="10" destination="sc"/>', True)])
+    def test_raises_the_scalar_error(self, tmp_path, vehicle, negative):
+        states = [self.build_branch(tmp_path / str(k), vehicle) for k in range(2)]
+        if negative:
+            for state in states:
+                veh = next(v for c in state.clusters.values() for v in c.vehicles.values()
+                           if v.road == "a" and v.lane == 1)
+                veh.speed = -1.0
+        with pytest.raises(ValueError) as scalar:
+            _scalar_decisions(states[0])
+        with pytest.raises(ValueError) as batch:
+            engine._decide(states[1], Scene(states[1]))
+        assert type(batch.value) is type(scalar.value)
+        assert str(batch.value) == str(scalar.value)
 
 
 class TestSystemInfluences:
