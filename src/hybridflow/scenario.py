@@ -180,10 +180,11 @@ def _load_xml(path: Path) -> ET.Element:
 
 
 def _attr(el: ET.Element, name: str, path: Path, cast=str, default=None,
-          allow_inf: bool = False):
+          allow_inf: bool = False, signed: bool = False):
     """Read one attribute through `cast`, the only place numbers are parsed.
-    A float must be finite; `allow_inf` also admits `inf`, which the
-    canonical serializer writes for open-ended values."""
+    A number must be non-negative unless `signed`, and a float finite;
+    `allow_inf` also admits `inf`, which the canonical serializer writes for
+    open-ended values."""
     raw = el.get(name)
     if raw is None:
         if default is not None:
@@ -197,6 +198,8 @@ def _attr(el: ET.Element, name: str, path: Path, cast=str, default=None,
     if cast is float and not (math.isfinite(value) or allow_inf and value == math.inf):
         raise SchemaViolation(path, f"<{el.tag} {name}>",
                               f"{raw!r} is not a finite number")
+    if cast in (int, float) and not signed and value < 0:
+        raise SchemaViolation(path, f"<{el.tag} {name}>", f"{raw!r} is negative")
     return value
 
 
@@ -218,9 +221,12 @@ def _lanes_attr(el: ET.Element, path: Path) -> frozenset[int] | None:
     if raw == "all":
         return None
     try:
-        return frozenset(int(x) for x in raw.split(",") if x.strip() != "")
+        lanes = frozenset(int(x) for x in raw.split(",") if x.strip() != "")
     except ValueError:
         raise SchemaViolation(path, f"<{el.tag} lanes>", f"bad lane list {raw!r}")
+    if not lanes:
+        raise SchemaViolation(path, f"<{el.tag} lanes>", f"empty lane list {raw!r}")
+    return lanes
 
 
 def _expect_root(root: ET.Element, tag: str, path: Path) -> None:
@@ -420,8 +426,6 @@ def _parse_rhythm(path: Path) -> tuple[str, FlowProfile | None, tuple, bool]:
         last_t = -math.inf
         for el in root.findall("flow"):
             t, q = _attr(el, "t", path, float), _attr(el, "q", path, float)
-            if q < 0:
-                raise SchemaViolation(path, "<flow q>", f"negative rate {q}")
             if t < last_t:
                 raise SchemaViolation(path, "<flow t>", "knots must be time-ordered")
             last_t = t
@@ -439,7 +443,7 @@ def _parse_rhythm(path: Path) -> tuple[str, FlowProfile | None, tuple, bool]:
             _build(DriverParams, path, "<event>", **overrides)   # checked here, built later
             events.append((t, {
                 "lane": _attr(el, "lane", path, int),
-                "speed": _attr(el, "speed", path, float, -1.0),
+                "speed": _attr(el, "speed", path, float, -1.0, signed=True),
                 "length": _attr(el, "length", path, float, 4.0),
                 "destination": el.get("destination"),
                 "overrides": overrides,

@@ -73,7 +73,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("filename,old,new", [
         ("scenario.xml", 'time_step="0.25"', 'time_step="nan"'),
-        ("level.xml", 'lanes="all"', 'lanes="7"')])
+        ("level.xml", 'lanes="all"', 'lanes="7"'),
+        ("level.xml", 'lanes="all"', 'lanes=""'),
+        ("level.xml", '<end_point id="out1" road="r1"/>',
+         '<end_point id="out1" road="r1" capacity="-1"/>\n'
+         '  <cluster representation="macro" road="r1" start="0" end="1000"/>'),
+        ("level.xml", "</level>",
+         '<initial_density road="r1" start="0" end="500" value="-0.05"/>\n</level>'),
+        ("level.xml", "</level>",
+         '<vehicle road="r1" lane="0" position="10" speed="-5" length="-4"/>\n</level>')])
     def test_bad_number_or_lane_names_its_file(self, tmp_path, capsys,
                                                filename, old, new):
         root = tmp_path / "bad"

@@ -154,7 +154,17 @@ BAD_INPUTS = {
     "event_v0_negative": ("in1-rhythm.xml", None, _script(extra=' v0="-1"')),
     "input_lanes_high": ("level.xml", 'lanes="all"', 'lanes="7"'),
     "input_lanes_negative": ("level.xml", 'lanes="all"', 'lanes="-1"'),
+    "input_lanes_empty": ("level.xml", 'lanes="all"', 'lanes=""'),
     "event_lane_high": ("in1-rhythm.xml", None, _script(lane=9)),
+    "sink_capacity_negative": ("level.xml", '<end_point id="out1" road="r1"/>',
+                               '<end_point id="out1" road="r1" capacity="-1"/>'),
+    "density_negative": ("level.xml", *_append(
+        "</level>", '<initial_density road="r1" start="0" end="500" value="-0.05"/>')),
+    "vehicle_speed_negative": ("level.xml", *_append(
+        "</level>", '<vehicle road="r1" lane="0" position="10" speed="-5"/>')),
+    "vehicle_length_negative": ("level.xml", *_append(
+        "</level>", '<vehicle road="r1" lane="0" position="10" speed="5" length="-4"/>')),
+    "event_length_negative": ("in1-rhythm.xml", None, _script(extra=' length="-4"')),
 }
 
 
@@ -171,9 +181,9 @@ def mutate(tmp_path: Path, name: str) -> tuple[Path, str]:
 
 
 class TestNumbersAndLanes:
-    """Non-finite numbers, unreadable overrides and lanes outside the road
-    are rejected at load, naming the file; `inf` is read only where the
-    canonical serializer writes it."""
+    """Non-finite or negative numbers, unreadable overrides, empty lane lists
+    and lanes outside the road are rejected at load, naming the file; `inf`
+    is read only where the canonical serializer writes it."""
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_bad_input_names_its_file(self, tmp_path, name):
@@ -193,6 +203,12 @@ class TestNumbersAndLanes:
         model = parse_scenario(root)
         assert model.network.end_points["out1"].capacity == math.inf
         assert model.restrictions[0].to_t == math.inf
+
+    def test_negative_event_speed_means_as_fast_as_allowed(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        (root / "in1-rhythm.xml").write_text(_script().replace('speed="20"', 'speed="-1"'))
+        model = parse_scenario(root)
+        assert model.generation_points[0].events[0][1]["speed"] == -1.0
 
 
 class TestRoundTrip:
