@@ -1,0 +1,88 @@
+"""Golden outputs: the CLI's files on every fixture, pinned byte for byte.
+
+Each fixture runs `hybridflow run --steps 1200 --seed 42 --format csv`, and
+the SHA-256 of each output file must equal the pinned digest below.  A
+change that only restructures or speeds up the engine must leave every
+digest as it is.
+
+To re-pin after a change that is meant to move outputs, run this test: its
+failure message prints the whole table with the new digests, ready to paste
+over GOLDEN.  List every re-pinned fixture and file in CHANGES.md, with the
+reason the output moved.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hybridflow.cli import run_command
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+SCENARIOS = {
+    "minimal": FIXTURES / "minimal",
+    "hybrid": FIXTURES / "hybrid",
+    "jam": FIXTURES / "jam",
+    "ring": FIXTURES / "ring",
+    "navigation": FIXTURES / "navigation" / "navigation-model.xml",
+}
+
+OUTPUTS = ("steps.csv", "trajectories.csv", "transitions.csv", "audit.json")
+
+# an empty transition log: the header line alone
+NO_TRANSITIONS = "79c92c9dedfb158b27c8e709265bebb515de6481a6a2d0acbc4db9541a38265a"
+
+GOLDEN = {
+    "minimal": {
+        "steps.csv": "4a1316ad6ba565d5b1cde131681524e320fa90b55a0c2aa978384ada35db7f11",
+        "trajectories.csv": "0332d2b06cb9e54ec61227d644fb2b085acb45d3d555bcf69e1128d1d49b2877",
+        "transitions.csv": NO_TRANSITIONS,
+        "audit.json": "dffc823e91669aed841be23fe79a744a3d68767dc4c840d958818ee713f1c82e",
+    },
+    "hybrid": {
+        "steps.csv": "4c4b60c1e5bd50aa6fba0145b32a9a5bde929ef7248ec8de6ae0d719fa74c122",
+        "trajectories.csv": "ba2477f48fb61a15ab12d93818fdb6b3e85b2ae66d9a4273a44e33d351356bc2",
+        "transitions.csv": NO_TRANSITIONS,
+        "audit.json": "64bfc0adde6ffa380e64bf08c7384b1ed9cb1cb9d274084aebbe648ac2ce5857",
+    },
+    "jam": {
+        "steps.csv": "0505f2058cf403a7be805df955bea5b36d7b97143784015e8af2ff1f17ca0ba7",
+        "trajectories.csv": "8f8fbce649f924f6e809ff0ab4beed625f83c711fdfcf96d7612288926ac80e8",
+        "transitions.csv": "c261fadf4143680c16e5025e9c92861ac20e5cc79cc2de9b518519e02d83a00f",
+        "audit.json": "fd408e6aa135afa600b196217049040f981a307e1303bfba739c9189922fd16a",
+    },
+    "ring": {
+        "steps.csv": "0cba1c2be2314c8677c515929053d86a29fdeadf2991066302db75f1c9c5671e",
+        "trajectories.csv": "91a41b25f7371a925cc0e130ccbe7b74a57f9232a2b5d7ae0a14b62d32ca6386",
+        "transitions.csv": NO_TRANSITIONS,
+        "audit.json": "84438a705c8d6daa4c57f60e8ad2590c5bb73e3ff24c72986f0f3ab9e72fb5ed",
+    },
+    "navigation": {
+        "steps.csv": "63c1d3561db54c38707d20a0c6d806f1ab09b32351934e3a02416eebd34480e9",
+        "trajectories.csv": "debdc13780ceb9781d9e3d9d9e0b4c102e74d258329d3eebb808afbce73e3019",
+        "transitions.csv": NO_TRANSITIONS,
+        "audit.json": "867f5cab0466ceb25cce2187dd5d9e57c3000d15456b6087f07c47665b4b312c",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """SHA-256 of every output file of every fixture, run once."""
+    out = {}
+    for name, scenario in SCENARIOS.items():
+        target = tmp_path_factory.mktemp(name)
+        rc = run_command(["run", "--scenario", str(scenario), "--steps", "1200",
+                          "--seed", "42", "--format", "csv", "--out", str(target)])
+        assert rc == 0, f"{name} exited {rc}"
+        out[name] = {f: hashlib.sha256((target / f).read_bytes()).hexdigest()
+                     for f in OUTPUTS}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_outputs_match_pinned_digests(digests, name):
+    moved = [f for f in OUTPUTS if digests[name][f] != GOLDEN[name][f]]
+    table = "\n".join(f"    {n!r}: {d!r}," for n, d in digests.items())
+    assert not moved, f"{name}: {moved} moved; digests now:\n{table}"
