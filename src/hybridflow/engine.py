@@ -875,8 +875,8 @@ class Scene:
         lists = [self.index[key][1] for key in keys]
         vehicles = [veh for vehs in lists for veh in vehs]
         sizes = [len(vehs) for vehs in lists]
-        road = np.repeat([roads.index[road_id] for road_id, _ in keys], sizes)
-        lane = np.repeat([lane for _, lane in keys], sizes)
+        road = np.repeat([roads.index[key[0]] for key in keys], sizes)
+        lane = np.repeat([key[1] for key in keys], sizes)
         x = np.array([pos for key in keys for pos in self.index[key][0]], dtype=float)
         speed = np.array([veh.speed for veh in vehicles], dtype=float)
         length = np.array([veh.length for veh in vehicles], dtype=float)
