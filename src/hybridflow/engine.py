@@ -614,7 +614,9 @@ def _default_route(state: EngineState, road_id: str) -> Route | None:
 # Perception scene
 # ---------------------------------------------------------------------------
 
-#: batch perception keys a (road, lane) pair as road index * stride + lane
+#: batch perception numbers a (road, lane) group as road row * stride + lane;
+#: a neighbour lane off the road (-1 or the lane count) then numbers a group
+#: that holds no vehicle
 _LANE_STRIDE = MAX_LANES + 1
 
 
@@ -655,6 +657,7 @@ def _sort_keys(group: np.ndarray, position: np.ndarray) -> np.ndarray:
     keys.real = group
     keys.imag = position
     return keys
+
 
 class Scene:
     """Per-step view used by perception and insertion checks; it also
