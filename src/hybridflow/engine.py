@@ -259,8 +259,7 @@ class EngineState:
         return [self.clusters[cid] for cid in self.order[chain_id]]
 
     def cluster_at(self, chain_id: str, chain_pos: float) -> Cluster:
-        ids = self.order[chain_id]
-        starts = [self.clusters[cid].start for cid in ids]
+        starts, ids = self.cluster_starts(chain_id)
         idx = bisect.bisect_right(starts, chain_pos + 1e-9) - 1
         return self.clusters[ids[max(idx, 0)]]
 
@@ -280,6 +279,15 @@ class EngineState:
 
     # The look-ups below depend only on the partition and the network, so
     # each answer is kept until the next `reindex`.
+
+    def cluster_starts(self, chain_id: str) -> tuple[np.ndarray, list[str]]:
+        """Start of each cluster of a chain, ascending, and the clusters' ids."""
+        key = ("starts", chain_id)
+        if key not in self._edge_lookups:
+            ids = self.order[chain_id]
+            self._edge_lookups[key] = (
+                np.array([self.clusters[cid].start for cid in ids], dtype=float), ids)
+        return self._edge_lookups[key]
 
     def generator_at_entry(self, cluster: Cluster):
         """Flow source whose connector sits at this cluster's upstream edge."""
