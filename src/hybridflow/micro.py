@@ -276,7 +276,9 @@ def behavior_chain(vehicle: Vehicle, perception: Perception,
 
     accel = idm_acceleration(v, perception.leader_gap, perception.leader_dv, eff)
 
-    must_change = (ctx.permitted_lanes is not None
+    # None means any lane continues and an empty set that none does: either
+    # way navigation has no lane to aim for
+    must_change = (bool(ctx.permitted_lanes)
                    and vehicle.lane not in ctx.permitted_lanes
                    and ctx.distance_to_node < ctx.nav_horizon)
     if must_change:
@@ -381,7 +383,7 @@ def _powers(bases: np.ndarray, exponents, where: np.ndarray) -> np.ndarray:
     return out
 
 
-def _navigation(lane: np.ndarray, perception: PerceptionArrays, raises: np.ndarray):
+def _navigation(lane: np.ndarray, perception: PerceptionArrays):
     """Which vehicles must change lanes for their route, and to which side:
     toward the nearest permitted lane, the lower index on a tie."""
     must = np.zeros(len(lane), dtype=bool)
@@ -389,12 +391,9 @@ def _navigation(lane: np.ndarray, perception: PerceptionArrays, raises: np.ndarr
     lanes = lane.tolist()
     for i in np.flatnonzero(perception.distance_to_node < NAV_HORIZON).tolist():
         permitted = perception.permitted_lanes[i]
-        if permitted is None or lanes[i] in permitted:
+        if not permitted or lanes[i] in permitted:
             continue
         must[i] = True
-        if not permitted:
-            raises[i] = True     # the scalar min() over no lane raises
-            continue
         target = min(permitted, key=lambda l: (abs(l - lanes[i]), l))
         side[i] = RIGHT if target > lanes[i] else LEFT
     return must, side
@@ -463,7 +462,7 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
 
         # navigation: hold back before the node; change only where safe
         # under the driver's own desired speed
-        must, side = _navigation(lane, perception, raises)
+        must, side = _navigation(lane, perception)
         if must.any():
             columns = np.arange(n)
             exists, gap, fol_gap, fol_speed = (

@@ -101,6 +101,18 @@ class TestExitCodes:
         assert rc == 2
         assert "simulation error" in capsys.readouterr().err
 
+    def test_unrouted_vehicle_before_a_branch_runs(self, tmp_path, capsys):
+        # no destination and two roads on: no lane leads on, so navigation
+        # has no target and the vehicle is held at the node
+        root = tmp_path / "navigation"
+        shutil.copytree(FIXTURES / "navigation", root)
+        level = root / "microscopicLevel" / "navigation-level.xml"
+        level.write_text(level.read_text().replace(
+            "</level>", '  <vehicle road="main1" lane="0" position="800" speed="10"/>\n</level>'))
+        rc = run_command(["run", "--scenario", str(root / "navigation-model.xml"),
+                          "--steps", "50", "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+
     def test_unknown_probe_rejected(self, tmp_path, capsys):
         rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
                           "--steps", "1", "--probes", "steps,bogus",

@@ -178,7 +178,8 @@ def perception_scenes(draw):
 
     * a branch: road a (1-3 lanes) splits into b and c, each lane of a
       turning to b, to c, to both or nowhere, so routed vehicles on a must
-      change lanes near the node and see leaders across it;
+      change lanes near the node and see leaders across it, while unrouted
+      ones have no lane that leads on;
     * a line d -> e -> f whose macro tail f sits behind an open or a closed
       gate, with routed and unrouted vehicles;
     * a ring r0 -> r1 -> r2 -> r0 whose macro road r0 starts at the chain's
@@ -234,7 +235,7 @@ def perception_scenes(draw):
              f'<initial_density road="r0" start="0" end="100" value="{jam[draw(st.booleans())]}"/>',
              f'<restriction road="{draw(st.sampled_from(["a", "d"]))}" start="100" end="250" '
              f'factor="0.3" from_t="{0 if active else 1000}"/>']
-    destinations = {"a": ["sb", "sc"], "b": ["sb", None], "c": ["sc", None],
+    destinations = {"a": ["sb", "sc", None], "b": ["sb", None], "c": ["sc", None],
                     "d": ["sf", None], "e": ["sf", None], "r1": [None], "r2": [None], "s": [None]}
     for rid, choices in destinations.items():
         for lane in range(lanes[rid]):
@@ -383,8 +384,6 @@ class TestPerceptionOracle:
         return build_state(parse_scenario(root), EngineConfig())
 
     @pytest.mark.parametrize("vehicle,negative", [
-        # unrouted before a branch: no lane continues, the chain's min() raises
-        ('<vehicle road="a" lane="1" position="300" speed="10"/>', False),
         ('<vehicle road="a" lane="1" position="300" speed="10" destination="sc"/>', True)])
     def test_raises_the_scalar_error(self, tmp_path, vehicle, negative):
         states = [self.build_branch(tmp_path / str(k), vehicle) for k in range(2)]
@@ -399,6 +398,16 @@ class TestPerceptionOracle:
             engine._decide(states[1], Scene(states[1]))
         assert type(batch.value) is type(scalar.value)
         assert str(batch.value) == str(scalar.value)
+
+
+    def test_unrouted_before_a_branch_keeps_its_lane(self, tmp_path):
+        # no lane leads on without a route, so navigation has no target
+        vehicle = '<vehicle road="a" lane="1" position="300" speed="10"/>'
+        states = [self.build_branch(tmp_path / str(k), vehicle) for k in range(2)]
+        expected = _scalar_decisions(states[0])
+        intents = engine._decide(states[1], Scene(states[1]))
+        assert intents == {vid: intent for vid, (intent, _gap) in expected.items()}
+        assert all(intent.lane_change == 0 for intent in intents.values())
 
 
 class TestSystemInfluences:
