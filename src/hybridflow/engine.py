@@ -923,7 +923,7 @@ class Scene:
             hit = (sign <= PERCEPTION_HORIZON) & (sign < lead_gap)
             lead_gap = np.where(hit, sign, lead_gap)
             lead_dv = np.where(hit, speed, lead_dv)
-        gate = self._closed_gate_distances(road, x)
+        gate = self.gate_distances(road, x, PERCEPTION_HORIZON, closed_only=True)
         if gate is not None:
             hit = gate < lead_gap
             lead_gap = np.where(hit, gate, lead_gap)
@@ -960,25 +960,26 @@ class Scene:
         params = DriverArrays.stack([veh.params for veh in vehicles])
         return vehicles, speed, length, lane, params, perception
 
-    def _closed_gate_distances(self, road: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-        """Per vehicle, `gate_ahead(..., PERCEPTION_HORIZON, closed_only=True)`
-        as a distance, INF where there is none; None when no gate is closed."""
+    def gate_distances(self, road: np.ndarray, x: np.ndarray, horizon: float = INF,
+                       closed_only: bool = False) -> np.ndarray | None:
+        """Per vehicle, `gate_ahead(..., horizon, closed_only)` as a distance,
+        INF where there is none; None when no gate qualifies."""
         state, roads = self.state, self.state.road_arrays
         best = None
         for chain_id, entries in self.gates.items():
-            closed = [pos for pos, _key, open_ in entries if not open_]
-            if not closed:
+            gates = [pos for pos, _key, open_ in entries if not (closed_only and open_)]
+            if not gates:
                 continue
             if best is None:
                 best = np.full(len(x), INF)
                 cpos = roads.chain_offset[road] + x
             chain = state.chains[chain_id]
             on = roads.chain[road] == roads.chain_number[chain_id]
-            for pos in closed:
+            for pos in gates:
                 d = pos - cpos
                 if chain.cyclic:
                     d = np.where(d <= 1e-9, d + chain.length, d)
-                hit = on & (d > 1e-9) & (d <= PERCEPTION_HORIZON) & (d < best)
+                hit = on & (d > 1e-9) & (d <= horizon) & (d < best)
                 best = np.where(hit, d, best)
         return best
 
@@ -1218,44 +1219,122 @@ def _apply_lane_changes(state: EngineState, scene: Scene,
         scene.register(veh)
 
 
-def _integrate(veh: Vehicle, accel: float, dt: float) -> float:
-    """Ballistic update with a non-negative speed clamp; returns displacement."""
-    v0 = veh.speed
-    v1 = v0 + accel * dt
-    if v1 < 0.0:
-        veh.speed = 0.0
-        return (v0 * v0) / (2.0 * -accel) if accel < 0 else 0.0
-    veh.speed = v1
-    return max(v0 * dt + 0.5 * accel * dt * dt, 0.0)
+#: what a vehicle without an intent does
+_NO_INTENT = VehicleIntent("", 0.0)
 
 
 def _micro_reaction(state: EngineState, scene: Scene,
                     intents: dict[str, VehicleIntent]) -> list:
     """Integrate all micro vehicles; returns the sink removals.  Gate
-    crossings are counted on the scene."""
+    crossings are counted on the scene.
+
+    Vehicles move front first, in (road, -position, lane, id) order, by the
+    ballistic update with a non-negative speed clamp (Treiber and Kanagaraj
+    2015), computed for all of them in one array pass.  A vehicle that
+    stops short of its road end and of the nearest gate ahead only takes its
+    new position and speed; the others walk through `_walk` at their turn,
+    because a walk onto the next road reads where the vehicles there stand."""
     _apply_lane_changes(state, scene, intents)
-
     removals: list[tuple[str, Vehicle]] = []
-    moving: list[tuple[Cluster, Vehicle]] = []
-    for cluster in state.clusters.values():
-        if cluster.representation == MICRO:
-            for veh in cluster.vehicles.values():
-                moving.append((cluster, veh))
-    moving.sort(key=lambda cv: (cv[1].road, -cv[1].position, cv[1].lane, cv[1].id))
+    homes = [c for c in state.clusters.values() if c.representation == MICRO and c.vehicles]
+    if not homes:
+        return removals
+    vehicles = [veh for c in homes for veh in c.vehicles.values()]
+    roads, dt = state.road_arrays, state.dt
+    road = np.array([roads.index[veh.road] for veh in vehicles])
+    lane = np.array([veh.lane for veh in vehicles])
+    x = np.array([veh.position for veh in vehicles], dtype=float)
+    v0 = np.array([veh.speed for veh in vehicles], dtype=float)
+    accel = np.array([intents.get(veh.id, _NO_INTENT).acceleration for veh in vehicles],
+                     dtype=float)
 
-    for cluster, veh in moving:
-        intent = intents.get(veh.id)
-        accel = intent.acceleration if intent is not None else 0.0
-        displacement = _integrate(veh, accel, state.dt)
-        _walk(state, scene, cluster, veh, displacement, removals)
+    # the scalar update's operand order; np.where picks between equal
+    # operands as Python's min and max do
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v1 = v0 + accel * dt
+        stopped = v1 < 0.0
+        ballistic = v0 * dt + 0.5 * accel * dt * dt
+        moved = np.where(stopped, np.where(accel < 0, (v0 * v0) / (2.0 * -accel), 0.0),
+                         np.where(0.0 > ballistic, 0.0, ballistic))
+        speed = np.where(stopped, 0.0, v1)
+        to_end = roads.length[road] - x
+        gate = scene.gate_distances(road, x)
+        reach = to_end if gate is None else np.where(gate < to_end, gate, to_end)
+        walks = ~(moved < reach - 1e-12)
+        x1 = x + moved
+        stays = _stays_home(state, homes, road, x1)
 
-    _rehome_and_check(state)
+    holders = [c for c in homes for _ in c.vehicles]
+    order = _front_first(vehicles, road, x, lane)
+    moved, speed, x_new = moved.tolist(), speed.tolist(), x1.tolist()
+    walks, stays = walks.tolist(), stays.tolist()
+    live = np.ones(len(vehicles), dtype=bool)
+    for i in order:
+        veh = vehicles[i]
+        veh.speed = speed[i]
+        if walks[i]:
+            holder = _walk(state, scene, holders[i], veh, moved[i], removals)
+            live[i] = holder is not None and holder.representation == MICRO
+            road[i], lane[i], x1[i] = roads.index[veh.road], veh.lane, veh.position
+        else:
+            veh.position = x_new[i]
+            if not stays[i]:
+                live[i] = _settle(state, holders[i], veh).representation == MICRO
+    length = np.array([veh.length for veh in vehicles], dtype=float)
+    if _gap_suspect(road[live], lane[live], x1[live], length[live]):
+        _rehome_and_check(state)
     return removals
 
 
+def _front_first(vehicles: list[Vehicle], road: np.ndarray, x: np.ndarray,
+                 lane: np.ndarray) -> list[int]:
+    """Indices of the vehicles in (road, -position, lane, id) order.  Road
+    rows follow road-id order; a tie in the first three keys, or a NaN
+    position, leaves the order to Python's sort of the whole key."""
+    order = np.lexsort((lane, -x, road))
+    keys = np.array((road[order], x[order], lane[order]))
+    if np.isnan(x).any() or (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+        return sorted(range(len(vehicles)), key=lambda i: (
+            vehicles[i].road, -vehicles[i].position, vehicles[i].lane, vehicles[i].id))
+    return order.tolist()
+
+
+def _stays_home(state: EngineState, homes: list[Cluster], road: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """Per vehicle, True where `EngineState.cluster_at` gives its own cluster
+    for its new position, as `_settle` asks; False may still mean home."""
+    roads = state.road_arrays
+    chain, lo, hi, top = [], [], [], []
+    for home in homes:
+        starts, ids = state.cluster_starts(home.chain_id)
+        k = ids.index(home.id)
+        chain.append(roads.chain_number[home.chain_id])
+        lo.append(starts[k] if k else -INF)
+        hi.append(starts[k + 1] if k + 1 < len(ids) else INF)
+        top.append(state.chains[home.chain_id].length - 1e-9)
+    sizes = [len(home.vehicles) for home in homes]
+    chain, lo, hi, top = (np.repeat(b, sizes) for b in (chain, lo, hi, top))
+    cpos = roads.chain_offset[road] + x
+    probe = np.where(top < cpos, top, cpos) + 1e-9
+    return (roads.chain[road] == chain) & (lo <= probe) & (probe < hi)
+
+
+def _gap_suspect(road: np.ndarray, lane: np.ndarray, x: np.ndarray,
+                 length: np.ndarray) -> bool:
+    """Whether `_rehome_and_check` could act: some bumper gap between
+    neighbours in a lane is negative or not a number.  The scalar check
+    orders vehicles at one position by id; their gap is minus a length, so
+    such a tie shows here or leaves the scalar check idle in either order."""
+    order = np.lexsort((x, lane, road))
+    road, lane, x, length = road[order], lane[order], x[order], length[order]
+    gap = x[1:] - length[1:] - x[:-1]
+    return bool(((road[1:] == road[:-1]) & (lane[1:] == lane[:-1]) & ~(gap >= 0.0)).any())
+
+
 def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
-          displacement: float, removals) -> None:
-    """Advance one vehicle along its path, handling gates, sinks and nodes."""
+          displacement: float, removals) -> Cluster | None:
+    """Advance one vehicle along its path, handling gates, sinks and nodes.
+    Returns the cluster holding it afterwards, None once it left."""
     remaining = displacement
     for _ in range(MAX_BOUNDARIES):
         road = state.network.roads[veh.road]
@@ -1272,7 +1351,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
             # reached a micro-to-macro boundary
             if scene.cross_gate(gate_key):
                 _leave(state, cluster, veh)
-                return
+                return None
             veh.position += max(gate_dist - NODE_STANDOFF, 0.0)
             veh.speed = 0.0
             break
@@ -1282,7 +1361,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         if sinks:
             _leave(state, cluster, veh)
             removals.append((sinks[0].id, veh))
-            return
+            return None
         hop = state.next_entry(veh.road, veh.lane, veh.route)
         if hop is None:
             _hold_at_node(veh, road)
@@ -1293,7 +1372,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         if target.representation == MACRO:
             if scene.cross_gate((next_chain.id, pos_key(target.start))):
                 _leave(state, cluster, veh)
-                return
+                return None
             _hold_at_node(veh, road)
             break
         remaining -= dist_to_end
@@ -1313,7 +1392,12 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
     else:
         raise SimulationError(f"{veh.id} crossed too many boundaries in one step")
 
-    # ownership may have changed within or across chains
+    return _settle(state, cluster, veh)
+
+
+def _settle(state: EngineState, cluster: Cluster, veh: Vehicle) -> Cluster:
+    """Hand a vehicle to the cluster that owns its position, within or
+    across chains, when that is no longer its own; returns the owner."""
     chain = state.chain_of_road[veh.road]
     cpos = chain.to_chain_pos(veh.road, veh.position)
     owner = state.cluster_at(chain.id, min(cpos, chain.length - 1e-9))
@@ -1321,6 +1405,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         _leave(state, cluster, veh)
         owner.vehicles[veh.id] = veh
         _flow(state, owner.id, 1.0 / state.dt, 0.0)
+    return owner
 
 
 def _leave(state: EngineState, cluster: Cluster, veh: Vehicle) -> None:

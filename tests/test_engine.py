@@ -1,5 +1,6 @@
 """Engine contract tests: phases, probes, influences, determinism."""
 
+import copy
 import math
 import tempfile
 from pathlib import Path
@@ -17,7 +18,7 @@ from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
 from hybridflow import engine
 from hybridflow.generation import FlowMassGenerator, InsertionSpec
 from hybridflow.hybrid import MICRO
-from hybridflow.micro import DriverParams, Vehicle, behavior_chain
+from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
 
@@ -408,6 +409,193 @@ class TestPerceptionOracle:
         intents = engine._decide(states[1], Scene(states[1]))
         assert intents == {vid: intent for vid, (intent, _gap) in expected.items()}
         assert all(intent.lane_change == 0 for intent in intents.values())
+
+
+REACTION_INFRA = """<?xml version="1.0"?>
+<infrastructure>
+  <node id="p" kind="crossroads"/><node id="x" kind="highway_extraction"/>
+  <node id="qb" kind="crossroads"/><node id="qc" kind="crossroads"/>
+  <node id="l0" kind="crossroads"/><node id="l1" kind="crossroads"/>
+  <node id="l2" kind="crossroads"/><node id="l3" kind="crossroads"/>
+  <node id="g0" kind="crossroads"/><node id="g1" kind="crossroads"/>
+  <node id="g2" kind="crossroads"/>
+  <road id="a" from="p" to="x" length="200" lanes="2" speed_limit="30"/>
+  <road id="b" from="x" to="qb" length="100" lanes="1" speed_limit="30"/>
+  <road id="c" from="x" to="qc" length="100" lanes="1" speed_limit="30"/>
+  <road id="d" from="l0" to="l1" length="200" lanes="{line}" speed_limit="30"/>
+  <road id="e" from="l1" to="l2" length="100" lanes="{line}" speed_limit="30"/>
+  <road id="f" from="l2" to="l3" length="300" lanes="{line}" speed_limit="30"/>
+  <road id="r0" from="g0" to="g1" length="100" lanes="{ring}" speed_limit="30"/>
+  <road id="r1" from="g1" to="g2" length="120" lanes="{ring}" speed_limit="30"/>
+  <road id="r2" from="g2" to="g0" length="120" lanes="{ring}" speed_limit="30"/>
+  <turn node="x" from_road="a" from_lane="0" to_road="b" to_lane="0"/>
+  <turn node="x" from_road="a" from_lane="1" to_road="c" to_lane="0"/>
+  <turn node="l1" from_road="d" to_road="e" lanes="all"/>
+  <turn node="l2" from_road="e" to_road="f" lanes="all"/>
+  <turn node="g1" from_road="r0" to_road="r1" lanes="all"/>
+  <turn node="g2" from_road="r1" to_road="r2" lanes="all"/>
+  <turn node="g0" from_road="r2" to_road="r0" lanes="all"/>
+</infrastructure>
+"""
+
+REACTION_LEVEL = """<?xml version="1.0"?>
+<level>
+  <end_point id="sb" road="b"/><end_point id="sc" road="c"/><end_point id="sf" road="f"/>
+  <cluster representation="micro" road="d" start="0" end="100"/>
+  <cluster representation="micro"><extent road="d" start="100" end="200"/>
+    <extent road="e" start="0" end="100"/></cluster>
+  <cluster representation="macro" road="f" start="0" end="300"/>
+  <initial_density road="f" start="0" end="300" value="{line_density}"/>
+  <cluster representation="macro" road="r0" start="0" end="100"/>
+  <cluster representation="micro"><extent road="r1" start="0" end="120"/>
+    <extent road="r2" start="0" end="120"/></cluster>
+  <initial_density road="r0" start="0" end="100" value="{ring_density}"/>
+</level>
+"""
+
+
+@st.composite
+def reaction_scenes(draw):
+    """A state, a scene and intents that reach every path of the micro
+    reaction, as (state, scene, intents):
+
+    * a branch a -> b, c whose lane 0 turns only to b and lane 1 only to c,
+      so that vehicles routed the other way, or not at all, miss the turn
+      and are held at the node, while the others land on b or c, short of
+      a blocker there or not, or wait when the entry slot is occupied, and
+      b and c end in sinks;
+    * a line d -> e whose micro part is split at 100 m on d, so that
+      vehicles cross from one micro cluster to the other, ahead of the gate
+      to the macro road f;
+    * a ring r1 -> r2 -> r0 whose macro road r0 sits behind the chain's
+      wrap gate;
+    * open gates with some or no budget left and closed gates;
+    * accelerations that brake to a stop within the step, zero speeds and
+      accelerations, vehicles that reach a road end or a gate within 1e-12
+      m, a vehicle at -0.0 m with speed and acceleration -0.0, and vehicles
+      close enough behind one another to be clamped or to overlap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    line, ring = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    density = {"open": "0.0", "closed": "0.149"}
+    files = {"scenario.xml": '<?xml version="1.0"?>\n<simulation time_step="0.25" '
+                             'duration="60"><infrastructure ref="infrastructure.xml"/>'
+                             '<level ref="level.xml"/></simulation>\n',
+             "infrastructure.xml": REACTION_INFRA.format(line=line, ring=ring),
+             "level.xml": REACTION_LEVEL.format(
+                 line_density=density[draw(st.sampled_from(["open", "closed"]))],
+                 ring_density=density[draw(st.sampled_from(["open", "closed"]))])}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        state = build_state(parse_scenario(Path(tmp)), EngineConfig())
+    dt = state.dt
+    spacing = draw(st.sampled_from([4.2, 8.0, 20.0, 30.0]))   # least spacing of fronts
+    tailgate = draw(st.booleans())
+    destinations = {"a": ["sb", "sc", None], "b": ["sb", None], "c": ["sc", None],
+                    "d": ["sf", None], "e": ["sf", None], "r1": [None], "r2": [None]}
+    accelerations = []
+
+    def add(road_id, lane, position, speed, accel, destination=None):
+        veh = Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
+                      position=position, speed=speed, length=4.0,
+                      route=engine._route_for(state, road_id, destination))
+        chain = state.chain_of_road[road_id]
+        state.cluster_at(chain.id, chain.to_chain_pos(road_id, position)).vehicles[veh.id] = veh
+        accelerations.append((veh.id, accel))
+
+    for road_id, choices in destinations.items():
+        road = state.network.roads[road_id]
+        for lane in range(road.lane_count):
+            position = road.length - float(rng.uniform(0.0, 12.0))
+            ahead = None   # (position, speed, acceleration) of the vehicle ahead
+            while position > 0.5 and rng.random() < 0.85:
+                speed = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 30.0))
+                kind = rng.random()
+                accel = 0.0 if kind < 0.1 else -1e3 if kind < 0.2 else \
+                    float(rng.uniform(-9.0, 2.5))
+                if ahead is None and kind > 0.7:
+                    # reaches the road end (a gate on e and r2), or stops
+                    # within 1e-12 m of it
+                    speed = (road.length - position
+                             + float(rng.choice([-1e-12, -3e-13, 0.0, 3e-13]))) / dt
+                    accel = 0.0
+                elif tailgate and ahead is not None and ahead[0] > 5.0 and kind > 0.85:
+                    # 0.1 m behind the vehicle ahead and 0.2 m closer after
+                    # the step, unless that one walks: clamped
+                    position, speed, accel = ahead[0] - 4.1, ahead[1] + 0.8, ahead[2]
+                add(road_id, lane, position, speed, accel,
+                    choices[int(rng.integers(len(choices)))])
+                ahead = (position, speed, accel)
+                position -= spacing + float(rng.exponential(15.0))
+    if rng.random() < 0.5:
+        add("a", 0, -0.0, -0.0, -0.0)
+
+    scene = Scene(state)
+    for key in scene.gate_budget:
+        if scene.gate_budget[key] > 0:
+            scene.gate_budget[key] = int(rng.integers(0, 3))
+    intents = {vid: VehicleIntent(vid, accel, int(rng.choice([-1, 1]) * (rng.random() < 0.1)))
+               for vid, accel in accelerations}
+    return state, scene, intents
+
+
+def _integrate(veh, accel, dt):
+    """The scalar ballistic update with a non-negative speed clamp."""
+    v0 = veh.speed
+    v1 = v0 + accel * dt
+    if v1 < 0.0:
+        veh.speed = 0.0
+        return (v0 * v0) / (2.0 * -accel) if accel < 0 else 0.0
+    veh.speed = v1
+    return max(v0 * dt + 0.5 * accel * dt * dt, 0.0)
+
+
+def _reference_reaction(state, scene, intents):
+    """The per-vehicle micro reaction: vehicles front first, each integrated
+    and walked in turn, then the overlap check."""
+    engine._apply_lane_changes(state, scene, intents)
+    removals = []
+    moving = [(cluster, veh) for cluster in state.clusters.values()
+              if cluster.representation == MICRO for veh in cluster.vehicles.values()]
+    moving.sort(key=lambda cv: (cv[1].road, -cv[1].position, cv[1].lane, cv[1].id))
+    for cluster, veh in moving:
+        intent = intents.get(veh.id)
+        accel = intent.acceleration if intent is not None else 0.0
+        engine._walk(state, scene, cluster, veh, _integrate(veh, accel, state.dt), removals)
+    engine._rehome_and_check(state)
+    return removals
+
+
+def _reaction_outcome(reaction, state, scene, intents):
+    """Everything the micro reaction can change, after running it."""
+    error = removals = None
+    try:
+        removals = reaction(state, scene, intents)
+    except SimulationError as exc:
+        error = (type(exc), str(exc))
+    return {
+        "error": error,
+        "removals": removals and [(sink, veh.id) for sink, veh in removals],
+        "clusters": [(cid, [(vid, veh.road, veh.lane, veh.position, veh.speed)
+                            for vid, veh in cluster.vehicles.items()])
+                     for cid, cluster in state.clusters.items()],
+        "crossings": list(scene.crossings.items()),
+        "gate_budget": list(scene.gate_budget.items()),
+        "last_flows": list(state.last_flows.items()),
+        "digest": state.state_digest(),
+    }
+
+
+class TestMicroReactionOracle:
+    """The batch micro reaction against the per-vehicle loop it replaced."""
+
+    @given(reaction_scenes())
+    def test_batch_equals_per_vehicle_loop(self, scene):
+        state, scene, intents = scene
+        batch = copy.deepcopy((state, scene, intents))
+        expected = _reaction_outcome(_reference_reaction, state, scene, intents)
+        assert _reaction_outcome(engine._micro_reaction, *batch) == expected
 
 
 class TestSystemInfluences:
