@@ -5,20 +5,32 @@ the SHA-256 of each output file must equal the pinned digest below.  A
 change that only restructures or speeds up the engine must leave every
 digest as it is.
 
+The fixtures carry at most about 17 micro vehicles, so a dense case pins
+the many-vehicle micro path as well: instances 0-2 of the benchmark's
+`micro_corridor` workload at seed 1 (about 390 vehicles each), built with
+`bench/scenarios.py` and run for up to 300 steps.  Instances 0 and 1 abort
+with `OverlapDetected`, whose step and message are pinned; instance 2 runs
+through, and its `state_digest` is pinned.
+
 To re-pin after a change that is meant to move outputs, run this test: its
 failure message prints the whole table with the new digests, ready to paste
-over GOLDEN.  List every re-pinned fixture and file in CHANGES.md, with the
+over GOLDEN, or the new outcome of a dense instance, ready to paste into
+DENSE.  List every re-pinned fixture and file in CHANGES.md, with the
 reason the output moved.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from hybridflow.cli import run_command
+from hybridflow.engine import EngineConfig, OverlapDetected, advance_step, build_state
+from hybridflow.scenario import parse_scenario
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "bench" / "scenarios.py"
 
 SCENARIOS = {
     "minimal": FIXTURES / "minimal",
@@ -86,3 +98,32 @@ def test_outputs_match_pinned_digests(digests, name):
     moved = [f for f in OUTPUTS if digests[name][f] != GOLDEN[name][f]]
     table = "\n".join(f"    {n!r}: {d!r}," for n, d in digests.items())
     assert not moved, f"{name}: {moved} moved; digests now:\n{table}"
+
+
+# micro_corridor, seed 1: instance -> (outcome, step reached, message or digest)
+DENSE = {
+    0: ("OverlapDetected", 10, "v117 overlaps v91 by 2.610 m"),
+    1: ("OverlapDetected", 193, "v63 overlaps v10 by 3.610 m"),
+    2: ("state_digest", 300, "2f65b10e2671e36994048e8280e91b9dc6d2095b6febf0740044d9d835a597e5"),
+}
+
+
+def load_bench_scenarios():
+    spec = importlib.util.spec_from_file_location("bench_scenarios", BENCH_SCENARIOS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("index", sorted(DENSE))
+def test_dense_micro_corridor(tmp_path, index):
+    path = load_bench_scenarios().write_instance("micro_corridor", 1, index, tmp_path)
+    config = EngineConfig(seed=1)
+    state = build_state(parse_scenario(path), config)
+    try:
+        for _ in range(300):
+            advance_step(state, config)
+        outcome = ("state_digest", state.step, state.state_digest())
+    except OverlapDetected as exc:
+        outcome = ("OverlapDetected", state.step, str(exc))
+    assert outcome == DENSE[index], f"instance {index} now gives {outcome!r}"
