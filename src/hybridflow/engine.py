@@ -1289,11 +1289,11 @@ def _micro_reaction(state: EngineState, scene: Scene,
 def _front_first(vehicles: list[Vehicle], road: np.ndarray, x: np.ndarray,
                  lane: np.ndarray) -> list[int]:
     """Indices of the vehicles in (road, -position, lane, id) order.  Road
-    rows follow road-id order; a tie in the first three keys, or a NaN
-    position, leaves the order to Python's sort of the whole key."""
+    rows follow road-id order; a tie in the first three keys leaves the
+    order to Python's sort of the whole key."""
     order = np.lexsort((lane, -x, road))
     keys = np.array((road[order], x[order], lane[order]))
-    if np.isnan(x).any() or (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
         return sorted(range(len(vehicles)), key=lambda i: (
             vehicles[i].road, -vehicles[i].position, vehicles[i].lane, vehicles[i].id))
     return order.tolist()

@@ -472,8 +472,9 @@ def reaction_scenes(draw):
     * open gates with some or no budget left and closed gates;
     * accelerations that brake to a stop within the step, zero speeds and
       accelerations, vehicles that reach a road end or a gate within 1e-12
-      m, a vehicle at -0.0 m with speed and acceleration -0.0, and vehicles
-      close enough behind one another to be clamped or to overlap.
+      m, a vehicle at -0.0 m with speed and acceleration -0.0, vehicles
+      close enough behind one another to be clamped or to overlap, and two
+      at one spot, which the front-first order sorts by id.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     line, ring = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -496,8 +497,8 @@ def reaction_scenes(draw):
                     "d": ["sf", None], "e": ["sf", None], "r1": [None], "r2": [None]}
     accelerations = []
 
-    def add(road_id, lane, position, speed, accel, destination=None):
-        veh = Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
+    def add(road_id, lane, position, speed, accel, destination=None, vid=None):
+        veh = Vehicle(id=vid or state.new_vehicle_id(), road=road_id, lane=lane,
                       position=position, speed=speed, length=4.0,
                       route=engine._route_for(state, road_id, destination))
         chain = state.chain_of_road[road_id]
@@ -521,15 +522,22 @@ def reaction_scenes(draw):
                              + float(rng.choice([-1e-12, -3e-13, 0.0, 3e-13]))) / dt
                     accel = 0.0
                 elif tailgate and ahead is not None and ahead[0] > 5.0 and kind > 0.85:
-                    # 0.1 m behind the vehicle ahead and 0.2 m closer after
-                    # the step, unless that one walks: clamped
-                    position, speed, accel = ahead[0] - 4.1, ahead[1] + 0.8, ahead[2]
+                    # 0.1 m behind the vehicle ahead and, unless that one
+                    # walks, up to 0.1 m into it after the step: clamped
+                    overlap = float(rng.choice([0.0, 1e-12, 1e-4, 0.1]))
+                    position, speed, accel = (ahead[0] - 4.1, ahead[1] + (0.1 + overlap) / dt,
+                                              ahead[2])
                 add(road_id, lane, position, speed, accel,
                     choices[int(rng.integers(len(choices)))])
                 ahead = (position, speed, accel)
                 position -= spacing + float(rng.exponential(15.0))
     if rng.random() < 0.5:
         add("a", 0, -0.0, -0.0, -0.0)
+    if rng.random() < 0.3:
+        # two vehicles at one spot before b's sink, stored out of id order
+        first, second = state.new_vehicle_id(), state.new_vehicle_id()
+        for vid in (second, first):
+            add("b", 0, 99.0, 10.0, 0.0, vid=vid)
 
     scene = Scene(state)
     for key in scene.gate_budget:
