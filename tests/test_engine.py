@@ -596,7 +596,9 @@ def _reaction_outcome(reaction, state, scene, intents):
 
 
 class TestMicroReactionOracle:
-    """The batch micro reaction against the per-vehicle loop it replaced."""
+    """The batch micro reaction against the per-vehicle loop it replaced:
+    everything the reaction changes must be equal, the floats bit for bit
+    through `state_digest`, and so must any error it raises."""
 
     @given(reaction_scenes())
     def test_batch_equals_per_vehicle_loop(self, scene):
