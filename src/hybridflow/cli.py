@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .engine import EngineConfig, SimulationEngine
 from .lod import LodPolicy
-from .probes import (CanaryProbe, MassAuditProbe, StepRecordProbe,
-                     TrajectoryProbe, TransitionLogProbe, fmt)
+from .probes import (MassAuditProbe, StepRecordProbe, TrajectoryProbe,
+                     TransitionLogProbe, fmt)
 from .scenario import ScenarioError, check_time_step, parse_scenario
 
 STEP_COLUMNS = ("step", "time", "cluster", "chain", "representation", "start",
@@ -196,12 +196,10 @@ def run_command(argv: list[str]) -> int:
         probes["trajectories"] = TrajectoryProbe()
     if "transitions" in wanted:
         probes["transitions"] = TransitionLogProbe()
-    if "audit" in wanted:
-        probes["audit"] = MassAuditProbe()
-    canary = CanaryProbe()
+    audit = MassAuditProbe()
 
     config = EngineConfig(steps=steps, seed=args.seed)
-    engine = SimulationEngine(config, list(probes.values()) + [canary])
+    engine = SimulationEngine(config, list(probes.values()) + [audit])
     started = time.perf_counter()
     try:
         state = engine.run(model)
@@ -221,16 +219,16 @@ def run_command(argv: list[str]) -> int:
         export_trajectories(probes["trajectories"].rows, out / "trajectories.csv")
     if "transitions" in probes:
         export_transitions(probes["transitions"].records, out / "transitions.csv")
-    if "audit" in probes:
-        export_audit(probes["audit"], out / "audit.json")
+    if "audit" in wanted:
+        export_audit(audit, out / "audit.json")
 
     transitions = len(probes["transitions"].records) if "transitions" in probes else 0
     summary = (f"steps={engine.report.steps_executed} "
                f"inserted={state.ledger.inserted} absorbed={state.ledger.absorbed} "
                f"transitions={transitions} wall={wall:.2f}s")
     print(summary)
-    if canary.problems:
-        print(f"warning: {len(canary.problems)} inconsistent snapshots",
+    if audit.problems:
+        print(f"warning: {len(audit.problems)} inconsistent snapshots",
               file=sys.stderr)
         return 2
     return 0

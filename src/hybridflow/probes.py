@@ -2,8 +2,8 @@
 
 Probes are the only output pathway: models never write files themselves.
 Each writer accumulates rows while the engine notifies it at consistent
-instants and renders them at the end of the run; the auditors check the
-conservation ledger and the structural invariants every step.
+instants and renders them at the end of the run; one auditor checks both
+the conservation ledger and the structural invariants.
 """
 
 from __future__ import annotations
@@ -99,13 +99,10 @@ class TrajectoryProbe(Probe):
 
 
 class TransitionLogProbe(Probe):
-    """Mirrors the engine's level-of-detail transition log."""
+    """Copies the engine's level-of-detail transition log at the end."""
 
     def __init__(self):
         self.records: list = []
-
-    def on_step_end(self, state: EngineState) -> None:
-        self.records = list(state.transitions)
 
     def on_final(self, state: EngineState) -> None:
         self.records = list(state.transitions)
@@ -119,26 +116,31 @@ class AuditViolation:
 
 
 class MassAuditProbe(Probe):
-    """Checks the conservation ledger identity at every consistent instant."""
+    """Audits the ledger after every step and the structure at every instant."""
 
     def __init__(self, tolerance: float = 1e-6):
         self.tolerance = tolerance
         self.violations: list[AuditViolation] = []
+        self.problems: list[tuple[int, str]] = []   # from consistency_errors()
         self.initial_mass: float | None = None
         self.final_mass: float | None = None
         self.final_residual: float | None = None
 
+    def _check(self, state: EngineState) -> None:
+        self.problems += [(state.step, problem) for problem in state.consistency_errors()]
+
     def on_initialized(self, state: EngineState) -> None:
         self.initial_mass = state.total_mass()
+        self._check(state)
 
     def on_step_end(self, state: EngineState) -> None:
         residual = state.ledger_residual()
         if abs(residual) > self.tolerance:
             self.violations.append(AuditViolation(state.step, "ledger", residual))
-        self.final_mass = state.total_mass()
-        self.final_residual = residual
+        self._check(state)
 
     def on_final(self, state: EngineState) -> None:
+        self._check(state)
         self.final_mass = state.total_mass()
         self.final_residual = state.ledger_residual()
 
