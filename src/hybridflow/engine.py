@@ -416,6 +416,8 @@ class EngineState:
                 elif np.any(c.segment.rho < -1e-9) or \
                         np.any(c.segment.rho > self.fd.rho_jam + 1e-9):
                     problems.append(f"{c.id} density out of range")
+                if c.vehicles:
+                    problems.append(f"{c.id} macro but holds vehicles")
         return problems
 
     def state_digest(self) -> str:
@@ -1274,12 +1276,13 @@ def _micro_reaction(state: EngineState, scene: Scene,
         veh.speed = speed[i]
         if walks[i]:
             holder = _walk(state, scene, holders[i], veh, moved[i], removals)
-            live[i] = holder is not None and holder.representation == MICRO
-            road[i], lane[i], x1[i] = roads.index[veh.road], veh.lane, veh.position
         else:
             veh.position = x_new[i]
-            if not stays[i]:
-                live[i] = _settle(state, holders[i], veh).representation == MICRO
+            if stays[i]:
+                continue
+            holder = _settle(state, scene, holders[i], veh)
+        live[i] = holder is not None
+        road[i], lane[i], x1[i] = roads.index[veh.road], veh.lane, veh.position
     length = np.array([veh.length for veh in vehicles], dtype=float)
     if _gap_suspect(road[live], lane[live], x1[live], length[live]):
         _rehome_and_check(state)
@@ -1392,15 +1395,26 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
     else:
         raise SimulationError(f"{veh.id} crossed too many boundaries in one step")
 
-    return _settle(state, cluster, veh)
+    return _settle(state, scene, cluster, veh)
 
 
-def _settle(state: EngineState, cluster: Cluster, veh: Vehicle) -> Cluster:
+def _settle(state: EngineState, scene: Scene, cluster: Cluster,
+            veh: Vehicle) -> Cluster | None:
     """Hand a vehicle to the cluster that owns its position, within or
-    across chains, when that is no longer its own; returns the owner."""
+    across chains, when that is no longer its own; returns the owner, None
+    once it left.  A macro owner means that the vehicle reached a gate
+    within the 1e-9 m that `Scene.gate_ahead` leaves out: it crosses the
+    gate, or it waits at the gate in the micro cluster before it."""
     chain = state.chain_of_road[veh.road]
     cpos = chain.to_chain_pos(veh.road, veh.position)
     owner = state.cluster_at(chain.id, min(cpos, chain.length - 1e-9))
+    if owner.representation == MACRO:
+        if scene.cross_gate((chain.id, pos_key(owner.start))):
+            _leave(state, cluster, veh)
+            return None
+        veh.position -= max(cpos - owner.start, 0.0)
+        veh.speed = 0.0
+        owner = state.clusters[state.itf_up[owner.id].upstream_id]
     if owner.id != cluster.id:
         _leave(state, cluster, veh)
         owner.vehicles[veh.id] = veh

@@ -454,6 +454,25 @@ REACTION_LEVEL = """<?xml version="1.0"?>
 """
 
 
+#: initial density of a macro road behind a gate: open (room) or closed
+GATE_DENSITY = {"open": "0.0", "closed": "0.149"}
+
+
+def reaction_state(line=1, ring=1, line_gate="open", ring_gate="open"):
+    """The reaction scenes' network, with the given lane counts of the line
+    and the ring and the given gates in front of their macro roads."""
+    files = {"scenario.xml": '<?xml version="1.0"?>\n<simulation time_step="0.25" '
+                             'duration="60"><infrastructure ref="infrastructure.xml"/>'
+                             '<level ref="level.xml"/></simulation>\n',
+             "infrastructure.xml": REACTION_INFRA.format(line=line, ring=ring),
+             "level.xml": REACTION_LEVEL.format(line_density=GATE_DENSITY[line_gate],
+                                                ring_density=GATE_DENSITY[ring_gate])}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        return build_state(parse_scenario(Path(tmp)), EngineConfig())
+
+
 @st.composite
 def reaction_scenes(draw):
     """A state, a scene and intents that reach every path of the micro
@@ -472,24 +491,15 @@ def reaction_scenes(draw):
     * open gates with some or no budget left and closed gates;
     * accelerations that brake to a stop within the step, zero speeds and
       accelerations, vehicles that reach a road end or a gate within 1e-12
-      m, a vehicle at -0.0 m with speed and acceleration -0.0, vehicles
-      close enough behind one another to be clamped or to overlap, and two
-      at one spot, which the front-first order sorts by id.
+      m, vehicles standing still 5e-10 m before one, a vehicle at -0.0 m
+      with speed and acceleration -0.0, vehicles close enough behind one
+      another to be clamped or to overlap, and two at one spot, which the
+      front-first order sorts by id.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    line, ring = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    density = {"open": "0.0", "closed": "0.149"}
-    files = {"scenario.xml": '<?xml version="1.0"?>\n<simulation time_step="0.25" '
-                             'duration="60"><infrastructure ref="infrastructure.xml"/>'
-                             '<level ref="level.xml"/></simulation>\n',
-             "infrastructure.xml": REACTION_INFRA.format(line=line, ring=ring),
-             "level.xml": REACTION_LEVEL.format(
-                 line_density=density[draw(st.sampled_from(["open", "closed"]))],
-                 ring_density=density[draw(st.sampled_from(["open", "closed"]))])}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            (Path(tmp) / name).write_text(text)
-        state = build_state(parse_scenario(Path(tmp)), EngineConfig())
+    state = reaction_state(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                           draw(st.sampled_from(["open", "closed"])),
+                           draw(st.sampled_from(["open", "closed"])))
     dt = state.dt
     spacing = draw(st.sampled_from([4.2, 8.0, 20.0, 30.0]))   # least spacing of fronts
     tailgate = draw(st.booleans())
@@ -501,8 +511,11 @@ def reaction_scenes(draw):
         veh = Vehicle(id=vid or state.new_vehicle_id(), road=road_id, lane=lane,
                       position=position, speed=speed, length=4.0,
                       route=engine._route_for(state, road_id, destination))
+        # a vehicle within 1e-9 m before a boundary belongs to the cluster
+        # before it, which `cluster_at` alone does not give
         chain = state.chain_of_road[road_id]
-        state.cluster_at(chain.id, chain.to_chain_pos(road_id, position)).vehicles[veh.id] = veh
+        home = state.cluster_at(chain.id, chain.to_chain_pos(road_id, position) - 1e-9)
+        home.vehicles[veh.id] = veh
         accelerations.append((veh.id, accel))
 
     for road_id, choices in destinations.items():
@@ -515,7 +528,11 @@ def reaction_scenes(draw):
                 kind = rng.random()
                 accel = 0.0 if kind < 0.1 else -1e3 if kind < 0.2 else \
                     float(rng.uniform(-9.0, 2.5))
-                if ahead is None and kind > 0.7:
+                if ahead is None and kind > 0.9:
+                    # stands 5e-10 m before the road end (a gate on e and
+                    # r2), nearer than the gate queries look
+                    position, speed, accel = road.length - 5e-10, 0.0, 0.0
+                elif ahead is None and kind > 0.7:
                     # reaches the road end (a gate on e and r2), or stops
                     # within 1e-12 m of it
                     speed = (road.length - position
@@ -606,6 +623,52 @@ class TestMicroReactionOracle:
         batch = copy.deepcopy((state, scene, intents))
         expected = _reaction_outcome(_reference_reaction, state, scene, intents)
         assert _reaction_outcome(engine._micro_reaction, *batch) == expected
+
+    @given(reaction_scenes())
+    def test_every_vehicle_that_leaves_is_a_removal_or_a_crossing(self, scene):
+        state, scene, intents = scene
+        residual = state.ledger_residual()
+        try:
+            removals = engine._micro_reaction(state, scene, intents)
+        except SimulationError:
+            return   # an aborted reaction is compared with the loop above
+        assert [c.id for c in state.clusters.values() if c.vehicles
+                and c.representation != MICRO] == []
+        # a crossing vehicle joins the macro segment later in the step
+        left = len(removals) + sum(scene.crossings.values())
+        assert state.ledger_residual() - residual == pytest.approx(left, abs=1e-9)
+
+
+class TestGateSeam:
+    """A vehicle 5e-10 m before a micro-to-macro gate is nearer than the
+    gate queries look, while `cluster_at` already gives the macro cluster:
+    it crosses the gate or waits at it, and never ends in the macro
+    cluster, out of the mass."""
+
+    @pytest.mark.parametrize("speed", [0.0, 10.0])
+    @pytest.mark.parametrize("gate", ["open", "closed"])
+    def test_crosses_or_waits_in_its_micro_cluster(self, gate, speed):
+        state = reaction_state(line_gate=gate)
+        chain = state.chain_of_road["e"]
+        home = state.cluster_at(chain.id, chain.to_chain_pos("e", 50.0))
+        home.vehicles["s"] = Vehicle(id="s", road="e", lane=0, position=100 - 5e-10,
+                                     speed=speed, length=4.0)
+        residual = state.ledger_residual()
+        scene = Scene(state)
+        engine._micro_reaction(state, scene, {})
+        crossed = sum(scene.crossings.values())
+        assert crossed == (gate == "open")
+        assert list(home.vehicles) == ([] if crossed else ["s"])
+        assert [c.id for c in state.clusters.values() if c.vehicles
+                and c.representation != MICRO] == []
+        assert state.ledger_residual() - residual == pytest.approx(crossed, abs=1e-9)
+
+    def test_a_macro_cluster_holding_vehicles_is_inconsistent(self):
+        state = reaction_state()
+        chain = state.chain_of_road["f"]
+        macro = state.cluster_at(chain.id, chain.to_chain_pos("f", 50.0))
+        macro.vehicles["s"] = Vehicle(id="s", road="f", lane=0, position=50.0, speed=0.0)
+        assert state.consistency_errors() == [f"{macro.id} macro but holds vehicles"]
 
 
 class TestSystemInfluences:
