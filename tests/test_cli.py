@@ -8,6 +8,7 @@ import pytest
 
 from hybridflow.cli import (STEP_COLUMNS, export_step_records,
                             export_transitions, run_command)
+from hybridflow.engine import EngineState
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,6 +101,22 @@ class TestExitCodes:
                           "--steps", "5", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "simulation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes,written", [
+        ("steps,trajectories,transitions,audit",
+         ["audit.json", "steps.csv", "trajectories.csv", "transitions.csv"]),
+        ("steps", ["steps.csv"])])
+    def test_inconsistent_snapshot_is_exit_two(self, tmp_path, capsys, monkeypatch,
+                                               probes, written):
+        # the structural check runs whatever --probes lists
+        check = EngineState.consistency_errors
+        monkeypatch.setattr(EngineState, "consistency_errors", lambda state: check(state)
+                            + (["injected"] if state.step == 5 else []))
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"), "--steps", "10",
+                          "--probes", probes, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "warning: 1 inconsistent snapshots" in capsys.readouterr().err
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == written
 
     def test_unrouted_vehicle_before_a_branch_runs(self, tmp_path, capsys):
         # no destination and two roads on: no lane leads on, so navigation

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridflow.engine import (AddVehicle, EngineConfig, FaultInjected,
+from hybridflow.engine import (AddVehicle, EngineConfig, EngineState, FaultInjected,
                                RemoveVehicle, Scene, SimulationEngine,
                                SimulationError, UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
@@ -803,6 +803,14 @@ class TestCanary:
         assert canary.problems == []
         assert audit.violations == []
         assert len(canary.digests) == 1002   # initialized + 1000 steps + final
+
+    def test_audit_checks_the_structure_at_the_canary_instants(self, monkeypatch):
+        monkeypatch.setattr(EngineState, "consistency_errors",
+                            lambda state: [f"injected at {state.step}"])
+        canary, audit = CanaryProbe(), MassAuditProbe()
+        SimulationEngine(EngineConfig(steps=3), [canary, audit]).run(load("minimal"))
+        assert [step for step, _ in audit.problems] == [0, 1, 2, 3, 3]
+        assert audit.problems == canary.problems
 
 
 class TestWallClockTrigger:
