@@ -26,13 +26,13 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _cluster_geometry(state: EngineState, cluster) -> tuple[float, float]:
-    """(drivable length weighted by lanes, plain length) of an extent."""
+def _lane_length(state: EngineState, cluster) -> float:
+    """Drivable length of an extent, weighted by lanes."""
     chain = state.chains[cluster.chain_id]
     lane_length = 0.0
     for road_id, a, b in chain.pieces(cluster.start, cluster.end):
         lane_length += (b - a) * state.network.roads[road_id].lane_count
-    return lane_length, cluster.end - cluster.start
+    return lane_length
 
 
 def collect_step_rows(state: EngineState) -> list[dict]:
@@ -40,7 +40,7 @@ def collect_step_rows(state: EngineState) -> list[dict]:
     rows = []
     for chain_id in sorted(state.order):
         for cluster in state.chain_clusters(chain_id):
-            lane_length, _ = _cluster_geometry(state, cluster)
+            lane_length = _lane_length(state, cluster)
             if cluster.representation == MICRO:
                 count = float(len(cluster.vehicles))
                 density = count / lane_length if lane_length > 0 else 0.0
