@@ -5,7 +5,9 @@ exports step records, trajectories and the level-of-detail transition log.
 Output files are reproducible byte-for-byte from (scenario, seed, flags)
 and are written atomically (temp file, then rename).
 
-Exit codes: 0 success, 1 scenario problems, 2 runtime simulation errors.
+Exit codes: 0 success, 1 scenario problems, 2 runtime simulation errors or
+an inconsistent snapshot, which the audit looks for whatever `--probes`
+lists.
 """
 
 from __future__ import annotations

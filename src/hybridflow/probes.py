@@ -116,7 +116,8 @@ class AuditViolation:
 
 
 class MassAuditProbe(Probe):
-    """Audits the ledger after every step and the structure at every instant."""
+    """One auditor for both the conservation ledger, checked after every
+    step, and the structural invariants, checked at every consistent instant."""
 
     def __init__(self, tolerance: float = 1e-6):
         self.tolerance = tolerance
