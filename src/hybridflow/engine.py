@@ -1193,36 +1193,34 @@ def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _Boun
 
 # -- micro reaction -----------------------------------------------------------
 
-def _apply_lane_changes(state: EngineState, scene: Scene,
-                        intents: dict[str, VehicleIntent]) -> None:
-    """Instantaneous lane swaps, front-most first, cancelled on overlap."""
-    movers: list[Vehicle] = []
-    for cluster in state.clusters.values():
-        if cluster.representation != MICRO:
-            continue
-        for veh in cluster.vehicles.values():
-            intent = intents.get(veh.id)
-            if intent is not None and intent.lane_change != 0:
-                movers.append(veh)
+#: what a vehicle without an intent does
+_NO_INTENT = VehicleIntent("", 0.0)
+
+
+def _apply_lane_changes(scene: Scene, intents: dict[str, VehicleIntent]) -> None:
+    """Instantaneous lane swaps, front-most first.  A change is dropped when the
+    target slot is occupied, or when the nearest vehicle ahead there, within the
+    perception horizon, arrived by an earlier change, after the decide; front
+    first, no earlier change lands behind the mover."""
+    movers = [veh for _, vehicles in scene.index.values() for veh in vehicles
+              if intents.get(veh.id, _NO_INTENT).lane_change != 0]
     movers.sort(key=lambda v: (v.road, -v.position, v.lane, v.id))
+    arrived: set[str] = set()
     for veh in movers:
         target = veh.lane + intents[veh.id].lane_change
-        if not 0 <= target < state.network.roads[veh.road].lane_count:
+        if not 0 <= target < scene.state.network.roads[veh.road].lane_count:
             continue
         if scene.slot_occupied(veh.road, target, veh.position, veh.length, veh.id):
             continue
+        found = scene._leader_on(veh.road, target, veh.position, veh.id)
+        if found and found[0] <= PERCEPTION_HORIZON and found[1].id in arrived:
+            continue
         positions, vehicles = scene.index[(veh.road, veh.lane)]
-        for i, other in enumerate(vehicles):
-            if other.id == veh.id:
-                positions.pop(i)
-                vehicles.pop(i)
-                break
+        i = next(k for k, other in enumerate(vehicles) if other is veh)
+        del positions[i], vehicles[i]
         veh.lane = target
         scene.register(veh)
-
-
-#: what a vehicle without an intent does
-_NO_INTENT = VehicleIntent("", 0.0)
+        arrived.add(veh.id)
 
 
 def _micro_reaction(state: EngineState, scene: Scene,
@@ -1236,7 +1234,7 @@ def _micro_reaction(state: EngineState, scene: Scene,
     stops short of its road end and of the nearest gate ahead only takes its
     new position and speed; the others walk through `_walk` at their turn,
     because a walk onto the next road reads where the vehicles there stand."""
-    _apply_lane_changes(state, scene, intents)
+    _apply_lane_changes(scene, intents)
     removals: list[tuple[str, Vehicle]] = []
     homes = [c for c in state.clusters.values() if c.representation == MICRO and c.vehicles]
     if not homes:

@@ -579,7 +579,7 @@ def _integrate(veh, accel, dt):
 def _reference_reaction(state, scene, intents):
     """The per-vehicle micro reaction: vehicles front first, each integrated
     and walked in turn, then the overlap check."""
-    engine._apply_lane_changes(state, scene, intents)
+    engine._apply_lane_changes(scene, intents)
     removals = []
     moving = [(cluster, veh) for cluster in state.clusters.values()
               if cluster.representation == MICRO for veh in cluster.vehicles.values()]
@@ -669,6 +669,61 @@ class TestGateSeam:
         macro = state.cluster_at(chain.id, chain.to_chain_pos("f", 50.0))
         macro.vehicles["s"] = Vehicle(id="s", road="f", lane=0, position=50.0, speed=0.0)
         assert state.consistency_errors() == [f"{macro.id} macro but holds vehicles"]
+
+
+class TestLaneChangeConflicts:
+    """Every vehicle decides on the lanes as they stood at the start of the
+    step, so of two changes into one gap only the first, front first, is
+    applied: a change is dropped when its nearest leader in the target lane,
+    within the perception horizon, arrived there earlier in the same pass."""
+
+    def build(self, tmp_path, vehicles):
+        """A 2 km, 3-lane micro road holding vehicles given as (id, lane,
+        position, speed), each 4 m long; returns the state and its scene."""
+        (tmp_path / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="60">'
+            '<infrastructure ref="infra.xml"/><level ref="level.xml"/></simulation>\n')
+        (tmp_path / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure><node id="a" kind="crossroads"/>'
+            '<node id="b" kind="crossroads"/><road id="k" from="a" to="b" length="2000" '
+            'lanes="3" speed_limit="36"/></infrastructure>\n')
+        (tmp_path / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level><end_point id="out" road="k"/></level>\n')
+        state = build_state(parse_scenario(tmp_path), EngineConfig())
+        cluster = next(iter(state.clusters.values()))
+        for vid, lane, position, speed in vehicles:
+            cluster.vehicles[vid] = Vehicle(id=vid, road="k", lane=lane, position=position,
+                                            speed=speed, length=4.0)
+        return state, Scene(state)
+
+    def lanes(self, state):
+        return {vid: veh.lane for c in state.clusters.values() for vid, veh in c.vehicles.items()}
+
+    def test_only_the_front_mover_enters_a_shared_gap(self, tmp_path):
+        # micro_corridor at seed 1, instance 0, step 10: v91 (braking) and
+        # v117, 4.09 m apart, both change into the empty lane 1; applying
+        # both ran v117 into v91 and aborted the run with OverlapDetected
+        state, scene = self.build(tmp_path, [("v91", 0, 1107.0305373318183, 18.738711293283984),
+                                             ("v117", 2, 1102.9356225727104, 24.136489783954886)])
+        intents = {"v91": VehicleIntent("v91", -43.30864850966139, 1),
+                   "v117": VehicleIntent("v117", 0.056211140923778255, -1)}
+        engine._micro_reaction(state, scene, intents)
+        assert self.lanes(state) == {"v91": 1, "v117": 2}
+
+    def test_a_vehicle_that_left_the_target_lane_does_not_block(self, tmp_path):
+        state, scene = self.build(tmp_path, [("leaver", 1, 1100.0, 20.0),
+                                             ("mover", 0, 1090.0, 20.0)])
+        engine._apply_lane_changes(scene, {"leaver": VehicleIntent("leaver", 0.0, 1),
+                                           "mover": VehicleIntent("mover", 0.0, 1)})
+        assert self.lanes(state) == {"leaver": 2, "mover": 1}
+
+    @pytest.mark.parametrize("distance,lane", [(199.5, 0), (200.5, 1)])
+    def test_an_arrival_blocks_only_within_the_horizon(self, tmp_path, distance, lane):
+        state, scene = self.build(tmp_path, [("arrival", 2, 1500.0, 20.0),
+                                             ("mover", 0, 1500.0 - distance, 20.0)])
+        engine._apply_lane_changes(scene, {"arrival": VehicleIntent("arrival", 0.0, -1),
+                                           "mover": VehicleIntent("mover", 0.0, 1)})
+        assert self.lanes(state) == {"arrival": 1, "mover": lane}
 
 
 class TestSystemInfluences:

@@ -8,9 +8,9 @@ digest as it is.
 The fixtures carry at most about 17 micro vehicles, so a dense case pins
 the many-vehicle micro path as well: instances 0-2 of the benchmark's
 `micro_corridor` workload at seed 1 (about 390 vehicles each), built with
-`bench/scenarios.py` and run for up to 300 steps.  Instances 0 and 1 abort
-with `OverlapDetected`, whose step and message are pinned; instance 2 runs
-through, and its `state_digest` is pinned.
+`bench/scenarios.py` and run for 300 steps, each pinned by its final
+`state_digest`.  An instance that aborts with `OverlapDetected` gives its step
+and message instead, so an abort shows as a readable mismatch.
 
 To re-pin after a change that is meant to move outputs, run this test: its
 failure message prints the whole table with the new digests, ready to paste
@@ -71,8 +71,8 @@ GOLDEN = {
         "audit.json": "84438a705c8d6daa4c57f60e8ad2590c5bb73e3ff24c72986f0f3ab9e72fb5ed",
     },
     "navigation": {
-        "steps.csv": "63c1d3561db54c38707d20a0c6d806f1ab09b32351934e3a02416eebd34480e9",
-        "trajectories.csv": "debdc13780ceb9781d9e3d9d9e0b4c102e74d258329d3eebb808afbce73e3019",
+        "steps.csv": "feeb305a20a9c0a55ffbc1186afac7407819d87890ca5e2448be777e3c764968",
+        "trajectories.csv": "efc49857f209e6c96b64e02cf7c869014a2083b7bf528ed92e995c023a21ec07",
         "transitions.csv": NO_TRANSITIONS,
         "audit.json": "867f5cab0466ceb25cce2187dd5d9e57c3000d15456b6087f07c47665b4b312c",
     },
@@ -102,9 +102,9 @@ def test_outputs_match_pinned_digests(digests, name):
 
 # micro_corridor, seed 1: instance -> (outcome, step reached, message or digest)
 DENSE = {
-    0: ("OverlapDetected", 10, "v117 overlaps v91 by 2.610 m"),
-    1: ("OverlapDetected", 193, "v63 overlaps v10 by 3.610 m"),
-    2: ("state_digest", 300, "2f65b10e2671e36994048e8280e91b9dc6d2095b6febf0740044d9d835a597e5"),
+    0: ("state_digest", 300, "2d4b6c50d62f5ffedaf85a09af39b754792d9a105ba905fad53a74ff52055d2f"),
+    1: ("state_digest", 300, "d0f25a000c0b986dee7deda19ca1cb47d96d77b124140cabe14bf9021e14de6c"),
+    2: ("state_digest", 300, "bb90208eb134ebe4531a013b4b795baa7e791c2927cd69c8f920ae84b1dd66b7"),
 }
 
 
@@ -117,6 +117,9 @@ def load_bench_scenarios():
 
 @pytest.mark.parametrize("index", sorted(DENSE))
 def test_dense_micro_corridor(tmp_path, index):
+    """Instances 0 and 1 used to abort (at steps 10 and 193), each when two
+    vehicles from lanes 0 and 2 changed into lane 1 about 4 m apart in one
+    step; only the front one of such a pair changes lanes now."""
     path = load_bench_scenarios().write_instance("micro_corridor", 1, index, tmp_path)
     config = EngineConfig(seed=1)
     state = build_state(parse_scenario(path), config)
