@@ -686,6 +686,8 @@ class Scene:
         for key, vehicles in grouped.items():
             vehicles.sort(key=lambda v: (v.position, v.id))
             self.index[key] = ([v.position for v in vehicles], vehicles)
+        # how far ahead of a slot the front of a vehicle covering it can be
+        self.reach = max((v.length for vs in grouped.values() for v in vs), default=0.0) + 1e-9
         # micro->macro gates per chain, sorted by position, as (position,
         # interface key, open); a cycle's wrap gate sits at the chain end
         self.gates: dict[str, list[tuple[float, tuple[str, int], bool]]] = {}
@@ -941,7 +943,7 @@ class Scene:
         # slot_occupied: a vehicle alongside blocks an adjacent lane outright
         side = group[1:]
         lo = np.searchsorted(sorted_keys, _sort_keys(side, x - length - 1e-9), "right")
-        hi = np.searchsorted(sorted_keys, _sort_keys(side, x + 16.0), "right")
+        hi = np.searchsorted(sorted_keys, _sort_keys(side, x + self.reach), "right")
         rear = x - length
         occupied = np.zeros(side.shape, dtype=bool)
         for k in range(int(np.max(hi - lo, initial=0))):
@@ -1045,10 +1047,10 @@ class Scene:
         if found is None:
             return False
         positions, vehicles = found
-        i = bisect.bisect_left(positions, position - length - 16.0)
+        i = bisect.bisect_left(positions, position - length - 1e-9)
         while i < len(positions):
             pos, other = positions[i], vehicles[i]
-            if pos > position + 16.0:   # no plausible vehicle reaches back this far
+            if pos > position + self.reach:   # no vehicle reaches back this far
                 break
             if other.id != exclude and pos > position - length - 1e-9 \
                     and pos - other.length < position + 1e-9:
@@ -1078,6 +1080,7 @@ class Scene:
 
     def register(self, veh: Vehicle) -> None:
         """Keep the index usable for subsequent insertions this step."""
+        self.reach = max(self.reach, veh.length + 1e-9)
         positions, vehicles = self.index.setdefault((veh.road, veh.lane), ([], []))
         i = bisect.bisect_right(positions, veh.position)
         positions.insert(i, veh.position)

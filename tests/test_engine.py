@@ -186,7 +186,9 @@ def perception_scenes(draw):
     * a ring r0 -> r1 -> r2 -> r0 whose macro road r0 starts at the chain's
       wrap gate, open or closed, and a one-road loop s, where a vehicle's
       look-ahead comes back to its own lane;
-    * signs on a, d and e, and a restriction that is active or not yet.
+    * signs on a, d and e, and a restriction that is active or not yet;
+    * now and then a vehicle longer than 16 m, with a vehicle beside its
+      body in the next lane.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     la, lb, lc = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -240,23 +242,26 @@ def perception_scenes(draw):
                     "d": ["sf", None], "e": ["sf", None], "r1": [None], "r2": [None], "s": [None]}
     for rid, choices in destinations.items():
         for lane in range(lanes[rid]):
-            positions, cursor = [], 0.0
+            placed, cursor = [], 0.0
             for _ in range(draw(st.integers(0, 3))):
-                cursor += float(rng.uniform(6.5, 90))
+                length = rng.uniform(16, 24) if rng.random() < 0.1 else rng.uniform(3, 6)
+                cursor += float(rng.uniform(6.5, 90)) + (length if length > 6 else 0.0)
                 if cursor > lengths[rid]:
                     break
-                positions.append(cursor)
-            for pos in positions:
+                placed.append((cursor, length))
+            for pos, length in placed:
                 dest = choices[int(rng.integers(len(choices)))]
                 dest = f' destination="{dest}"' if dest else ""
                 speed = 0.0 if rng.random() < 0.15 else rng.uniform(0, 32)
                 level.append(f'<vehicle road="{rid}" lane="{lane}" position="{pos:.2f}" '
-                             f'speed="{speed:.2f}" length="{rng.uniform(3, 6):.2f}" '
+                             f'speed="{speed:.2f}" length="{length:.2f}" '
                              f'v0="{rng.uniform(15, 38):.2f}"{dest}/>')
                 if lane + 1 < lanes[rid] and draw(st.booleans()):
-                    # a vehicle alongside in the next lane
+                    # a vehicle alongside in the next lane, anywhere beside a
+                    # long vehicle's body
+                    beside = pos + rng.uniform(-length if length > 6 else -3, 3)
                     level.append(f'<vehicle road="{rid}" lane="{lane + 1}" '
-                                 f'position="{min(pos + rng.uniform(-3, 3), lengths[rid]):.2f}" '
+                                 f'position="{min(beside, lengths[rid]):.2f}" '
                                  f'speed="10"{dest}/>')
     level.append("</level>")
     files = {"scenario.xml": '<?xml version="1.0"?>\n<simulation time_step="0.25" '
@@ -724,6 +729,37 @@ class TestLaneChangeConflicts:
         engine._apply_lane_changes(scene, {"arrival": VehicleIntent("arrival", 0.0, -1),
                                            "mover": VehicleIntent("mover", 0.0, 1)})
         assert self.lanes(state) == {"arrival": 1, "mover": lane}
+
+
+class TestLongVehicles:
+    """A vehicle alongside blocks an adjacent slot whatever its length: the
+    slot test looks as far ahead as the longest micro vehicle reaches back."""
+
+    def scene(self, length, front):
+        state = build_state(load("navigation/navigation-model.xml"), EngineConfig())
+        cluster = next(iter(state.clusters.values()))
+        car = Vehicle(id="car", road="main1", lane=0, position=100.0, speed=10.0, length=4.0)
+        cluster.vehicles["car"] = car
+        cluster.vehicles["long"] = Vehicle(id="long", road="main1", lane=1, position=front,
+                                           speed=10.0, length=length)
+        return Scene(state), car
+
+    @pytest.mark.parametrize("length,front", [(15.0, 112.0), (20.0, 118.0), (60.0, 150.0)])
+    def test_covers_the_slot_in_both_forms(self, length, front):
+        scene, car = self.scene(length, front)
+        assert scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
+        view = scene.lane_view(car, 1)
+        assert (view.leader_gap, view.follower_gap) == (0.01, 0.01)
+        vehicles, *_, perception = scene.perceive_all()
+        i = vehicles.index(car)
+        assert (perception.leader_gap[1, i], perception.follower_gap[1, i]) == (0.01, 0.01)
+
+    def test_a_registered_vehicle_widens_the_window(self):
+        scene, car = self.scene(4.0, 120.0)
+        assert not scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
+        scene.register(Vehicle(id="late", road="main1", lane=1, position=125.0, speed=0.0,
+                               length=30.0))
+        assert scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
 
 
 class TestSystemInfluences:
