@@ -1201,9 +1201,10 @@ _NO_INTENT = VehicleIntent("", 0.0)
 
 
 def _apply_lane_changes(scene: Scene, intents: dict[str, VehicleIntent]) -> None:
-    """Instantaneous lane swaps, front-most first.  A change is dropped when the
-    target slot is occupied, or when the nearest vehicle ahead there, within the
-    perception horizon, arrived by an earlier change, after the decide; front
+    """Instantaneous lane swaps, front-most first.  Every vehicle decided on the
+    lanes as they stood at the start of the step, so a change is dropped when
+    the target slot is occupied or when its nearest leader there, within the
+    perception horizon, arrived by an earlier change of this pass.  Front
     first, no earlier change lands behind the mover."""
     movers = [veh for _, vehicles in scene.index.values() for veh in vehicles
               if intents.get(veh.id, _NO_INTENT).lane_change != 0]
