@@ -31,9 +31,9 @@ from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
 from .macro import MacroSegment, ctm_step
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
-from .micro import (NAV_HORIZON, REASONS, VIEW_OFFSETS, AdjacentView, BehaviorContext,
+from .micro import (NAV_HORIZON, VIEW_OFFSETS, AdjacentView, BehaviorContext,
                     DriverArrays, DriverParams, Perception, PerceptionArrays, Vehicle,
-                    VehicleIntent, behavior_chain, behavior_chains)
+                    behavior_chain, behavior_chains)
 from .network import (MAX_LANES, Route, compute_route, lanes_to_destination,
                       permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
@@ -671,23 +671,36 @@ def _sort_keys(group: np.ndarray, position: np.ndarray) -> np.ndarray:
 
 class Scene:
     """Per-step view used by perception and insertion checks; it also
-    holds this step's gate budgets and counts the crossings."""
+    holds this step's gate budgets and counts the crossings.
+
+    The step's one micro layout: every micro vehicle and its cluster
+    (`vehicles`, `homes`) in (road, lane, position, id) order, and the
+    arrays `road`, `lane`, `x`, `speed` and `length` aligned to it.
+    Insertion checks see the positions from the start of the step, plus
+    this step's lane changes and insertions."""
 
     def __init__(self, state: EngineState):
         self.state = state
+        layout = sorted(((veh, cluster) for cluster in state.clusters.values()
+                         if cluster.representation == MICRO
+                         for veh in cluster.vehicles.values()),
+                        key=lambda vc: (vc[0].road, vc[0].lane, vc[0].position, vc[0].id))
+        self.vehicles = [veh for veh, _ in layout]
+        self.homes = [home for _, home in layout]
+        rows = state.road_arrays.index
+        self.road = np.array([rows[veh.road] for veh in self.vehicles], dtype=int)
+        self.lane = np.array([veh.lane for veh in self.vehicles], dtype=int)
+        self.x = np.array([veh.position for veh in self.vehicles], dtype=float)
+        self.speed = np.array([veh.speed for veh in self.vehicles], dtype=float)
+        self.length = np.array([veh.length for veh in self.vehicles], dtype=float)
         # per (road, lane): parallel sorted lists of positions and vehicles
         self.index: dict[tuple[str, int], tuple[list, list]] = {}
-        grouped: dict[tuple[str, int], list] = {}
-        for cluster in state.clusters.values():
-            if cluster.representation != MICRO:
-                continue
-            for veh in cluster.vehicles.values():
-                grouped.setdefault((veh.road, veh.lane), []).append(veh)
-        for key, vehicles in grouped.items():
-            vehicles.sort(key=lambda v: (v.position, v.id))
-            self.index[key] = ([v.position for v in vehicles], vehicles)
+        for veh in self.vehicles:
+            positions, vehicles = self.index.setdefault((veh.road, veh.lane), ([], []))
+            positions.append(veh.position)
+            vehicles.append(veh)
         # how far ahead of a slot the front of a vehicle covering it can be
-        self.reach = max((v.length for vs in grouped.values() for v in vs), default=0.0) + 1e-9
+        self.reach = float(self.length.max(initial=0.0)) + 1e-9
         # micro->macro gates per chain, sorted by position, as (position,
         # interface key, open); a cycle's wrap gate sits at the chain end
         self.gates: dict[str, list[tuple[float, tuple[str, int], bool]]] = {}
@@ -874,27 +887,19 @@ class Scene:
     # -- batch perception -------------------------------------------------------
 
     def perceive_all(self):
-        """`perceive` for every micro vehicle at once, as arrays.
+        """`perceive` for every vehicle of the layout at once, as arrays.
 
-        Returns (vehicles, speed, length, lane, driver parameters,
-        PerceptionArrays) with the vehicles sorted by (road, lane, position,
-        id), or None when there is no micro vehicle.  Entry by entry the
-        floats equal what `perceive` gives: neighbours in the own and both
-        adjacent lanes come from searches in one sorted key array, and stop
-        signs, closed gates and speed caps are applied per sign, gate or
+        Returns (driver parameters, PerceptionArrays) aligned to the layout,
+        or None when there is no micro vehicle.  Entry by entry the floats
+        equal what `perceive` gives: neighbours in the own and both adjacent
+        lanes come from searches in one sorted key array, and stop signs,
+        closed gates and speed caps are applied per sign, gate or
         restriction over all vehicles at once."""
-        if not self.index:
+        if not self.vehicles:
             return None
         state, roads = self.state, self.state.road_arrays
-        keys = sorted(self.index)
-        lists = [self.index[key][1] for key in keys]
-        vehicles = [veh for vehs in lists for veh in vehs]
-        sizes = [len(vehs) for vehs in lists]
-        road = np.repeat([roads.index[key[0]] for key in keys], sizes)
-        lane = np.repeat([key[1] for key in keys], sizes)
-        x = np.array([pos for key in keys for pos in self.index[key][0]], dtype=float)
-        speed = np.array([veh.speed for veh in vehicles], dtype=float)
-        length = np.array([veh.length for veh in vehicles], dtype=float)
+        vehicles, road, lane, x = self.vehicles, self.road, self.lane, self.x
+        speed, length = self.speed, self.length
         n = len(vehicles)
 
         # rows: own lane, right, left (micro.VIEW_OFFSETS)
@@ -961,8 +966,7 @@ class Scene:
             exists=exists, leader_gap=lead_gap, leader_dv=lead_dv, follower_gap=fol_gap,
             follower_speed=fol_speed, speed_limit=self._speed_caps(road, lane, x),
             distance_to_node=distance, permitted_lanes=permitted)
-        params = DriverArrays.stack([veh.params for veh in vehicles])
-        return vehicles, speed, length, lane, params, perception
+        return DriverArrays.stack([veh.params for veh in vehicles]), perception
 
     def gate_distances(self, road: np.ndarray, x: np.ndarray, horizon: float = INF,
                        closed_only: bool = False) -> np.ndarray | None:
@@ -1112,24 +1116,25 @@ def _refresh_restrictions(state: EngineState) -> None:
                        where=overlap)
 
 
-def _decide(state: EngineState, scene: Scene) -> dict[str, VehicleIntent]:
+def _decide(state: EngineState, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Phases 1-3 for all micro vehicles in one batch: perceive, decide,
-    memorize.  Decisions read only the step-start state: memorization writes
-    the vehicle's own memory, which no other vehicle perceives."""
+    memorize; returns the layout-aligned accelerations and lane changes.
+    Decisions read only the step-start state: memorization writes the
+    vehicle's own memory, which no other vehicle perceives."""
     batch = scene.perceive_all()
     if batch is None:
-        return {}
-    vehicles, speed, length, lane, params, perception = batch
-    accel, change, reason, raises = behavior_chains(speed, length, lane, params, perception)
+        return np.zeros(0), np.zeros(0, dtype=int)
+    params, perception = batch
+    vehicles = scene.vehicles
+    accel, change, raises = behavior_chains(scene.speed, scene.length, scene.lane, params,
+                                            perception)
     if raises.any():
         _raise_as_scalar(state, scene, {vehicles[i].id for i in np.flatnonzero(raises)})
     for veh, gap in zip(vehicles, perception.leader_gap[0].tolist()):
         veh.prev_leader_gap = gap    # memorization
-    for i in np.flatnonzero(~(speed > STOP_SPEED)).tolist():
+    for i in np.flatnonzero(~(scene.speed > STOP_SPEED)).tolist():
         _serve_stop_signs(state, vehicles[i])
-    ids = [veh.id for veh in vehicles]
-    return dict(zip(ids, map(VehicleIntent, ids, accel.tolist(), change.tolist(),
-                             [REASONS[r] for r in reason.tolist()])))
+    return accel, change
 
 
 def _raise_as_scalar(state: EngineState, scene: Scene, suspects: set[str]) -> None:
@@ -1196,22 +1201,19 @@ def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _Boun
 
 # -- micro reaction -----------------------------------------------------------
 
-#: what a vehicle without an intent does
-_NO_INTENT = VehicleIntent("", 0.0)
-
-
-def _apply_lane_changes(scene: Scene, intents: dict[str, VehicleIntent]) -> None:
-    """Instantaneous lane swaps, front-most first.  Every vehicle decided on the
+def _apply_lane_changes(scene: Scene, change: np.ndarray) -> None:
+    """Instantaneous lane swaps by the layout-aligned `change`, front-most
+    first, each written into `scene.lane`.  Every vehicle decided on the
     lanes as they stood at the start of the step, so a change is dropped when
     the target slot is occupied or when its nearest leader there, within the
     perception horizon, arrived by an earlier change of this pass.  Front
     first, no earlier change lands behind the mover."""
-    movers = [veh for _, vehicles in scene.index.values() for veh in vehicles
-              if intents.get(veh.id, _NO_INTENT).lane_change != 0]
-    movers.sort(key=lambda v: (v.road, -v.position, v.lane, v.id))
+    movers = np.flatnonzero(change)
+    movers = movers[np.lexsort((scene.lane[movers], -scene.x[movers], scene.road[movers]))]
     arrived: set[str] = set()
-    for veh in movers:
-        target = veh.lane + intents[veh.id].lane_change
+    for i, step in zip(movers.tolist(), change[movers].tolist()):
+        veh = scene.vehicles[i]
+        target = veh.lane + step
         if not 0 <= target < scene.state.network.roads[veh.road].lane_count:
             continue
         if scene.slot_occupied(veh.road, target, veh.position, veh.length, veh.id):
@@ -1220,37 +1222,32 @@ def _apply_lane_changes(scene: Scene, intents: dict[str, VehicleIntent]) -> None
         if found and found[0] <= PERCEPTION_HORIZON and found[1].id in arrived:
             continue
         positions, vehicles = scene.index[(veh.road, veh.lane)]
-        i = next(k for k, other in enumerate(vehicles) if other is veh)
-        del positions[i], vehicles[i]
-        veh.lane = target
+        k = next(k for k, other in enumerate(vehicles) if other is veh)
+        del positions[k], vehicles[k]
+        veh.lane = scene.lane[i] = target
         scene.register(veh)
         arrived.add(veh.id)
 
 
-def _micro_reaction(state: EngineState, scene: Scene,
-                    intents: dict[str, VehicleIntent]) -> list:
-    """Integrate all micro vehicles; returns the sink removals.  Gate
-    crossings are counted on the scene.
+def _micro_reaction(state: EngineState, scene: Scene, accel: np.ndarray,
+                    change: np.ndarray) -> list:
+    """Integrate all micro vehicles by the layout-aligned decisions; returns
+    the sink removals.  Gate crossings are counted on the scene.
 
-    Vehicles move front first, in (road, -position, lane, id) order, by the
-    ballistic update with a non-negative speed clamp (Treiber and Kanagaraj
-    2015), computed for all of them in one array pass.  A vehicle that
-    stops short of its road end and of the nearest gate ahead only takes its
-    new position and speed; the others walk through `_walk` at their turn,
-    because a walk onto the next road reads where the vehicles there stand."""
-    _apply_lane_changes(scene, intents)
+    Vehicles move front first, in (road, -position, lane, id) order, a
+    stable sort of the layout, by the ballistic update with a non-negative
+    speed clamp (Treiber and Kanagaraj 2015), computed for all of them in
+    one array pass.  A vehicle that stops short of its road end and of the
+    nearest gate ahead only takes its new position and speed; the others
+    walk through `_walk` at their turn, because a walk onto the next road
+    reads where the vehicles there stand."""
+    _apply_lane_changes(scene, change)
     removals: list[tuple[str, Vehicle]] = []
-    homes = [c for c in state.clusters.values() if c.representation == MICRO and c.vehicles]
-    if not homes:
+    vehicles = scene.vehicles
+    if not vehicles:
         return removals
-    vehicles = [veh for c in homes for veh in c.vehicles.values()]
     roads, dt = state.road_arrays, state.dt
-    road = np.array([roads.index[veh.road] for veh in vehicles])
-    lane = np.array([veh.lane for veh in vehicles])
-    x = np.array([veh.position for veh in vehicles], dtype=float)
-    v0 = np.array([veh.speed for veh in vehicles], dtype=float)
-    accel = np.array([intents.get(veh.id, _NO_INTENT).acceleration for veh in vehicles],
-                     dtype=float)
+    road, lane, x, v0 = scene.road.copy(), scene.lane.copy(), scene.x, scene.speed
 
     # the scalar update's operand order; np.where picks between equal
     # operands as Python's min and max do
@@ -1266,10 +1263,9 @@ def _micro_reaction(state: EngineState, scene: Scene,
         reach = to_end if gate is None else np.where(gate < to_end, gate, to_end)
         walks = ~(moved < reach - 1e-12)
         x1 = x + moved
-        stays = _stays_home(state, homes, road, x1)
+        stays = _stays_home(state, scene, x1)
 
-    holders = [c for c in homes for _ in c.vehicles]
-    order = _front_first(vehicles, road, x, lane)
+    order = np.lexsort((lane, -x, road)).tolist()
     moved, speed, x_new = moved.tolist(), speed.tolist(), x1.tolist()
     walks, stays = walks.tolist(), stays.tolist()
     live = np.ones(len(vehicles), dtype=bool)
@@ -1277,51 +1273,37 @@ def _micro_reaction(state: EngineState, scene: Scene,
         veh = vehicles[i]
         veh.speed = speed[i]
         if walks[i]:
-            holder = _walk(state, scene, holders[i], veh, moved[i], removals)
+            holder = _walk(state, scene, scene.homes[i], veh, moved[i], removals)
         else:
             veh.position = x_new[i]
             if stays[i]:
                 continue
-            holder = _settle(state, scene, holders[i], veh)
+            holder = _settle(state, scene, scene.homes[i], veh)
         live[i] = holder is not None
         road[i], lane[i], x1[i] = roads.index[veh.road], veh.lane, veh.position
-    length = np.array([veh.length for veh in vehicles], dtype=float)
-    if _gap_suspect(road[live], lane[live], x1[live], length[live]):
+    if _gap_suspect(road[live], lane[live], x1[live], scene.length[live]):
         _rehome_and_check(state)
     return removals
 
 
-def _front_first(vehicles: list[Vehicle], road: np.ndarray, x: np.ndarray,
-                 lane: np.ndarray) -> list[int]:
-    """Indices of the vehicles in (road, -position, lane, id) order.  Road
-    rows follow road-id order; a tie in the first three keys leaves the
-    order to Python's sort of the whole key."""
-    order = np.lexsort((lane, -x, road))
-    keys = np.array((road[order], x[order], lane[order]))
-    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
-        return sorted(range(len(vehicles)), key=lambda i: (
-            vehicles[i].road, -vehicles[i].position, vehicles[i].lane, vehicles[i].id))
-    return order.tolist()
-
-
-def _stays_home(state: EngineState, homes: list[Cluster], road: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """Per vehicle, True where `EngineState.cluster_at` gives its own cluster
-    for its new position, as `_settle` asks; False may still mean home."""
+def _stays_home(state: EngineState, scene: Scene, x: np.ndarray) -> np.ndarray:
+    """Per vehicle of the layout, True where `EngineState.cluster_at` gives
+    its own cluster for its new position `x`, as `_settle` asks; False may
+    still mean home."""
     roads = state.road_arrays
-    chain, lo, hi, top = [], [], [], []
-    for home in homes:
-        starts, ids = state.cluster_starts(home.chain_id)
-        k = ids.index(home.id)
-        chain.append(roads.chain_number[home.chain_id])
-        lo.append(starts[k] if k else -INF)
-        hi.append(starts[k + 1] if k + 1 < len(ids) else INF)
-        top.append(state.chains[home.chain_id].length - 1e-9)
-    sizes = [len(home.vehicles) for home in homes]
-    chain, lo, hi, top = (np.repeat(b, sizes) for b in (chain, lo, hi, top))
-    cpos = roads.chain_offset[road] + x
+    bounds: dict[str, tuple[int, float, float, float]] = {}
+    for home in scene.homes:
+        if home.id not in bounds:
+            starts, ids = state.cluster_starts(home.chain_id)
+            k = ids.index(home.id)
+            bounds[home.id] = (roads.chain_number[home.chain_id],
+                               starts[k] if k else -INF,
+                               starts[k + 1] if k + 1 < len(ids) else INF,
+                               state.chains[home.chain_id].length - 1e-9)
+    chain, lo, hi, top = np.array([bounds[home.id] for home in scene.homes]).T
+    cpos = roads.chain_offset[scene.road] + x
     probe = np.where(top < cpos, top, cpos) + 1e-9
-    return (roads.chain[road] == chain) & (lo <= probe) & (probe < hi)
+    return (roads.chain[scene.road] == chain) & (lo <= probe) & (probe < hi)
 
 
 def _gap_suspect(road: np.ndarray, lane: np.ndarray, x: np.ndarray,
@@ -1856,9 +1838,9 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     _refresh_restrictions(state)
 
     scene = Scene(state)
-    intents = _decide(state, scene)
+    accel, change = _decide(state, scene)
     emissions, snap = _natural(state)
-    removals = _micro_reaction(state, scene, intents)
+    removals = _micro_reaction(state, scene, accel, change)
     _macro_reaction(state, scene, snap)
     state.in_system_phase = True
     try:

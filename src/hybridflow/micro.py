@@ -311,10 +311,6 @@ def behavior_chain(vehicle: Vehicle, perception: Perception,
 #: lane offset of each row of a view stack: row d is the lane in direction d
 VIEW_OFFSETS = np.array([[STAY], [RIGHT], [LEFT]])
 
-#: `behavior_chains` reason codes, indexing the reasons `behavior_chain` gives
-REASONS = ("acceleration", "overtaking", "navigation", "navigation_blocked")
-_ACCELERATION, _OVERTAKING, _NAVIGATION, _NAVIGATION_BLOCKED = range(4)
-
 
 class DriverArrays(NamedTuple):
     """`DriverParams` of many vehicles, one float64 array per field."""
@@ -403,9 +399,10 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
                     params: DriverArrays, perception: PerceptionArrays):
     """`behavior_chain` for n vehicles at once.
 
-    Returns (acceleration, lane_change, reason code into REASONS, raises).
-    `raises` marks every vehicle whose scalar chain may raise: the caller
-    runs the scalar chain on those to raise its exact error.  IDM runs in
+    Returns (acceleration, lane_change, raises), one entry per vehicle: the
+    scalar intent's `acceleration` and `lane_change` (LEFT, STAY or RIGHT),
+    and whether its scalar chain may raise, in which case the caller runs
+    the scalar chain on it to raise the exact error.  IDM runs in
     stages of stacked rows: first the driver's own acceleration and both
     sides' safety, then, where a side is safe, both sides' incentives, then
     the navigation gate.
@@ -478,8 +475,4 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
             accel = np.where(hold & (c[0] < accel), c[0], accel)
             nav_ok = target & (c[1] >= -params.b_safe)
             decision = np.where(must, np.where(nav_ok, side, STAY), decision)
-
-    reason = np.where(decision != STAY, _OVERTAKING, _ACCELERATION)
-    if must.any():
-        reason = np.where(must, np.where(nav_ok, _NAVIGATION, _NAVIGATION_BLOCKED), reason)
-    return accel, decision, reason, raises
+    return accel, decision, raises

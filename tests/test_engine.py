@@ -272,6 +272,29 @@ def perception_scenes(draw):
     return files, draw(st.sampled_from([0.0, 0.5])), int(rng.integers(2**31))
 
 
+def _check_layout(state, scene):
+    """The scene's layout holds every micro vehicle once, in (road, lane,
+    position, id) order, with its cluster, and its arrays and per-lane index
+    agree with the vehicles."""
+    micro = [veh for c in state.clusters.values() if c.representation == MICRO
+             for veh in c.vehicles.values()]
+    assert sorted(map(id, scene.vehicles)) == sorted(map(id, micro))
+    keys = [(veh.road, veh.lane, veh.position, veh.id) for veh in scene.vehicles]
+    assert keys == sorted(keys)
+    assert all(home.vehicles[veh.id] is veh for veh, home in zip(scene.vehicles, scene.homes))
+    rows = state.road_arrays.index
+    assert scene.road.tolist() == [rows[veh.road] for veh in scene.vehicles]
+    assert scene.lane.tolist() == [veh.lane for veh in scene.vehicles]
+    assert scene.x.tolist() == [veh.position for veh in scene.vehicles]
+    assert scene.speed.tolist() == [veh.speed for veh in scene.vehicles]
+    assert scene.length.tolist() == [veh.length for veh in scene.vehicles]
+    for (road, lane), (positions, vehicles) in scene.index.items():
+        on = [veh for veh in scene.vehicles if (veh.road, veh.lane) == (road, lane)]
+        assert list(map(id, vehicles)) == list(map(id, on))
+        assert positions == [veh.position for veh in on]
+    assert sum(len(vehicles) for _, vehicles in scene.index.values()) == len(scene.vehicles)
+
+
 def _scalar_decisions(state):
     """What the per-vehicle loop decides and memorizes, vehicle by vehicle."""
     scene = Scene(state)
@@ -354,13 +377,14 @@ class TestPerceptionOracle:
                     veh.satisfied_stops.update(
                         stop for stop in stops if stop[0] == veh.road and rng.random() < served)
             expected = _scalar_decisions(state)
-            intents = engine._decide(state, Scene(state))
-            assert intents.keys() == expected.keys()
-            vehicles = {veh.id: veh for c in state.clusters.values()
-                        for veh in c.vehicles.values()}
-            for vid, (intent, gap) in expected.items():
-                assert intents[vid] == intent
-                assert vehicles[vid].prev_leader_gap == gap
+            scene = Scene(state)
+            _check_layout(state, scene)
+            accel, change = engine._decide(state, scene)
+            assert sorted(veh.id for veh in scene.vehicles) == sorted(expected)
+            for veh, a, c in zip(scene.vehicles, accel.tolist(), change.tolist()):
+                intent, gap = expected[veh.id]
+                assert (a, c) == (intent.acceleration, intent.lane_change)
+                assert veh.prev_leader_gap == gap
             try:
                 advance_step(state, config)
             except SimulationError:
@@ -411,9 +435,13 @@ class TestPerceptionOracle:
         vehicle = '<vehicle road="a" lane="1" position="300" speed="10"/>'
         states = [self.build_branch(tmp_path / str(k), vehicle) for k in range(2)]
         expected = _scalar_decisions(states[0])
-        intents = engine._decide(states[1], Scene(states[1]))
-        assert intents == {vid: intent for vid, (intent, _gap) in expected.items()}
-        assert all(intent.lane_change == 0 for intent in intents.values())
+        scene = Scene(states[1])
+        accel, change = engine._decide(states[1], scene)
+        assert [(veh.id, a, c) for veh, a, c in zip(scene.vehicles, accel.tolist(),
+                                                    change.tolist())] == \
+            [(veh.id, expected[veh.id][0].acceleration, expected[veh.id][0].lane_change)
+             for veh in scene.vehicles]
+        assert not change.any()
 
 
 REACTION_INFRA = """<?xml version="1.0"?>
@@ -480,8 +508,8 @@ def reaction_state(line=1, ring=1, line_gate="open", ring_gate="open"):
 
 @st.composite
 def reaction_scenes(draw):
-    """A state, a scene and intents that reach every path of the micro
-    reaction, as (state, scene, intents):
+    """A state, a scene and decisions that reach every path of the micro
+    reaction, as (state, scene, accelerations, lane changes):
 
     * a branch a -> b, c whose lane 0 turns only to b and lane 1 only to c,
       so that vehicles routed the other way, or not at all, miss the turn
@@ -567,7 +595,16 @@ def reaction_scenes(draw):
             scene.gate_budget[key] = int(rng.integers(0, 3))
     intents = {vid: VehicleIntent(vid, accel, int(rng.choice([-1, 1]) * (rng.random() < 0.1)))
                for vid, accel in accelerations}
-    return state, scene, intents
+    return (state, scene, *aligned(scene, intents))
+
+
+def aligned(scene, intents):
+    """Intents by vehicle id as the decide's (acceleration, lane change)
+    arrays aligned to the scene's layout; a vehicle without an intent keeps
+    its speed and lane."""
+    found = [intents.get(veh.id, VehicleIntent(veh.id, 0.0)) for veh in scene.vehicles]
+    return (np.array([intent.acceleration for intent in found], dtype=float),
+            np.array([intent.lane_change for intent in found], dtype=int))
 
 
 def _integrate(veh, accel, dt):
@@ -581,27 +618,27 @@ def _integrate(veh, accel, dt):
     return max(v0 * dt + 0.5 * accel * dt * dt, 0.0)
 
 
-def _reference_reaction(state, scene, intents):
+def _reference_reaction(state, scene, accel, change):
     """The per-vehicle micro reaction: vehicles front first, each integrated
     and walked in turn, then the overlap check."""
-    engine._apply_lane_changes(scene, intents)
+    accel_of = {veh.id: a for veh, a in zip(scene.vehicles, accel.tolist())}
+    engine._apply_lane_changes(scene, change)
     removals = []
     moving = [(cluster, veh) for cluster in state.clusters.values()
               if cluster.representation == MICRO for veh in cluster.vehicles.values()]
     moving.sort(key=lambda cv: (cv[1].road, -cv[1].position, cv[1].lane, cv[1].id))
     for cluster, veh in moving:
-        intent = intents.get(veh.id)
-        accel = intent.acceleration if intent is not None else 0.0
-        engine._walk(state, scene, cluster, veh, _integrate(veh, accel, state.dt), removals)
+        engine._walk(state, scene, cluster, veh, _integrate(veh, accel_of[veh.id], state.dt),
+                     removals)
     engine._rehome_and_check(state)
     return removals
 
 
-def _reaction_outcome(reaction, state, scene, intents):
+def _reaction_outcome(reaction, state, scene, accel, change):
     """Everything the micro reaction can change, after running it."""
     error = removals = None
     try:
-        removals = reaction(state, scene, intents)
+        removals = reaction(state, scene, accel, change)
     except SimulationError as exc:
         error = (type(exc), str(exc))
     return {
@@ -624,17 +661,16 @@ class TestMicroReactionOracle:
 
     @given(reaction_scenes())
     def test_batch_equals_per_vehicle_loop(self, scene):
-        state, scene, intents = scene
-        batch = copy.deepcopy((state, scene, intents))
-        expected = _reaction_outcome(_reference_reaction, state, scene, intents)
+        batch = copy.deepcopy(scene)
+        expected = _reaction_outcome(_reference_reaction, *scene)
         assert _reaction_outcome(engine._micro_reaction, *batch) == expected
 
     @given(reaction_scenes())
     def test_every_vehicle_that_leaves_is_a_removal_or_a_crossing(self, scene):
-        state, scene, intents = scene
+        state, scene, accel, change = scene
         residual = state.ledger_residual()
         try:
-            removals = engine._micro_reaction(state, scene, intents)
+            removals = engine._micro_reaction(state, scene, accel, change)
         except SimulationError:
             return   # an aborted reaction is compared with the loop above
         assert [c.id for c in state.clusters.values() if c.vehicles
@@ -660,7 +696,7 @@ class TestGateSeam:
                                      speed=speed, length=4.0)
         residual = state.ledger_residual()
         scene = Scene(state)
-        engine._micro_reaction(state, scene, {})
+        engine._micro_reaction(state, scene, *aligned(scene, {}))
         crossed = sum(scene.crossings.values())
         assert crossed == (gate == "open")
         assert list(home.vehicles) == ([] if crossed else ["s"])
@@ -712,22 +748,22 @@ class TestLaneChangeConflicts:
                                              ("v117", 2, 1102.9356225727104, 24.136489783954886)])
         intents = {"v91": VehicleIntent("v91", -43.30864850966139, 1),
                    "v117": VehicleIntent("v117", 0.056211140923778255, -1)}
-        engine._micro_reaction(state, scene, intents)
+        engine._micro_reaction(state, scene, *aligned(scene, intents))
         assert self.lanes(state) == {"v91": 1, "v117": 2}
 
     def test_a_vehicle_that_left_the_target_lane_does_not_block(self, tmp_path):
         state, scene = self.build(tmp_path, [("leaver", 1, 1100.0, 20.0),
                                              ("mover", 0, 1090.0, 20.0)])
-        engine._apply_lane_changes(scene, {"leaver": VehicleIntent("leaver", 0.0, 1),
-                                           "mover": VehicleIntent("mover", 0.0, 1)})
+        engine._apply_lane_changes(scene, aligned(scene, {
+            "leaver": VehicleIntent("leaver", 0.0, 1), "mover": VehicleIntent("mover", 0.0, 1)})[1])
         assert self.lanes(state) == {"leaver": 2, "mover": 1}
 
     @pytest.mark.parametrize("distance,lane", [(199.5, 0), (200.5, 1)])
     def test_an_arrival_blocks_only_within_the_horizon(self, tmp_path, distance, lane):
         state, scene = self.build(tmp_path, [("arrival", 2, 1500.0, 20.0),
                                              ("mover", 0, 1500.0 - distance, 20.0)])
-        engine._apply_lane_changes(scene, {"arrival": VehicleIntent("arrival", 0.0, -1),
-                                           "mover": VehicleIntent("mover", 0.0, 1)})
+        engine._apply_lane_changes(scene, aligned(scene, {
+            "arrival": VehicleIntent("arrival", 0.0, -1), "mover": VehicleIntent("mover", 0.0, 1)})[1])
         assert self.lanes(state) == {"arrival": 1, "mover": lane}
 
 
@@ -750,8 +786,8 @@ class TestLongVehicles:
         assert scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
         view = scene.lane_view(car, 1)
         assert (view.leader_gap, view.follower_gap) == (0.01, 0.01)
-        vehicles, *_, perception = scene.perceive_all()
-        i = vehicles.index(car)
+        _, perception = scene.perceive_all()
+        i = scene.vehicles.index(car)
         assert (perception.leader_gap[1, i], perception.follower_gap[1, i]) == (0.01, 0.01)
 
     def test_a_registered_vehicle_widens_the_window(self):
