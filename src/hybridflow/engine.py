@@ -677,7 +677,7 @@ class Scene:
     (`vehicles`, `homes`) in (road, lane, position, id) order, and the
     arrays `road`, `lane`, `x`, `speed` and `length` aligned to it.
     Insertion checks see the positions from the start of the step, plus
-    this step's lane changes and insertions."""
+    this step's lane changes, arrivals on a road and insertions."""
 
     def __init__(self, state: EngineState):
         self.state = state
@@ -1322,7 +1322,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
           displacement: float, removals) -> Cluster | None:
     """Advance one vehicle along its path, handling gates, sinks and nodes.
     Returns the cluster holding it afterwards, None once it left."""
-    remaining = displacement
+    remaining, start = displacement, veh.road
     for _ in range(MAX_BOUNDARIES):
         road = state.network.roads[veh.road]
         chain = state.chain_of_road[veh.road]
@@ -1379,7 +1379,10 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
     else:
         raise SimulationError(f"{veh.id} crossed too many boundaries in one step")
 
-    return _settle(state, scene, cluster, veh)
+    owner = _settle(state, scene, cluster, veh)
+    if owner is not None and veh.road != start:
+        scene.register(veh)   # insertions this step must see the arrival
+    return owner
 
 
 def _settle(state: EngineState, scene: Scene, cluster: Cluster,

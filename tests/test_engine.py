@@ -798,6 +798,43 @@ class TestLongVehicles:
         assert scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
 
 
+class TestInsertionAfterAnArrival:
+    """An insertion at a road start sees a vehicle that walked onto the road
+    earlier in the same step.  At 900 veh/h on both roads of this chain,
+    seed 1 once put v16 at 0 m on r1 while v10 had just landed at 0.19 m,
+    and the next step aborted with `OverlapDetected`."""
+
+    def test_no_insertion_overlaps_an_arrival(self, tmp_path):
+        (tmp_path / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="500">'
+            '<infrastructure ref="infra.xml"/><level ref="level.xml"/></simulation>\n')
+        (tmp_path / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure><node id="a" kind="crossroads"/>'
+            '<node id="b" kind="crossroads"/><node id="c" kind="crossroads"/>'
+            '<road id="r0" from="a" to="b" length="300" lanes="1" speed_limit="25"/>'
+            '<road id="r1" from="b" to="c" length="1000" lanes="1" speed_limit="25"/>'
+            '<turn node="b" from_road="r0" to_road="r1" lanes="all"/></infrastructure>\n')
+        (tmp_path / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>' + "".join(
+                f'<input_point id="in{k}" road="r{k}" lanes="all" generation_ref="gen.xml" '
+                'rhythm_ref="rhythm.xml"/>' for k in range(2))
+            + '<end_point id="out" road="r1"/></level>\n')
+        (tmp_path / "gen.xml").write_text(
+            '<?xml version="1.0"?>\n<generation><destination sink="out" weight="1"/>'
+            '</generation>\n')
+        (tmp_path / "rhythm.xml").write_text(
+            '<?xml version="1.0"?>\n<rhythm kind="flow"><flow t="0" q="900"/></rhythm>\n')
+        config = EngineConfig(seed=1)
+        state = build_state(parse_scenario(tmp_path), config)
+        for _ in range(400):
+            advance_step(state, config)
+            on_r1 = sorted((veh for c in state.clusters.values() for veh in c.vehicles.values()
+                            if veh.road == "r1"), key=lambda veh: veh.position)
+            assert all(front.position - front.length >= back.position
+                       for back, front in zip(on_r1, on_r1[1:])), state.step
+        assert state.ledger.absorbed > 0
+
+
 class TestSystemInfluences:
     def spec(self, lane=0, position=0.0):
         return InsertionSpec(road="r1", lane=lane, position=position, speed=10.0,
