@@ -1,9 +1,10 @@
 """Golden outputs: the CLI's files on every fixture, pinned byte for byte.
 
 Each fixture runs `hybridflow run --steps 1200 --seed 42 --format csv`, and
-the SHA-256 of each output file must equal the pinned digest below.  A
-change that only restructures or speeds up the engine must leave every
-digest as it is.
+the SHA-256 of each output file must equal the pinned digest below.  The
+same run with `--format json` writes `steps.json` in place of `steps.csv`,
+and that file is pinned too.  A change that only restructures or speeds up
+the engine must leave every digest as it is.
 
 The fixtures carry at most about 17 micro vehicles, so a dense case pins
 the many-vehicle micro path as well: instances 0-2 of the benchmark's
@@ -14,7 +15,7 @@ and message instead, so an abort shows as a readable mismatch.
 
 To re-pin after a change that is meant to move outputs, run this test: its
 failure message prints the whole table with the new digests, ready to paste
-over GOLDEN, or the new outcome of a dense instance, ready to paste into
+over GOLDEN or GOLDEN_JSON, or the new outcome of a dense instance, ready to paste into
 DENSE.  List every re-pinned fixture and file in CHANGES.md, with the
 reason the output moved.
 """
@@ -79,18 +80,39 @@ GOLDEN = {
 }
 
 
+# steps.json of the same runs with --format json
+GOLDEN_JSON = {
+    "minimal": "5b7dedc8cc07612388466d666e7a03243316a194cf0a2fd0dd7bbd9385259e37",
+    "hybrid": "5be104094cd8b645691b91560909705a476dda696a756abbb5383580a41aba2e",
+    "jam": "4a5b0d88954a89c6c845d120f1eb13af497a1bf54ba924a00f6038824547be30",
+    "ring": "42d067c58eee3bc008ea55e5dcb7de0a74577feceb1a4df5a62ae1abe938c746",
+    "navigation": "e57cb4dd2a0aac2b82e1cccf8f20861d0e80aef39d9aab3f6f14748f743a8ccc",
+}
+
+
+def run_fixtures(tmp_path_factory, fmt, outputs):
+    """SHA-256 of the given output files of every fixture, run in one format."""
+    out = {}
+    for name, scenario in SCENARIOS.items():
+        target = tmp_path_factory.mktemp(f"{name}-{fmt}")
+        rc = run_command(["run", "--scenario", str(scenario), "--steps", "1200",
+                          "--seed", "42", "--format", fmt, "--out", str(target)])
+        assert rc == 0, f"{name} exited {rc}"
+        out[name] = {f: hashlib.sha256((target / f).read_bytes()).hexdigest()
+                     for f in outputs}
+    return out
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     """SHA-256 of every output file of every fixture, run once."""
-    out = {}
-    for name, scenario in SCENARIOS.items():
-        target = tmp_path_factory.mktemp(name)
-        rc = run_command(["run", "--scenario", str(scenario), "--steps", "1200",
-                          "--seed", "42", "--format", "csv", "--out", str(target)])
-        assert rc == 0, f"{name} exited {rc}"
-        out[name] = {f: hashlib.sha256((target / f).read_bytes()).hexdigest()
-                     for f in OUTPUTS}
-    return out
+    return run_fixtures(tmp_path_factory, "csv", OUTPUTS)
+
+
+@pytest.fixture(scope="module")
+def json_digests(tmp_path_factory):
+    return {name: d["steps.json"]
+            for name, d in run_fixtures(tmp_path_factory, "json", ("steps.json",)).items()}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -98,6 +120,12 @@ def test_outputs_match_pinned_digests(digests, name):
     moved = [f for f in OUTPUTS if digests[name][f] != GOLDEN[name][f]]
     table = "\n".join(f"    {n!r}: {d!r}," for n, d in digests.items())
     assert not moved, f"{name}: {moved} moved; digests now:\n{table}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_steps_json_matches_pinned_digest(json_digests, name):
+    table = "\n".join(f"    {n!r}: {d!r}," for n, d in json_digests.items())
+    assert json_digests[name] == GOLDEN_JSON[name], f"{name}: moved; digests now:\n{table}"
 
 
 # micro_corridor, seed 1: instance -> (outcome, step reached, message or digest)
