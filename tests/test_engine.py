@@ -437,10 +437,9 @@ class TestPerceptionOracle:
         expected = _scalar_decisions(states[0])
         scene = Scene(states[1])
         accel, change = engine._decide(states[1], scene)
-        assert [(veh.id, a, c) for veh, a, c in zip(scene.vehicles, accel.tolist(),
-                                                    change.tolist())] == \
-            [(veh.id, expected[veh.id][0].acceleration, expected[veh.id][0].lane_change)
-             for veh in scene.vehicles]
+        decided = list(zip(accel.tolist(), change.tolist()))
+        assert decided == [(expected[veh.id][0].acceleration, expected[veh.id][0].lane_change)
+                           for veh in scene.vehicles]
         assert not change.any()
 
 
@@ -754,16 +753,18 @@ class TestLaneChangeConflicts:
     def test_a_vehicle_that_left_the_target_lane_does_not_block(self, tmp_path):
         state, scene = self.build(tmp_path, [("leaver", 1, 1100.0, 20.0),
                                              ("mover", 0, 1090.0, 20.0)])
-        engine._apply_lane_changes(scene, aligned(scene, {
-            "leaver": VehicleIntent("leaver", 0.0, 1), "mover": VehicleIntent("mover", 0.0, 1)})[1])
+        _, change = aligned(scene, {"leaver": VehicleIntent("leaver", 0.0, 1),
+                                    "mover": VehicleIntent("mover", 0.0, 1)})
+        engine._apply_lane_changes(scene, change)
         assert self.lanes(state) == {"leaver": 2, "mover": 1}
 
     @pytest.mark.parametrize("distance,lane", [(199.5, 0), (200.5, 1)])
     def test_an_arrival_blocks_only_within_the_horizon(self, tmp_path, distance, lane):
         state, scene = self.build(tmp_path, [("arrival", 2, 1500.0, 20.0),
                                              ("mover", 0, 1500.0 - distance, 20.0)])
-        engine._apply_lane_changes(scene, aligned(scene, {
-            "arrival": VehicleIntent("arrival", 0.0, -1), "mover": VehicleIntent("mover", 0.0, 1)})[1])
+        _, change = aligned(scene, {"arrival": VehicleIntent("arrival", 0.0, -1),
+                                    "mover": VehicleIntent("mover", 0.0, 1)})
+        engine._apply_lane_changes(scene, change)
         assert self.lanes(state) == {"arrival": 1, "mover": lane}
 
 
