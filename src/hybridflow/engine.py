@@ -31,9 +31,9 @@ from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
 from .macro import MacroSegment, ctm_step
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
-from .micro import (NAV_HORIZON, VIEW_OFFSETS, AdjacentView, BehaviorContext,
-                    DriverArrays, DriverParams, Perception, PerceptionArrays, Vehicle,
-                    behavior_chain, behavior_chains)
+from .micro import (NAV_HORIZON, VIEW_OFFSETS, DriverArrays, DriverParams, PerceptionArrays,
+                    Vehicle, behavior_chains)
+from .micro import behavior_chain  # noqa: F401 - the benchmark tracer wraps this name
 from .network import (MAX_LANES, Route, compute_route, lanes_to_destination,
                       permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
@@ -789,20 +789,6 @@ class Scene:
             i -= 1
         return None
 
-    def _sign_obstacle(self, veh: Vehicle, lane: int) -> float | None:
-        """Distance to the nearest unserved stop sign ahead on this road."""
-        best = None
-        for sign in self.state.network.roads[veh.road].signs:
-            if sign.kind != "stop" or not sign.applies_to(lane):
-                continue
-            if sign.position <= veh.position + 1e-9:
-                continue
-            if (veh.road, sign.position) in veh.satisfied_stops:
-                continue
-            d = sign.position - veh.position
-            best = d if best is None else min(best, d)
-        return best
-
     def _leader_beyond(self, veh: Vehicle, lane: int) -> tuple[float, float] | None:
         """(gap, speed difference) to the first vehicle on the roads after the
         vehicle's own, reached from `lane` along its path, when that vehicle
@@ -826,75 +812,18 @@ class Scene:
             offset += length
         return None
 
-    def lane_view(self, veh: Vehicle, lane: int) -> AdjacentView:
-        """Leader/follower views in one lane of the vehicle's road."""
-        state = self.state
-        chain = state.chain_of_road[veh.road]
-        cpos = chain.to_chain_pos(veh.road, veh.position)
-
-        lead_gap, lead_dv = INF, 0.0
-        found = self._leader_on(veh.road, lane, veh.position, veh.id)
-        if found is not None and found[0] <= PERCEPTION_HORIZON:
-            dist, leader = found
-            lead_gap = max(dist - leader.length, MIN_PERCEIVED_GAP)
-            lead_dv = veh.speed - leader.speed
-        else:
-            found = self._leader_beyond(veh, lane)
-            if found is not None:
-                lead_gap, lead_dv = found
-
-        # a vehicle physically alongside blocks the lane outright
-        if lane != veh.lane and self.slot_occupied(veh.road, lane, veh.position,
-                                                   veh.length, veh.id):
-            return AdjacentView(leader_gap=MIN_PERCEIVED_GAP, leader_dv=0.0,
-                                follower_gap=MIN_PERCEIVED_GAP, follower_speed=veh.speed)
-
-        # standing obstacles: unserved stop signs and closed gates
-        sign_d = self._sign_obstacle(veh, lane)
-        if sign_d is not None and sign_d <= PERCEPTION_HORIZON and sign_d < lead_gap:
-            lead_gap, lead_dv = sign_d, veh.speed
-        gate = self.gate_ahead(chain, cpos, PERCEPTION_HORIZON, closed_only=True)
-        if gate is not None and gate[0] < lead_gap:
-            lead_gap, lead_dv = gate[0], veh.speed
-
-        fol_gap, fol_speed = INF, 0.0
-        found = self._follower_on(veh.road, lane, veh.position, veh.id)
-        if found is not None and found[0] <= PERCEPTION_HORIZON:
-            dist, follower = found
-            fol_gap = dist - veh.length
-            fol_speed = follower.speed
-        return AdjacentView(leader_gap=lead_gap, leader_dv=lead_dv,
-                            follower_gap=fol_gap, follower_speed=fol_speed)
-
-    def perceive(self, veh: Vehicle) -> tuple[Perception, BehaviorContext]:
-        state = self.state
-        road = state.network.roads[veh.road]
-        own = self.lane_view(veh, veh.lane)
-        left = self.lane_view(veh, veh.lane - 1) if veh.lane > 0 else None
-        right = self.lane_view(veh, veh.lane + 1) \
-            if veh.lane < road.lane_count - 1 else None
-        perception = Perception(
-            leader_gap=own.leader_gap, leader_dv=own.leader_dv,
-            speed_limit=self.speed_cap(veh.road, veh.lane, veh.position),
-            left=left, right=right,
-            follower_gap=own.follower_gap, follower_speed=own.follower_speed)
-
-        ctx = BehaviorContext(lane_count=road.lane_count,
-                              permitted_lanes=state.permitted_lanes(veh.road, veh.route),
-                              distance_to_node=road.length - veh.position)
-        return perception, ctx
-
     # -- batch perception -------------------------------------------------------
 
-    def perceive_all(self):
-        """`perceive` for every vehicle of the layout at once, as arrays.
+    def perceive(self):
+        """Perception of every vehicle of the layout at once, as arrays.
 
-        Returns (driver parameters, PerceptionArrays) aligned to the layout,
-        or None when there is no micro vehicle.  Entry by entry the floats
-        equal what `perceive` gives: neighbours in the own and both adjacent
-        lanes come from searches in one sorted key array, and stop signs,
-        closed gates and speed caps are applied per sign, gate or
-        restriction over all vehicles at once."""
+        Returns (DriverArrays, PerceptionArrays) aligned to the layout, or
+        None when there is no micro vehicle.  Neighbours in the own and both
+        adjacent lanes come from searches in one sorted key array, and stop
+        signs, closed gates and speed caps are applied per sign, gate or
+        restriction over all vehicles at once.  Entry by entry the floats
+        equal those of the scalar `Perception` and `BehaviorContext` that
+        the tests build one vehicle at a time from this scene's queries."""
         if not self.vehicles:
             return None
         state, roads = self.state, self.state.road_arrays
@@ -1121,37 +1050,17 @@ def _decide(state: EngineState, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     memorize; returns the layout-aligned accelerations and lane changes.
     Decisions read only the step-start state: memorization writes the
     vehicle's own memory, which no other vehicle perceives."""
-    batch = scene.perceive_all()
+    batch = scene.perceive()
     if batch is None:
         return np.zeros(0), np.zeros(0, dtype=int)
     params, perception = batch
     vehicles = scene.vehicles
-    accel, change, raises = behavior_chains(scene.speed, scene.length, scene.lane, params,
-                                            perception)
-    if raises.any():
-        _raise_as_scalar(state, scene, {vehicles[i].id for i in np.flatnonzero(raises)})
+    accel, change = behavior_chains(scene.speed, scene.length, scene.lane, params, perception)
     for veh, gap in zip(vehicles, perception.leader_gap[0].tolist()):
         veh.prev_leader_gap = gap    # memorization
     for i in np.flatnonzero(~(scene.speed > STOP_SPEED)).tolist():
         _serve_stop_signs(state, vehicles[i])
     return accel, change
-
-
-def _raise_as_scalar(state: EngineState, scene: Scene, suspects: set[str]) -> None:
-    """Rerun the scalar chain on the vehicles the batch flagged, in the
-    order the per-vehicle loop decided in (clusters, then vehicles, by id),
-    memorizing as that loop did, so that the first one that raises does so
-    with the scalar error."""
-    for cid in sorted(state.clusters):
-        cluster = state.clusters[cid]
-        if cluster.representation != MICRO:
-            continue
-        for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id):
-            perception, ctx = scene.perceive(veh)
-            if veh.id in suspects:
-                behavior_chain(veh, perception, ctx)
-            veh.prev_leader_gap = perception.leader_gap
-            _serve_stop_signs(state, veh)
 
 
 def _serve_stop_signs(state: EngineState, veh: Vehicle) -> None:

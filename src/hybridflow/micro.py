@@ -399,25 +399,28 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
                     params: DriverArrays, perception: PerceptionArrays):
     """`behavior_chain` for n vehicles at once.
 
-    Returns (acceleration, lane_change, raises), one entry per vehicle: the
-    scalar intent's `acceleration` and `lane_change` (LEFT, STAY or RIGHT),
-    and whether its scalar chain may raise, in which case the caller runs
-    the scalar chain on it to raise the exact error.  IDM runs in
-    stages of stacked rows: first the driver's own acceleration and both
-    sides' safety, then, where a side is safe, both sides' incentives, then
-    the navigation gate.
+    Returns (acceleration, lane_change), one entry per vehicle: the scalar
+    intent's `acceleration` and `lane_change` (LEFT, STAY or RIGHT).  Raises
+    `idm_acceleration`'s ValueError, for the first negative entry of `speed`,
+    when any is negative.  Gaps must be positive wherever IDM reads them:
+    the perception floors leader gaps at a positive minimum, and the rows
+    below mask every other non-positive gap out.  IDM runs in stages of
+    stacked rows: first the driver's own acceleration and both sides'
+    safety, then, where a side is safe, both sides' incentives, then the
+    navigation gate.
     """
+    negative = speed[speed < 0]
+    if negative.size:
+        raise ValueError(f"speed must be non-negative, got {negative[0].item()}")
     n = len(speed)
     v = speed
     lg, ldv = perception.leader_gap, perception.leader_dv
     fg, fs = perception.follower_gap, perception.follower_speed
-    raises = np.zeros(n, dtype=bool)
     root = 2.0 * np.sqrt(params.a_max * params.b)
 
     def accelerations(v, s, dv, free, where):
         """idm_acceleration over stacked rows given their free-road terms
         (v / v0) ** delta; 0.0 outside `where`."""
-        raises[...] |= (where & ((v < 0) | (s <= 0))).any(axis=0)
         dynamic = v * params.T + v * dv / root
         ratio = (params.s0 + _py_max(0.0, dynamic)) / s
         interaction = _powers(ratio, 2, where & ~np.isinf(s))
@@ -475,4 +478,4 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
             accel = np.where(hold & (c[0] < accel), c[0], accel)
             nav_ok = target & (c[1] >= -params.b_safe)
             decision = np.where(must, np.where(nav_ok, side, STAY), decision)
-    return accel, decision, raises
+    return accel, decision

@@ -21,6 +21,7 @@ from hybridflow.hybrid import MICRO
 from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
+from perception_oracle import lane_view, perceive
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -302,15 +303,16 @@ def _scalar_decisions(state):
     for cluster in state.clusters.values():
         if cluster.representation == MICRO:
             for veh in cluster.vehicles.values():
-                perception, ctx = scene.perceive(veh)
+                perception, ctx = perceive(scene, veh)
                 out[veh.id] = (behavior_chain(veh, perception, ctx), perception.leader_gap)
     return out
 
 
 class TestPerceptionOracle:
-    """Scalar perception against an exhaustive scan, and the engine's batch
-    decide against the scalar perceive -> behavior_chain chain, which it
-    must equal float for float, errors included."""
+    """The engine's batch perception against an exhaustive scan, and its
+    batch decide against the scalar perceive -> behavior_chain chain of
+    `perception_oracle`, which it must equal float for float, errors
+    included."""
 
     def brute_force(self, state, veh, horizon=200.0):
         """Exhaustive pairwise neighbor scan on one road."""
@@ -345,19 +347,21 @@ class TestPerceptionOracle:
                 continue
             cluster.vehicles[veh.id] = veh
         scene = Scene(state)
+        _, perception = scene.perceive()
+        row = {veh.id: i for i, veh in enumerate(scene.vehicles)}
         for veh in cluster.vehicles.values():
-            perception, _ = scene.perceive(veh)
+            i = row[veh.id]
             oracle = self.brute_force(state, veh)
             lead = oracle(veh.lane, ahead=True)
             if lead is None:
-                assert perception.leader_gap == float("inf")
+                assert perception.leader_gap[0, i] == float("inf")
             else:
                 expected = max(lead[0] - lead[1].length, 0.01)
-                assert perception.leader_gap == pytest.approx(expected)
-                assert perception.leader_dv == pytest.approx(veh.speed - lead[1].speed)
+                assert perception.leader_gap[0, i] == pytest.approx(expected)
+                assert perception.leader_dv[0, i] == pytest.approx(veh.speed - lead[1].speed)
             fol = oracle(veh.lane, ahead=False)
             if fol is not None:
-                assert perception.follower_gap == pytest.approx(fol[0] - veh.length)
+                assert perception.follower_gap[0, i] == pytest.approx(fol[0] - veh.length)
 
 
     @given(perception_scenes())
@@ -785,9 +789,9 @@ class TestLongVehicles:
     def test_covers_the_slot_in_both_forms(self, length, front):
         scene, car = self.scene(length, front)
         assert scene.slot_occupied("main1", 1, 100.0, 4.0, "car")
-        view = scene.lane_view(car, 1)
+        view = lane_view(scene, car, 1)
         assert (view.leader_gap, view.follower_gap) == (0.01, 0.01)
-        _, perception = scene.perceive_all()
+        _, perception = scene.perceive()
         i = scene.vehicles.index(car)
         assert (perception.leader_gap[1, i], perception.follower_gap[1, i]) == (0.01, 0.01)
 
