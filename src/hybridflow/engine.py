@@ -34,8 +34,8 @@ from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps th
 from .micro import (NAV_HORIZON, VIEW_OFFSETS, DriverArrays, DriverParams, PerceptionArrays,
                     Vehicle, behavior_chains)
 from .micro import behavior_chain  # noqa: F401 - the benchmark tracer wraps this name
-from .network import (MAX_LANES, Route, compute_route, lanes_to_destination,
-                      permitted_entry_lane, road_successors)
+from .network import (MAX_LANES, Route, UnreachableError, compute_route,
+                      lanes_to_destination, permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
 
 INF = float("inf")
@@ -387,7 +387,9 @@ class EngineState:
                    if c.representation == MICRO)
 
     def consistency_errors(self) -> list[str]:
-        """Partition, bounds and representation invariants, for canaries."""
+        """Partition, bounds and representation invariants: the structural
+        pass of `MassAuditProbe`, which checks them at every consistent
+        instant; `CanaryProbe` reads them too."""
         problems: list[str] = []
         for chain_id, ids in self.order.items():
             chain = self.chains[chain_id]
@@ -608,7 +610,7 @@ def _default_route(state: EngineState, road_id: str) -> Route | None:
     for sid in sorted(state.network.end_points):
         try:
             route = compute_route(state.network, road_id, sid, state.fd.v_f)
-        except Exception:
+        except UnreachableError:
             continue
         t = sum(state.network.roads[r].length
                 / min(state.network.roads[r].speed_limit, state.fd.v_f)

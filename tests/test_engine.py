@@ -1251,6 +1251,42 @@ class TestScriptedGenerationEndToEnd:
             assert last.speed <= 25.0 + 1e-9
 
 
+class TestDefaultRoute:
+    """A released vehicle's route: the fastest to any sink it can reach."""
+
+    def build(self, tmp_path):
+        (tmp_path / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="60">'
+            '<infrastructure ref="infra.xml"/><level ref="level.xml"/></simulation>\n')
+        (tmp_path / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>'
+            '<node id="p" kind="crossroads"/><node id="x" kind="crossroads"/>'
+            '<node id="q" kind="crossroads"/><node id="u" kind="crossroads"/>'
+            '<node id="w" kind="crossroads"/>'
+            '<road id="a" from="p" to="x" length="400" lanes="1" speed_limit="25"/>'
+            '<road id="b" from="x" to="q" length="150" lanes="1" speed_limit="25"/>'
+            '<road id="z" from="u" to="w" length="150" lanes="1" speed_limit="25"/>'
+            '<turn node="x" from_road="a" to_road="b" lanes="all"/>'
+            '</infrastructure>\n')
+        (tmp_path / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level><end_point id="sb" road="b"/>'
+            '<end_point id="sz" road="z"/></level>\n')
+        return build_state(parse_scenario(tmp_path), EngineConfig())
+
+    def test_an_unreachable_sink_is_skipped(self, tmp_path):
+        route = engine._default_route(self.build(tmp_path), "a")
+        assert (route.roads, route.destination) == (("a", "b"), "sb")
+
+    def test_a_routing_fault_propagates(self, tmp_path, monkeypatch):
+        state = self.build(tmp_path)
+
+        def broken(*args):
+            raise RuntimeError("routing fault")
+        monkeypatch.setattr(engine, "compute_route", broken)
+        with pytest.raises(RuntimeError, match="routing fault"):
+            engine._default_route(state, "a")
+
+
 class TestMergeJunction:
     """Two roads insert onto one; crossings interleave without overlap."""
 
