@@ -6,7 +6,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from hybridflow.engine import EngineConfig, advance_step, build_state
+from hybridflow.scenario import parse_scenario
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def load_bench(name, monkeypatch):
@@ -42,3 +46,19 @@ def test_cli_round_passes_through_its_hook_points(tmp_path, monkeypatch):
     assert inst.error is None
     # 60 steps are too few for the jams to split, refine, merge and coarsen
     assert len(inst.problems) == 1 and inst.problems[0].startswith("did not exercise ")
+
+
+def test_perception_span_times_the_engines_perception(monkeypatch):
+    # a span on a name the engine no longer calls would read 0 calls
+    tracing = load_bench("tracing", monkeypatch)
+    config = EngineConfig(seed=0)
+    state = build_state(parse_scenario(FIXTURES / "ring"), config)
+    tracer = tracing.Tracer()
+    with_micro = 0
+    with tracing.Patches() as patches:
+        tracing.install_tracer(patches, tracer)
+        for _ in range(20):
+            with_micro += state.micro_vehicle_count() > 0
+            advance_step(state, config)
+    assert with_micro > 0
+    assert tracer.totals("engine.perceive")[0] == with_micro
