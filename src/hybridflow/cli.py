@@ -14,37 +14,37 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 from .engine import EngineConfig, SimulationEngine
 from .lod import LodPolicy
-from .probes import (MassAuditProbe, StepRecordProbe, TrajectoryProbe,
-                     TransitionLogProbe, fmt)
+from .probes import (STEP_COLUMNS, TRAJECTORY_COLUMNS, MassAuditProbe,
+                     StepRecordProbe, TrajectoryProbe, TransitionLogProbe, fmt)
 from .scenario import ScenarioError, check_time_step, parse_scenario
 
-STEP_COLUMNS = ("step", "time", "cluster", "chain", "representation", "start",
-                "end", "vehicles", "mean_density", "mean_speed", "inflow",
-                "outflow", "inserted", "absorbed", "total_mass")
-TRAJECTORY_COLUMNS = ("step", "time", "vehicle", "road", "lane", "position", "speed")
 TRANSITION_COLUMNS = ("step", "kind", "clusters", "chain", "position", "trigger",
                       "pre_mass", "post_mass")
 
 PROBE_NAMES = ("steps", "trajectories", "transitions", "audit")
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write via a sibling temp file so interrupted runs leave no fragment."""
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Stream the chunks into a sibling temp file, then rename it over
+    `path`: a failed or interrupted write leaves no fragment and keeps the
+    old file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,32 +52,31 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def export_step_records(rows: list[dict], fmt_name: str, path: Path) -> None:
+def export_csv(columns: tuple, rows: Iterable[tuple], path: Path) -> None:
+    """A header line, then one line per row of values in column order, each
+    value rendered by `fmt`; the lines stream to disk as they are made."""
+    lines = (",".join(map(fmt, row)) + "\n" for row in rows)
+    atomic_write(path, itertools.chain([",".join(columns) + "\n"], lines))
+
+
+def export_step_records(rows: list[tuple], fmt_name: str, path: Path) -> None:
     """Fixed column order, 9 significant digits; one totals row per step."""
     if fmt_name == "csv":
-        lines = [",".join(STEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(fmt(row.get(col)) for col in STEP_COLUMNS))
-        atomic_write(path, "\n".join(lines) + "\n")
+        export_csv(STEP_COLUMNS, rows, path)
         return
     by_step: dict[int, dict] = {}
-    for row in rows:
+    for values in rows:
+        row = dict(zip(STEP_COLUMNS, values))
         entry = by_step.setdefault(row["step"], {"step": row["step"],
                                                  "time": _num(row["time"]),
                                                  "clusters": []})
-        if row["cluster"] == "TOTAL":
-            entry["inserted"] = row["inserted"]
-            entry["absorbed"] = row["absorbed"]
-            entry["total_mass"] = _num(row["total_mass"])
-        else:
-            entry["clusters"].append({k: _num(row[k]) for k in
-                                      ("cluster", "chain", "representation",
-                                       "start", "end", "vehicles",
-                                       "mean_density", "mean_speed",
-                                       "inflow", "outflow")})
+        if row["cluster"] == "TOTAL":   # inserted, absorbed, total_mass
+            entry.update({k: _num(row[k]) for k in STEP_COLUMNS[12:]})
+        else:                           # cluster through outflow
+            entry["clusters"].append({k: _num(row[k]) for k in STEP_COLUMNS[2:12]})
     text = json.dumps([by_step[k] for k in sorted(by_step)], indent=1,
                       sort_keys=True)
-    atomic_write(path, text + "\n")
+    atomic_write(path, [text, "\n"])
 
 
 def _num(x):
@@ -86,21 +85,16 @@ def _num(x):
     return x
 
 
-def export_trajectories(rows: list[dict], path: Path) -> None:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(fmt(row[col]) for col in TRAJECTORY_COLUMNS))
-    atomic_write(path, "\n".join(lines) + "\n")
+def export_trajectories(rows: list[tuple], path: Path) -> None:
+    export_csv(TRAJECTORY_COLUMNS, rows, path)
 
 
 def export_transitions(records, path: Path) -> None:
     """One row per applied level-of-detail action."""
-    lines = [",".join(TRANSITION_COLUMNS)]
-    for rec in records:
-        lines.append(",".join([
-            str(rec.step), rec.kind, "+".join(rec.cluster_ids), rec.chain_id,
-            fmt(rec.position), rec.trigger, fmt(rec.pre_mass), fmt(rec.post_mass)]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    export_csv(TRANSITION_COLUMNS, ((rec.step, rec.kind, "+".join(rec.cluster_ids),
+                                     rec.chain_id, rec.position, rec.trigger,
+                                     rec.pre_mass, rec.post_mass) for rec in records),
+               path)
 
 
 def export_audit(audit: MassAuditProbe, path: Path) -> None:
@@ -111,7 +105,7 @@ def export_audit(audit: MassAuditProbe, path: Path) -> None:
         "violations": [{"step": v.step, "kind": v.kind, "value": _num(v.value)}
                        for v in audit.violations],
     }
-    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, [json.dumps(payload, indent=1, sort_keys=True), "\n"])
 
 
 def _parse_lod_overrides(text: str, base: LodPolicy) -> LodPolicy:

@@ -35,67 +35,58 @@ def _lane_length(state: EngineState, cluster) -> float:
     return lane_length
 
 
-def collect_step_rows(state: EngineState) -> list[dict]:
-    """One row per cluster plus a totals row, all fields finite."""
-    rows = []
-    for chain_id in sorted(state.order):
-        for cluster in state.chain_clusters(chain_id):
-            lane_length = _lane_length(state, cluster)
-            if cluster.representation == MICRO:
-                count = float(len(cluster.vehicles))
-                density = count / lane_length if lane_length > 0 else 0.0
-                speed = (sum(v.speed for v in cluster.vehicles.values()) / count
-                         if count else state.fd.v_f)
-            else:
-                count = cluster.segment.total_mass()
-                density = count / lane_length if lane_length > 0 else 0.0
-                speed = cluster.segment.mean_speed()
-            flows = state.last_flows.get(cluster.id, [0.0, 0.0])
-            rows.append({
-                "step": state.step, "time": state.time, "cluster": cluster.id,
-                "chain": chain_id, "representation": cluster.representation,
-                "start": cluster.start, "end": cluster.end,
-                "vehicles": count, "mean_density": density, "mean_speed": speed,
-                "inflow": flows[0], "outflow": flows[1],
-            })
-    rows.append({
-        "step": state.step, "time": state.time, "cluster": "TOTAL",
-        "chain": "", "representation": "", "start": None, "end": None,
-        "vehicles": None, "mean_density": None, "mean_speed": None,
-        "inflow": None, "outflow": None,
-        "inserted": state.ledger.inserted, "absorbed": state.ledger.absorbed,
-        "total_mass": state.total_mass(),
-    })
-    return rows
+STEP_COLUMNS = ("step", "time", "cluster", "chain", "representation", "start",
+                "end", "vehicles", "mean_density", "mean_speed", "inflow",
+                "outflow", "inserted", "absorbed", "total_mass")
+TRAJECTORY_COLUMNS = ("step", "time", "vehicle", "road", "lane", "position", "speed")
 
 
 class StepRecordProbe(Probe):
-    """Collects the per-step cluster records for later export."""
+    """Collects the per-step cluster records for later export: each step one
+    row per cluster plus a totals row, as tuples in `STEP_COLUMNS` order."""
 
     def __init__(self):
-        self.rows: list[dict] = []
+        self.rows: list[tuple] = []
 
     def on_step_end(self, state: EngineState) -> None:
-        self.rows.extend(collect_step_rows(state))
+        step, time = state.step, state.time
+        for chain_id in sorted(state.order):
+            for cluster in state.chain_clusters(chain_id):
+                lane_length = _lane_length(state, cluster)
+                if cluster.representation == MICRO:
+                    count = float(len(cluster.vehicles))
+                    density = count / lane_length if lane_length > 0 else 0.0
+                    speed = (sum(v.speed for v in cluster.vehicles.values()) / count
+                             if count else state.fd.v_f)
+                else:
+                    count = cluster.segment.total_mass()
+                    density = count / lane_length if lane_length > 0 else 0.0
+                    speed = cluster.segment.mean_speed()
+                inflow, outflow = state.last_flows.get(cluster.id, (0.0, 0.0))
+                self.rows.append((step, time, cluster.id, chain_id,
+                                  cluster.representation, cluster.start, cluster.end,
+                                  count, density, speed, inflow, outflow,
+                                  None, None, None))
+        self.rows.append((step, time, "TOTAL", "", "", None, None, None, None, None,
+                          None, None, state.ledger.inserted, state.ledger.absorbed,
+                          state.total_mass()))
 
 
 class TrajectoryProbe(Probe):
-    """Collects every vehicle's kinematic state each step."""
+    """Collects every vehicle's kinematic state each step, as tuples in
+    `TRAJECTORY_COLUMNS` order."""
 
     def __init__(self):
-        self.rows: list[dict] = []
+        self.rows: list[tuple] = []
 
     def on_step_end(self, state: EngineState) -> None:
+        step, time = state.step, state.time
         for cid in sorted(state.clusters):
             cluster = state.clusters[cid]
             if cluster.representation != MICRO:
                 continue
-            for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id):
-                self.rows.append({
-                    "step": state.step, "time": state.time, "vehicle": veh.id,
-                    "road": veh.road, "lane": veh.lane,
-                    "position": veh.position, "speed": veh.speed,
-                })
+            self.rows.extend((step, time, veh.id, veh.road, veh.lane, veh.position, veh.speed)
+                             for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id))
 
 
 class TransitionLogProbe(Probe):
