@@ -218,10 +218,9 @@ def run_command(argv: list[str]) -> int:
     if "audit" in wanted:
         export_audit(audit, out / "audit.json")
 
-    transitions = len(probes["transitions"].records) if "transitions" in probes else 0
     summary = (f"steps={engine.report.steps_executed} "
                f"inserted={state.ledger.inserted} absorbed={state.ledger.absorbed} "
-               f"transitions={transitions} wall={wall:.2f}s")
+               f"transitions={len(state.transitions)} wall={wall:.2f}s")
     print(summary)
     if audit.problems:
         print(f"warning: {len(audit.problems)} inconsistent snapshots",

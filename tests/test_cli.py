@@ -186,6 +186,19 @@ class TestOutputs:
             fields = row.split(",")
             assert float(fields[-2]) == pytest.approx(float(fields[-1]), abs=1e-6)
 
+    def test_summary_counts_transitions_without_the_transitions_probe(self, tmp_path,
+                                                                      capsys):
+        def run(probes):
+            rc = run_command(["run", "--scenario", str(FIXTURES / "jam"),
+                              "--steps", "80", "--seed", "42", "--probes", probes,
+                              "--out", str(tmp_path / probes)])
+            assert rc == 0
+            return capsys.readouterr().out
+        logged = (tmp_path / "steps,transitions" / "transitions.csv")
+        assert "transitions=3 " in run("steps,transitions")
+        assert len(logged.read_text().splitlines()) == 1 + 3
+        assert "transitions=3 " in run("steps")
+
     def test_audit_report_clean(self, tmp_path):
         rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
                           "--steps", "200", "--out", str(tmp_path / "out")])
