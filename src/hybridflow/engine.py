@@ -482,17 +482,9 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
             state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road,
                                                       events, config.seed))
 
-    # cluster layout: declared specs, otherwise one micro cluster per chain
-    declared: dict[str, list[tuple[float, float, str]]] = {}
-    for spec in model.cluster_specs:
-        chain = state.chain_of_road[spec.extents[0][0]]
-        start = chain.to_chain_pos(spec.extents[0][0], spec.extents[0][1])
-        end_road, _, end_pos = spec.extents[-1]
-        end = chain.to_chain_pos(end_road, end_pos)
-        declared.setdefault(chain.id, []).append((start, end, spec.representation))
-
+    # cluster layout: the declared partition, otherwise one micro cluster per chain
     for chain in model.chains:
-        parts = sorted(declared.get(chain.id, [])) or [(0.0, chain.length, MICRO)]
+        parts = model.partition.get(chain.id) or [(0.0, chain.length, MICRO)]
         previous = None
         for start, end, rep in parts:
             cluster = Cluster(id=state.new_cluster_id(), chain_id=chain.id,

@@ -136,6 +136,8 @@ class ScenarioModel:
     fd: FundamentalDiagram
     lod: LodPolicy
     chains: list[Chain] = field(default_factory=list)
+    # chain id -> its declared clusters as sorted (start, end, representation)
+    partition: dict[str, list[tuple[float, float, str]]] = field(default_factory=dict)
 
     @property
     def generation_points(self) -> list[GenerationPoint]:
@@ -598,16 +600,16 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
                                       f"{rs.factor} outside (0, 1]")
 
     # every chain either has no declarations or is exactly partitioned
-    declared: dict[str, list[tuple[float, float, str]]] = {}
     for spec in model.cluster_specs:
         chain = by_road[spec.extents[0][0]]
         s = chain.to_chain_pos(spec.extents[0][0], spec.extents[0][1])
         e = chain.to_chain_pos(spec.extents[-1][0], spec.extents[-1][2])
-        declared.setdefault(chain.id, []).append((s, e, spec.representation))
+        model.partition.setdefault(chain.id, []).append((s, e, spec.representation))
     for chain in model.chains:
-        parts = sorted(declared.get(chain.id, []))
+        parts = model.partition.get(chain.id)
         if not parts:
             continue
+        parts.sort()
         cursor = 0.0
         for s, e, _rep in parts:
             if abs(s - cursor) > 1e-6:
