@@ -479,8 +479,7 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
                     speed=None if raw["speed"] < 0 else raw["speed"],
                     params=params, length=raw["length"],
                     destination=raw["destination"])))
-            state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road,
-                                                      events, config.seed))
+            state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road, events))
 
     # cluster layout: the declared partition, otherwise one micro cluster per chain
     for chain in model.chains:

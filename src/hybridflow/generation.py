@@ -138,11 +138,11 @@ class FlowMassGenerator:
 
     def __init__(self, gen_id: str, road: str, lanes: tuple[int, ...],
                  profile: FlowProfile, mix: VehicleMix, seed: int,
-                 position: float = 0.0, poisson: bool = False):
+                 poisson: bool = False):
         self.id = gen_id
         self.road = road
         self.lanes = lanes
-        self.position = position
+        self.position = 0.0           # sources sit at the road start
         self.profile = profile
         self.mix = mix
         self.poisson = poisson
@@ -197,12 +197,11 @@ class FlowMassGenerator:
 class ScriptedGenerator:
     """Source replaying explicit creation events at fixed times."""
 
-    def __init__(self, gen_id: str, road: str, events, seed: int = 0,
-                 position: float = 0.0):
+    def __init__(self, gen_id: str, road: str, events):
         # events: iterable of (time, InsertionSpec) with non-decreasing time
         self.id = gen_id
         self.road = road
-        self.position = position
+        self.position = 0.0           # sources sit at the road start
         self.events = sorted(events, key=lambda e: e[0])
         self._cursor = 0
         self.retry: deque[InsertionSpec] = deque()
