@@ -1,12 +1,13 @@
 """Command-line behavior: exit codes, outputs, reproducibility."""
 
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from hybridflow.cli import (STEP_COLUMNS, export_step_records,
+from hybridflow.cli import (STEP_COLUMNS, export_csv, export_step_records,
                             export_transitions, run_command)
 from hybridflow.engine import EngineState
 
@@ -234,3 +235,29 @@ class TestReproducibility:
     def test_empty_transition_log_is_header_only(self, tmp_path):
         export_transitions([], tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text().startswith("step,kind,")
+
+
+class TestExportCsv:
+    def test_values_render_through_fmt(self, tmp_path):
+        # None is empty, ints are str, both infinities read inf, and floats
+        # keep 9 significant digits with Python's %g spelling
+        values = [None, 0, -12, math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                  1 / 3, 1234567894.0, 0.1 + 0.2, 1e-05, "TOTAL"]
+        export_csv(("value", "twice"), [(x, x) for x in values], tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_text().splitlines() == ["value,twice"] + [
+            f"{text},{text}" for text in
+            ["", "0", "-12", "inf", "inf", "nan", "-0", "4.94065646e-324",
+             "0.333333333", "1.23456789e+09", "0.3", "1e-05", "TOTAL"]]
+
+    def test_failing_rows_leave_no_fragment_and_keep_the_old_file(self, tmp_path):
+        target = tmp_path / "steps.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def rows():
+            yield (1, 0.25)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            export_csv(("step", "time"), rows(), target)
+        assert [path.name for path in tmp_path.iterdir()] == ["steps.csv"]
+        assert target.read_bytes() == b"old bytes\n"
