@@ -264,17 +264,34 @@ class EngineState:
         return self.clusters[ids[max(idx, 0)]]
 
     def reindex(self) -> None:
-        """Rebuild cluster order and interface adjacency maps."""
+        """Rebuild cluster order, and link one interface to each boundary of
+        the partition: every pair of adjacent clusters, keyed by the
+        downstream start, and the (last, first) pair of a cyclic chain, even
+        when that pair is one cluster.  An existing interface keeps its
+        holdings and only changes sides; a missing one is created."""
         self.order = {}
         for cid, cluster in self.clusters.items():
             self.order.setdefault(cluster.chain_id, []).append(cid)
-        for chain_id in self.order:
-            self.order[chain_id].sort(key=lambda cid: self.clusters[cid].start)
         self.itf_up = {}
         self.itf_down = {}
-        for itf in self.interfaces.values():
-            self.itf_down[itf.upstream_id] = itf
-            self.itf_up[itf.downstream_id] = itf
+        for chain_id, ids in self.order.items():
+            ids.sort(key=lambda cid: self.clusters[cid].start)
+            chain = self.chains[chain_id]
+            pairs = list(zip(ids, ids[1:]))
+            if chain.cyclic:
+                pairs.append((ids[-1], ids[0]))
+            for up_id, down_id in pairs:
+                pos = self.clusters[down_id].start
+                key = (chain_id, pos_key(pos))
+                if key not in self.interfaces:
+                    self.interfaces[key] = BoundaryInterface(
+                        id=self.new_interface_id(), chain_id=chain_id, position=pos,
+                        upstream_id=up_id, downstream_id=down_id,
+                        lanes=lanes_at(chain, self.network, pos))
+                itf = self.interfaces[key]
+                itf.upstream_id, itf.downstream_id = up_id, down_id
+                self.itf_down[up_id] = itf
+                self.itf_up[down_id] = itf
         self._edge_lookups = {}
 
     # The look-ups below depend only on the partition and the network, so
@@ -484,22 +501,12 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
     # cluster layout: the declared partition, otherwise one micro cluster per chain
     for chain in model.chains:
         parts = model.partition.get(chain.id) or [(0.0, chain.length, MICRO)]
-        previous = None
         for start, end, rep in parts:
             cluster = Cluster(id=state.new_cluster_id(), chain_id=chain.id,
                               start=start, end=end)
             if rep == MACRO:
                 _to_macro(state, cluster, densities=model.densities)
             state.clusters[cluster.id] = cluster
-            if previous is not None:
-                _new_interface(state, chain, previous, cluster)
-            previous = cluster
-        if chain.cyclic:
-            ids = [cid for cid, c in state.clusters.items() if c.chain_id == chain.id]
-            ids.sort(key=lambda cid: state.clusters[cid].start)
-            if len(ids) > 1:
-                _new_interface(state, chain, state.clusters[ids[-1]],
-                               state.clusters[ids[0]], position=0.0)
     state.reindex()
 
     # initial vehicles
@@ -537,16 +544,6 @@ def _to_macro(state: EngineState, cluster: Cluster, densities) -> None:
     cluster.cell_starts = starts
     cluster.representation = MACRO
     cluster.vehicles = {}
-
-
-def _new_interface(state: EngineState, chain, up: Cluster, down: Cluster,
-                   position: float | None = None) -> BoundaryInterface:
-    pos = down.start if position is None else position
-    itf = BoundaryInterface(id=state.new_interface_id(), chain_id=chain.id,
-                            position=pos, upstream_id=up.id, downstream_id=down.id,
-                            lanes=lanes_at(chain, state.network, pos))
-    state.interfaces[(chain.id, pos_key(pos))] = itf
-    return itf
 
 
 def _validate_macro_boundaries(state: EngineState) -> None:
@@ -1374,17 +1371,9 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     itf_down = state.itf_down.get(cluster.id)
     gen = state.generator_at_entry(cluster) if itf_up is None else None
 
-    chain = state.chains[cluster.chain_id]
-    wrap_flux = None
-    if itf_up is None and itf_down is None and chain.cyclic:
-        # whole-chain macro ring: the wrap flux closes on the segment itself
-        wrap_flux = min(float(seg.demand_profile()[-1]), float(seg.supply_profile()[0]))
-
     inflow = 0.0
     micro_up = False
-    if wrap_flux is not None:
-        inflow = wrap_flux
-    elif itf_up is not None:
+    if itf_up is not None:
         key = (itf_up.chain_id, pos_key(itf_up.position))
         up = state.clusters[itf_up.upstream_id]
         if up.representation == MICRO:
@@ -1395,9 +1384,7 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     elif gen is not None:
         inflow = gen.offer_macro_inflow(state.time, state.dt)
 
-    if wrap_flux is not None:
-        supply = wrap_flux
-    elif itf_down is not None:
+    if itf_down is not None:
         key_down = (itf_down.chain_id, pos_key(itf_down.position))
         down = state.clusters[itf_down.downstream_id]
         if down.representation == MACRO:
@@ -1569,14 +1556,6 @@ def _apply_action(state: EngineState, action: Action) -> None:
         del state.clusters[cluster.id]
         state.clusters[left.id] = left
         state.clusters[right.id] = right
-        # an interface where the old cluster fed out sat at its end (right
-        # part); one feeding in sat at its start (left part)
-        for itf in state.interfaces.values():
-            if itf.upstream_id == cluster.id:
-                itf.upstream_id = right.id
-            if itf.downstream_id == cluster.id:
-                itf.downstream_id = left.id
-        _new_interface(state, chain, left, right)
         state.reindex()
         state.controller.inherit_split(cluster.id, (left.id, right.id))
         _log_transition(state, action, (left.id, right.id), pre, left.mass() + right.mass())
@@ -1595,11 +1574,6 @@ def _apply_action(state: EngineState, action: Action) -> None:
         del state.clusters[a.id], state.clusters[b.id]
         del state.interfaces[key]
         state.clusters[merged.id] = merged
-        for other in state.interfaces.values():
-            if other.upstream_id in (a.id, b.id):
-                other.upstream_id = merged.id
-            if other.downstream_id in (a.id, b.id):
-                other.downstream_id = merged.id
         state.reindex()
         outside = _rehome_queue(state, merged, chain, itf.position, homeless, fraction)
         state.controller.inherit_merge((a.id, b.id), merged.id)

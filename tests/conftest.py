@@ -45,3 +45,25 @@ def sliver_scenario(tmp_path):
         '  </cluster>\n'
         '</level>\n')
     return root
+
+
+@pytest.fixture
+def one_cluster_ring(tmp_path):
+    """The ring fixture's four 500 m roads declared as one macro cluster at
+    0.03 veh/m, with a lasting 0.2 restriction on rc between 200 and 300 m:
+    a cyclic chain whose only boundary is its wrap."""
+    root = tmp_path / "one_cluster_ring"
+    root.mkdir()
+    ring = Path(__file__).parent / "fixtures" / "ring"
+    for name in ("scenario.xml", "infrastructure.xml"):
+        (root / name).write_text((ring / name).read_text())
+    roads = ("ra", "rb", "rc", "rd")
+    (root / "level.xml").write_text(
+        '<?xml version="1.0"?>\n<level>\n  <cluster representation="macro">\n'
+        + "".join(f'    <extent road="{r}" start="0" end="500"/>\n' for r in roads)
+        + '  </cluster>\n'
+        + "".join(f'  <initial_density road="{r}" start="0" end="500" value="0.03"/>\n'
+                  for r in roads)
+        + '  <restriction road="rc" start="200" end="300" factor="0.2" '
+          'from_t="0" to_t="10000"/>\n</level>\n')
+    return root

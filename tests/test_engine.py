@@ -1376,3 +1376,36 @@ class TestMergeWithPendingQueue:
         for _ in range(40):   # and the situation must integrate cleanly
             advance_step(state, config)
         assert state.consistency_errors() == []
+
+
+class TestRingWrap:
+    """`reindex` gives a cyclic chain its wrap interface whatever the number
+    of its clusters, so a one-cluster ring closes like any other boundary."""
+
+    def test_split_of_a_one_cluster_ring_keeps_its_wrap(self, one_cluster_ring):
+        from hybridflow.lod import Action
+
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(parse_scenario(one_cluster_ring), config)
+        apply_system_influences(state, [Action("split", "chain0", 1000.0, "jam")])
+        wrap = state.interfaces.get(("chain0", 0))
+        assert wrap is not None
+        head = state.clusters[wrap.downstream_id]
+        assert (state.clusters[wrap.upstream_id].end, head.start) == (2000.0, 0.0)
+        assert state.consistency_errors() == []
+        inflow = 0.0
+        for _ in range(40):
+            advance_step(state, config)
+            inflow += state.last_flows[head.id][0]
+        assert inflow > 0.0
+
+    def test_one_cluster_macro_ring_closes_on_itself(self, one_cluster_ring):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(parse_scenario(one_cluster_ring), config)
+        (ring,) = state.clusters.values()
+        for _ in range(2000):
+            advance_step(state, config)
+            inflow, outflow = state.last_flows[ring.id]
+            assert inflow == outflow > 0.0
+            assert abs(state.ledger_residual()) <= 1e-9
+
