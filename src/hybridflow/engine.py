@@ -404,9 +404,11 @@ class EngineState:
                    if c.representation == MICRO)
 
     def consistency_errors(self) -> list[str]:
-        """Partition, bounds and representation invariants: the structural
-        pass of `MassAuditProbe`, which checks them at every consistent
-        instant; `CanaryProbe` reads them too."""
+        """Partition, interface, bounds and representation invariants: the
+        structural pass of `MassAuditProbe`, which checks them at every
+        consistent instant; `CanaryProbe` reads them too.  The interfaces
+        are checked against the clusters alone, not through `reindex` or
+        its adjacency maps."""
         problems: list[str] = []
         for chain_id, ids in self.order.items():
             chain = self.chains[chain_id]
@@ -437,6 +439,30 @@ class EngineState:
                     problems.append(f"{c.id} density out of range")
                 if c.vehicles:
                     problems.append(f"{c.id} macro but holds vehicles")
+        # one interface per boundary: into every cluster but an open chain's head
+        into: dict[str, int] = {}
+        for key, itf in self.interfaces.items():
+            chain = self.chains[itf.chain_id]
+            up = self.clusters.get(itf.upstream_id)
+            down = self.clusters.get(itf.downstream_id)
+            if up is None or down is None or \
+                    {up.chain_id, down.chain_id} != {itf.chain_id}:
+                problems.append(f"interface {itf.id} joins clusters off {itf.chain_id}")
+                continue
+            if key != (itf.chain_id, pos_key(itf.position)):
+                problems.append(f"interface {itf.id} at {itf.position} filed under {key}")
+            wrap = chain.cyclic and abs(itf.position) <= 1e-6
+            if abs(up.end - (chain.length if wrap else itf.position)) > 1e-6:
+                problems.append(f"interface {itf.id} at {itf.position}: upstream "
+                                f"{up.id} ends at {up.end}")
+            if abs(down.start - itf.position) > 1e-6:
+                problems.append(f"interface {itf.id} at {itf.position}: downstream "
+                                f"{down.id} starts at {down.start}")
+            into[down.id] = into.get(down.id, 0) + 1
+        for c in self.clusters.values():
+            n = into.get(c.id, 0)
+            if n != 1 and (c.start > 1e-6 or self.chains[c.chain_id].cyclic):
+                problems.append(f"{n} interfaces into {c.id} at {c.start} on {c.chain_id}")
         return problems
 
     def state_digest(self) -> str:

@@ -119,6 +119,26 @@ class TestExitCodes:
         assert "warning: 1 inconsistent snapshots" in capsys.readouterr().err
         assert sorted(path.name for path in (tmp_path / "out").iterdir()) == written
 
+    def test_ring_without_its_wrap_is_exit_two(self, tmp_path, capsys, monkeypatch,
+                                               one_cluster_ring):
+        # a one-cluster ring whose wrap interface is never made, split by its
+        # jam: the ledger balances, but the structural check sees the gap
+        reindex = EngineState.reindex
+
+        def without_wrap(state):
+            reindex(state)
+            wrap = state.interfaces.pop(("chain0", 0))
+            del state.itf_down[wrap.upstream_id], state.itf_up[wrap.downstream_id]
+
+        monkeypatch.setattr(EngineState, "reindex", without_wrap)
+        rc = run_command(["run", "--scenario", str(one_cluster_ring), "--steps", "20",
+                          "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        # one problem at each of the 22 instants: initialized, 20 steps, final
+        assert "warning: 22 inconsistent snapshots" in capsys.readouterr().err
+        assert json.loads((tmp_path / "out" / "audit.json").read_text())["violations"] == []
+        assert ",split," in (tmp_path / "out" / "transitions.csv").read_text()
+
     def test_unrouted_vehicle_before_a_branch_runs(self, tmp_path, capsys):
         # no destination and two roads on: no lane leads on, so navigation
         # has no target and the vehicle is held at the node

@@ -1409,3 +1409,45 @@ class TestRingWrap:
             assert inflow == outflow > 0.0
             assert abs(state.ledger_residual()) <= 1e-9
 
+
+class TestInterfaceAudit:
+    """`consistency_errors` checks the interfaces against the partition on
+    its own, without `reindex` or the adjacency maps."""
+
+    @pytest.fixture
+    def state(self):
+        state = build_state(load("ring"), EngineConfig(steps=0))
+        assert sorted(state.interfaces) == [("chain0", 0), ("chain0", 1000000)]
+        assert state.consistency_errors() == []
+        return state
+
+    def test_wrong_upstream_is_named(self, state):
+        itf = state.interfaces[("chain0", 1000000)]
+        itf.upstream_id = itf.downstream_id
+        assert state.consistency_errors() == [
+            f"interface {itf.id} at 1000.0: upstream {itf.downstream_id} ends at 2000.0"]
+
+    def test_wrong_downstream_is_named(self, state):
+        wrap = state.interfaces[("chain0", 0)]
+        wrap.downstream_id = wrap.upstream_id
+        assert state.consistency_errors() == [
+            f"interface {wrap.id} at 0.0: downstream {wrap.upstream_id} starts at 1000.0",
+            f"0 interfaces into {state.order['chain0'][0]} at 0.0 on chain0",
+            f"2 interfaces into {wrap.upstream_id} at 1000.0 on chain0"]
+
+    def test_missing_wrap_is_named(self, state):
+        head = state.interfaces.pop(("chain0", 0)).downstream_id
+        assert state.consistency_errors() == [f"0 interfaces into {head} at 0.0 on chain0"]
+
+    def test_misfiled_interface_is_named(self, state):
+        itf = state.interfaces.pop(("chain0", 1000000))
+        state.interfaces[("chain0", 999000)] = itf
+        assert state.consistency_errors() == [
+            f"interface {itf.id} at 1000.0 filed under ('chain0', 999000)"]
+
+    def test_interface_to_a_missing_cluster_is_named(self, state):
+        itf = state.interfaces[("chain0", 1000000)]
+        down, itf.upstream_id = itf.downstream_id, "gone"
+        assert state.consistency_errors() == [
+            f"interface {itf.id} joins clusters off chain0",
+            f"0 interfaces into {down} at 1000.0 on chain0"]
