@@ -77,7 +77,6 @@ class BoundaryInterface:
     lanes: int                      # lane count of the road at the boundary
     carryover: np.ndarray = None    # fractional vehicles, one slot per lane
     pending: deque = field(default_factory=deque)
-    release_lane_cursor: int = 0
 
     def __post_init__(self):
         if self.carryover is None:

@@ -102,10 +102,6 @@ class Vehicle:
     # stop signs already served, as (road id, sign position) pairs
     satisfied_stops: set = field(default_factory=set)
 
-    @property
-    def rear(self) -> float:
-        return self.position - self.length
-
 
 @dataclass(frozen=True)
 class AdjacentView:
