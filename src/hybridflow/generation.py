@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .micro import DriverParams
-
-_PARAM_FIELDS = ("v0", "T", "a_max", "b", "delta", "s0", "p", "da_th", "b_safe")
+from .micro import PARAM_NAMES, DriverParams
 
 # sampling bounds keeping DriverParams valid by construction
 _LOWER = {"v0": 0.1, "T": 0.1, "a_max": 0.05, "b": 0.05, "delta": 1.0,
@@ -84,7 +82,7 @@ class VehicleMix:
 
     def sample(self, rng: np.random.Generator) -> tuple[DriverParams, float]:
         values = {}
-        for name in _PARAM_FIELDS:
+        for name in PARAM_NAMES:
             if name in self.params:
                 values[name] = self.params[name].sample(rng, name)
         length = self.length.sample(rng, "length")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
@@ -83,6 +83,10 @@ class DriverParams:
         `DriverArrays.stack` reads."""
         return struct.pack("9d", self.v0, self.T, self.a_max, self.b, self.delta,
                            self.s0, self.p, self.da_th, self.b_safe)
+
+
+# the nine parameter names in field order, as scenario files spell them
+PARAM_NAMES = tuple(f.name for f in fields(DriverParams))
 
 
 @dataclass

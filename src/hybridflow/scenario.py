@@ -22,11 +22,10 @@ from pathlib import Path
 from .generation import Distribution, FlowProfile, VehicleMix
 from .lod import LodPolicy
 from .macro import FundamentalDiagram
-from .micro import DriverParams
-from .network import (Chain, InputPoint, Node, Road, RoadNetwork, SinkPoint,
-                      Turn, VerticalSign, derive_chains, validate_network)
-
-_PARAM_NAMES = ("v0", "T", "a_max", "b", "delta", "s0", "p", "da_th", "b_safe")
+from .micro import PARAM_NAMES, DriverParams
+from .network import (MAX_LANES, NODE_KINDS, SIGN_KINDS, Chain, InputPoint, Node, Road,
+                      RoadNetwork, SinkPoint, Turn, VerticalSign, derive_chains,
+                      validate_network)
 
 
 class ScenarioError(Exception):
@@ -215,7 +214,7 @@ def _build(cls, path: Path, fld: str, **kwargs):
 
 def _overrides(el: ET.Element, path: Path) -> dict[str, float]:
     """Driver-parameter attributes of a <vehicle> or <event>."""
-    return {k: _attr(el, k, path, float) for k in _PARAM_NAMES if el.get(k)}
+    return {k: _attr(el, k, path, float) for k in PARAM_NAMES if el.get(k)}
 
 
 def _lanes_attr(el: ET.Element, path: Path) -> frozenset[int] | None:
@@ -320,8 +319,7 @@ def _parse_infrastructure(path: Path) -> RoadNetwork:
     for el in root.findall("node"):
         nid = _attr(el, "id", path)
         kind = _attr(el, "kind", path)
-        if kind not in ("crossroads", "roundabout", "highway_insertion",
-                        "highway_extraction"):
+        if kind not in NODE_KINDS:
             raise SchemaViolation(path, f"<node {nid} kind>", f"unknown kind {kind!r}")
         if nid in nodes:
             raise SchemaViolation(path, f"<node {nid}>", "duplicate node id")
@@ -334,15 +332,15 @@ def _parse_infrastructure(path: Path) -> RoadNetwork:
             raise SchemaViolation(path, f"<road {rid}>", "duplicate road id")
         lane_count = _attr(el, "lanes", path, int)
         length = _attr(el, "length", path, float)
-        if not 1 <= lane_count <= 5:
+        if not 1 <= lane_count <= MAX_LANES:
             raise SchemaViolation(path, f"<road {rid} lanes>",
-                                  f"lane count {lane_count} outside [1, 5]")
+                                  f"lane count {lane_count} outside [1, {MAX_LANES}]")
         if length <= 0:
             raise SchemaViolation(path, f"<road {rid} length>", f"{length} not positive")
         signs = []
         for sl in el.findall("sign"):
             kind = _attr(sl, "kind", path)
-            if kind not in ("stop", "speed_limit", "yield"):
+            if kind not in SIGN_KINDS:
                 raise SchemaViolation(path, f"<road {rid} sign>", f"unknown kind {kind!r}")
             value = _attr(sl, "value", path, float) if kind == "speed_limit" else None
             signs.append(VerticalSign(kind=kind,
@@ -404,7 +402,7 @@ def _parse_generation(path: Path, network: RoadNetwork) -> VehicleMix:
     params: dict[str, Distribution] = {}
     for el in root.findall("param"):
         name = _attr(el, "name", path)
-        if name not in _PARAM_NAMES:
+        if name not in PARAM_NAMES:
             raise SchemaViolation(path, f"<param {name}>", "unknown driver parameter")
         params[name] = _parse_distribution(el, path)
     length = Distribution("constant", 4.0)
@@ -751,7 +749,7 @@ def _serialize_level(lv: LevelSpec) -> str:
         out.append(f'  <initial_density road="{d.road}" start="{_fmt(d.start)}" '
                    f'end="{_fmt(d.end)}" value="{_fmt(d.value)}"/>')
     for v in sorted(lv.vehicles, key=lambda v: (v.road, v.lane, v.position)):
-        extra = "".join(f' {k}="{_fmt(getattr(v.params, k))}"' for k in _PARAM_NAMES)
+        extra = "".join(f' {k}="{_fmt(getattr(v.params, k))}"' for k in PARAM_NAMES)
         dest = f' destination="{v.destination}"' if v.destination else ""
         out.append(f'  <vehicle road="{v.road}" lane="{v.lane}" '
                    f'position="{_fmt(v.position)}" speed="{_fmt(v.speed)}" '
@@ -767,7 +765,7 @@ def _serialize_level(lv: LevelSpec) -> str:
 def _serialize_generation(mix: VehicleMix) -> str:
     out = ['<?xml version="1.0"?>', '<generation>']
     out.append(f'  <vehicle_length {_dist_attrs(mix.length)}/>')
-    for name in _PARAM_NAMES:
+    for name in PARAM_NAMES:
         if name in mix.params:
             out.append(f'  <param name="{name}" {_dist_attrs(mix.params[name])}/>')
     for sid, weight in mix.destinations:

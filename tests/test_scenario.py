@@ -88,6 +88,19 @@ class TestDiagnostics:
             parse_scenario(root)
         assert "infrastructure.xml" in str(err.value)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ('kind="crossroads"', 'kind="circus"', "<node na kind>: unknown kind 'circus'"),
+        ('lanes="2"', 'lanes="6"', "<road r1 lanes>: lane count 6 outside [1, 5]"),
+        ('speed_limit="25"/>', 'speed_limit="25"><sign kind="halt" position="5"/></road>',
+         "<road r1 sign>: unknown kind 'halt'")])
+    def test_infrastructure_vocabulary_messages(self, tmp_path, old, new, message):
+        root = _copy_fixture(tmp_path)
+        path = root / "infrastructure.xml"
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_dangling_sink_in_level(self, tmp_path):
         root = _copy_fixture(tmp_path)
         path = root / "level.xml"
