@@ -29,7 +29,8 @@ from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      macro_to_micro_release, micro_to_macro_flux, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
-from .macro import MacroSegment, ctm_step
+from .macro import CellStore, MacroSegment
+from .macro import ctm_step  # noqa: F401 - the benchmark tracer wraps this name
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
 from .micro import (NAV_HORIZON, VIEW_OFFSETS, DriverArrays, DriverParams, PerceptionArrays,
                     Vehicle, behavior_chains)
@@ -219,6 +220,7 @@ class EngineState:
         self.last_step_wall_ms: float | None = None
         self.in_system_phase = False
         self.last_flows: dict[str, list[float]] = {}
+        self.cells = CellStore([], self.fd, self.dt)   # see cell_store
 
         self._next_vehicle = 0
         self._next_cluster = 0
@@ -398,6 +400,15 @@ class EngineState:
         held = self.total_mass() - self.accumulator_mass() - self.initial_mass
         return (led.inserted + led.macro_in_mass
                 - led.absorbed - led.macro_out_mass) - held
+
+    def cell_store(self, macro: list[Cluster]) -> CellStore:
+        """The cell store over these macro clusters' segments, in this order;
+        rebuilt, with its CFL check, when they are not the segments it holds."""
+        held = self.cells.segments
+        if len(held) != len(macro) or any(seg is not c.segment
+                                           for seg, c in zip(held, macro)):
+            self.cells = CellStore([c.segment for c in macro], self.fd, self.dt)
+        return self.cells
 
     def micro_vehicle_count(self) -> int:
         return sum(len(c.vehicles) for c in self.clusters.values()
@@ -1382,21 +1393,26 @@ def _rehome_and_check(state: EngineState) -> None:
 # -- macro reaction -----------------------------------------------------------
 
 def _macro_reaction(state: EngineState, scene: Scene, snap: _BoundarySnapshot) -> None:
-    """Advance every macro segment with the frozen boundary conditions."""
-    for chain_id in sorted(state.order):
-        for cluster in state.chain_clusters(chain_id):
-            if cluster.representation != MACRO:
-                continue
-            _step_segment(state, scene, snap, cluster)
+    """Advance every macro segment with the frozen boundary conditions: each
+    segment's boundary rates, one pass over all cells, then each segment's
+    boundary settlement, in chain and start order."""
+    macro = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)
+             if c.representation == MACRO]
+    if not macro:
+        return
+    inflow, supply, micro_up = zip(*(_boundary_rates(state, scene, snap, c) for c in macro))
+    accepted, outflow = state.cell_store(macro).step(np.array(inflow, dtype=float),
+                                                     np.array(supply, dtype=float))
+    for settled in zip(macro, inflow, micro_up, accepted.tolist(), outflow.tolist()):
+        _settle_segment(state, scene, *settled)
 
 
-def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
-                  cluster: Cluster) -> None:
-    seg = cluster.segment
+def _boundary_rates(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
+                    cluster: Cluster) -> tuple[float, float, bool]:
+    """A macro segment's offered upstream inflow and downstream supply, veh/s,
+    and whether the inflow is counted micro crossings."""
     itf_up = state.itf_up.get(cluster.id)
     itf_down = state.itf_down.get(cluster.id)
-    gen = state.generator_at_entry(cluster) if itf_up is None else None
-
     inflow = 0.0
     micro_up = False
     if itf_up is not None:
@@ -1407,8 +1423,10 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
             inflow = micro_to_macro_flux(scene.crossings.get(key, 0), state.dt)
         else:
             inflow = min(snap.demand_up[key], snap.supply_down[key])
-    elif gen is not None:
-        inflow = gen.offer_macro_inflow(state.time, state.dt)
+    else:
+        gen = state.generator_at_entry(cluster)
+        if gen is not None:
+            inflow = gen.offer_macro_inflow(state.time, state.dt)
 
     if itf_down is not None:
         key_down = (itf_down.chain_id, pos_key(itf_down.position))
@@ -1420,16 +1438,23 @@ def _step_segment(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     else:
         sink = state.sink_at_end(cluster)
         supply = sink.capacity if sink is not None else 0.0
+    return inflow, supply, micro_up
 
-    accepted, outflow = ctm_step(seg, inflow, supply, state.dt)
+
+def _settle_segment(state: EngineState, scene: Scene, cluster: Cluster, inflow: float,
+                    micro_up: bool, accepted: float, outflow: float) -> None:
+    """Book a stepped segment's boundary flows: crossed remainders, settled
+    entry mass, releases into a micro downstream and sink outflow."""
     _flow(state, cluster.id, accepted, outflow)
-
+    itf_up = state.itf_up.get(cluster.id)
     if micro_up:
-        absorb_crossed_remainder(seg, inflow, accepted, state.dt)
-    elif itf_up is None and gen is not None:
-        settled = gen.settle_macro_inflow(accepted, state.dt)
-        state.ledger.add_macro_in(settled)
+        absorb_crossed_remainder(cluster.segment, inflow, accepted, state.dt)
+    elif itf_up is None:
+        gen = state.generator_at_entry(cluster)
+        if gen is not None:
+            state.ledger.add_macro_in(gen.settle_macro_inflow(accepted, state.dt))
 
+    itf_down = state.itf_down.get(cluster.id)
     if itf_down is not None:
         down = state.clusters[itf_down.downstream_id]
         if down.representation == MICRO:
@@ -1539,16 +1564,17 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
 
 def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
+    macro = [c for c in clusters if c.representation == MACRO]
+    # one speed pass over the cell store serves the cell flags and the
+    # cluster ratios (mean speed over free speed)
+    cells, means = state.cell_store(macro).speed_ratios() if macro else ([], [])
+    cell_ratios = {c.id: r for c, r in zip(macro, cells)}
+    ratios = {c.id: r for c, r in zip(macro, means)}
     v_f = state.fd.v_f
-    ratios: dict[str, float] = {}        # mean speed over free speed
-    cell_ratios: dict[str, np.ndarray] = {}
     for c in clusters:
         if c.representation == MACRO:
-            # one speed pass serves the cell flags and the cluster ratio
-            speeds = c.segment.cell_speeds()
-            cell_ratios[c.id] = speeds / v_f
-            ratios[c.id] = c.segment.mean_speed(speeds) / v_f
-        elif c.vehicles:
+            continue
+        if c.vehicles:
             ratios[c.id] = sum(v.speed for v in c.vehicles.values()) \
                 / len(c.vehicles) / v_f
         else:

@@ -180,13 +180,17 @@ class LodController:
     Cell counters are keyed by absolute chain position (`pos_key` of the
     cell start) so they survive splits, merges and representation switches
     of the enclosing cluster.  Each chain keeps its live cell keys as one
-    sorted int64 array with the counters in a parallel array.
+    sorted int64 array with the counters in a parallel array.  The keys are
+    kept until the chain's macro layout changes, which `observe` sees as
+    other `cell_starts` arrays than the ones it keyed; cell starts are
+    never written in place.
     """
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
         self.cell_keys: dict[str, np.ndarray] = {}         # chain id -> sorted cell keys
         self.cell_low: dict[str, np.ndarray] = {}          # consecutive slow steps per key
+        self.layouts: dict[str, tuple] = {}                # chain id -> cell_starts keyed
         self.cluster_high: dict[str, int] = {}             # consecutive recovered steps
         self.last_jam_step: dict[str, int] = {}
         self.cooldown_until: dict[str, int] = {}
@@ -254,19 +258,26 @@ class LodController:
 
         cell_keys: dict[str, np.ndarray] = {}
         cell_low: dict[str, np.ndarray] = {}
+        layouts: dict[str, tuple] = {}
         for chain_id, members in macro.items():
             # cells run downstream within a cluster and clusters do not
             # overlap, so clusters in start order give sorted keys
             members.sort(key=lambda c: c.start)
-            if len(members) == 1:
-                starts, ratio = members[0].cell_starts, cell_ratios[members[0].id]
+            layout = tuple(c.cell_starts for c in members)
+            held = self.layouts.get(chain_id, ())
+            if len(held) == len(layout) and all(a is b for a, b in zip(held, layout)):
+                keys, counts = self.cell_keys[chain_id], self.cell_low[chain_id]
             else:
-                starts = np.concatenate([c.cell_starts for c in members])
+                keys = pos_keys(layout[0] if len(layout) == 1 else np.concatenate(layout))
+                counts = self._counts(chain_id, keys)
+            if len(members) == 1:
+                ratio = cell_ratios[members[0].id]
+            else:
                 ratio = np.concatenate([cell_ratios[c.id] for c in members])
-            keys = pos_keys(starts)
+            layouts[chain_id] = layout
             cell_keys[chain_id] = keys
-            cell_low[chain_id] = np.where(ratio < self.policy.theta_down,
-                                          self._counts(chain_id, keys) + 1, 0)
+            cell_low[chain_id] = np.where(ratio < self.policy.theta_down, counts + 1, 0)
+        self.layouts = layouts
         self.cell_keys = cell_keys
         self.cell_low = cell_low
 

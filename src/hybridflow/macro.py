@@ -168,6 +168,84 @@ class MacroSegment:
         return float(np.sum(mass * speeds) / total)
 
 
+class CellStore:
+    """The cells of several segments in one set of arrays, segment after
+    segment, so that one pass advances or observes them all.
+
+    Each segment's `rho`, `dx`, `lanes` and `capacity_factor` are rebound
+    to views into the store, so a write through either side is seen by the
+    other.  `ctm_step`, `cell_speeds` and `mean_speed` are the
+    single-segment forms of `step` and `speed_ratios`, and both give the
+    same floats."""
+
+    def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
+                 dt: float):
+        self.segments = segments
+        self.fd = fd
+        sizes = np.array([len(seg) for seg in segments], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        self.first = ends - sizes
+        self.last = ends - 1
+        self.bounds = list(zip(self.first.tolist(), ends.tolist()))
+        for name in ("rho", "dx", "lanes", "capacity_factor"):
+            whole = np.concatenate([getattr(seg, name) for seg in segments]) \
+                if segments else np.empty(0)
+            setattr(self, name, whole)
+            for seg, (a, b) in zip(segments, self.bounds):
+                setattr(seg, name, whole[a:b])
+        if len(self.dx):
+            wave = fd.max_wave_speed
+            min_dx = float(np.min(self.dx))
+            if dt > min_dx / wave + 1e-12:
+                raise CflViolation(dt, min_dx, wave)
+        self.scale = dt / (self.dx * self.lanes)
+
+    def step(self, inflow: np.ndarray, supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`ctm_step` on every segment at once, with each segment's upstream
+        inflow and downstream supply; returns the accepted inflows and the
+        outflows, veh/s, one per segment."""
+        if np.any(inflow < 0) or np.any(supply < 0):
+            raise ValueError("boundary rates must be non-negative")
+        fd = self.fd
+        rho = self.rho
+        cap = self.capacity_factor * fd.q_max
+        dem = self.lanes * np.minimum(fd.v_f * rho, cap)
+        sup = self.lanes * np.minimum(cap, fd.w * (fd.rho_jam - rho))
+        flux_in = np.empty(len(rho))
+        flux_in[1:] = np.minimum(dem[:-1], sup[1:])
+        flux_out = np.empty(len(rho))
+        flux_out[:-1] = flux_in[1:]
+        accepted = np.minimum(inflow, sup[self.first])
+        outflow = np.minimum(dem[self.last], supply)
+        flux_in[self.first] = accepted
+        flux_out[self.last] = outflow
+        rho += self.scale * (flux_in - flux_out)
+        np.clip(rho, 0.0, fd.rho_jam, out=rho)
+        return accepted, outflow
+
+    def speed_ratios(self) -> tuple[list[np.ndarray], list[float]]:
+        """Per segment, `cell_speeds() / v_f` and `mean_speed() / v_f`."""
+        fd = self.fd
+        rho = self.rho
+        if np.any(rho > fd.rho_jam + 1e-12):
+            raise DensityOutOfRange(f"rho={float(np.max(rho))} outside [0, {fd.rho_jam}]")
+        clamped = np.minimum(np.maximum(rho, 0.0), fd.rho_jam)
+        flow = np.minimum(np.minimum(fd.v_f * clamped, self.capacity_factor * fd.q_max),
+                          fd.w * (fd.rho_jam - clamped))
+        occupied = rho > 0.0
+        speeds = np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
+        mass = rho * self.dx * self.lanes
+        moving = mass * speeds
+        ratios = speeds / fd.v_f
+        cells, means = [], []
+        for a, b in self.bounds:
+            cells.append(ratios[a:b])
+            total = float(mass[a:b].sum())
+            mean = fd.v_f if total <= 0 else float(moving[a:b].sum() / total)
+            means.append(mean / fd.v_f)
+        return cells, means
+
+
 def ctm_step(segment: MacroSegment, upstream_inflow: float,
              downstream_supply: float, dt: float) -> tuple[float, float]:
     """Advance the segment one step; returns (accepted inflow, outflow) in veh/s.

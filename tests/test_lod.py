@@ -147,10 +147,10 @@ def fresh_macro(cid, chain_id, start, end, target_dx):
 
 
 class TestCountersMatchDictReference:
-    """Random observations interleaved with splits, merges, refines and
-    coarsens on an open and a cyclic chain: after every operation the
-    array-backed flags equal the dict-keyed reference for every macro
-    cluster."""
+    """Random observations interleaved with splits, merges, refines,
+    coarsens and cell starts replaced by equal new arrays, on an open and a
+    cyclic chain: after every operation the array-backed flags equal the
+    dict-keyed reference for every macro cluster."""
 
     @given(st.data())
     def test_flags_equal_reference(self, data):
@@ -164,10 +164,17 @@ class TestCountersMatchDictReference:
 
         for _ in range(data.draw(st.integers(1, 40))):
             kind = data.draw(st.sampled_from(
-                ["observe", "observe", "observe", "split", "merge", "refine", "coarsen"]))
+                ["observe", "observe", "observe", "split", "merge", "refine", "coarsen",
+                 "relayout"]))
             macro = [c for c in clusters if c.representation == MACRO]
             micro = [c for c in clusters if c.representation == MICRO]
-            if kind == "observe":
+            if kind == "relayout":
+                # equal cell starts in a new array, then an observation
+                if not macro:
+                    continue
+                target = data.draw(st.sampled_from(macro))
+                target.cell_starts = target.cell_starts.copy()
+            if kind in ("observe", "relayout"):
                 cell_ratios = {c.id: np.array(data.draw(st.lists(
                     ratio, min_size=len(c.segment), max_size=len(c.segment))))
                     for c in macro}

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hybridflow.macro import (CflViolation, DensityOutOfRange, FundamentalDiagram,
+from hybridflow.macro import (CellStore, CflViolation, DensityOutOfRange, FundamentalDiagram,
                               MacroCell, MacroSegment, cell_mean_speed, ctm_step,
                               demand, fd_flow, supply)
 
@@ -202,3 +204,81 @@ class TestSegment:
     def test_rejects_overfull_density(self):
         with pytest.raises(DensityOutOfRange):
             MacroSegment(dx=[100.0], lanes=[1], rho=[0.2], fd=FD)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestCellStore:
+    """The one pass over concatenated segments equals the single-segment
+    forms, `ctm_step`, `cell_speeds` and `mean_speed`, bit for bit."""
+
+    DT = 0.25   # CFL needs dx >= 25 m/s * 0.25 s
+
+    @staticmethod
+    def draw_segment(data, dx=st.floats(6.25, 200.0)):
+        n = data.draw(st.integers(1, 40))
+        cells = st.lists
+        return MacroSegment(
+            dx=data.draw(cells(dx, min_size=n, max_size=n)),
+            lanes=data.draw(cells(st.integers(1, 4), min_size=n, max_size=n)),
+            rho=data.draw(cells(st.floats(0.0, FD.rho_jam), min_size=n, max_size=n)),
+            fd=FD,
+            capacity_factor=data.draw(cells(st.floats(0.0, 1.0, exclude_min=True),
+                                            min_size=n, max_size=n)))
+
+    @staticmethod
+    def twin(seg):
+        return MacroSegment(seg.dx.copy(), seg.lanes.copy(), seg.rho, FD, seg.capacity_factor)
+
+    @given(st.data())
+    def test_pass_equals_ctm_step_and_speeds(self, data):
+        segments = [self.draw_segment(data) for _ in range(data.draw(st.integers(1, 6)))]
+        oracles = [self.twin(seg) for seg in segments]
+        store = CellStore(segments, FD, self.DT)
+        for seg in segments:
+            assert np.shares_memory(seg.rho, store.rho)
+        rate = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.just(math.inf))
+        for _ in range(3):
+            cells, means = store.speed_ratios()
+            for oracle, cell, mean in zip(oracles, cells, means):
+                speeds = oracle.cell_speeds()
+                assert same_bits(cell, speeds / FD.v_f)
+                assert same_bits(mean, oracle.mean_speed(speeds) / FD.v_f)
+            inflow = [data.draw(rate) for _ in segments]
+            supply_ = [data.draw(rate) for _ in segments]
+            accepted, outflow = store.step(np.array(inflow), np.array(supply_))
+            for k, (seg, oracle) in enumerate(zip(segments, oracles)):
+                a, q = ctm_step(oracle, inflow[k], supply_[k], self.DT)
+                assert same_bits(accepted[k], a) and same_bits(outflow[k], q)
+                assert same_bits(seg.rho, oracle.rho)
+
+    @given(st.data())
+    def test_cfl_violation_raises(self, data):
+        segments = [self.draw_segment(data) for _ in range(data.draw(st.integers(0, 5)))]
+        bad = self.draw_segment(data)
+        bad.dx[data.draw(st.integers(0, len(bad) - 1))] = data.draw(st.floats(1.0, 6.2))
+        at = data.draw(st.integers(0, len(segments)))
+        with pytest.raises(CflViolation):
+            CellStore(segments[:at] + [bad] + segments[at:], FD, self.DT)
+
+    @given(st.data())
+    def test_negative_rate_raises(self, data):
+        segments = [self.draw_segment(data) for _ in range(data.draw(st.integers(1, 6)))]
+        store = CellStore(segments, FD, self.DT)
+        rates = np.zeros(len(segments))
+        rates[data.draw(st.integers(0, len(segments) - 1))] = -data.draw(
+            st.floats(1e-300, 5.0))
+        before = store.rho.copy()
+        with pytest.raises(ValueError):
+            store.step(rates, np.zeros(len(segments)))
+        with pytest.raises(ValueError):
+            store.step(np.zeros(len(segments)), rates)
+        assert same_bits(store.rho, before)
+
+    def test_overfull_density_raises(self):
+        store = CellStore([uniform_segment(), uniform_segment(n=3)], FD, self.DT)
+        store.segments[1].rho[2] = FD.rho_jam + 1e-6
+        with pytest.raises(DensityOutOfRange):
+            store.speed_ratios()
