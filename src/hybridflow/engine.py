@@ -1705,7 +1705,10 @@ def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> Non
         return
     gen = state.generator_at_entry(cluster)
     if gen is not None and isinstance(gen, FlowMassGenerator):
+        # the accumulator holds mass not yet emitted, so the ledger takes the
+        # fraction back out of what entered the macro side
         gen.accumulator += fraction / len(gen.accumulator)
+        state.ledger.add_macro_in(-fraction)
         return
     state.orphan_mass += fraction
 

@@ -1374,6 +1374,30 @@ class TestMergeWithPendingQueue:
         assert state.consistency_errors() == []
 
 
+class TestBankedFraction:
+    """A refine at an open chain's head banks its fractional residual in the
+    entry generator's accumulator, which the ledger counts as not yet
+    emitted; the cell store follows every change of the macro segments."""
+
+    def test_forced_actions_keep_the_ledger_and_the_store(self):
+        from hybridflow.lod import Action
+
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(parse_scenario(FIXTURES / "hybrid"), config)
+        for _ in range(300):
+            advance_step(state, config)
+        for kind, position in (("coarsen", 129.0), ("merge", 700.0), ("refine", 425.0)):
+            apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+            assert abs(state.ledger_residual()) <= 1e-9, kind
+            advance_step(state, config)
+            assert abs(state.ledger_residual()) <= 1e-9, kind
+            assert state.consistency_errors() == [], kind
+            for cluster in state.clusters.values():
+                if cluster.representation == "macro":
+                    assert np.shares_memory(cluster.segment.rho, state.cells.rho), kind
+        assert [c.representation for c in state.chain_clusters("chain0")] == ["micro"] * 2
+
+
 class TestRingWrap:
     """`reindex` gives a cyclic chain its wrap interface whatever the number
     of its clusters, so a one-cluster ring closes like any other boundary."""
