@@ -2,9 +2,10 @@
 
 Each step runs a fixed phase sequence: perception, memorization, decision,
 the environment's natural action, per-level reaction (micro integration,
-then macro cell updates), and finally the engine's own reaction to system
-influences (removals, level-of-detail actions, insertions).  Probes observe
-the state only between steps, when it is consistent.
+then macro cell updates, whose boundary rates read the cells as they
+stand), and finally the engine's own reaction to system influences
+(removals, level-of-detail actions, insertions).  Probes observe the
+state only between steps, when it is consistent.
 
 The engine is deterministic: given the same scenario, seed and number of
 steps it produces identical states.
@@ -1102,17 +1103,8 @@ def _serve_stop_signs(state: EngineState, veh: Vehicle) -> None:
             veh.satisfied_stops.add((veh.road, sign.position))
 
 
-@dataclass
-class _BoundarySnapshot:
-    """Interface boundary conditions frozen during the natural phase."""
-
-    demand_up: dict = field(default_factory=dict)    # interface key -> veh/s
-    supply_down: dict = field(default_factory=dict)  # interface key -> veh/s
-    throttled: dict = field(default_factory=dict)    # interface key -> bool
-
-
-def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _BoundarySnapshot]:
-    """Phase 4: generator emissions and frozen macro boundary conditions."""
+def _natural(state: EngineState) -> list[tuple[str, InsertionSpec]]:
+    """Phase 4: generator emissions."""
     emissions: list[tuple[str, InsertionSpec]] = []
     for gen in state.generators:
         entry_cluster = state.entry_cluster(gen)
@@ -1121,18 +1113,7 @@ def _natural(state: EngineState) -> tuple[list[tuple[str, InsertionSpec]], _Boun
         for spec in gen.generation_influences(state.time, state.dt):
             emissions.append((gen.id, spec))
             state.ledger.inserted += 1
-
-    snap = _BoundarySnapshot()
-    for key, itf in state.interfaces.items():
-        up = state.clusters[itf.upstream_id]
-        down = state.clusters[itf.downstream_id]
-        if up.representation == MACRO:
-            snap.demand_up[key] = float(up.segment.demand_profile()[-1])
-        if down.representation == MACRO:
-            snap.supply_down[key] = float(down.segment.supply_profile()[0])
-        else:
-            snap.throttled[key] = itf.throttled()
-    return emissions, snap
+    return emissions
 
 
 # -- micro reaction -----------------------------------------------------------
@@ -1392,23 +1373,30 @@ def _rehome_and_check(state: EngineState) -> None:
 
 # -- macro reaction -----------------------------------------------------------
 
-def _macro_reaction(state: EngineState, scene: Scene, snap: _BoundarySnapshot) -> None:
-    """Advance every macro segment with the frozen boundary conditions: each
-    segment's boundary rates, one pass over all cells, then each segment's
-    boundary settlement, in chain and start order."""
+def _macro_reaction(state: EngineState, scene: Scene) -> None:
+    """Advance every macro segment: each segment's boundary rates, one pass
+    over all cells, then each segment's boundary settlement, in chain and
+    start order."""
     macro = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)
              if c.representation == MACRO]
     if not macro:
         return
-    inflow, supply, micro_up = zip(*(_boundary_rates(state, scene, snap, c) for c in macro))
-    accepted, outflow = state.cell_store(macro).step(np.array(inflow, dtype=float),
-                                                     np.array(supply, dtype=float))
+    # Boundary rates read the cells and release queues here, as the natural
+    # phase saw them, because the micro reaction writes no macro density and
+    # no interface queue: it only counts gate crossings on the scene, and
+    # `absorb_crossed_remainder` runs in the settlement below.
+    store = state.cell_store(macro)
+    dem, sup = store.profiles()
+    inflow, supply, micro_up = zip(*(_boundary_rates(state, scene, store, dem, sup, c)
+                                     for c in macro))
+    accepted, outflow = store.step(dem, sup, np.array(inflow, dtype=float),
+                                   np.array(supply, dtype=float))
     for settled in zip(macro, inflow, micro_up, accepted.tolist(), outflow.tolist()):
         _settle_segment(state, scene, *settled)
 
 
-def _boundary_rates(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
-                    cluster: Cluster) -> tuple[float, float, bool]:
+def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.ndarray,
+                    sup: np.ndarray, cluster: Cluster) -> tuple[float, float, bool]:
     """A macro segment's offered upstream inflow and downstream supply, veh/s,
     and whether the inflow is counted micro crossings."""
     itf_up = state.itf_up.get(cluster.id)
@@ -1416,25 +1404,25 @@ def _boundary_rates(state: EngineState, scene: Scene, snap: _BoundarySnapshot,
     inflow = 0.0
     micro_up = False
     if itf_up is not None:
-        key = (itf_up.chain_id, pos_key(itf_up.position))
         up = state.clusters[itf_up.upstream_id]
         if up.representation == MICRO:
             micro_up = True
+            key = (itf_up.chain_id, pos_key(itf_up.position))
             inflow = micro_to_macro_flux(scene.crossings.get(key, 0), state.dt)
         else:
-            inflow = min(snap.demand_up[key], snap.supply_down[key])
+            inflow = min(float(dem[store.last[store.slot[up.segment]]]),
+                         float(sup[store.first[store.slot[cluster.segment]]]))
     else:
         gen = state.generator_at_entry(cluster)
         if gen is not None:
             inflow = gen.offer_macro_inflow(state.time, state.dt)
 
     if itf_down is not None:
-        key_down = (itf_down.chain_id, pos_key(itf_down.position))
         down = state.clusters[itf_down.downstream_id]
         if down.representation == MACRO:
-            supply = snap.supply_down[key_down]
+            supply = float(sup[store.first[store.slot[down.segment]]])
         else:
-            supply = 0.0 if snap.throttled.get(key_down, False) else INF
+            supply = 0.0 if itf_down.throttled() else INF
     else:
         sink = state.sink_at_end(cluster)
         supply = sink.capacity if sink is not None else 0.0
@@ -1773,9 +1761,9 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
 
     scene = Scene(state)
     accel, change = _decide(state, scene)
-    emissions, snap = _natural(state)
+    emissions = _natural(state)
     removals = _micro_reaction(state, scene, accel, change)
-    _macro_reaction(state, scene, snap)
+    _macro_reaction(state, scene)
     state.in_system_phase = True
     try:
         _system_reaction(state, scene, config, removals, emissions)

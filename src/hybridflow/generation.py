@@ -149,7 +149,7 @@ class FlowMassGenerator:
         self.retry: deque[InsertionSpec] = deque()
 
     def mass(self) -> float:
-        return float(np.sum(self.accumulator)) + float(len(self.retry))
+        return float(self.accumulator.sum()) + float(len(self.retry))
 
     def _draw(self, lane: int) -> InsertionSpec:
         params, length = self.mix.sample(self.rng)
@@ -179,12 +179,12 @@ class FlowMassGenerator:
         """Bank this step's flow and offer everything banked as a rate."""
         q = self.profile.rate_at(t)
         self.accumulator += q * dt / 3600.0
-        return float(np.sum(self.accumulator)) / dt
+        return float(self.accumulator.sum()) / dt
 
     def settle_macro_inflow(self, accepted: float, dt: float) -> float:
         """Drain accepted mass from the accumulators; returns drained mass."""
         mass = accepted * dt
-        total = float(np.sum(self.accumulator))
+        total = float(self.accumulator.sum())
         if total <= 0:
             return 0.0
         take = min(mass, total)

@@ -100,6 +100,34 @@ def cell_mean_speed(cell: MacroCell, fd: FundamentalDiagram) -> float:
     return fd_flow(cell.rho, fd, cell.capacity_factor) / cell.rho
 
 
+def demand_supply(cells: MacroSegment | CellStore) -> tuple[np.ndarray, np.ndarray]:
+    """`demand` and `supply` of every cell, veh/s over all lanes."""
+    fd = cells.fd
+    cap = cells.capacity_factor * fd.q_max
+    return (cells.lanes * np.minimum(fd.v_f * cells.rho, cap),
+            cells.lanes * np.minimum(cap, fd.w * (fd.rho_jam - cells.rho)))
+
+
+def cell_speeds(cells: MacroSegment | CellStore) -> np.ndarray:
+    """`cell_mean_speed` of every cell: v_f in empty cells, otherwise the
+    flow at the density clamped as `fd_flow` clamps it, divided by the
+    density."""
+    fd, rho = cells.fd, cells.rho
+    if np.any(rho > fd.rho_jam + 1e-12):
+        raise DensityOutOfRange(f"rho={float(np.max(rho))} outside [0, {fd.rho_jam}]")
+    clamped = np.minimum(np.maximum(rho, 0.0), fd.rho_jam)
+    flow = np.minimum(np.minimum(fd.v_f * clamped, cells.capacity_factor * fd.q_max),
+                      fd.w * (fd.rho_jam - clamped))
+    occupied = rho > 0.0
+    return np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
+
+
+def _mass_weighted_mean(mass: np.ndarray, moving: np.ndarray, v_f: float) -> float:
+    """Mean speed over cells of this mass and mass times speed (v_f when empty)."""
+    total = float(mass.sum())
+    return v_f if total <= 0 else float(moving.sum() / total)
+
+
 class MacroSegment:
     """Ordered cells covering one cluster extent, stored as arrays."""
 
@@ -134,38 +162,14 @@ class MacroSegment:
         """Vehicles cell i can still take before it reaches jam density."""
         return (self.fd.rho_jam - self.rho[i]) * self.dx[i] * self.lanes[i]
 
-    def demand_profile(self) -> np.ndarray:
-        return self.lanes * np.minimum(self.fd.v_f * self.rho,
-                                       self.capacity_factor * self.fd.q_max)
-
-    def supply_profile(self) -> np.ndarray:
-        return self.lanes * np.minimum(self.capacity_factor * self.fd.q_max,
-                                       self.fd.w * (self.fd.rho_jam - self.rho))
-
     def cell_speeds(self) -> np.ndarray:
-        """Mean speed per cell, equal to `cell_mean_speed` of every cell:
-        v_f in empty cells, otherwise the flow at the density clamped as
-        `fd_flow` clamps it, divided by the density."""
-        fd = self.fd
-        rho = self.rho
-        if np.any(rho > fd.rho_jam + 1e-12):
-            raise DensityOutOfRange(f"rho={float(np.max(rho))} outside [0, {fd.rho_jam}]")
-        clamped = np.minimum(np.maximum(rho, 0.0), fd.rho_jam)
-        flow = np.minimum(np.minimum(fd.v_f * clamped, self.capacity_factor * fd.q_max),
-                          fd.w * (fd.rho_jam - clamped))
-        occupied = rho > 0.0
-        return np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
+        """Mean speed per cell, `cell_mean_speed` of every cell."""
+        return cell_speeds(self)
 
-    def mean_speed(self, speeds: np.ndarray | None = None) -> float:
-        """Mass-weighted mean speed over the segment (v_f when empty).
-        `speeds`, when given, is this state's `cell_speeds()`."""
+    def mean_speed(self) -> float:
+        """Mass-weighted mean speed over the segment (v_f when empty)."""
         mass = self.rho * self.dx * self.lanes
-        total = float(np.sum(mass))
-        if total <= 0:
-            return self.fd.v_f
-        if speeds is None:
-            speeds = self.cell_speeds()
-        return float(np.sum(mass * speeds) / total)
+        return _mass_weighted_mean(mass, mass * self.cell_speeds(), self.fd.v_f)
 
 
 class CellStore:
@@ -174,13 +178,14 @@ class CellStore:
 
     Each segment's `rho`, `dx`, `lanes` and `capacity_factor` are rebound
     to views into the store, so a write through either side is seen by the
-    other.  `ctm_step`, `cell_speeds` and `mean_speed` are the
-    single-segment forms of `step` and `speed_ratios`, and both give the
-    same floats."""
+    other; `slot` maps each segment to its place.  The store and the
+    single-segment forms, `ctm_step`, `cell_speeds` and `mean_speed`, call
+    the same kernels and so give the same floats."""
 
     def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
                  dt: float):
         self.segments = segments
+        self.slot = {seg: k for k, seg in enumerate(segments)}
         self.fd = fd
         sizes = np.array([len(seg) for seg in segments], dtype=np.intp)
         ends = np.cumsum(sizes)
@@ -200,17 +205,18 @@ class CellStore:
                 raise CflViolation(dt, min_dx, wave)
         self.scale = dt / (self.dx * self.lanes)
 
-    def step(self, inflow: np.ndarray, supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`ctm_step` on every segment at once, with each segment's upstream
-        inflow and downstream supply; returns the accepted inflows and the
-        outflows, veh/s, one per segment."""
+    def profiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's demand and supply, veh/s, as the cells stand."""
+        return demand_supply(self)
+
+    def step(self, dem: np.ndarray, sup: np.ndarray, inflow: np.ndarray,
+             supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`ctm_step` on every segment at once, from this state's `profiles()`
+        and each segment's upstream inflow and downstream supply; returns the
+        accepted inflows and the outflows, veh/s, one per segment."""
         if np.any(inflow < 0) or np.any(supply < 0):
             raise ValueError("boundary rates must be non-negative")
-        fd = self.fd
         rho = self.rho
-        cap = self.capacity_factor * fd.q_max
-        dem = self.lanes * np.minimum(fd.v_f * rho, cap)
-        sup = self.lanes * np.minimum(cap, fd.w * (fd.rho_jam - rho))
         flux_in = np.empty(len(rho))
         flux_in[1:] = np.minimum(dem[:-1], sup[1:])
         flux_out = np.empty(len(rho))
@@ -220,29 +226,20 @@ class CellStore:
         flux_in[self.first] = accepted
         flux_out[self.last] = outflow
         rho += self.scale * (flux_in - flux_out)
-        np.clip(rho, 0.0, fd.rho_jam, out=rho)
+        np.clip(rho, 0.0, self.fd.rho_jam, out=rho)
         return accepted, outflow
 
     def speed_ratios(self) -> tuple[list[np.ndarray], list[float]]:
         """Per segment, `cell_speeds() / v_f` and `mean_speed() / v_f`."""
-        fd = self.fd
-        rho = self.rho
-        if np.any(rho > fd.rho_jam + 1e-12):
-            raise DensityOutOfRange(f"rho={float(np.max(rho))} outside [0, {fd.rho_jam}]")
-        clamped = np.minimum(np.maximum(rho, 0.0), fd.rho_jam)
-        flow = np.minimum(np.minimum(fd.v_f * clamped, self.capacity_factor * fd.q_max),
-                          fd.w * (fd.rho_jam - clamped))
-        occupied = rho > 0.0
-        speeds = np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
-        mass = rho * self.dx * self.lanes
+        v_f = self.fd.v_f
+        speeds = cell_speeds(self)
+        mass = self.rho * self.dx * self.lanes
         moving = mass * speeds
-        ratios = speeds / fd.v_f
+        ratios = speeds / v_f
         cells, means = [], []
         for a, b in self.bounds:
             cells.append(ratios[a:b])
-            total = float(mass[a:b].sum())
-            mean = fd.v_f if total <= 0 else float(moving[a:b].sum() / total)
-            means.append(mean / fd.v_f)
+            means.append(_mass_weighted_mean(mass[a:b], moving[a:b], v_f) / v_f)
         return cells, means
 
 
@@ -260,8 +257,7 @@ def ctm_step(segment: MacroSegment, upstream_inflow: float,
     if dt > min_dx / wave + 1e-12:
         raise CflViolation(dt, min_dx, wave)
 
-    dem = segment.demand_profile()
-    sup = segment.supply_profile()
+    dem, sup = demand_supply(segment)
     flux = np.empty(len(segment) + 1)
     flux[0] = min(upstream_inflow, sup[0])
     flux[1:-1] = np.minimum(dem[:-1], sup[1:])

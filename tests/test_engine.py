@@ -1398,6 +1398,45 @@ class TestBankedFraction:
         assert [c.representation for c in state.chain_clusters("chain0")] == ["micro"] * 2
 
 
+class TestBoundaryRates:
+    """The macro reaction reads a macro neighbour's boundary cell and a
+    release queue's throttle as they stand before the step."""
+
+    def test_macro_to_macro_flux_is_min_of_demand_and_supply(self):
+        from hybridflow.lod import Action
+        from hybridflow.macro import demand, supply
+
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("jam"), config)
+        apply_system_influences(state, [Action("split", "chain0", 1000.0, "forced")])
+        _refresh_restrictions(state)
+        up, down = state.chain_clusters("chain0")
+        assert (up.representation, down.representation, down.start) == ("macro", "macro", 1000.0)
+        up.segment.rho[-1] = 0.016   # a demand no other cell of `up` has, below `down`'s supply
+        expected = min(demand(up.segment.cell(len(up.segment) - 1), state.fd),
+                       supply(down.segment.cell(0), state.fd))
+        assert expected > 0.0
+        advance_step(state, config)
+        assert state.last_flows[down.id][0] == expected
+
+    def test_throttled_release_stops_the_macro_outflow(self):
+        from hybridflow.hybrid import RELEASE_QUEUE_THRESHOLD
+        from hybridflow.macro import demand
+
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        for _ in range(300):
+            advance_step(state, config)
+        macro = state.cluster_at("chain0", 1000.0)
+        assert demand(macro.segment.cell(len(macro.segment) - 1), state.fd) > 0.0
+        itf = state.interfaces[("chain0", 1400000)]
+        while len(itf.pending) <= RELEASE_QUEUE_THRESHOLD:
+            itf.pending.append(Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
+                                       position=1400.0, speed=5.0))
+        advance_step(state, config)
+        assert state.last_flows[macro.id][1] == 0.0
+
+
 class TestRingWrap:
     """`reindex` gives a cyclic chain its wrap interface whatever the number
     of its clusters, so a one-cluster ring closes like any other boundary."""
