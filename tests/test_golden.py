@@ -11,7 +11,10 @@ the many-vehicle micro path as well: instances 0-2 of the benchmark's
 `micro_corridor` workload at seed 1 (about 390 vehicles each), built with
 `bench/scenarios.py` and run for 300 steps, each pinned by its final
 `state_digest`.  An instance that aborts with `OverlapDetected` gives its step
-and message instead, so an abort shows as a readable mismatch.
+and message instead, so an abort shows as a readable mismatch.  Instance 0
+of `macro_network` at seed 1 (40 all-macro corridors, about 4,000 cells),
+run the same way, pins the macro path: the cell store, the LOD observation
+and the macro-entry generators.
 
 To re-pin after a change that is meant to move outputs, run this test: its
 failure message prints the whole table with the new digests, ready to paste
@@ -158,3 +161,16 @@ def test_dense_micro_corridor(tmp_path, index):
     except OverlapDetected as exc:
         outcome = ("OverlapDetected", state.step, str(exc))
     assert outcome == DENSE[index], f"instance {index} now gives {outcome!r}"
+
+
+# macro_network, seed 1, instance 0: final state_digest after 300 steps
+DENSE_MACRO = "442e960a6db908ea711c5f178d44e684776d94c31caf7dfaf0400b5938a80b76"
+
+
+def test_dense_macro_network(tmp_path):
+    path = load_bench_scenarios().write_instance("macro_network", 1, 0, tmp_path)
+    config = EngineConfig(seed=1)
+    state = build_state(parse_scenario(path), config)
+    for _ in range(300):
+        advance_step(state, config)
+    assert state.state_digest() == DENSE_MACRO, f"now {state.state_digest()!r}"
