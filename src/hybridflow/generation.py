@@ -146,6 +146,7 @@ class FlowMassGenerator:
         self.poisson = poisson
         self.rng = np.random.default_rng(stream_seed(seed, f"gen:{gen_id}"))
         self.accumulator = np.zeros(len(lanes))
+        self.offered = 0.0            # accumulator sum at the last macro offer
         self.retry: deque[InsertionSpec] = deque()
 
     def mass(self) -> float:
@@ -179,16 +180,17 @@ class FlowMassGenerator:
         """Bank this step's flow and offer everything banked as a rate."""
         q = self.profile.rate_at(t)
         self.accumulator += q * dt / 3600.0
-        return float(self.accumulator.sum()) / dt
+        self.offered = float(self.accumulator.sum())
+        return self.offered / dt
 
     def settle_macro_inflow(self, accepted: float, dt: float) -> float:
-        """Drain accepted mass from the accumulators; returns drained mass."""
-        mass = accepted * dt
-        total = float(self.accumulator.sum())
+        """Drain accepted mass from the accumulators, in proportion to what
+        each lane held at this step's offer; returns drained mass."""
+        total, self.offered = self.offered, 0.0
         if total <= 0:
             return 0.0
-        take = min(mass, total)
-        self.accumulator -= self.accumulator / total * take
+        take = min(accepted * dt, total)
+        self.accumulator[:] = [a - a / total * take for a in self.accumulator.tolist()]
         return take
 
 
