@@ -1553,10 +1553,10 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
 def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
     macro = [c for c in clusters if c.representation == MACRO]
-    # one speed pass over the cell store serves the cell flags and the
+    # one speed pass over the cell store serves the cell counters and the
     # cluster ratios (mean speed over free speed)
-    cells, means = state.cell_store(macro).speed_ratios() if macro else ([], [])
-    cell_ratios = {c.id: r for c, r in zip(macro, cells)}
+    store = state.cell_store(macro)
+    cells, means = store.speed_ratios() if macro else (store.rho, [])
     ratios = {c.id: r for c, r in zip(macro, means)}
     v_f = state.fd.v_f
     for c in clusters:
@@ -1567,7 +1567,7 @@ def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
                 / len(c.vehicles) / v_f
         else:
             ratios[c.id] = 1.0           # empty extents count as free flow
-    state.controller.observe(clusters, ratios, cell_ratios, state.step)
+    state.controller.observe(clusters, ratios, store, cells, state.step)
 
     micro_count = state.micro_vehicle_count()
     if config.wall_clock_budget_ms is not None and state.last_step_wall_ms \

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_keys
-from .macro import MacroSegment
+from .macro import CellStore, MacroSegment
 
 
 class TooSmall(ValueError):
@@ -177,20 +177,24 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
 class LodController:
     """Keeps persistence counters and cooldowns; turns them into plans.
 
-    Cell counters are keyed by absolute chain position (`pos_key` of the
-    cell start) so they survive splits, merges and representation switches
-    of the enclosing cluster.  Each chain keeps its live cell keys as one
-    sorted int64 array with the counters in a parallel array.  The keys are
-    kept until the chain's macro layout changes, which `observe` sees as
-    other `cell_starts` arrays than the ones it keyed; cell starts are
-    never written in place.
+    The cell counters live in one int64 array aligned with the cell store
+    the engine observes: entry i counts the consecutive slow steps of the
+    store's cell i, so one `np.where` over the store's cell ratios advances
+    them all.  A counter belongs to its cell's absolute chain position (the
+    `pos_key` of the cell start), so it survives splits, merges and
+    representation switches of the enclosing cluster: when `observe` is
+    handed a rebuilt store, each cell takes the counter its (chain, cell
+    start key) held in the previous store, found by `searchsorted` within
+    the chain's sorted keys, and cells no longer present drop theirs.
     """
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
-        self.cell_keys: dict[str, np.ndarray] = {}         # chain id -> sorted cell keys
-        self.cell_low: dict[str, np.ndarray] = {}          # consecutive slow steps per key
-        self.layouts: dict[str, tuple] = {}                # chain id -> cell_starts keyed
+        self.store: CellStore | None = None                # store the counters align with
+        self.macro: list[Cluster] = []                     # its segments' clusters
+        self.spans: dict[str, tuple[int, int]] = {}        # chain id -> its cells in the store
+        self.keys = np.empty(0, dtype=np.int64)            # cell start keys, sorted per chain
+        self.low = np.empty(0, dtype=np.int64)             # consecutive slow steps per cell
         self.cluster_high: dict[str, int] = {}             # consecutive recovered steps
         self.last_jam_step: dict[str, int] = {}
         self.cooldown_until: dict[str, int] = {}
@@ -238,16 +242,13 @@ class LodController:
     # -- observation --------------------------------------------------------
 
     def observe(self, clusters: list[Cluster], ratios: dict[str, float],
-                cell_ratios: dict[str, np.ndarray], step: int) -> None:
+                store: CellStore, cell_ratios: np.ndarray, step: int) -> None:
         """Advance persistence counters from this step's consistent state.
 
-        `ratios` maps cluster id to mean-speed / free-speed; `cell_ratios`
-        maps macro cluster ids to the per-cell ratio array.  Counters of
-        cells that no longer exist (refined regions) are dropped."""
-        macro: dict[str, list[Cluster]] = {}
+        `ratios` maps cluster id to mean-speed / free-speed; `store` is the
+        cell store over the macro clusters' segments in (chain, start)
+        order and `cell_ratios` its per-cell ratio array."""
         for cluster in clusters:
-            if cluster.representation == MACRO:
-                macro.setdefault(cluster.chain_id, []).append(cluster)
             ratio = ratios[cluster.id]
             if ratio > self.policy.theta_up:
                 self.cluster_high[cluster.id] = self.cluster_high.get(cluster.id, 0) + 1
@@ -255,57 +256,47 @@ class LodController:
                 self.cluster_high[cluster.id] = 0
             if ratio < self.policy.theta_down:
                 self.last_jam_step[cluster.id] = step
+        if store is not self.store:
+            self._remap(clusters, store)
+        if len(cell_ratios):
+            self.low = np.where(cell_ratios < self.policy.theta_down, self.low + 1, 0)
 
-        cell_keys: dict[str, np.ndarray] = {}
-        cell_low: dict[str, np.ndarray] = {}
-        layouts: dict[str, tuple] = {}
-        for chain_id, members in macro.items():
-            # cells run downstream within a cluster and clusters do not
-            # overlap, so clusters in start order give sorted keys
-            members.sort(key=lambda c: c.start)
-            layout = tuple(c.cell_starts for c in members)
-            held = self.layouts.get(chain_id, ())
-            if len(held) == len(layout) and all(a is b for a, b in zip(held, layout)):
-                keys, counts = self.cell_keys[chain_id], self.cell_low[chain_id]
-            else:
-                keys = pos_keys(layout[0] if len(layout) == 1 else np.concatenate(layout))
-                counts = self._counts(chain_id, keys)
-            if len(members) == 1:
-                ratio = cell_ratios[members[0].id]
-            else:
-                ratio = np.concatenate([cell_ratios[c.id] for c in members])
-            layouts[chain_id] = layout
-            cell_keys[chain_id] = keys
-            cell_low[chain_id] = np.where(ratio < self.policy.theta_down, counts + 1, 0)
-        self.layouts = layouts
-        self.cell_keys = cell_keys
-        self.cell_low = cell_low
+    def _remap(self, clusters: list[Cluster], store: CellStore) -> None:
+        """Align the counters with a rebuilt store by (chain, cell start key)."""
+        macro = sorted((c for c in clusters if c.representation == MACRO),
+                       key=lambda c: (c.chain_id, c.start))
+        spans: dict[str, tuple[int, int]] = {}
+        for cluster, (a, b) in zip(macro, store.bounds):
+            spans[cluster.chain_id] = (spans.get(cluster.chain_id, (a, b))[0], b)
+        keys = pos_keys(np.concatenate([c.cell_starts for c in macro])) if macro \
+            else np.empty(0, dtype=np.int64)
+        low = np.zeros(len(keys), dtype=np.int64)
+        for chain_id, (a, b) in spans.items():
+            low[a:b] = self._counts(chain_id, keys[a:b])
+        self.store, self.macro, self.spans, self.keys, self.low = store, macro, spans, keys, low
 
     def _counts(self, chain_id: str, keys: np.ndarray) -> np.ndarray:
         """Current counter of each cell key on a chain, 0 for unknown keys."""
-        known = self.cell_keys.get(chain_id)
-        if known is None:
+        if chain_id not in self.spans:
             return np.zeros(len(keys), dtype=np.int64)
-        idx = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-        return np.where(known[idx] == keys, self.cell_low[chain_id][idx], 0)
+        a, b = self.spans[chain_id]
+        known = self.keys[a:b]
+        idx = np.minimum(np.searchsorted(known, keys), len(known) - 1) + a
+        return np.where(self.keys[idx] == keys, self.low[idx], 0)
 
     def detect_jam(self, cluster: Cluster) -> np.ndarray:
         """Per-cell flags: speed ratio below theta_down for K consecutive steps."""
         if cluster.representation != MACRO:
             raise ValueError("jam flags are defined for macro clusters")
-        low = self.cell_low.get(cluster.chain_id)
-        if low is None or low.max() < self.policy.persistence:
-            return np.zeros(len(cluster.segment), dtype=bool)   # none on the chain
         return self._counts(cluster.chain_id, pos_keys(cluster.cell_starts)) \
             >= self.policy.persistence
 
     # -- planning ------------------------------------------------------------
 
-    def _jam_region(self, cluster: Cluster, flags: np.ndarray) -> tuple[float, float] | None:
-        """Flagged cells padded by one cell, grown to the minimum length."""
+    def _jam_region(self, cluster: Cluster, flags: np.ndarray) -> tuple[float, float]:
+        """Flagged cells (at least one) padded by one cell, grown to the
+        minimum length."""
         idx = np.flatnonzero(flags)
-        if len(idx) == 0:
-            return None
         lo = max(int(idx[0]) - 1, 0)
         hi = min(int(idx[-1]) + 1, len(flags) - 1)
         edges = np.append(cluster.cell_starts, cluster.end)
@@ -330,6 +321,8 @@ class LodController:
         """Deterministic plan: refine jams, coarsen recovered or over-budget
         micro clusters, merge recovered same-representation neighbors.
 
+        The jam pass reads the macro clusters as `observe` last saw them and
+        visits only those with a cell at the persistence count.
         `macro_capable(cluster)` tells whether a micro cluster may be
         aggregated (linear downstream boundary, CFL-safe layout)."""
         actions: list[Action] = []
@@ -337,13 +330,15 @@ class LodController:
         ordered = sorted(clusters, key=lambda c: (c.chain_id, c.start))
 
         # 1. jam-flagged macro clusters: isolate the region, then refine it
-        for cluster in ordered:
-            if cluster.representation != MACRO or self.in_cooldown(cluster.id, step):
+        persistence = self.policy.persistence
+        hot = np.flatnonzero(np.maximum.reduceat(self.low, self.store.first) >= persistence) \
+            if len(self.low) else ()
+        for k in hot:
+            cluster = self.macro[k]
+            if self.in_cooldown(cluster.id, step):
                 continue
-            region = self._jam_region(cluster, self.detect_jam(cluster))
-            if region is None:
-                continue
-            start, end = region
+            a, b = self.store.bounds[k]
+            start, end = self._jam_region(cluster, self.low[a:b] >= persistence)
             if start - cluster.start > 1e-9:
                 actions.append(Action("split", cluster.chain_id, start, "jam"))
             if cluster.end - end > 1e-9:

@@ -229,18 +229,15 @@ class CellStore:
         np.clip(rho, 0.0, self.fd.rho_jam, out=rho)
         return accepted, outflow
 
-    def speed_ratios(self) -> tuple[list[np.ndarray], list[float]]:
-        """Per segment, `cell_speeds() / v_f` and `mean_speed() / v_f`."""
+    def speed_ratios(self) -> tuple[np.ndarray, list[float]]:
+        """Every cell's `cell_speeds() / v_f`, and per segment
+        `mean_speed() / v_f`."""
         v_f = self.fd.v_f
         speeds = cell_speeds(self)
         mass = self.rho * self.dx * self.lanes
         moving = mass * speeds
-        ratios = speeds / v_f
-        cells, means = [], []
-        for a, b in self.bounds:
-            cells.append(ratios[a:b])
-            means.append(_mass_weighted_mean(mass[a:b], moving[a:b], v_f) / v_f)
-        return cells, means
+        return speeds / v_f, [_mass_weighted_mean(mass[a:b], moving[a:b], v_f) / v_f
+                              for a, b in self.bounds]
 
 
 def ctm_step(segment: MacroSegment, upstream_inflow: float,

@@ -15,9 +15,10 @@ from hybridflow.engine import (AddVehicle, EngineConfig, EngineState, FaultInjec
                                SimulationError, UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
                                build_state)
-from hybridflow import engine
+from hybridflow import engine, lod
 from hybridflow.generation import FlowMassGenerator, InsertionSpec
 from hybridflow.hybrid import MICRO
+from hybridflow.lod import Action, LodController
 from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
 from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
@@ -987,6 +988,45 @@ class TestWallClockTrigger:
             advance_step(state, config)
         budget_actions = [t for t in state.transitions if t.trigger == "budget"]
         assert budget_actions and budget_actions[0].kind == "coarsen"
+
+
+class TestLodWithoutMacroCells:
+    """With the LOD on and no macro cell anywhere, steps run, the plan is
+    empty and the LOD does no cell-store work: no remap, no concatenation
+    and no per-segment reduction."""
+
+    @pytest.mark.parametrize("name", ["minimal", "jam"])
+    def test_steps_plan_nothing_without_store_work(self, monkeypatch, name):
+        config = EngineConfig(seed=3)
+        state = build_state(load(name), config)
+        for _ in range(5):
+            advance_step(state, config)
+        if name == "jam":
+            # refine the only macro cluster, after the LOD has counted its cells
+            (cluster,) = state.clusters.values()
+            apply_system_influences(state, [Action("refine", cluster.chain_id,
+                                                   1000.0, "forced")])
+        advance_step(state, config)   # the jam fixture's store is rebuilt empty here
+        assert all(c.representation == MICRO for c in state.clusters.values())
+
+        remaps = []
+        remap = LodController._remap
+        monkeypatch.setattr(LodController, "_remap",
+                            lambda *args: remaps.append(args) or remap(*args))
+
+        class NoStoreWork:
+            def __getattr__(self, attr):
+                assert attr not in ("concatenate", "maximum"), f"np.{attr} without cells"
+                return getattr(np, attr)
+
+        monkeypatch.setattr(lod, "np", NoStoreWork())
+        for _ in range(30):
+            advance_step(state, config)
+        ctl = state.controller
+        assert remaps == [] and len(ctl.low) == 0
+        assert all(c.representation == MICRO for c in state.clusters.values())
+        assert ctl.plan(list(state.clusters.values()), list(state.interfaces.values()),
+                        state.step, state.micro_vehicle_count(), lambda c: True) == []
 
 
 class TestSpeedCaps:

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridflow.hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
-from hybridflow.lod import (LodController, LodPolicy, NotAdjacent,
+from hybridflow.lod import (Action, LodController, LodPolicy, NotAdjacent,
                             RepresentationMismatch, TooSmall, merge_clusters,
                             split_cluster)
-from hybridflow.macro import FundamentalDiagram, MacroSegment
+from hybridflow.macro import CellStore, FundamentalDiagram, MacroSegment
 from hybridflow.micro import Vehicle
 from hybridflow.network import Chain
 
@@ -37,9 +37,37 @@ def micro_cluster_with(cid, start, end, positions):
     return cluster
 
 
+# the stores here are observed, never stepped: no cell size fails the CFL check
+STORE_DT = 0.0
+
+
+def engine_store(clusters, held=None):
+    """The cell store the engine observes: every macro cluster's segment in
+    (chain, start) order, with `held` kept while it holds those segments."""
+    macro = sorted((c for c in clusters if c.representation == MACRO),
+                   key=lambda c: (c.chain_id, c.start))
+    if held is not None and len(held.segments) == len(macro) and all(
+            seg is c.segment for seg, c in zip(held.segments, macro)):
+        return held
+    return CellStore([c.segment for c in macro], FD, STORE_DT)
+
+
+def observe(controller, clusters, ratios, cell_ratios, step, store=None):
+    """One observation through the cell store, with `cell_ratios` given per
+    macro cluster id; returns the store observed."""
+    store = engine_store(clusters, store)
+    by_segment = {c.segment: cell_ratios[c.id] for c in clusters
+                  if c.representation == MACRO}
+    cells = np.concatenate([by_segment[seg] for seg in store.segments]) \
+        if store.segments else np.empty(0)
+    controller.observe(clusters, ratios, store, cells, step)
+    return store
+
+
 def observe_n(controller, clusters, ratios, cell_ratios, steps, start=0):
+    store = None
     for k in range(steps):
-        controller.observe(clusters, ratios, cell_ratios, start + k)
+        store = observe(controller, clusters, ratios, cell_ratios, start + k, store)
 
 
 class TestPolicy:
@@ -75,9 +103,9 @@ class TestDetectJam:
         cells = {cluster.id: np.full(10, 0.0385)}
         ratios = {cluster.id: 0.0385}
         for k in range(POLICY.persistence - 1):
-            ctl.observe([cluster], ratios, cells, k)
+            observe(ctl, [cluster], ratios, cells, k, ctl.store)
             assert not ctl.detect_jam(cluster).any(), f"flagged early at {k}"
-        ctl.observe([cluster], ratios, cells, POLICY.persistence - 1)
+        observe(ctl, [cluster], ratios, cells, POLICY.persistence - 1, ctl.store)
         assert ctl.detect_jam(cluster).all()
 
     def test_oscillating_ratio_never_flags(self):
@@ -85,8 +113,8 @@ class TestDetectJam:
         cluster = macro_cluster(rho=0.05)
         for k in range(200):
             ratio = 0.2 if k % 2 == 0 else 0.9
-            ctl.observe([cluster], {cluster.id: ratio},
-                        {cluster.id: np.full(10, ratio)}, k)
+            observe(ctl, [cluster], {cluster.id: ratio},
+                    {cluster.id: np.full(10, ratio)}, k, ctl.store)
             assert not ctl.detect_jam(cluster).any()
 
     def test_counters_keyed_by_position_survive_splits(self):
@@ -157,6 +185,7 @@ class TestCountersMatchDictReference:
         policy = LodPolicy(persistence=3)
         ctl, ref = LodController(policy), DictCounters(policy)
         ids = iter(f"k{i}" for i in range(10_000))
+        store = None
         clusters = [fresh_macro(next(ids), chain.id, 0.0, chain.length,
                                 data.draw(st.sampled_from([50.0, 75.0, 100.0, 130.0])))
                     for chain in ORACLE_CHAINS.values()]
@@ -174,12 +203,13 @@ class TestCountersMatchDictReference:
                     continue
                 target = data.draw(st.sampled_from(macro))
                 target.cell_starts = target.cell_starts.copy()
+                store = None
             if kind in ("observe", "relayout"):
                 cell_ratios = {c.id: np.array(data.draw(st.lists(
                     ratio, min_size=len(c.segment), max_size=len(c.segment))))
                     for c in macro}
                 shown = data.draw(st.permutations(clusters))
-                ctl.observe(shown, {c.id: 1.0 for c in shown}, cell_ratios, 0)
+                store = observe(ctl, shown, {c.id: 1.0 for c in shown}, cell_ratios, 0, store)
                 ref.observe(shown, cell_ratios)
             elif kind == "split":
                 splittable = [c for c in macro if len(c.segment) > 1] + micro
@@ -226,6 +256,75 @@ class TestCountersMatchDictReference:
                 if cluster.representation == MACRO:
                     assert np.array_equal(ctl.detect_jam(cluster),
                                           ref.detect_jam(cluster)), (kind, cluster.id)
+
+
+def per_cluster_jam_actions(ctl, ref, clusters, step):
+    """The jam pass as it was before it read the store: `detect_jam` (here
+    the dict reference's) and `_jam_region` on every macro cluster not in
+    cooldown, in (chain, start) order."""
+    actions = []
+    for cluster in sorted(clusters, key=lambda c: (c.chain_id, c.start)):
+        if cluster.representation != MACRO or ctl.in_cooldown(cluster.id, step):
+            continue
+        flags = ref.detect_jam(cluster)
+        if not flags.any():
+            continue
+        start, end = ctl._jam_region(cluster, flags)
+        if start - cluster.start > 1e-9:
+            actions.append(Action("split", cluster.chain_id, start, "jam"))
+        if cluster.end - end > 1e-9:
+            actions.append(Action("split", cluster.chain_id, end, "jam"))
+        actions.append(Action("refine", cluster.chain_id, (start + end) / 2.0, "jam"))
+    return actions
+
+
+class TestPlanMatchesPerClusterLoop:
+    """Counters drawn by observing a few partitions in turn, each on a
+    rebuilt store, and cooldowns drawn per cluster: the jam pass over the
+    hot store segments plans exactly what the per-cluster loop plans."""
+
+    @staticmethod
+    def draw_partition(data, ids):
+        """Each oracle chain cut at multiples of 50 m into macro clusters of
+        50 or 100 m cells and micro clusters."""
+        clusters = []
+        for chain in ORACLE_CHAINS.values():
+            cuts = sorted(data.draw(st.sets(st.integers(1, int(chain.length) // 50 - 1),
+                                            max_size=4)))
+            edges = [0.0] + [50.0 * c for c in cuts] + [chain.length]
+            for start, end in zip(edges, edges[1:]):
+                if data.draw(st.booleans()):
+                    clusters.append(fresh_macro(next(ids), chain.id, start, end,
+                                                data.draw(st.sampled_from([50.0, 100.0]))))
+                else:
+                    clusters.append(Cluster(id=next(ids), chain_id=chain.id,
+                                            start=start, end=end))
+        return clusters
+
+    @given(st.data())
+    def test_jam_actions_equal_reference(self, data):
+        policy = LodPolicy(persistence=3, cooldown=4, min_cluster_length=data.draw(
+            st.sampled_from([0.0, 200.0])))
+        ctl, ref = LodController(policy), DictCounters(policy)
+        ids = iter(f"k{i}" for i in range(10_000))
+        step = 0
+        for _ in range(data.draw(st.integers(1, 4))):
+            clusters = self.draw_partition(data, ids)
+            macro = [c for c in clusters if c.representation == MACRO]
+            store = None
+            for _ in range(data.draw(st.integers(1, 4))):
+                cell_ratios = {c.id: np.array(data.draw(st.lists(
+                    st.sampled_from([0.1, 1.0]), min_size=len(c.segment),
+                    max_size=len(c.segment)))) for c in macro}
+                store = observe(ctl, clusters, {c.id: 1.0 for c in clusters},
+                                cell_ratios, step, store)
+                ref.observe(clusters, cell_ratios)
+                step += 1
+        for cluster in macro:
+            if data.draw(st.booleans()):
+                ctl.mark_switch(cluster.id, step - data.draw(st.integers(0, 8)), False)
+        planned = ctl.plan(clusters, [], step, 0, lambda c: False)
+        assert planned == per_cluster_jam_actions(ctl, ref, clusters, step)
 
 
 class TestSplit:
