@@ -1556,7 +1556,7 @@ def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
     # one speed pass over the cell store serves the cell counters and the
     # cluster ratios (mean speed over free speed)
     store = state.cell_store(macro)
-    cells, means = store.speed_ratios() if macro else (store.rho, [])
+    cells, means = store.speed_ratios() if macro else (np.empty(0), [])
     ratios = {c.id: r for c, r in zip(macro, means)}
     v_f = state.fd.v_f
     for c in clusters:
