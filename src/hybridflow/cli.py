@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -196,7 +195,6 @@ def run_command(argv: list[str]) -> int:
 
     config = EngineConfig(steps=steps, seed=args.seed)
     engine = SimulationEngine(config, list(probes.values()) + [audit])
-    started = time.perf_counter()
     try:
         state = engine.run(model)
     except ScenarioError as exc:
@@ -205,7 +203,6 @@ def run_command(argv: list[str]) -> int:
     except Exception as exc:   # noqa: BLE001 - boundary of the process
         print(f"simulation error: {exc!r}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - started
 
     out = Path(args.out)
     if "steps" in probes:
@@ -220,7 +217,7 @@ def run_command(argv: list[str]) -> int:
 
     summary = (f"steps={engine.report.steps_executed} "
                f"inserted={state.ledger.inserted} absorbed={state.ledger.absorbed} "
-               f"transitions={len(state.transitions)} wall={wall:.2f}s")
+               f"transitions={len(state.transitions)} wall={engine.report.wall_time:.2f}s")
     print(summary)
     if audit.problems:
         print(f"warning: {len(audit.problems)} inconsistent snapshots",

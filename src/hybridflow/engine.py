@@ -27,7 +27,7 @@ from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      absorb_crossed_remainder, aggregate_cluster,
                      boundary_gate_open, build_cell_layout,
                      disaggregate_cluster, drain, lanes_at,
-                     macro_to_micro_release, micro_to_macro_flux, pos_key)
+                     macro_to_micro_release, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
 from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
 from .macro import CellStore, MacroSegment
@@ -70,10 +70,6 @@ class OverlapDetected(SimulationError):
 
 class UnknownTarget(SimulationError):
     """A system influence referenced a vehicle that does not exist."""
-
-
-class FaultInjected(SimulationError):
-    """Deliberate failure from the test hook."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +115,6 @@ class Probe:
 class RunReport:
     steps_executed: int = 0
     probe_failures: list = field(default_factory=list)
-    error: str | None = None
     wall_time: float = 0.0
 
 
@@ -128,7 +123,6 @@ class EngineConfig:
     steps: int | None = None          # overrides scenario duration
     seed: int = 0
     lod_enabled: bool = True
-    abort_at_step: int | None = None  # fault-injection hook for error-path tests
     # optional, non-deterministic: coarsen under load when a step's wall time
     # exceeds this bound (the deterministic vehicle budget is the default)
     wall_clock_budget_ms: float | None = None
@@ -213,6 +207,7 @@ class EngineState:
         self.itf_up: dict[str, BoundaryInterface] = {}
         self.itf_down: dict[str, BoundaryInterface] = {}
         self.generators: list = []
+        self.chain_generators: dict[str, list] = {}   # static, by chain id
         self.sinks_by_road: dict[str, list] = {}
         self.controller = LodController(model.lod)
         self.ledger = Ledger()
@@ -315,9 +310,8 @@ class EngineState:
         if key not in self._edge_lookups:
             chain = self.chains[cluster.chain_id]
             self._edge_lookups[key] = next(
-                (gen for gen in self.generators
-                 if self.chain_of_road.get(gen.road) is chain
-                 and abs(chain.to_chain_pos(gen.road, gen.position) - cluster.start) < 1e-6),
+                (gen for gen in self.chain_generators.get(chain.id, ())
+                 if abs(chain.to_chain_pos(gen.road, gen.position) - cluster.start) < 1e-6),
                 None)
         return self._edge_lookups[key]
 
@@ -535,6 +529,8 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
                     params=params, length=raw["length"],
                     destination=raw["destination"])))
             state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road, events))
+    for gen in state.generators:
+        state.chain_generators.setdefault(state.chain_of_road[gen.road].id, []).append(gen)
 
     # cluster layout: the declared partition, otherwise one micro cluster per chain
     for chain in model.chains:
@@ -608,6 +604,12 @@ def _macro_boundary_problem(state: EngineState, cluster: Cluster) -> str | None:
             head = state.network.roads[chain.roads[0]]
             if state.network.incoming(head.from_node):
                 return "macro extent starts at a node fed by other roads"
+    # the macro reaction takes in only the source at an open chain's head
+    served = state.generator_at_entry(cluster) if cluster.id not in state.itf_up else None
+    dropped = [gen.id for gen in state.chain_generators.get(chain.id, ())
+               if gen is not served and state.entry_cluster(gen) is cluster]
+    if dropped:
+        return f"macro extent would drop source {', '.join(dropped)}"
     dxs = build_cell_layout(chain, state.network, cluster.start, cluster.end,
                             state.policy.target_dx)[0]
     if state.dt > float(np.min(dxs)) / state.fd.max_wave_speed + 1e-12:
@@ -1408,7 +1410,7 @@ def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.
         if up.representation == MICRO:
             micro_up = True
             key = (itf_up.chain_id, pos_key(itf_up.position))
-            inflow = micro_to_macro_flux(scene.crossings.get(key, 0), state.dt)
+            inflow = scene.crossings.get(key, 0) / state.dt
         else:
             inflow = min(float(dem[store.last[store.slot[up.segment]]]),
                          float(sup[store.first[store.slot[cluster.segment]]]))
@@ -1861,16 +1863,12 @@ class SimulationEngine:
                 steps = int(round(model.duration / state.dt))
             self._notify("on_initialized", state)
             for _ in range(steps):
-                if self.config.abort_at_step is not None \
-                        and state.step == self.config.abort_at_step:
-                    raise FaultInjected(f"configured abort at step {state.step}")
                 advance_step(state, self.config)
                 self.report.steps_executed += 1
                 self._notify("on_step_end", state)
             self._notify("on_final", state)
             return state
         except Exception as exc:
-            self.report.error = repr(exc)
             self._notify("on_error", exc)
             raise
         finally:

@@ -145,11 +145,6 @@ def lanes_at(chain: Chain, network: RoadNetwork, chain_pos: float) -> int:
 # Flux arithmetic
 # ---------------------------------------------------------------------------
 
-def micro_to_macro_flux(crossed: int, dt: float) -> float:
-    """Inflow rate offered to the downstream segment by crossing vehicles."""
-    return crossed / dt
-
-
 def boundary_gate_open(segment: MacroSegment, incoming_lanes: int) -> bool:
     """True when the first macro cell can seat one more vehicle per lane.
 

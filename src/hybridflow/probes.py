@@ -106,12 +106,14 @@ class AuditViolation:
     value: float
 
 
+LEDGER_TOLERANCE = 1e-6   # a larger |ledger residual| is a violation
+
+
 class MassAuditProbe(Probe):
     """One auditor for both the conservation ledger, checked after every
     step, and the structural invariants, checked at every consistent instant."""
 
-    def __init__(self, tolerance: float = 1e-6):
-        self.tolerance = tolerance
+    def __init__(self):
         self.violations: list[AuditViolation] = []
         self.problems: list[tuple[int, str]] = []   # from consistency_errors()
         self.initial_mass: float | None = None
@@ -127,7 +129,7 @@ class MassAuditProbe(Probe):
 
     def on_step_end(self, state: EngineState) -> None:
         residual = state.ledger_residual()
-        if abs(residual) > self.tolerance:
+        if abs(residual) > LEDGER_TOLERANCE:
             self.violations.append(AuditViolation(state.step, "ledger", residual))
         self._check(state)
 
@@ -157,27 +159,3 @@ class CanaryProbe(Probe):
 
     def on_final(self, state: EngineState) -> None:
         self._check(state)
-
-
-class CallSequenceProbe(Probe):
-    """Records the callback sequence, for engine-contract tests."""
-
-    def __init__(self):
-        self.calls: list[str] = []
-        self.errors: list[BaseException] = []
-
-    def on_simulation_start(self) -> None:
-        self.calls.append("start")
-
-    def on_initialized(self, state) -> None:
-        self.calls.append("initialized")
-
-    def on_step_end(self, state) -> None:
-        self.calls.append("step_end")
-
-    def on_final(self, state) -> None:
-        self.calls.append("final")
-
-    def on_error(self, error) -> None:
-        self.calls.append("error")
-        self.errors.append(error)

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from hybridflow.cli import run_command
-from hybridflow.engine import (EngineConfig, FaultInjected, SimulationEngine,
+from hybridflow.engine import (EngineConfig, SimulationEngine, SimulationError,
                                advance_step, apply_system_influences, build_state)
 from hybridflow.lod import Action
 from hybridflow.macro import FundamentalDiagram, MacroSegment, ctm_step
 from hybridflow.micro import (AdjacentView, DriverParams, Perception,
                               equilibrium_gap, idm_acceleration, mobil_decide,
                               LEFT, STAY)
-from hybridflow.probes import CallSequenceProbe, CanaryProbe
+from hybridflow.probes import CanaryProbe
 from hybridflow.scenario import (ScenarioError, parse_scenario,
                                  serialize_scenario, write_scenario)
+from probe_contract import CallSequenceProbe, fail_at_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
 P = DriverParams()
@@ -267,16 +268,18 @@ def test_c10_determinism(tmp_path):
     ok("criterion 10", "byte-identical outputs across reruns")
 
 
-def test_c11_engine_probe_contract():
+def test_c11_engine_probe_contract(monkeypatch):
     probe = CallSequenceProbe()
     SimulationEngine(EngineConfig(steps=0), [probe]).run(
         parse_scenario(FIXTURES / "minimal"))
     assert probe.calls == ["start", "initialized", "final"]
 
     probes = [CallSequenceProbe(), CallSequenceProbe(), CallSequenceProbe()]
-    engine = SimulationEngine(EngineConfig(steps=100, abort_at_step=7), probes)
-    with pytest.raises(FaultInjected):
-        engine.run(parse_scenario(FIXTURES / "minimal"))
+    engine = SimulationEngine(EngineConfig(steps=100), probes)
+    with monkeypatch.context() as patch:
+        fail_at_step(patch, 7)
+        with pytest.raises(SimulationError, match="injected failure at step 7"):
+            engine.run(parse_scenario(FIXTURES / "minimal"))
     for p in probes:
         assert p.calls.count("error") == 1
 

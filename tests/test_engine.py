@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridflow.engine import (AddVehicle, EngineConfig, EngineState, FaultInjected,
+from hybridflow.engine import (AddVehicle, EngineConfig, EngineState,
                                RemoveVehicle, Scene, SimulationEngine,
                                SimulationError, UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
@@ -20,9 +20,10 @@ from hybridflow.generation import FlowMassGenerator, InsertionSpec
 from hybridflow.hybrid import MICRO
 from hybridflow.lod import Action, LodController
 from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
-from hybridflow.probes import CallSequenceProbe, CanaryProbe, MassAuditProbe
+from hybridflow.probes import CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
 from perception_oracle import lane_view, perceive
+from probe_contract import CallSequenceProbe, fail_at_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -53,10 +54,11 @@ class TestRunAndProbes:
         assert probe.calls == ["start", "error"]
         assert engine.report.steps_executed == 0
 
-    def test_error_injection_calls_on_error_exactly_once_per_probe(self):
+    def test_error_injection_calls_on_error_exactly_once_per_probe(self, monkeypatch):
+        fail_at_step(monkeypatch, 5)
         probes = [CallSequenceProbe(), CallSequenceProbe()]
-        engine = SimulationEngine(EngineConfig(steps=50, abort_at_step=5), probes)
-        with pytest.raises(FaultInjected):
+        engine = SimulationEngine(EngineConfig(steps=50), probes)
+        with pytest.raises(SimulationError, match="injected failure at step 5"):
             engine.run(load("minimal"))
         for probe in probes:
             assert probe.calls.count("error") == 1
@@ -1550,3 +1552,102 @@ class TestInterfaceAudit:
         assert state.consistency_errors() == [
             f"interface {itf.id} joins clusters off chain0",
             f"0 interfaces into {down} at 1000.0 on chain0"]
+
+
+class TestMacroBoundaryConditions:
+    """A macro extent needs a well-defined boundary flux: it may not end at a
+    branching node or start at a node fed by other roads, and it holds at
+    most one source, at the head of an open chain, since the macro reaction
+    offers inflow from that source alone.  `build_state` refuses a declared
+    extent that breaks a condition, and the planner never coarsens into one."""
+
+    GEN = ('<?xml version="1.0"?>\n<generation>\n'
+           '  <vehicle_length distribution="constant" value="4"/>\n'
+           '  <param name="v0" distribution="constant" value="25"/>\n'
+           '  <destination sink="out" weight="1"/>\n</generation>\n')
+    # r1 (na -> nb) and r2 (nb -> nc) form one chain, each 1,000 m with one lane
+    CHAIN = ('  <node id="na" kind="crossroads"/>\n  <node id="nb" kind="crossroads"/>\n'
+             '  <node id="nc" kind="crossroads"/>\n'
+             '  <road id="r1" from="na" to="nb" length="1000" lanes="1" speed_limit="25"/>\n'
+             '  <road id="r2" from="nb" to="nc" length="1000" lanes="1" speed_limit="25"/>\n'
+             '  <turn node="nb" from_road="r1" from_lane="0" to_road="r2" to_lane="0"/>\n')
+    MACRO_CHAIN = ('  <cluster representation="macro">\n'
+                   '    <extent road="r1" start="0" end="1000"/>\n'
+                   '    <extent road="r2" start="0" end="1000"/>\n  </cluster>\n')
+    TWO_MICRO = ('  <cluster representation="micro" road="r1" start="0" end="1000"/>\n'
+                 '  <cluster representation="micro" road="r2" start="0" end="1000"/>\n')
+
+    @staticmethod
+    def source(gen_id, road, lanes="all"):
+        return (f'  <input_point id="{gen_id}" road="{road}" lanes="{lanes}" '
+                'generation_ref="gen.xml" rhythm_ref="rhythm.xml"/>\n')
+
+    def write(self, root, infra, level, lod=""):
+        root.mkdir()
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="100">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            f'{lod}</simulation>\n')
+        (root / "infra.xml").write_text(
+            f'<?xml version="1.0"?>\n<infrastructure>\n{infra}</infrastructure>\n')
+        (root / "level.xml").write_text(f'<?xml version="1.0"?>\n<level>\n{level}</level>\n')
+        (root / "gen.xml").write_text(self.GEN)
+        (root / "rhythm.xml").write_text(
+            '<?xml version="1.0"?>\n<rhythm kind="flow">\n  <flow t="0" q="1200"/>\n</rhythm>\n')
+        return parse_scenario(root)
+
+    def test_mid_chain_source_refuses_a_declared_macro_extent(self, tmp_path):
+        model = self.write(tmp_path / "mid", self.CHAIN, self.source("in", "r2")
+                           + '  <end_point id="out" road="r2"/>\n' + self.MACRO_CHAIN)
+        with pytest.raises(SimulationError, match="macro extent would drop source in$"):
+            build_state(model, EngineConfig(seed=1, lod_enabled=False))
+
+    def test_budget_never_coarsens_the_extent_of_a_mid_chain_source(self, tmp_path):
+        level = self.source("in", "r2") + '  <end_point id="out" road="r2"/>\n' + self.TWO_MICRO
+        inserted = {}
+        for lod_enabled in (False, True):
+            model = self.write(tmp_path / f"lod_{lod_enabled}", self.CHAIN, level,
+                               lod='  <lod micro_vehicle_budget="0"/>\n')
+            config = EngineConfig(seed=1, lod_enabled=lod_enabled)
+            state = build_state(model, config)
+            (gen,) = state.generators
+            for _ in range(400):
+                advance_step(state, config)
+                assert state.entry_cluster(gen).representation == MICRO
+            assert abs(state.ledger_residual()) <= 1e-9
+            inserted[lod_enabled] = state.ledger.inserted
+        assert inserted[True] == inserted[False] == 33
+
+    def test_two_sources_at_one_head_refuse_a_declared_macro_extent(self, tmp_path):
+        infra = ('  <node id="na" kind="crossroads"/>\n  <node id="nb" kind="crossroads"/>\n'
+                 '  <road id="r1" from="na" to="nb" length="2000" lanes="2" '
+                 'speed_limit="25"/>\n')
+        level = (self.source("in1", "r1", "0") + self.source("in2", "r1", "1")
+                 + '  <end_point id="out" road="r1"/>\n  <cluster representation="macro">\n'
+                 '    <extent road="r1" start="0" end="2000"/>\n  </cluster>\n')
+        model = self.write(tmp_path / "two", infra, level)
+        with pytest.raises(SimulationError, match="macro extent would drop source in2$"):
+            build_state(model, EngineConfig(seed=1, lod_enabled=False))
+
+    def test_extent_ending_at_a_branching_node_is_refused(self, tmp_path):
+        infra = (self.CHAIN
+                 + '  <node id="nd" kind="crossroads"/>\n'
+                 '  <road id="r3" from="nb" to="nd" length="1000" lanes="1" speed_limit="25"/>\n'
+                 '  <turn node="nb" from_road="r1" from_lane="0" to_road="r3" to_lane="0"/>\n')
+        level = ('  <end_point id="out" road="r2"/>\n  <end_point id="out3" road="r3"/>\n'
+                 '  <cluster representation="macro" road="r1" start="0" end="1000"/>\n')
+        model = self.write(tmp_path / "branch", infra, level)
+        with pytest.raises(SimulationError, match="macro extent ends at a branching node"):
+            build_state(model, EngineConfig(seed=1, lod_enabled=False))
+
+    def test_extent_starting_at_a_fed_node_is_refused(self, tmp_path):
+        infra = (self.CHAIN
+                 + '  <node id="nd" kind="crossroads"/>\n'
+                 '  <road id="r3" from="nd" to="nb" length="1000" lanes="1" speed_limit="25"/>\n'
+                 '  <turn node="nb" from_road="r3" from_lane="0" to_road="r2" to_lane="0"/>\n')
+        level = ('  <end_point id="out" road="r2"/>\n'
+                 '  <cluster representation="macro" road="r2" start="0" end="1000"/>\n')
+        model = self.write(tmp_path / "fed", infra, level)
+        with pytest.raises(SimulationError,
+                           match="macro extent starts at a node fed by other roads"):
+            build_state(model, EngineConfig(seed=1, lod_enabled=False))

@@ -7,8 +7,7 @@ from hybridflow.hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                                OverCapacity, aggregate_cluster,
                                boundary_gate_open, build_cell_layout,
                                disaggregate_cluster, macro_to_micro_release,
-                               micro_to_macro_flux, pos_key, pos_keys,
-                               total_mass)
+                               pos_key, pos_keys, total_mass)
 from hybridflow.macro import FundamentalDiagram, MacroCell, MacroSegment
 from hybridflow.micro import Vehicle
 from hybridflow.network import Node, Road, RoadNetwork, derive_chains
@@ -66,12 +65,6 @@ class TestPosKeys:
 
 
 class TestFluxArithmetic:
-    def test_no_crossings_means_zero_inflow(self):
-        assert micro_to_macro_flux(0, 0.25) == 0.0
-
-    def test_two_crossings_in_quarter_second(self):
-        assert micro_to_macro_flux(2, 0.25) == pytest.approx(8.0)
-
     def test_gate_closes_when_cell_full(self):
         seg = MacroSegment(dx=[100.0], lanes=[2.0], rho=[FD.rho_jam], fd=FD)
         assert not boundary_gate_open(seg, 2)

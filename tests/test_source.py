@@ -44,3 +44,63 @@ def test_checker_flags_only_unread_unmarked_names():
                          ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+REPO = PACKAGE.parents[1]
+
+#: public names that code outside the tests need not reference, with the reason
+UNREFERENCED_ALLOWED = {
+    "lod.LodController.detect_jam":
+        "public query on the controller, documented in the README",
+}
+
+
+def public_definitions(source: str, module: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public top-level function and class of
+    a module, and of each public method defined in such a class."""
+    defs = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        defs.append((f"{module}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return defs
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names the source reads, imports or holds as a string: the engine calls
+    probe callbacks through `getattr(probe, event)` with the event's name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_reference_finder_sees_reads_imports_and_string_names():
+    source = ("from m import a\nimport p.b\nc()\nx.d\ngetattr(y, 'e')\n"
+              "'not a name'\ndef f(): pass\nclass G:\n    def h(self): pass\n")
+    assert referenced_names(source) == {"a", "b", "c", "x", "d", "getattr", "y", "e"}
+    assert public_definitions(source, "mod") == [("mod.f", "f"), ("mod.G", "G"),
+                                                 ("mod.G.h", "h")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Code only the tests use does not belong in the package."""
+    used = set()
+    for directory in ("src", "demos", "bench"):
+        for path in sorted((REPO / directory).rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    unused = [qualified for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in public_definitions(path.read_text(), path.stem)
+              if name not in used]
+    assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)
