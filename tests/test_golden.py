@@ -14,7 +14,10 @@ the many-vehicle micro path as well: instances 0-2 of the benchmark's
 and message instead, so an abort shows as a readable mismatch.  Instance 0
 of `macro_network` at seed 1 (40 all-macro corridors, about 4,000 cells),
 run the same way, pins the macro path: the cell store, the LOD observation
-and the macro-entry generators.
+and the macro-entry generators.  Instance 0 of `hybrid_jams_cli` at seed 1,
+run for 1,200 steps, pins the hybrid path that takes every structural
+action: its final `state_digest`, the count of each (kind, trigger) pair in
+the transition log and the number of inserted vehicles.
 
 To re-pin after a change that is meant to move outputs, run this test: its
 failure message prints the whole table with the new digests, ready to paste
@@ -23,6 +26,7 @@ DENSE.  List every re-pinned fixture and file in CHANGES.md, with the
 reason the output moved.
 """
 
+import collections
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -174,3 +178,22 @@ def test_dense_macro_network(tmp_path):
     for _ in range(300):
         advance_step(state, config)
     assert state.state_digest() == DENSE_MACRO, f"now {state.state_digest()!r}"
+
+
+# hybrid_jams_cli, seed 1, instance 0, after 1,200 steps: final state_digest,
+# (kind.trigger -> count) of the transition log, inserted vehicles
+DENSE_HYBRID = ("39f9200ec820921769705f9515c896abf82859d3430922da388b60047ed3d44a",
+                {"split.jam": 8, "refine.jam": 4, "merge.recovery": 10,
+                 "coarsen.recovery": 4, "coarsen.budget": 2},
+                776)
+
+
+def test_dense_hybrid_jams_cli(tmp_path):
+    path = load_bench_scenarios().write_instance("hybrid_jams_cli", 1, 0, tmp_path)
+    config = EngineConfig(seed=1)
+    state = build_state(parse_scenario(path), config)
+    for _ in range(1200):
+        advance_step(state, config)
+    actions = collections.Counter(f"{t.kind}.{t.trigger}" for t in state.transitions)
+    outcome = (state.state_digest(), dict(actions), state.ledger.inserted)
+    assert outcome == DENSE_HYBRID, f"now {outcome!r}"
