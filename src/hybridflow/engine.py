@@ -209,6 +209,10 @@ class EngineState:
         self.generators: list = []
         self.chain_generators: dict[str, list] = {}   # static, by chain id
         self.sinks_by_road: dict[str, list] = {}
+        # static, by open chain id: the flow source feeding the head cluster
+        # and the sink draining the last one, wherever they exist
+        self.head_source: dict[str, FlowMassGenerator] = {}
+        self.tail_sink: dict = {}
         self.controller = LodController(model.lod)
         self.ledger = Ledger()
         self.transitions: list[TransitionRecord] = []
@@ -304,29 +308,6 @@ class EngineState:
                 np.array([self.clusters[cid].start for cid in ids], dtype=float), ids)
         return self._edge_lookups[key]
 
-    def generator_at_entry(self, cluster: Cluster):
-        """Flow source whose connector sits at this cluster's upstream edge."""
-        key = ("entry", cluster.id)
-        if key not in self._edge_lookups:
-            chain = self.chains[cluster.chain_id]
-            self._edge_lookups[key] = next(
-                (gen for gen in self.chain_generators.get(chain.id, ())
-                 if abs(chain.to_chain_pos(gen.road, gen.position) - cluster.start) < 1e-6),
-                None)
-        return self._edge_lookups[key]
-
-    def sink_at_end(self, cluster: Cluster):
-        """Sink at this cluster's downstream edge, if the edge is a road end."""
-        key = ("end", cluster.id)
-        if key not in self._edge_lookups:
-            chain = self.chains[cluster.chain_id]
-            road_id, pos = _locate_upstream(chain, cluster.end)
-            sinks = None
-            if abs(pos - self.network.roads[road_id].length) <= 1e-6:
-                sinks = self.sinks_by_road.get(road_id)
-            self._edge_lookups[key] = sinks[0] if sinks else None
-        return self._edge_lookups[key]
-
     def next_road(self, road_id: str, route: Route | None) -> str | None:
         """Road a vehicle takes after this one: its route's next road, or
         the only successor when it has no route; None when neither exists."""
@@ -368,12 +349,13 @@ class EngineState:
         return self._edge_lookups[key]
 
     def entry_cluster(self, gen) -> Cluster | None:
-        """Cluster holding a generator's connector (None off every chain)."""
+        """Cluster holding a generator's connector, at its road's start (None
+        off every chain)."""
         key = ("generator", gen.id)
         if key not in self._edge_lookups:
             chain = self.chain_of_road.get(gen.road)
             self._edge_lookups[key] = None if chain is None else self.cluster_at(
-                chain.id, chain.to_chain_pos(gen.road, gen.position))
+                chain.id, chain.offset_of(gen.road))
         return self._edge_lookups[key]
 
     # -- audits ----------------------------------------------------------------
@@ -490,16 +472,6 @@ class EngineState:
         return h.hexdigest()
 
 
-def _locate_upstream(chain, chain_pos: float) -> tuple[str, float]:
-    """Map a boundary coordinate to the road it terminates (end side)."""
-    if chain_pos <= 1e-9:
-        chain_pos = chain.length if chain.cyclic else 0.0
-    for rid, off in zip(reversed(chain.roads), reversed(chain.offsets)):
-        if chain_pos > off + 1e-9:
-            return rid, chain_pos - off
-    return chain.roads[0], chain_pos
-
-
 # ---------------------------------------------------------------------------
 # State construction
 # ---------------------------------------------------------------------------
@@ -531,6 +503,15 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
             state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road, events))
     for gen in state.generators:
         state.chain_generators.setdefault(state.chain_of_road[gen.road].id, []).append(gen)
+    for chain in model.chains:
+        if chain.cyclic:
+            continue
+        head = next((gen for gen in state.chain_generators.get(chain.id, ())
+                     if gen.road == chain.roads[0]), None)
+        if isinstance(head, FlowMassGenerator):
+            state.head_source[chain.id] = head
+        if state.sinks_by_road.get(chain.roads[-1]):
+            state.tail_sink[chain.id] = state.sinks_by_road[chain.roads[-1]][0]
 
     # cluster layout: the declared partition, otherwise one micro cluster per chain
     for chain in model.chains:
@@ -594,22 +575,30 @@ def _macro_boundary_problem(state: EngineState, cluster: Cluster) -> str | None:
     chain = state.chains[cluster.chain_id]
     if not chain.cyclic:
         if cluster.end >= chain.length - 1e-6 and state.itf_down.get(cluster.id) is None:
-            road_id, _ = _locate_upstream(chain, chain.length)
-            road = state.network.roads[road_id]
+            road = state.network.roads[chain.roads[-1]]
             # a sink discharges, a dead end is a valid blocking wall, but a
             # branching node would need a flux-splitting model
-            if not state.sinks_by_road.get(road_id) and state.network.outgoing(road.to_node):
+            if chain.id not in state.tail_sink and state.network.outgoing(road.to_node):
                 return "macro extent ends at a branching node"
         if cluster.start <= 1e-6:
             head = state.network.roads[chain.roads[0]]
             if state.network.incoming(head.from_node):
                 return "macro extent starts at a node fed by other roads"
-    # the macro reaction takes in only the source at an open chain's head
-    served = state.generator_at_entry(cluster) if cluster.id not in state.itf_up else None
+    # the macro reaction takes in only its open chain's head source, which
+    # enters the head cluster, and lets out only at the sink ending the chain
+    head_source = state.head_source.get(chain.id)
     dropped = [gen.id for gen in state.chain_generators.get(chain.id, ())
-               if gen is not served and state.entry_cluster(gen) is cluster]
+               if gen is not head_source and state.entry_cluster(gen) is cluster]
     if dropped:
         return f"macro extent would drop source {', '.join(dropped)}"
+    passed = []
+    for rid in chain.roads if chain.cyclic else chain.roads[:-1]:
+        at = chain.offset_of(rid) + state.network.roads[rid].length
+        wraps = chain.cyclic and at >= chain.length - 1e-6 and cluster.start <= 1e-6
+        if wraps or cluster.start - 1e-6 <= at <= cluster.end + 1e-6:
+            passed += [sink.id for sink in state.sinks_by_road.get(rid, ())]
+    if passed:
+        return f"macro extent would pass sink {', '.join(passed)}"
     dxs = build_cell_layout(chain, state.network, cluster.start, cluster.end,
                             state.policy.target_dx)[0]
     if state.dt > float(np.min(dxs)) / state.fd.max_wave_speed + 1e-12:
@@ -1415,7 +1404,7 @@ def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.
             inflow = min(float(dem[store.last[store.slot[up.segment]]]),
                          float(sup[store.first[store.slot[cluster.segment]]]))
     else:
-        gen = state.generator_at_entry(cluster)
+        gen = state.head_source.get(cluster.chain_id)
         if gen is not None:
             inflow = gen.offer_macro_inflow(state.time, state.dt)
 
@@ -1426,7 +1415,7 @@ def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.
         else:
             supply = 0.0 if itf_down.throttled() else INF
     else:
-        sink = state.sink_at_end(cluster)
+        sink = state.tail_sink.get(cluster.chain_id)
         supply = sink.capacity if sink is not None else 0.0
     return inflow, supply, micro_up
 
@@ -1440,7 +1429,7 @@ def _settle_segment(state: EngineState, scene: Scene, cluster: Cluster, inflow: 
     if micro_up:
         absorb_crossed_remainder(cluster.segment, inflow, accepted, state.dt)
     elif itf_up is None:
-        gen = state.generator_at_entry(cluster)
+        gen = state.head_source.get(cluster.chain_id)
         if gen is not None:
             state.ledger.add_macro_in(gen.settle_macro_inflow(accepted, state.dt))
 
@@ -1449,10 +1438,8 @@ def _settle_segment(state: EngineState, scene: Scene, cluster: Cluster, inflow: 
         down = state.clusters[itf_down.downstream_id]
         if down.representation == MICRO:
             _release_into_micro(state, scene, itf_down, outflow, cluster, down)
-    else:
-        sink = state.sink_at_end(cluster)
-        if sink is not None:
-            state.ledger.add_macro_out(outflow * state.dt)
+    elif cluster.chain_id in state.tail_sink:
+        state.ledger.add_macro_out(outflow * state.dt)
 
 
 def _release_into_micro(state: EngineState, scene: Scene, itf: BoundaryInterface,
@@ -1639,7 +1626,7 @@ def _apply_action(state: EngineState, action: Action) -> None:
 
     if action.kind == "coarsen" and cluster.representation == MICRO:
         itf_up = state.itf_up.get(cluster.id)
-        gen = state.generator_at_entry(cluster) if itf_up is None else None
+        gen = state.head_source.get(cluster.chain_id) if itf_up is None else None
 
         def held_upstream() -> float:
             return (itf_up.mass() if itf_up is not None else 0.0) \
@@ -1693,8 +1680,8 @@ def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> Non
     if itf_up is not None:
         itf_up.add_fractional(fraction)
         return
-    gen = state.generator_at_entry(cluster)
-    if gen is not None and isinstance(gen, FlowMassGenerator):
+    gen = state.head_source.get(cluster.chain_id)
+    if gen is not None:
         # the accumulator holds mass not yet emitted, so the ledger takes the
         # fraction back out of what entered the macro side
         gen.accumulator += fraction / len(gen.accumulator)

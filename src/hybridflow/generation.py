@@ -3,8 +3,9 @@
 A flow-mass generator banks a prescribed flow rate into per-lane
 accumulators and emits one insertion per whole accumulated vehicle, so the
 realized rate matches the profile exactly over time.  A scripted generator
-replays user-defined creation events.  Insertions that cannot be placed
-safely wait in a FIFO retry queue whose content still counts as mass.
+replays user-defined creation events.  Every source sits at the start of
+its road.  Insertions that cannot be placed safely wait in a FIFO retry
+queue whose content still counts as mass.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ class FlowMassGenerator:
         self.id = gen_id
         self.road = road
         self.lanes = lanes
-        self.position = 0.0           # sources sit at the road start
         self.profile = profile
         self.mix = mix
         self.poisson = poisson
@@ -155,7 +155,7 @@ class FlowMassGenerator:
     def _draw(self, lane: int) -> InsertionSpec:
         params, length = self.mix.sample(self.rng)
         destination = self.mix.pick_destination(self.rng)
-        return InsertionSpec(road=self.road, lane=lane, position=self.position,
+        return InsertionSpec(road=self.road, lane=lane, position=0.0,
                              speed=None, params=params, length=length,
                              destination=destination)
 
@@ -201,7 +201,6 @@ class ScriptedGenerator:
         # events: iterable of (time, InsertionSpec) with non-decreasing time
         self.id = gen_id
         self.road = road
-        self.position = 0.0           # sources sit at the road start
         self.events = sorted(events, key=lambda e: e[0])
         self._cursor = 0
         self.retry: deque[InsertionSpec] = deque()
@@ -218,10 +217,4 @@ class ScriptedGenerator:
                 out.append(spec)
             self._cursor += 1
         return out
-
-    def offer_macro_inflow(self, t: float, dt: float) -> float:
-        return 0.0
-
-    def settle_macro_inflow(self, accepted: float, dt: float) -> float:
-        return 0.0
 

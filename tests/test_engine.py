@@ -1556,10 +1556,12 @@ class TestInterfaceAudit:
 
 class TestMacroBoundaryConditions:
     """A macro extent needs a well-defined boundary flux: it may not end at a
-    branching node or start at a node fed by other roads, and it holds at
-    most one source, at the head of an open chain, since the macro reaction
-    offers inflow from that source alone.  `build_state` refuses a declared
-    extent that breaks a condition, and the planner never coarsens into one."""
+    branching node or start at a node fed by other roads.  It holds no
+    source but its open chain's head source, a flow source, since the macro
+    reaction offers inflow from that source alone, and touches no sink but
+    one at its open chain's end, since it lets mass out there alone.
+    `build_state` refuses a declared extent that breaks a condition, and the
+    planner never coarsens into one."""
 
     GEN = ('<?xml version="1.0"?>\n<generation>\n'
            '  <vehicle_length distribution="constant" value="4"/>\n'
@@ -1582,7 +1584,20 @@ class TestMacroBoundaryConditions:
         return (f'  <input_point id="{gen_id}" road="{road}" lanes="{lanes}" '
                 'generation_ref="gen.xml" rhythm_ref="rhythm.xml"/>\n')
 
-    def write(self, root, infra, level, lod=""):
+    # r1 (na -> nb) and r2 (nb -> nc), each 1,000 m with two lanes, with a
+    # sink at the end of each road: out1 ends r1 in the middle of the chain
+    MID_SINK = ('  <node id="na" kind="crossroads"/>\n  <node id="nb" kind="crossroads"/>\n'
+                '  <node id="nc" kind="crossroads"/>\n'
+                '  <road id="r1" from="na" to="nb" length="1000" lanes="2" speed_limit="25"/>\n'
+                '  <road id="r2" from="nb" to="nc" length="1000" lanes="2" speed_limit="25"/>\n'
+                '  <turn node="nb" from_road="r1" to_road="r2" lanes="all"/>\n')
+    MID_SINK_LEVEL = ('  <input_point id="in1" road="r1" lanes="all" generation_ref="gen.xml" '
+                      'rhythm_ref="rhythm.xml"/>\n'
+                      '  <end_point id="out1" road="r1"/>\n  <end_point id="out2" road="r2"/>\n')
+    FLOW_600 = ('<?xml version="1.0"?>\n<rhythm kind="flow">\n  <flow t="0" q="600"/>\n'
+                '</rhythm>\n')
+
+    def write(self, root, infra, level, lod="", rhythm=None, destination="out"):
         root.mkdir()
         (root / "scenario.xml").write_text(
             '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="100">\n'
@@ -1591,9 +1606,9 @@ class TestMacroBoundaryConditions:
         (root / "infra.xml").write_text(
             f'<?xml version="1.0"?>\n<infrastructure>\n{infra}</infrastructure>\n')
         (root / "level.xml").write_text(f'<?xml version="1.0"?>\n<level>\n{level}</level>\n')
-        (root / "gen.xml").write_text(self.GEN)
-        (root / "rhythm.xml").write_text(
-            '<?xml version="1.0"?>\n<rhythm kind="flow">\n  <flow t="0" q="1200"/>\n</rhythm>\n')
+        (root / "gen.xml").write_text(self.GEN.replace('"out"', f'"{destination}"'))
+        (root / "rhythm.xml").write_text(rhythm or (
+            '<?xml version="1.0"?>\n<rhythm kind="flow">\n  <flow t="0" q="1200"/>\n</rhythm>\n'))
         return parse_scenario(root)
 
     def test_mid_chain_source_refuses_a_declared_macro_extent(self, tmp_path):
@@ -1651,3 +1666,78 @@ class TestMacroBoundaryConditions:
         with pytest.raises(SimulationError,
                            match="macro extent starts at a node fed by other roads"):
             build_state(model, EngineConfig(seed=1, lod_enabled=False))
+
+    def test_scripted_source_refuses_a_declared_macro_extent(self, tmp_path):
+        """The macro reaction never runs a script, so a scripted source under a
+        macro extent would insert nothing at all."""
+        infra = ('  <node id="na" kind="crossroads"/>\n  <node id="nb" kind="crossroads"/>\n'
+                 '  <road id="r1" from="na" to="nb" length="1000" lanes="2" '
+                 'speed_limit="25"/>\n')
+        script = ('<?xml version="1.0"?>\n<rhythm kind="script">\n'
+                  + "".join(f'  <event t="{t}" lane="0"/>\n' for t in (1, 2, 5, 10, 20))
+                  + '</rhythm>\n')
+        level = self.source("in1", "r1") + '  <end_point id="out" road="r1"/>\n'
+        model = self.write(tmp_path / "micro", infra, level, rhythm=script)
+        config = EngineConfig(seed=1)
+        state = build_state(model, config)
+        for _ in range(200):
+            advance_step(state, config)
+        assert state.ledger.inserted == 5
+        model = self.write(tmp_path / "macro", infra, level
+                           + '  <cluster representation="macro" road="r1" start="0" '
+                           'end="1000"/>\n', rhythm=script)
+        with pytest.raises(SimulationError, match="macro extent would drop source in1$"):
+            build_state(model, EngineConfig(seed=1))
+
+    @pytest.mark.parametrize("clusters", [
+        '  <cluster representation="macro">\n    <extent road="r1" start="0" end="1000"/>\n'
+        '    <extent road="r2" start="0" end="1000"/>\n  </cluster>\n',
+        '  <cluster representation="micro" road="r1" start="0" end="1000"/>\n'
+        '  <cluster representation="macro" road="r2" start="0" end="1000"/>\n',
+        '  <cluster representation="macro" road="r1" start="0" end="1000"/>\n'
+        '  <cluster representation="micro" road="r2" start="0" end="1000"/>\n'],
+        ids=["over", "from", "to"])
+    def test_mid_chain_sink_refuses_a_declared_macro_extent(self, tmp_path, clusters):
+        """A macro extent over, starting at or ending at a sink that does not
+        end its chain would carry past it the vehicles that sink absorbs."""
+        model = self.write(tmp_path / "mid_sink", self.MID_SINK, self.MID_SINK_LEVEL + clusters,
+                           rhythm=self.FLOW_600, destination="out2")
+        with pytest.raises(SimulationError, match="macro extent would pass sink out1$"):
+            build_state(model, EngineConfig(seed=1))
+
+    def test_budget_never_coarsens_over_a_mid_chain_sink(self, tmp_path):
+        """All micro, every vehicle leaves at out1, the first sink on its way;
+        a zero micro budget leaves that so."""
+        absorbed = {}
+        for budget in ("", '  <lod micro_vehicle_budget="0"/>\n'):
+            model = self.write(tmp_path / f"budget{len(budget)}", self.MID_SINK,
+                               self.MID_SINK_LEVEL, lod=budget, rhythm=self.FLOW_600,
+                               destination="out2")
+            config = EngineConfig(seed=1)
+            state = build_state(model, config)
+            for _ in range(2400):
+                advance_step(state, config)
+            assert state.transitions == []
+            assert state.ledger.macro_out_mass == 0.0
+            assert abs(state.ledger_residual()) <= 1e-9
+            absorbed[budget] = state.ledger.absorbed
+        assert list(absorbed.values()) == [186, 186]
+
+    def test_sink_at_a_ring_wrap_refuses_the_macro_extent_after_it(self, tmp_path):
+        """A ring's wrap is the end of its last road and the start of its first,
+        so a sink there touches the cluster starting the chain."""
+        root = tmp_path / "ring_sink"
+        root.mkdir()
+        ring = FIXTURES / "ring"
+        for name in ("scenario.xml", "infrastructure.xml"):
+            (root / name).write_text((ring / name).read_text())
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n  <end_point id="out" road="rd"/>\n'
+            '  <cluster representation="macro">\n'
+            '    <extent road="ra" start="0" end="500"/>\n'
+            '    <extent road="rb" start="0" end="500"/>\n  </cluster>\n'
+            '  <cluster representation="micro">\n'
+            '    <extent road="rc" start="0" end="500"/>\n'
+            '    <extent road="rd" start="0" end="500"/>\n  </cluster>\n</level>\n')
+        with pytest.raises(SimulationError, match="macro extent would pass sink out$"):
+            build_state(parse_scenario(root), EngineConfig(seed=1))
