@@ -5,9 +5,10 @@ exports step records, trajectories and the level-of-detail transition log.
 Output files are reproducible byte-for-byte from (scenario, seed, flags)
 and are written atomically (temp file, then rename).
 
-Exit codes: 0 success, 1 scenario problems, 2 runtime simulation errors or
-an inconsistent snapshot, which the audit looks for whatever `--probes`
-lists.
+Exit codes: 0 success, 1 scenario problems, 2 runtime simulation errors, a
+probe failure or an inconsistent snapshot, which the audit looks for
+whatever `--probes` lists.  After a probe failure or an inconsistent
+snapshot the outputs are still written.
 """
 
 from __future__ import annotations
@@ -219,11 +220,15 @@ def run_command(argv: list[str]) -> int:
                f"inserted={state.ledger.inserted} absorbed={state.ledger.absorbed} "
                f"transitions={len(state.transitions)} wall={engine.report.wall_time:.2f}s")
     print(summary)
+    failures = engine.report.probe_failures
+    if failures:
+        probe, event, error = failures[0]
+        print(f"warning: {len(failures)} probe failures, the first in "
+              f"{probe}.{event}: {error}", file=sys.stderr)
     if audit.problems:
         print(f"warning: {len(audit.problems)} inconsistent snapshots",
               file=sys.stderr)
-        return 2
-    return 0
+    return 2 if failures or audit.problems else 0
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ import pytest
 from hybridflow.cli import (STEP_COLUMNS, export_csv, export_step_records,
                             export_transitions, run_command)
 from hybridflow.engine import EngineState
+from hybridflow.probes import StepRecordProbe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,6 +119,26 @@ class TestExitCodes:
         assert rc == 2
         assert "warning: 1 inconsistent snapshots" in capsys.readouterr().err
         assert sorted(path.name for path in (tmp_path / "out").iterdir()) == written
+
+    def test_probe_failure_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the other probes and the outputs survive a failing probe
+        record = StepRecordProbe.on_step_end
+
+        def fail_at_three(probe, state):
+            if state.step == 3:
+                raise RuntimeError("injected probe failure")
+            record(probe, state)
+
+        monkeypatch.setattr(StepRecordProbe, "on_step_end", fail_at_three)
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"), "--steps", "10",
+                          "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("warning: 1 probe failures, the first in StepRecordProbe.on_step_end: "
+                "RuntimeError('injected probe failure')") in capsys.readouterr().err
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == \
+            ["audit.json", "steps.csv", "trajectories.csv", "transitions.csv"]
+        rows = (tmp_path / "out" / "steps.csv").read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[0]) for row in rows}) == [1, 2, 4, 5, 6, 7, 8, 9, 10]
 
     def test_ring_without_its_wrap_is_exit_two(self, tmp_path, capsys, monkeypatch,
                                                one_cluster_ring):
