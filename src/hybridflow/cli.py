@@ -5,10 +5,11 @@ exports step records, trajectories and the level-of-detail transition log.
 Output files are reproducible byte-for-byte from (scenario, seed, flags)
 and are written atomically (temp file, then rename).
 
-Exit codes: 0 success, 1 scenario problems, 2 runtime simulation errors, a
-probe failure or an inconsistent snapshot, which the audit looks for
-whatever `--probes` lists.  After a probe failure or an inconsistent
-snapshot the outputs are still written.
+Exit codes: 0 success; 1 scenario problems, found at load or refused by
+the engine's build; 2 runtime simulation errors, a probe failure or an
+inconsistent snapshot, which the audit looks for whatever `--probes` lists.
+After a probe failure or an inconsistent snapshot the outputs are still
+written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
-from .engine import EngineConfig, SimulationEngine
+from .engine import EngineConfig, ScenarioRefused, SimulationEngine
 from .lod import LodPolicy
 from .probes import (STEP_COLUMNS, TRAJECTORY_COLUMNS, MassAuditProbe,
                      StepRecordProbe, TrajectoryProbe, TransitionLogProbe, fmt)
@@ -168,10 +169,7 @@ def run_command(argv: list[str]) -> int:
         if args.lod:
             model.lod = _parse_lod_overrides(args.lod, model.lod)
             check_time_step(model, args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
 
@@ -198,8 +196,8 @@ def run_command(argv: list[str]) -> int:
     engine = SimulationEngine(config, list(probes.values()) + [audit])
     try:
         state = engine.run(model)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    except ScenarioRefused as exc:
+        print(f"scenario error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:   # noqa: BLE001 - boundary of the process
         print(f"simulation error: {exc!r}", file=sys.stderr)

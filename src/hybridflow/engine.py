@@ -64,6 +64,10 @@ class SimulationError(RuntimeError):
     """Raised when the run must terminate abnormally."""
 
 
+class ScenarioRefused(SimulationError):
+    """The declared input parsed, but `build_state` cannot build it."""
+
+
 class OverlapDetected(SimulationError):
     """Integration produced a negative gap beyond tolerance."""
 
@@ -529,7 +533,7 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
         chain = state.chain_of_road[spec.road]
         cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
         if cluster.representation != MICRO:
-            raise SimulationError(f"initial vehicle on {spec.road}@{spec.position} "
+            raise ScenarioRefused(f"initial vehicle on {spec.road}@{spec.position} "
                                   f"falls in macro cluster {cluster.id}")
         veh = Vehicle(id=state.new_vehicle_id(), road=spec.road, lane=spec.lane,
                       position=spec.position, speed=spec.speed, length=spec.length,
@@ -554,7 +558,7 @@ def _to_macro(state: EngineState, cluster: Cluster, densities) -> None:
             if spec.road == road_id and spec.start - 1e-9 <= road_pos < spec.end + 1e-9:
                 rho[i] = spec.value
     if np.any(rho > state.fd.rho_jam + 1e-12):
-        raise SimulationError("initial density above jam density")
+        raise ScenarioRefused("initial density above jam density")
     cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=state.fd)
     cluster.cell_starts = starts
     cluster.representation = MACRO
@@ -567,7 +571,7 @@ def _validate_macro_boundaries(state: EngineState) -> None:
             continue
         problem = _macro_boundary_problem(state, cluster)
         if problem:
-            raise SimulationError(f"cluster {cluster.id}: {problem}")
+            raise ScenarioRefused(f"cluster {cluster.id}: {problem}")
 
 
 def _macro_boundary_problem(state: EngineState, cluster: Cluster) -> str | None:

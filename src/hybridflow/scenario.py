@@ -9,11 +9,13 @@ and rhythm parameters (flow profile or event script).
 
 The exact element and attribute vocabulary is documented in
 docs/formats.md, which is the normative reference for these files.
-Unresolved references are always errors, never defaults.
+Unresolved references, and destinations that no path reaches, are always
+errors, never defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -24,8 +26,8 @@ from .lod import LodPolicy
 from .macro import FundamentalDiagram
 from .micro import PARAM_NAMES, DriverParams
 from .network import (MAX_LANES, NODE_KINDS, SIGN_KINDS, Chain, InputPoint, Node, Road,
-                      RoadNetwork, SinkPoint, Turn, VerticalSign, derive_chains,
-                      validate_network)
+                      RoadNetwork, SinkPoint, Turn, UnreachableError, VerticalSign,
+                      compute_route, derive_chains, validate_network)
 
 
 class ScenarioError(Exception):
@@ -562,13 +564,32 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
         for rid in chain.roads:
             by_road[rid] = chain
 
+    @functools.cache
+    def unreachable(road: str, sink: str) -> bool:
+        try:
+            compute_route(network, road, sink)
+        except UnreachableError:
+            return True
+        return False
+
     for lv in model.levels:
         path = base / lv.ref
         for gp in lv.generation_points:
+            road = gp.input.road
             for sid, _w in gp.mix.destinations:
                 if sid not in network.end_points:
                     raise DanglingReference(base / lv.ref, sid,
                                             f"destination of {gp.input.id}")
+                if unreachable(road, sid):
+                    raise DanglingReference(path.parent / gp.generation_ref, sid,
+                                            f"destination unreachable from road {road}")
+            for _t, event in gp.events:
+                sid = event["destination"]
+                if sid is not None and (sid not in network.end_points
+                                        or unreachable(road, sid)):
+                    raise DanglingReference(path.parent / gp.rhythm_ref, sid,
+                                            f"event destination unknown or "
+                                            f"unreachable from road {road}")
         # cluster extents must chain up contiguously
         for spec in lv.clusters:
             chain = by_road.get(spec.extents[0][0])
@@ -592,6 +613,9 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
                                       f"placement outside road {veh.road}")
             if veh.destination is not None and veh.destination not in network.end_points:
                 raise DanglingReference(path, veh.destination, "vehicle destination")
+            if veh.destination is not None and unreachable(veh.road, veh.destination):
+                raise DanglingReference(path, veh.destination, "vehicle destination "
+                                        f"unreachable from road {veh.road}")
         for rs in lv.restrictions:
             if not (0 < rs.factor <= 1):
                 raise SchemaViolation(path, "<restriction factor>",

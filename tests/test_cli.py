@@ -11,6 +11,7 @@ from hybridflow.cli import (STEP_COLUMNS, export_csv, export_step_records,
                             export_transitions, run_command)
 from hybridflow.engine import EngineState
 from hybridflow.probes import StepRecordProbe
+from probe_contract import fail_at_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -96,13 +97,74 @@ class TestExitCodes:
         assert rc == 1
         assert str(path) in capsys.readouterr().err
 
-    def test_runtime_error_is_exit_two(self, tmp_path, capsys, sliver_scenario):
-        # parses fine; the engine's exact stability check rejects it
-        root = sliver_scenario
-        rc = run_command(["run", "--scenario", str(root),
+    def test_runtime_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        fail_at_step(monkeypatch, 3)
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
                           "--steps", "5", "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "simulation error" in capsys.readouterr().err
+        assert "simulation error: SimulationError('injected failure at step 3')" \
+            in capsys.readouterr().err
+
+    def test_build_refusal_is_exit_one(self, tmp_path, capsys, sliver_scenario):
+        # parses fine; the engine's exact stability check refuses it at build
+        rc = run_command(["run", "--scenario", str(sliver_scenario),
+                          "--steps", "5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"scenario error: {sliver_scenario}: cluster c1: time step 0.25 violates "
+            "the stability bound for 5.0 m cells\n")
+        assert not (tmp_path / "out").exists()
+
+    # mutants of the minimal fixture, whose road r1 (na -> nb) holds source
+    # in1 and sink out1: (file, old text, new text, where the error points,
+    # what it says); UNREACHABLE adds a road r2 that r1 does not lead to
+    UNREACHABLE = ("infrastructure.xml", "</infrastructure>",
+                   '  <node id="nc" kind="crossroads"/>\n  <node id="nd" kind="crossroads"/>\n'
+                   '  <road id="r2" from="nc" to="nd" length="500" lanes="1" '
+                   'speed_limit="25"/>\n</infrastructure>')
+    SINK_OUT2 = ("level.xml", "</level>", '  <end_point id="out2" road="r2"/>\n</level>')
+    REFUSED = {
+        "two_sources_at_a_macro_head": ([
+            ("level.xml", 'lanes="all"', 'lanes="0"'),
+            ("level.xml", "</level>",
+             '  <input_point id="in2" road="r1" lanes="1" generation_ref="in1-generation.xml" '
+             'rhythm_ref="in1-rhythm.xml"/>\n'
+             '  <cluster representation="macro" road="r1" start="0" end="1000"/>\n</level>')],
+            None, "cluster c0: macro extent would drop source in2"),
+        "unreachable_vehicle_destination": ([
+            UNREACHABLE, SINK_OUT2,
+            ("level.xml", "</level>",
+             '  <vehicle road="r1" lane="0" position="10" speed="5" destination="out2"/>\n'
+             '</level>')],
+            "level.xml", "dangling reference 'out2': vehicle destination unreachable "
+            "from road r1"),
+        "unreachable_mix_destination": ([
+            UNREACHABLE, SINK_OUT2, ("in1-generation.xml", 'sink="out1"', 'sink="out2"')],
+            "in1-generation.xml", "dangling reference 'out2': destination unreachable "
+            "from road r1"),
+        "unreachable_event_destination": ([
+            UNREACHABLE, SINK_OUT2,
+            ("in1-rhythm.xml", '<rhythm kind="flow">\n  <flow t="0" q="600"/>',
+             '<rhythm kind="script">\n  <event t="1" lane="0" destination="out2"/>')],
+            "in1-rhythm.xml", "dangling reference 'out2': event destination unknown or "
+            "unreachable from road r1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_input_is_exit_one(self, tmp_path, capsys, case):
+        edits, filename, message = self.REFUSED[case]
+        root = tmp_path / "refused"
+        shutil.copytree(FIXTURES / "minimal", root)
+        for name, old, new in edits:
+            path = root / name
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new, 1))
+        rc = run_command(["run", "--scenario", str(root), "--steps", "400",
+                          "--out", str(tmp_path / "out")])
+        assert rc == 1
+        where = root / filename if filename else root
+        assert capsys.readouterr().err == f"scenario error: {where}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("probes,written", [
         ("steps,trajectories,transitions,audit",
@@ -264,7 +326,6 @@ class TestReproducibility:
 
     def test_re_export_is_byte_stable(self, tmp_path):
         from hybridflow.engine import EngineConfig, SimulationEngine
-        from hybridflow.probes import StepRecordProbe
         from hybridflow.scenario import parse_scenario
         probe = StepRecordProbe()
         engine = SimulationEngine(EngineConfig(steps=5, seed=1), [probe])
