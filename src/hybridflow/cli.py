@@ -28,7 +28,7 @@ from pathlib import Path
 from .engine import EngineConfig, ScenarioRefused, SimulationEngine
 from .lod import LodPolicy
 from .probes import (STEP_COLUMNS, TRAJECTORY_COLUMNS, MassAuditProbe,
-                     StepRecordProbe, TrajectoryProbe, TransitionLogProbe, fmt)
+                     StepRecordProbe, TrajectoryProbe, fmt)
 from .scenario import ScenarioError, check_time_step, parse_scenario
 
 TRANSITION_COLUMNS = ("step", "kind", "clusters", "chain", "position", "trigger",
@@ -188,8 +188,6 @@ def run_command(argv: list[str]) -> int:
         probes["steps"] = StepRecordProbe()
     if "trajectories" in wanted:
         probes["trajectories"] = TrajectoryProbe()
-    if "transitions" in wanted:
-        probes["transitions"] = TransitionLogProbe()
     audit = MassAuditProbe()
 
     config = EngineConfig(steps=steps, seed=args.seed)
@@ -209,8 +207,8 @@ def run_command(argv: list[str]) -> int:
         export_step_records(probes["steps"].rows, args.format, out / f"steps.{suffix}")
     if "trajectories" in probes:
         export_trajectories(probes["trajectories"].rows, out / "trajectories.csv")
-    if "transitions" in probes:
-        export_transitions(probes["transitions"].records, out / "transitions.csv")
+    if "transitions" in wanted:
+        export_transitions(state.transitions, out / "transitions.csv")
     if "audit" in wanted:
         export_audit(audit, out / "audit.json")
 

@@ -1088,8 +1088,6 @@ def _decide(state: EngineState, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
 
 def _serve_stop_signs(state: EngineState, veh: Vehicle) -> None:
     """A vehicle halted just before a stop sign has served it."""
-    if veh.speed > STOP_SPEED:
-        return
     for sign in state.network.roads[veh.road].signs:
         if sign.kind != "stop" or not sign.applies_to(veh.lane):
             continue

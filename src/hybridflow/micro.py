@@ -246,7 +246,6 @@ class BehaviorContext:
     lane_count: int
     permitted_lanes: frozenset[int] | None = None   # None: any lane continues
     distance_to_node: float = INF                   # m to the next node
-    nav_horizon: float = NAV_HORIZON
 
 
 class VehicleIntent(NamedTuple):
@@ -280,7 +279,7 @@ def behavior_chain(vehicle: Vehicle, perception: Perception,
     # way navigation has no lane to aim for
     must_change = (bool(ctx.permitted_lanes)
                    and vehicle.lane not in ctx.permitted_lanes
-                   and ctx.distance_to_node < ctx.nav_horizon)
+                   and ctx.distance_to_node < NAV_HORIZON)
     if must_change:
         # hold back as if the node were a standing obstacle until the change lands
         if ctx.distance_to_node > 0:

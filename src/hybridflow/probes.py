@@ -89,16 +89,6 @@ class TrajectoryProbe(Probe):
                              for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id))
 
 
-class TransitionLogProbe(Probe):
-    """Copies the engine's level-of-detail transition log at the end."""
-
-    def __init__(self):
-        self.records: list = []
-
-    def on_final(self, state: EngineState) -> None:
-        self.records = list(state.transitions)
-
-
 @dataclass
 class AuditViolation:
     step: int
