@@ -310,6 +310,20 @@ class TestOutputs:
         audit = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert audit["violations"] == []
 
+    def test_audit_records_a_ledger_violation(self, tmp_path, monkeypatch):
+        # a residual above LEDGER_TOLERANCE after one step is listed, and only then
+        residual = EngineState.ledger_residual
+        monkeypatch.setattr(EngineState, "ledger_residual", lambda state: residual(state)
+                            + (1e-3 if state.step == 5 else 0.0))
+        rc = run_command(["run", "--scenario", str(FIXTURES / "minimal"),
+                          "--steps", "10", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        audit = json.loads((tmp_path / "out" / "audit.json").read_text())
+        (violation,) = audit["violations"]
+        assert (violation["step"], violation["kind"]) == (5, "ledger")
+        assert violation["value"] == pytest.approx(1e-3, abs=1e-9)
+        assert abs(audit["final_residual"]) <= 1e-9
+
 
 class TestReproducibility:
     def run_to(self, out, extra=()):

@@ -686,6 +686,36 @@ class TestMicroReactionOracle:
         assert state.ledger_residual() - residual == pytest.approx(left, abs=1e-9)
 
 
+class TestStopSign:
+    def test_vehicle_halts_serves_the_sign_and_drives_on(self, tmp_path):
+        """A vehicle from 100 m at 20 m/s halts before a stop at 500 m, which
+        it then has served, and leaves the 1,000 m road at its sink."""
+        (tmp_path / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n<simulation time_step="0.25" duration="100">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            '</simulation>\n')
+        (tmp_path / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>\n'
+            '  <node id="a" kind="crossroads"/>\n  <node id="b" kind="crossroads"/>\n'
+            '  <road id="r" from="a" to="b" length="1000" lanes="1" speed_limit="25">\n'
+            '    <sign kind="stop" position="500"/>\n  </road>\n</infrastructure>\n')
+        (tmp_path / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n  <end_point id="out" road="r"/>\n'
+            '  <vehicle road="r" lane="0" position="100" speed="20"/>\n</level>\n')
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(parse_scenario(tmp_path), config)
+        (veh,) = state.clusters["c0"].vehicles.values()
+        served_at = None
+        while not state.ledger.absorbed:
+            advance_step(state, config)
+            if served_at is None and veh.satisfied_stops:
+                served_at = (state.step, veh.position)
+        assert veh.satisfied_stops == {("r", 500.0)}
+        assert served_at[0] == 108
+        assert served_at[1] == pytest.approx(497.97, abs=0.005)
+        assert state.step == 262
+
+
 class TestGateSeam:
     """A vehicle 5e-10 m before a micro-to-macro gate is nearer than the
     gate queries look, while `cluster_at` already gives the macro cluster:
@@ -1438,6 +1468,63 @@ class TestBankedFraction:
                 if cluster.representation == "macro":
                     assert np.shares_memory(cluster.segment.rho, state.cells.rho), kind
         assert [c.representation for c in state.chain_clusters("chain0")] == ["micro"] * 2
+
+
+class TestDissolveQueue:
+    """A coarsen melts the whole vehicles queued before the new macro extent,
+    at its interface or in its head source's retry queue, into its entry
+    cell: each adds 1/(dx * lanes) while the cell can seat one more, the
+    rest stay queued, and no mass is lost."""
+
+    QUEUED = 40   # more than a 100 m cell can seat
+
+    def queued_fixture(self, name):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load(name), config)
+        for _ in range(300):
+            advance_step(state, config)
+        if name == "hybrid":
+            queue = state.interfaces[("chain0", 1400000)].pending
+            queue.extend(Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
+                                 position=1400.0, speed=5.0) for _ in range(self.QUEUED))
+            position = 1700.0
+        else:
+            (gen,) = state.generators
+            queue = gen.retry
+            queue.extend(InsertionSpec(road="r1", lane=0, position=0.0, speed=None,
+                                       params=DriverParams(), length=4.0, destination="out1")
+                         for _ in range(self.QUEUED))
+            position = 500.0
+        state.ledger.inserted += self.QUEUED   # the queued vehicles entered the network
+        return state, queue, position
+
+    @pytest.mark.parametrize("name", ["hybrid", "minimal"], ids=["interface", "retry"])
+    def test_coarsen_dissolves_the_queue_into_the_entry_cell(self, monkeypatch, name):
+        state, queue, position = self.queued_fixture(name)
+        assert abs(state.ledger_residual()) <= 1e-9
+        seen = []
+        dissolve = engine._dissolve_queue
+
+        def record(seg, waiting):
+            seen.append((float(seg.rho[0]), len(waiting)))
+            dissolve(seg, waiting)
+
+        monkeypatch.setattr(engine, "_dissolve_queue", record)
+        apply_system_influences(state, [Action("coarsen", "chain0", position, "forced")])
+        (rho, waiting), = seen
+        assert waiting == self.QUEUED
+        seg = state.cluster_at("chain0", position).segment
+        per_vehicle = 1.0 / (seg.dx[0] * seg.lanes[0])
+        melted = 0
+        while melted < waiting and (state.fd.rho_jam - rho) * seg.dx[0] * seg.lanes[0] >= 1.0:
+            rho += per_vehicle
+            melted += 1
+        assert 0 < melted < waiting
+        assert seg.rho[0] == rho
+        assert len(queue) == waiting - melted
+        assert abs(state.ledger_residual()) <= 1e-9
+        (record_,) = state.transitions
+        assert record_.post_mass == pytest.approx(record_.pre_mass, abs=1e-9)
 
 
 class TestBoundaryRates:

@@ -408,6 +408,23 @@ class TestMerge:
         assert homeless == []
 
 
+class TestInheritSplit:
+    def test_both_children_take_the_parents_state(self):
+        ctl = LodController(POLICY)
+        ctl.mark_switch("p", step=40, refined=True)
+        ctl.last_jam_step["p"] = 37
+        ctl.cluster_high["p"] = 5
+        ctl.inherit_split("p", ("a", "b"))
+        for child in ("a", "b"):
+            assert ctl.cooldown_until[child] == 40 + POLICY.cooldown
+            assert ctl.last_jam_step[child] == 37
+            assert ctl.refined_at[child] == 40
+        for table in (ctl.cooldown_until, ctl.last_jam_step, ctl.refined_at,
+                      ctl.cluster_high):
+            assert "p" not in table
+        assert ctl.cluster_high == {}
+
+
 class TestPlan:
     def plan(self, ctl, clusters, interfaces=(), step=100, micro_count=0,
              capable=lambda c: True):

@@ -243,6 +243,40 @@ class TestRoundTrip:
         assert validate_network(model.network) == []
 
 
+    def test_release_mix_script_and_lane_subset_sign_round_trip(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        infra = root / "infrastructure.xml"
+        infra.write_text(infra.read_text().replace(
+            'speed_limit="25"/>',
+            'speed_limit="25">\n    <sign kind="stop" position="300" lanes="1"/>\n'
+            '    <sign kind="speed_limit" position="600" value="15"/>\n  </road>'))
+        level = root / "level.xml"
+        level.write_text(level.read_text().replace(
+            "</level>", '  <release_mix generation_ref="release.xml"/>\n</level>'))
+        (root / "release.xml").write_text(
+            '<?xml version="1.0"?>\n<generation>\n'
+            '  <vehicle_length distribution="uniform" lo="4" hi="6"/>\n'
+            '  <param name="v0" distribution="normal" mean="24" sd="2"/>\n</generation>\n')
+        (root / "in1-rhythm.xml").write_text(
+            '<?xml version="1.0"?>\n<rhythm kind="script">\n'
+            '  <event t="1" lane="0" speed="20" v0="22" destination="out1"/>\n'
+            '  <event t="2.5" lane="1" speed="-1" length="6"/>\n</rhythm>\n')
+        model = parse_scenario(root)
+        signs = model.network.roads["r1"].signs
+        assert [(s.kind, s.lanes) for s in signs] == [("stop", frozenset({1})),
+                                                      ("speed_limit", None)]
+        assert model.release_mix.params["v0"].a == 24.0
+        assert [t for t, _ in model.generation_points[0].events] == [1.0, 2.5]
+        first = serialize_scenario(model)
+        assert "release-generation.xml" in first
+        write_scenario(model, tmp_path / "once")
+        reparsed = parse_scenario(tmp_path / "once" / "scenario.xml")
+        assert serialize_scenario(reparsed) == first
+        assert reparsed.release_mix == model.release_mix
+        assert reparsed.generation_points[0].events == model.generation_points[0].events
+        assert reparsed.network.roads["r1"].signs == signs
+
+
 class TestMultipleLevels:
     def test_two_level_files_merge(self, tmp_path):
         root = tmp_path / "two"
