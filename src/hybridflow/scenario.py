@@ -577,12 +577,10 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
         for gp in lv.generation_points:
             road = gp.input.road
             for sid, _w in gp.mix.destinations:
-                if sid not in network.end_points:
-                    raise DanglingReference(base / lv.ref, sid,
-                                            f"destination of {gp.input.id}")
-                if unreachable(road, sid):
+                if sid not in network.end_points or unreachable(road, sid):
                     raise DanglingReference(path.parent / gp.generation_ref, sid,
-                                            f"destination unreachable from road {road}")
+                                            f"destination of {gp.input.id} unknown or "
+                                            f"unreachable from road {road}")
             for _t, event in gp.events:
                 sid = event["destination"]
                 if sid is not None and (sid not in network.end_points
@@ -611,10 +609,10 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
             if not 0 <= veh.position <= road.length or not 0 <= veh.lane < road.lane_count:
                 raise SchemaViolation(path, "<vehicle>",
                                       f"placement outside road {veh.road}")
-            if veh.destination is not None and veh.destination not in network.end_points:
-                raise DanglingReference(path, veh.destination, "vehicle destination")
-            if veh.destination is not None and unreachable(veh.road, veh.destination):
-                raise DanglingReference(path, veh.destination, "vehicle destination "
+            sid = veh.destination
+            if sid is not None and (sid not in network.end_points
+                                    or unreachable(veh.road, sid)):
+                raise DanglingReference(path, sid, "vehicle destination unknown or "
                                         f"unreachable from road {veh.road}")
         for rs in lv.restrictions:
             if not (0 < rs.factor <= 1):

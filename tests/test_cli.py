@@ -136,12 +136,12 @@ class TestExitCodes:
             ("level.xml", "</level>",
              '  <vehicle road="r1" lane="0" position="10" speed="5" destination="out2"/>\n'
              '</level>')],
-            "level.xml", "dangling reference 'out2': vehicle destination unreachable "
-            "from road r1"),
+            "level.xml", "dangling reference 'out2': vehicle destination unknown or "
+            "unreachable from road r1"),
         "unreachable_mix_destination": ([
             UNREACHABLE, SINK_OUT2, ("in1-generation.xml", 'sink="out1"', 'sink="out2"')],
-            "in1-generation.xml", "dangling reference 'out2': destination unreachable "
-            "from road r1"),
+            "in1-generation.xml", "dangling reference 'out2': destination of in1 unknown "
+            "or unreachable from road r1"),
         "unreachable_event_destination": ([
             UNREACHABLE, SINK_OUT2,
             ("in1-rhythm.xml", '<rhythm kind="flow">\n  <flow t="0" q="600"/>',

@@ -113,8 +113,9 @@ class TestDiagnostics:
         root = _copy_fixture(tmp_path)
         path = root / "in1-generation.xml"
         path.write_text(path.read_text().replace('sink="out1"', 'sink="bogus"'))
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference) as err:
             parse_scenario(root)
+        assert str(err.value).startswith(f"{path}: dangling reference 'bogus'")
 
     def test_negative_flow_rate(self, tmp_path):
         root = _copy_fixture(tmp_path)
