@@ -36,7 +36,7 @@ from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps th
 from .micro import (NAV_HORIZON, VIEW_OFFSETS, DriverArrays, DriverParams, PerceptionArrays,
                     Vehicle, behavior_chains)
 from .micro import behavior_chain  # noqa: F401 - the benchmark tracer wraps this name
-from .network import (MAX_LANES, Route, UnreachableError, compute_route,
+from .network import (MAX_LANES, Route, SinkPoint, UnreachableError, compute_route,
                       lanes_to_destination, permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
 
@@ -216,7 +216,7 @@ class EngineState:
         # static, by open chain id: the flow source feeding the head cluster
         # and the sink draining the last one, wherever they exist
         self.head_source: dict[str, FlowMassGenerator] = {}
-        self.tail_sink: dict = {}
+        self.tail_sink: dict[str, SinkPoint] = {}
         self.controller = LodController(model.lod)
         self.ledger = Ledger()
         self.transitions: list[TransitionRecord] = []
@@ -1087,7 +1087,8 @@ def _decide(state: EngineState, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _serve_stop_signs(state: EngineState, veh: Vehicle) -> None:
-    """A vehicle halted just before a stop sign has served it."""
+    """A halted vehicle, as the caller selects them, has served a stop sign
+    it stands just before."""
     for sign in state.network.roads[veh.road].signs:
         if sign.kind != "stop" or not sign.applies_to(veh.lane):
             continue

@@ -217,4 +217,3 @@ class ScriptedGenerator:
                 out.append(spec)
             self._cursor += 1
         return out
-
