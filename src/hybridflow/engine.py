@@ -127,9 +127,6 @@ class EngineConfig:
     steps: int | None = None          # overrides scenario duration
     seed: int = 0
     lod_enabled: bool = True
-    # optional, non-deterministic: coarsen under load when a step's wall time
-    # exceeds this bound (the deterministic vehicle budget is the default)
-    wall_clock_budget_ms: float | None = None
 
 
 def _compensated_add(acc: list[float], term: float) -> None:
@@ -221,8 +218,6 @@ class EngineState:
         self.ledger = Ledger()
         self.transitions: list[TransitionRecord] = []
         self.orphan_mass = 0.0
-        self.last_step_wall_ms: float | None = None
-        self.in_system_phase = False
         self.last_flows: dict[str, list[float]] = {}
         self.cells = CellStore([], self.fd, self.dt)   # see cell_store
 
@@ -1475,7 +1470,7 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
     state.ledger.absorbed += len(removals)
 
     if config.lod_enabled:
-        _observe_and_plan(state, config)
+        _observe_and_plan(state)
 
     _drain_pending_micro_interfaces(state, scene)
 
@@ -1542,7 +1537,7 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
 
 # -- level-of-detail observation and application ---------------------------------
 
-def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
+def _observe_and_plan(state: EngineState) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
     macro = [c for c in clusters if c.representation == MACRO]
     # one speed pass over the cell store serves the cell counters and the
@@ -1561,21 +1556,17 @@ def _observe_and_plan(state: EngineState, config: EngineConfig) -> None:
             ratios[c.id] = 1.0           # empty extents count as free flow
     state.controller.observe(clusters, ratios, store, cells, state.step)
 
-    micro_count = state.micro_vehicle_count()
-    if config.wall_clock_budget_ms is not None and state.last_step_wall_ms \
-            is not None and state.last_step_wall_ms > config.wall_clock_budget_ms:
-        # present the overload as unbounded budget pressure for this plan
-        micro_count = max(micro_count, state.policy.micro_vehicle_budget + 1)
-
     plan = state.controller.plan(clusters, list(state.interfaces.values()),
-                                 state.step, micro_count,
+                                 state.step, state.micro_vehicle_count(),
                                  lambda c: _macro_boundary_problem(state, c) is None)
     for action in plan:
-        _apply_action(state, action)
+        # the plan completes this step, so its transitions carry the next stamp
+        _apply_action(state, action, state.step + 1)
 
 
-def _apply_action(state: EngineState, action: Action) -> None:
-    """Resolve the action's anchor against the current partition and apply it."""
+def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
+    """Resolve the action's anchor against the current partition and apply
+    it; `stamp` is the step its transition record names."""
     chain = state.chains[action.chain_id]
     if action.kind == "split":
         cluster = state.cluster_at(action.chain_id, action.position - 1e-6)
@@ -1589,8 +1580,8 @@ def _apply_action(state: EngineState, action: Action) -> None:
         state.clusters[left.id] = left
         state.clusters[right.id] = right
         state.reindex()
-        state.controller.inherit_split(cluster.id, (left.id, right.id))
-        _log_transition(state, action, (left.id, right.id), pre, left.mass() + right.mass())
+        _log_transition(state, stamp, action, (left.id, right.id), pre,
+                        left.mass() + right.mass())
         return
 
     if action.kind == "merge":
@@ -1608,8 +1599,7 @@ def _apply_action(state: EngineState, action: Action) -> None:
         state.clusters[merged.id] = merged
         state.reindex()
         outside = _rehome_queue(state, merged, chain, itf.position, homeless, fraction)
-        state.controller.inherit_merge((a.id, b.id), merged.id)
-        _log_transition(state, action, (a.id, b.id, merged.id), pre,
+        _log_transition(state, stamp, action, (a.id, b.id, merged.id), pre,
                         merged.mass() + outside)
         return
 
@@ -1622,8 +1612,8 @@ def _apply_action(state: EngineState, action: Action) -> None:
                 state, state.lod_rng, road_id, lane, position, speed),
             state.release_mix.min_spacing())
         _bank_fraction(state, cluster, residual)
-        state.controller.mark_switch(cluster.id, state.step, refined=True)
-        _log_transition(state, action, (cluster.id,), pre,
+        state.controller.mark_switch(cluster, state.step, refined=True)
+        _log_transition(state, stamp, action, (cluster.id,), pre,
                         cluster.mass() + residual)
         return
 
@@ -1649,8 +1639,8 @@ def _apply_action(state: EngineState, action: Action) -> None:
             _dissolve_queue(seg, itf_up.pending)
         elif gen is not None:
             _dissolve_queue(seg, gen.retry)
-        state.controller.mark_switch(cluster.id, state.step, refined=False)
-        _log_transition(state, action, (cluster.id,), pre,
+        state.controller.mark_switch(cluster, state.step, refined=False)
+        _log_transition(state, stamp, action, (cluster.id,), pre,
                         cluster.mass() + held_upstream())
         return
 
@@ -1731,10 +1721,8 @@ def _flow(state: EngineState, cluster_id: str, rate_in: float,
     entry[1] += rate_out
 
 
-def _log_transition(state: EngineState, action: Action, cluster_ids: tuple,
-                    pre: float, post: float) -> None:
-    # during the system phase the counter still names the previous stamp
-    step = state.step + 1 if state.in_system_phase else state.step
+def _log_transition(state: EngineState, step: int, action: Action,
+                    cluster_ids: tuple, pre: float, post: float) -> None:
     state.transitions.append(TransitionRecord(
         step=step, kind=action.kind, cluster_ids=cluster_ids,
         chain_id=action.chain_id, position=action.position,
@@ -1747,7 +1735,6 @@ def _log_transition(state: EngineState, action: Action, cluster_ids: tuple,
 
 def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     """Run one full phase cycle; the state is consistent again on return."""
-    step_started = time.perf_counter()
     state.last_flows = {}
     _refresh_restrictions(state)
 
@@ -1756,15 +1743,10 @@ def advance_step(state: EngineState, config: EngineConfig) -> EngineState:
     emissions = _natural(state)
     removals = _micro_reaction(state, scene, accel, change)
     _macro_reaction(state, scene)
-    state.in_system_phase = True
-    try:
-        _system_reaction(state, scene, config, removals, emissions)
-    finally:
-        state.in_system_phase = False
+    _system_reaction(state, scene, config, removals, emissions)
 
     state.step += 1
     state.time = state.step * state.dt
-    state.last_step_wall_ms = (time.perf_counter() - step_started) * 1000.0
     return state
 
 
@@ -1791,7 +1773,7 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
         state.ledger.absorbed += 1
 
     for action in actions:
-        _apply_action(state, action)
+        _apply_action(state, action, state.step)
 
     scene = Scene(state)
     for infl in additions:

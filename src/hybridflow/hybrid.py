@@ -44,7 +44,12 @@ def pos_keys(positions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Cluster:
-    """One extent of a chain with exactly one active representation."""
+    """One extent of a chain with exactly one active representation.
+
+    The last four fields are the cluster's level-of-detail memory: the
+    controller reads and writes them, a representation switch keeps them
+    (it mutates the cluster in place), and `split_cluster` and
+    `merge_clusters` hand them to the clusters they make."""
 
     id: str
     chain_id: str
@@ -54,6 +59,10 @@ class Cluster:
     vehicles: dict[str, Vehicle] = field(default_factory=dict)
     segment: MacroSegment | None = None
     cell_starts: np.ndarray | None = None   # chain coordinate per cell
+    recovered_steps: int = 0        # consecutive observations above theta_up
+    last_jam_step: int = -1         # last observation below theta_down
+    cooldown_until: int = -1        # no switch before this step
+    refined: bool = False           # micro by a refine: recovery may coarsen it
 
     @property
     def length(self) -> float:

@@ -94,12 +94,12 @@ def split_cluster(cluster: Cluster, position: float, chain,
             raise ValueError(f"split position {position} is not an interior cell edge")
         position = float(edges[idx])
 
-    left = Cluster(id=f"{cluster.id}a", chain_id=cluster.chain_id,
-                   start=cluster.start, end=position,
-                   representation=cluster.representation)
-    right = Cluster(id=f"{cluster.id}b", chain_id=cluster.chain_id,
-                    start=position, end=cluster.end,
-                    representation=cluster.representation)
+    # both parts keep the parent's LOD memory; recovery counts afresh
+    inherited = dict(chain_id=cluster.chain_id, representation=cluster.representation,
+                     last_jam_step=cluster.last_jam_step,
+                     cooldown_until=cluster.cooldown_until, refined=cluster.refined)
+    left = Cluster(id=f"{cluster.id}a", start=cluster.start, end=position, **inherited)
+    right = Cluster(id=f"{cluster.id}b", start=position, end=cluster.end, **inherited)
     if cluster.representation == MICRO:
         for vid, veh in cluster.vehicles.items():
             pos = chain.to_chain_pos(veh.road, veh.position)
@@ -139,6 +139,8 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
     needing a new home).  For macro pairs the shared interface's carryover
     and queue dissolve into the boundary cell, so both extras are empty; for
     micro pairs the caller places the queue and banks the fraction upstream.
+    The merged cluster keeps the later jam and cooldown of the two, is
+    refined if either was, and counts recovery afresh.
     """
     if abs(a.end - b.start) > 1e-9:
         raise NotAdjacent(f"{a.id} ends at {a.end}, {b.id} starts at {b.start}")
@@ -146,7 +148,10 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
         raise RepresentationMismatch(f"{a.representation} vs {b.representation}")
 
     merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id,
-                     start=a.start, end=b.end, representation=a.representation)
+                     start=a.start, end=b.end, representation=a.representation,
+                     last_jam_step=max(a.last_jam_step, b.last_jam_step),
+                     cooldown_until=max(a.cooldown_until, b.cooldown_until),
+                     refined=a.refined or b.refined)
     homeless_vehicles: list = []
     homeless_mass = 0.0
     if a.representation == MICRO:
@@ -175,7 +180,13 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
 # ---------------------------------------------------------------------------
 
 class LodController:
-    """Keeps persistence counters and cooldowns; turns them into plans.
+    """Keeps the cell persistence counters; turns them and each cluster's
+    LOD memory into plans.
+
+    That memory (recovered steps, last jam, cooldown end, refined) lives on
+    the `Cluster`, which carries it through switches, splits and merges;
+    the controller reads and writes those fields and keeps no table by
+    cluster id.
 
     The cell counters live in one int64 array aligned with the cell store
     the engine observes: entry i counts the consecutive slow steps of the
@@ -195,49 +206,16 @@ class LodController:
         self.spans: dict[str, tuple[int, int]] = {}        # chain id -> its cells in the store
         self.keys = np.empty(0, dtype=np.int64)            # cell start keys, sorted per chain
         self.low = np.empty(0, dtype=np.int64)             # consecutive slow steps per cell
-        self.cluster_high: dict[str, int] = {}             # consecutive recovered steps
-        self.last_jam_step: dict[str, int] = {}
-        self.cooldown_until: dict[str, int] = {}
-        self.refined_at: dict[str, int] = {}
 
-    # -- bookkeeping hooks the engine calls on structural changes ----------
+    # -- the cluster memory a representation switch resets -----------------
 
-    def mark_switch(self, cluster_id: str, step: int, refined: bool) -> None:
-        self.cooldown_until[cluster_id] = step + self.policy.cooldown
-        if refined:
-            self.refined_at[cluster_id] = step
-        else:
-            self.refined_at.pop(cluster_id, None)
-        self.cluster_high.pop(cluster_id, None)
+    def mark_switch(self, cluster: Cluster, step: int, refined: bool) -> None:
+        cluster.cooldown_until = step + self.policy.cooldown
+        cluster.refined = refined
+        cluster.recovered_steps = 0
 
-    def inherit_split(self, parent: str, children: tuple[str, str]) -> None:
-        until = self.cooldown_until.pop(parent, None)
-        jam = self.last_jam_step.pop(parent, None)
-        refined = self.refined_at.pop(parent, None)
-        self.cluster_high.pop(parent, None)
-        for child in children:
-            if until is not None:
-                self.cooldown_until[child] = until
-            if jam is not None:
-                self.last_jam_step[child] = jam
-            if refined is not None:
-                self.refined_at[child] = refined
-
-    def inherit_merge(self, parents: tuple[str, str], child: str) -> None:
-        untils = [self.cooldown_until.pop(p, None) for p in parents]
-        jams = [self.last_jam_step.pop(p, None) for p in parents]
-        refined = [self.refined_at.pop(p, None) for p in parents]
-        for p in parents:
-            self.cluster_high.pop(p, None)
-        if any(u is not None for u in untils):
-            self.cooldown_until[child] = max(u for u in untils if u is not None)
-        if any(j is not None for j in jams):
-            self.last_jam_step[child] = max(j for j in jams if j is not None)
-        if any(r is not None for r in refined):
-            self.refined_at[child] = max(r for r in refined if r is not None)
-
-    def in_cooldown(self, cluster_id: str, step: int) -> bool:
-        return step < self.cooldown_until.get(cluster_id, -1)
+    def in_cooldown(self, cluster: Cluster, step: int) -> bool:
+        return step < cluster.cooldown_until
 
     # -- observation --------------------------------------------------------
 
@@ -250,12 +228,10 @@ class LodController:
         order and `cell_ratios` its per-cell ratio array."""
         for cluster in clusters:
             ratio = ratios[cluster.id]
-            if ratio > self.policy.theta_up:
-                self.cluster_high[cluster.id] = self.cluster_high.get(cluster.id, 0) + 1
-            else:
-                self.cluster_high[cluster.id] = 0
+            cluster.recovered_steps = cluster.recovered_steps + 1 \
+                if ratio > self.policy.theta_up else 0
             if ratio < self.policy.theta_down:
-                self.last_jam_step[cluster.id] = step
+                cluster.last_jam_step = step
         if store is not self.store:
             self._remap(clusters, store)
         if len(cell_ratios):
@@ -335,7 +311,7 @@ class LodController:
             if len(self.low) else ()
         for k in hot:
             cluster = self.macro[k]
-            if self.in_cooldown(cluster.id, step):
+            if self.in_cooldown(cluster, step):
                 continue
             a, b = self.store.bounds[k]
             start, end = self._jam_region(cluster, self.low[a:b] >= persistence)
@@ -351,11 +327,11 @@ class LodController:
         for cluster in ordered:
             if cluster.representation != MICRO or cluster.id in used:
                 continue
-            if cluster.id not in self.refined_at:
+            if not cluster.refined:
                 continue
-            if self.in_cooldown(cluster.id, step) or not macro_capable(cluster):
+            if self.in_cooldown(cluster, step) or not macro_capable(cluster):
                 continue
-            if self.cluster_high.get(cluster.id, 0) >= self.policy.persistence:
+            if cluster.recovered_steps >= self.policy.persistence:
                 actions.append(Action("coarsen", cluster.chain_id,
                                       (cluster.start + cluster.end) / 2.0, "recovery"))
                 used.add(cluster.id)
@@ -365,11 +341,11 @@ class LodController:
             shedding = micro_vehicles
             by_activity = sorted(
                 (c for c in ordered if c.representation == MICRO and c.id not in used),
-                key=lambda c: (self.last_jam_step.get(c.id, -1), c.chain_id, c.start))
+                key=lambda c: (c.last_jam_step, c.chain_id, c.start))
             for cluster in by_activity:
                 if shedding <= self.policy.micro_vehicle_budget:
                     break
-                if self.in_cooldown(cluster.id, step) or not macro_capable(cluster):
+                if self.in_cooldown(cluster, step) or not macro_capable(cluster):
                     continue
                 actions.append(Action("coarsen", cluster.chain_id,
                                       (cluster.start + cluster.end) / 2.0, "budget"))
@@ -386,10 +362,9 @@ class LodController:
                 continue
             if abs(up.end - down.start) > 1e-9:
                 continue   # the wrap boundary of a cyclic chain never merges
-            if self.in_cooldown(up.id, step) or self.in_cooldown(down.id, step):
+            if self.in_cooldown(up, step) or self.in_cooldown(down, step):
                 continue
-            if min(self.cluster_high.get(up.id, 0),
-                   self.cluster_high.get(down.id, 0)) >= self.policy.persistence:
+            if min(up.recovered_steps, down.recovered_steps) >= self.policy.persistence:
                 actions.append(Action("merge", itf.chain_id, itf.position, "recovery"))
                 used.update((up.id, down.id))
 

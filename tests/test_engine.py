@@ -1011,15 +1011,27 @@ class TestCanary:
         assert audit.problems == canary.problems
 
 
-class TestWallClockTrigger:
-    def test_overload_coarsens_like_budget_pressure(self):
-        model = parse_scenario(FIXTURES / "ring")
-        config = EngineConfig(steps=80, seed=1, wall_clock_budget_ms=0.0)
-        state = build_state(model, config)
-        for _ in range(80):
+class TestTransitionStamps:
+    """A forced transition between steps names the current step count, also
+    after a step that raised inside the system phase."""
+
+    def test_forced_actions_log_the_step_count(self, monkeypatch):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        for _ in range(3):
             advance_step(state, config)
-        budget_actions = [t for t in state.transitions if t.trigger == "budget"]
-        assert budget_actions and budget_actions[0].kind == "coarsen"
+        apply_system_influences(state, [Action("split", "chain0", 1000.0, "forced")])
+
+        def fail(*args):
+            raise SimulationError("injected in the system phase")
+
+        monkeypatch.setattr(engine, "_drain_pending_micro_interfaces", fail)
+        with pytest.raises(SimulationError, match="injected in the system phase"):
+            advance_step(state, config)
+        monkeypatch.undo()
+        apply_system_influences(state, [Action("refine", "chain0", 800.0, "forced")])
+        assert state.step == 3
+        assert [(t.kind, t.step) for t in state.transitions] == [("split", 3), ("refine", 3)]
 
 
 class TestLodWithoutMacroCells:

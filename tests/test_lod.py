@@ -264,7 +264,7 @@ def per_cluster_jam_actions(ctl, ref, clusters, step):
     cooldown, in (chain, start) order."""
     actions = []
     for cluster in sorted(clusters, key=lambda c: (c.chain_id, c.start)):
-        if cluster.representation != MACRO or ctl.in_cooldown(cluster.id, step):
+        if cluster.representation != MACRO or ctl.in_cooldown(cluster, step):
             continue
         flags = ref.detect_jam(cluster)
         if not flags.any():
@@ -322,7 +322,7 @@ class TestPlanMatchesPerClusterLoop:
                 step += 1
         for cluster in macro:
             if data.draw(st.booleans()):
-                ctl.mark_switch(cluster.id, step - data.draw(st.integers(0, 8)), False)
+                ctl.mark_switch(cluster, step - data.draw(st.integers(0, 8)), False)
         planned = ctl.plan(clusters, [], step, 0, lambda c: False)
         assert planned == per_cluster_jam_actions(ctl, ref, clusters, step)
 
@@ -408,21 +408,180 @@ class TestMerge:
         assert homeless == []
 
 
-class TestInheritSplit:
-    def test_both_children_take_the_parents_state(self):
+class TestMemoryFollowsTheCluster:
+    """Split and merge hand the LOD memory to the clusters they make, which
+    count recovery afresh."""
+
+    def shared(self):
+        return BoundaryInterface(id="i", chain_id="chain0", position=500.0,
+                                 upstream_id="a", downstream_id="b", lanes=1)
+
+    def test_both_children_take_the_parents_memory(self):
         ctl = LodController(POLICY)
-        ctl.mark_switch("p", step=40, refined=True)
-        ctl.last_jam_step["p"] = 37
-        ctl.cluster_high["p"] = 5
-        ctl.inherit_split("p", ("a", "b"))
-        for child in ("a", "b"):
-            assert ctl.cooldown_until[child] == 40 + POLICY.cooldown
-            assert ctl.last_jam_step[child] == 37
-            assert ctl.refined_at[child] == 40
-        for table in (ctl.cooldown_until, ctl.last_jam_step, ctl.refined_at,
-                      ctl.cluster_high):
-            assert "p" not in table
-        assert ctl.cluster_high == {}
+        parent = micro_cluster_with("p", 0.0, 1000.0, [100, 600])
+        ctl.mark_switch(parent, step=40, refined=True)
+        parent.last_jam_step = 37
+        parent.recovered_steps = 5
+        for child in split_cluster(parent, 500.0, CHAIN):
+            assert child.cooldown_until == 40 + POLICY.cooldown
+            assert child.last_jam_step == 37
+            assert child.refined
+            assert child.recovered_steps == 0
+
+    def test_merge_takes_the_later_jam_and_cooldown(self):
+        ctl = LodController(POLICY)
+        a = micro_cluster_with("a", 0.0, 500.0, [100])
+        b = micro_cluster_with("b", 500.0, 1000.0, [600])
+        ctl.mark_switch(a, step=40, refined=False)
+        ctl.mark_switch(b, step=10, refined=True)
+        a.last_jam_step, b.last_jam_step = 12, 37
+        a.recovered_steps = b.recovered_steps = 5
+        merged, _, _ = merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+        assert merged.cooldown_until == 40 + POLICY.cooldown
+        assert merged.last_jam_step == 37
+        assert merged.refined
+        assert merged.recovered_steps == 0
+
+    def test_merge_of_untouched_clusters_keeps_the_defaults(self):
+        a = macro_cluster("a", 0.0, 500.0)
+        b = macro_cluster("b", 500.0, 1000.0)
+        merged, _, _ = merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+        assert (merged.recovered_steps, merged.last_jam_step, merged.cooldown_until,
+                merged.refined) == (0, -1, -1, False)
+
+
+class DictMemory:
+    """Reference for the per-cluster LOD memory: four tables keyed by
+    cluster id, kept up to date by a hook for each switch, split and merge."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.cluster_high: dict[str, int] = {}
+        self.last_jam_step: dict[str, int] = {}
+        self.cooldown_until: dict[str, int] = {}
+        self.refined_at: dict[str, int] = {}
+
+    def observe(self, clusters, ratios, step):
+        for cluster in clusters:
+            ratio = ratios[cluster.id]
+            if ratio > self.policy.theta_up:
+                self.cluster_high[cluster.id] = self.cluster_high.get(cluster.id, 0) + 1
+            else:
+                self.cluster_high[cluster.id] = 0
+            if ratio < self.policy.theta_down:
+                self.last_jam_step[cluster.id] = step
+
+    def mark_switch(self, cluster_id, step, refined):
+        self.cooldown_until[cluster_id] = step + self.policy.cooldown
+        if refined:
+            self.refined_at[cluster_id] = step
+        else:
+            self.refined_at.pop(cluster_id, None)
+        self.cluster_high.pop(cluster_id, None)
+
+    def inherit_split(self, parent, children):
+        until = self.cooldown_until.pop(parent, None)
+        jam = self.last_jam_step.pop(parent, None)
+        refined = self.refined_at.pop(parent, None)
+        self.cluster_high.pop(parent, None)
+        for child in children:
+            if until is not None:
+                self.cooldown_until[child] = until
+            if jam is not None:
+                self.last_jam_step[child] = jam
+            if refined is not None:
+                self.refined_at[child] = refined
+
+    def inherit_merge(self, parents, child):
+        untils = [self.cooldown_until.pop(p, None) for p in parents]
+        jams = [self.last_jam_step.pop(p, None) for p in parents]
+        refined = [self.refined_at.pop(p, None) for p in parents]
+        for p in parents:
+            self.cluster_high.pop(p, None)
+        if any(u is not None for u in untils):
+            self.cooldown_until[child] = max(u for u in untils if u is not None)
+        if any(j is not None for j in jams):
+            self.last_jam_step[child] = max(j for j in jams if j is not None)
+        if any(r is not None for r in refined):
+            self.refined_at[child] = max(r for r in refined if r is not None)
+
+    def fields(self, cluster_id):
+        """The reference's entries in the order of the cluster's fields."""
+        return (self.cluster_high.get(cluster_id, 0), self.last_jam_step.get(cluster_id, -1),
+                self.cooldown_until.get(cluster_id, -1), cluster_id in self.refined_at)
+
+
+class TestMemoryMatchesDictReference:
+    """Random observations, switches, splits and merges on an open and a
+    cyclic chain: after every operation each cluster's LOD memory equals the
+    id-keyed reference's entries for its id."""
+
+    @given(st.data())
+    def test_fields_equal_reference(self, data):
+        policy = LodPolicy(persistence=3, cooldown=4)
+        ctl, ref = LodController(policy), DictMemory(policy)
+        ids = iter(f"k{i}" for i in range(10_000))
+        store = None
+        step = 0
+        clusters = [fresh_macro(next(ids), chain.id, 0.0, chain.length, 100.0)
+                    for chain in ORACLE_CHAINS.values()]
+        ratio = st.sampled_from([0.1, policy.theta_down, 0.7, policy.theta_up, 1.0])
+
+        for _ in range(data.draw(st.integers(1, 40))):
+            kind = data.draw(st.sampled_from(["observe", "observe", "switch", "split",
+                                              "merge"]))
+            if kind == "observe":
+                ratios = {c.id: data.draw(ratio) for c in clusters}
+                cells = {c.id: np.full(len(c.segment), ratios[c.id]) for c in clusters
+                         if c.representation == MACRO}
+                step += data.draw(st.integers(1, 3))
+                store = observe(ctl, clusters, ratios, cells, step, store)
+                ref.observe(clusters, ratios, step)
+            elif kind == "switch":
+                # in place, as the engine refines and coarsens
+                target = data.draw(st.sampled_from(clusters))
+                refined = target.representation == MACRO
+                if refined:
+                    target.representation, target.segment, target.cell_starts = \
+                        MICRO, None, None
+                else:
+                    layout = fresh_macro(target.id, target.chain_id, target.start,
+                                         target.end, 100.0)
+                    target.representation = MACRO
+                    target.segment, target.cell_starts = layout.segment, layout.cell_starts
+                ctl.mark_switch(target, step, refined)
+                ref.mark_switch(target.id, step, refined)
+            elif kind == "split":
+                target = data.draw(st.sampled_from(clusters))
+                if target.representation == MACRO:
+                    if len(target.segment) < 2:
+                        continue
+                    at = float(target.cell_starts[data.draw(
+                        st.integers(1, len(target.segment) - 1))])
+                else:
+                    at = target.start + 0.5 * target.length
+                left, right = split_cluster(target, at, ORACLE_CHAINS[target.chain_id])
+                left.id, right.id = next(ids), next(ids)
+                clusters[clusters.index(target):clusters.index(target) + 1] = [left, right]
+                ref.inherit_split(target.id, (left.id, right.id))
+            else:
+                pairs = [(a, b) for a, b in zip(clusters, clusters[1:])
+                         if a.chain_id == b.chain_id and a.end == b.start
+                         and a.representation == b.representation]
+                if not pairs:
+                    continue
+                a, b = data.draw(st.sampled_from(pairs))
+                shared = BoundaryInterface(id="i", chain_id=a.chain_id, position=b.start,
+                                           upstream_id=a.id, downstream_id=b.id, lanes=1)
+                merged, _, _ = merge_clusters(a, b, shared, ORACLE_CHAINS[a.chain_id],
+                                              lambda: next(ids))
+                clusters[clusters.index(a):clusters.index(b) + 1] = [merged]
+                ref.inherit_merge((a.id, b.id), merged.id)
+
+            for cluster in clusters:
+                assert (cluster.recovered_steps, cluster.last_jam_step,
+                        cluster.cooldown_until, cluster.refined) \
+                    == ref.fields(cluster.id), (kind, cluster.id)
 
 
 class TestPlan:
@@ -456,7 +615,7 @@ class TestPlan:
         ctl = LodController(POLICY)
         cluster = macro_cluster(rho=0.01)
         ratios = np.full(10, 0.1)
-        ctl.mark_switch(cluster.id, step=0, refined=False)
+        ctl.mark_switch(cluster, step=0, refined=False)
         observe_n(ctl, [cluster], {cluster.id: 0.1},
                   {cluster.id: ratios}, POLICY.persistence)
         assert self.plan(ctl, [cluster], step=POLICY.persistence) == []
@@ -477,14 +636,14 @@ class TestPlan:
         policy = LodPolicy(micro_vehicle_budget=0)
         ctl = LodController(policy)
         a = micro_cluster_with("a", 0.0, 500.0, [100])
-        ctl.mark_switch("a", step=0, refined=True)
+        ctl.mark_switch(a, step=0, refined=True)
         actions = self.plan(ctl, [a], step=3, micro_count=1)
         assert actions == []   # still cooling down
 
     def test_recovery_coarsens_refined_cluster_once(self):
         ctl = LodController(POLICY)
         a = micro_cluster_with("a", 0.0, 500.0, [100])
-        ctl.mark_switch("a", step=0, refined=True)
+        ctl.mark_switch(a, step=0, refined=True)
         start = POLICY.cooldown + 1
         observe_n(ctl, [a], {"a": 1.0}, {}, POLICY.persistence, start=start)
         actions = self.plan(ctl, [a], step=start + POLICY.persistence)

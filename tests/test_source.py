@@ -1,9 +1,13 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from hybridflow.engine import EngineConfig
+from hybridflow.lod import LodPolicy
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hybridflow"
 
@@ -104,3 +108,41 @@ def test_every_public_name_is_used_outside_the_tests():
               for qualified, name in public_definitions(path.read_text(), path.stem)
               if name not in used]
     assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)
+
+
+#: settings that code outside the tests need not pass by keyword, with the reason
+UNPASSED_ALLOWED = {
+    "EngineConfig.lod_enabled":
+        "the static-hybrid baseline that the acceptance suite and ROADMAP item 9 "
+        "compare the runtime switching against",
+}
+
+
+def keywords_passed(source: str, classes: set[str]) -> set[str]:
+    """"Class.keyword" for each keyword of a call to one of `classes`, or of a
+    call whose first argument names one, as `_build(LodPolicy, ..., x=...)`."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in [node.func, *node.args[:1]]
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        passed |= {f"{cls}.{kw.arg}" for cls in names & classes
+                   for kw in node.keywords if kw.arg is not None}
+    return passed
+
+
+def test_keyword_finder_sees_direct_and_factory_calls():
+    source = ("A(x=1)\nm.A(y=2, **rest)\nbuild(B, 'p', z=3)\nC(w=4)\nf(A)\n")
+    assert keywords_passed(source, {"A", "B"}) == {"A.x", "A.y", "B.z"}
+
+
+def test_every_setting_is_passed_by_keyword_outside_the_tests():
+    """A setting nothing sets is a knob that does not pay for itself."""
+    passed = set()
+    for directory in ("src", "demos", "bench"):
+        for path in sorted((REPO / directory).rglob("*.py")):
+            passed |= keywords_passed(path.read_text(), {"EngineConfig", "LodPolicy"})
+    settings = {f"{cls.__name__}.{f.name}" for cls in (EngineConfig, LodPolicy)
+                for f in dataclasses.fields(cls)}
+    assert sorted(settings - passed) == sorted(UNPASSED_ALLOWED)
