@@ -76,6 +76,11 @@ class UnknownTarget(SimulationError):
     """A system influence referenced a vehicle that does not exist."""
 
 
+class ActionRefused(SimulationError):
+    """A structural action would leave a state the engine cannot step; it
+    is refused before it changes anything."""
+
+
 # ---------------------------------------------------------------------------
 # Influences
 # ---------------------------------------------------------------------------
@@ -1072,12 +1077,9 @@ def _decide(state: EngineState, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     if batch is None:
         return np.zeros(0), np.zeros(0, dtype=int)
     params, perception = batch
-    vehicles = scene.vehicles
     accel, change = behavior_chains(scene.speed, scene.length, scene.lane, params, perception)
-    for veh, gap in zip(vehicles, perception.leader_gap[0].tolist()):
-        veh.prev_leader_gap = gap    # memorization
     for i in np.flatnonzero(~(scene.speed > STOP_SPEED)).tolist():
-        _serve_stop_signs(state, vehicles[i])
+        _serve_stop_signs(state, scene.vehicles[i])
     return accel, change
 
 
@@ -1618,6 +1620,10 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         return
 
     if action.kind == "coarsen" and cluster.representation == MICRO:
+        problem = _macro_boundary_problem(state, cluster)
+        if problem:
+            raise ActionRefused(f"coarsen of {cluster.id} at {action.chain_id}@"
+                                f"{action.position:g}: {problem}")
         itf_up = state.itf_up.get(cluster.id)
         gen = state.head_source.get(cluster.chain_id) if itf_up is None else None
 

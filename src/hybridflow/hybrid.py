@@ -31,15 +31,9 @@ class OverCapacity(RuntimeError):
 
 
 def pos_key(position: float) -> int:
-    """Chain position rounded to the millimetre: the key of interfaces, cell
-    persistence counters and per-boundary release streams."""
+    """Chain position rounded to the millimetre: the key of interfaces, gates
+    and per-boundary release streams."""
     return int(round(position * 1000))
-
-
-def pos_keys(positions: np.ndarray) -> np.ndarray:
-    """`pos_key` of every position, as int64: `np.rint` rounds half to even
-    like `round`, so each key equals its scalar counterpart."""
-    return np.rint(np.asarray(positions, dtype=float) * 1000).astype(np.int64)
 
 
 @dataclass

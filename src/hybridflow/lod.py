@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_keys
+from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster
 from .macro import CellStore, MacroSegment
 
 
@@ -105,14 +105,9 @@ def split_cluster(cluster: Cluster, position: float, chain,
             pos = chain.to_chain_pos(veh.road, veh.position)
             (left if pos < position else right).vehicles[vid] = veh
     else:
-        seg = cluster.segment
-        left.segment = MacroSegment(dx=seg.dx[:idx], lanes=seg.lanes[:idx],
-                                    rho=seg.rho[:idx], fd=seg.fd,
-                                    capacity_factor=seg.capacity_factor[:idx])
+        left.segment = cluster.segment.part(0, idx)
         left.cell_starts = cluster.cell_starts[:idx].copy()
-        right.segment = MacroSegment(dx=seg.dx[idx:], lanes=seg.lanes[idx:],
-                                     rho=seg.rho[idx:], fd=seg.fd,
-                                     capacity_factor=seg.capacity_factor[idx:])
+        right.segment = cluster.segment.part(idx, len(cluster.segment))
         right.cell_starts = cluster.cell_starts[idx:].copy()
     return left, right
 
@@ -160,17 +155,11 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
         homeless_vehicles = list(shared.pending)
         homeless_mass = float(np.sum(shared.carryover))
     else:
-        sa, sb = a.segment, b.segment
-        merged.segment = MacroSegment(
-            dx=np.concatenate([sa.dx, sb.dx]),
-            lanes=np.concatenate([sa.lanes, sb.lanes]),
-            rho=np.concatenate([sa.rho, sb.rho]),
-            fd=sa.fd,
-            capacity_factor=np.concatenate([sa.capacity_factor, sb.capacity_factor]))
+        merged.segment = MacroSegment.join(a.segment, b.segment)
         merged.cell_starts = np.concatenate([a.cell_starts, b.cell_starts])
         extra = shared.mass()
         if extra > 0:
-            left = bank_mass_into_segment(merged.segment, len(sa.dx), extra)
+            left = bank_mass_into_segment(merged.segment, len(a.segment), extra)
             homeless_mass = left
     return merged, homeless_vehicles, homeless_mass
 
@@ -180,32 +169,21 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
 # ---------------------------------------------------------------------------
 
 class LodController:
-    """Keeps the cell persistence counters; turns them and each cluster's
-    LOD memory into plans.
+    """Advances the jam counters and turns them and each cluster's LOD
+    memory into plans.
 
     That memory (recovered steps, last jam, cooldown end, refined) lives on
-    the `Cluster`, which carries it through switches, splits and merges;
-    the controller reads and writes those fields and keeps no table by
-    cluster id.
-
-    The cell counters live in one int64 array aligned with the cell store
-    the engine observes: entry i counts the consecutive slow steps of the
-    store's cell i, so one `np.where` over the store's cell ratios advances
-    them all.  A counter belongs to its cell's absolute chain position (the
-    `pos_key` of the cell start), so it survives splits, merges and
-    representation switches of the enclosing cluster: when `observe` is
-    handed a rebuilt store, each cell takes the counter its (chain, cell
-    start key) held in the previous store, found by `searchsorted` within
-    the chain's sorted keys, and cells no longer present drop theirs.
+    the `Cluster`, and each cell's count of consecutive slow steps lives on
+    its `MacroSegment` as `slow`, a view into the cell store like `rho`.
+    Splits, merges and switches carry both with the state they belong to,
+    so the controller keeps no table by cluster or by cell: only the store
+    `observe` last advanced and that store's clusters, which `plan` reads.
     """
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
-        self.store: CellStore | None = None                # store the counters align with
-        self.macro: list[Cluster] = []                     # its segments' clusters
-        self.spans: dict[str, tuple[int, int]] = {}        # chain id -> its cells in the store
-        self.keys = np.empty(0, dtype=np.int64)            # cell start keys, sorted per chain
-        self.low = np.empty(0, dtype=np.int64)             # consecutive slow steps per cell
+        self.store: CellStore | None = None      # the store observe last advanced
+        self.macro: list[Cluster] = []           # its segments' clusters, in store order
 
     # -- the cluster memory a representation switch resets -----------------
 
@@ -221,11 +199,12 @@ class LodController:
 
     def observe(self, clusters: list[Cluster], ratios: dict[str, float],
                 store: CellStore, cell_ratios: np.ndarray, step: int) -> None:
-        """Advance persistence counters from this step's consistent state.
+        """Advance the cluster memory and the cell counters from this step's
+        consistent state.
 
         `ratios` maps cluster id to mean-speed / free-speed; `store` is the
-        cell store over the macro clusters' segments in (chain, start)
-        order and `cell_ratios` its per-cell ratio array."""
+        cell store over the macro clusters' segments and `cell_ratios` its
+        per-cell ratio array."""
         for cluster in clusters:
             ratio = ratios[cluster.id]
             cluster.recovered_steps = cluster.recovered_steps + 1 \
@@ -233,39 +212,11 @@ class LodController:
             if ratio < self.policy.theta_down:
                 cluster.last_jam_step = step
         if store is not self.store:
-            self._remap(clusters, store)
-        if len(cell_ratios):
-            self.low = np.where(cell_ratios < self.policy.theta_down, self.low + 1, 0)
-
-    def _remap(self, clusters: list[Cluster], store: CellStore) -> None:
-        """Align the counters with a rebuilt store by (chain, cell start key)."""
-        macro = sorted((c for c in clusters if c.representation == MACRO),
-                       key=lambda c: (c.chain_id, c.start))
-        spans: dict[str, tuple[int, int]] = {}
-        for cluster, (a, b) in zip(macro, store.bounds):
-            spans[cluster.chain_id] = (spans.get(cluster.chain_id, (a, b))[0], b)
-        keys = pos_keys(np.concatenate([c.cell_starts for c in macro])) if macro \
-            else np.empty(0, dtype=np.int64)
-        low = np.zeros(len(keys), dtype=np.int64)
-        for chain_id, (a, b) in spans.items():
-            low[a:b] = self._counts(chain_id, keys[a:b])
-        self.store, self.macro, self.spans, self.keys, self.low = store, macro, spans, keys, low
-
-    def _counts(self, chain_id: str, keys: np.ndarray) -> np.ndarray:
-        """Current counter of each cell key on a chain, 0 for unknown keys."""
-        if chain_id not in self.spans:
-            return np.zeros(len(keys), dtype=np.int64)
-        a, b = self.spans[chain_id]
-        known = self.keys[a:b]
-        idx = np.minimum(np.searchsorted(known, keys), len(known) - 1) + a
-        return np.where(self.keys[idx] == keys, self.low[idx], 0)
-
-    def detect_jam(self, cluster: Cluster) -> np.ndarray:
-        """Per-cell flags: speed ratio below theta_down for K consecutive steps."""
-        if cluster.representation != MACRO:
-            raise ValueError("jam flags are defined for macro clusters")
-        return self._counts(cluster.chain_id, pos_keys(cluster.cell_starts)) \
-            >= self.policy.persistence
+            self.store = store
+            self.macro = sorted((c for c in clusters if c.representation == MACRO),
+                                key=lambda c: store.slot[c.segment])
+        # in place: the segments' counters are views into the store's
+        store.slow[:] = np.where(cell_ratios < self.policy.theta_down, store.slow + 1, 0)
 
     # -- planning ------------------------------------------------------------
 
@@ -306,15 +257,14 @@ class LodController:
         ordered = sorted(clusters, key=lambda c: (c.chain_id, c.start))
 
         # 1. jam-flagged macro clusters: isolate the region, then refine it
-        persistence = self.policy.persistence
-        hot = np.flatnonzero(np.maximum.reduceat(self.low, self.store.first) >= persistence) \
-            if len(self.low) else ()
+        persistence, store = self.policy.persistence, self.store
+        hot = np.flatnonzero(np.maximum.reduceat(store.slow, store.first) >= persistence) \
+            if store is not None and len(store.slow) else ()
         for k in hot:
             cluster = self.macro[k]
             if self.in_cooldown(cluster, step):
                 continue
-            a, b = self.store.bounds[k]
-            start, end = self._jam_region(cluster, self.low[a:b] >= persistence)
+            start, end = self._jam_region(cluster, cluster.segment.slow >= persistence)
             if start - cluster.start > 1e-9:
                 actions.append(Action("split", cluster.chain_id, start, "jam"))
             if cluster.end - end > 1e-9:

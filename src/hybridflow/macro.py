@@ -129,10 +129,17 @@ def _mass_weighted_mean(mass: np.ndarray, moving: np.ndarray, v_f: float) -> flo
 
 
 class MacroSegment:
-    """Ordered cells covering one cluster extent, stored as arrays."""
+    """Ordered cells covering one cluster extent, stored as arrays.
+
+    `COLUMNS` names the per-cell arrays.  `slow` counts each cell's
+    consecutive observations below the jam threshold (see `lod`); it is
+    state like `rho`, so a split slices it, a merge joins it and a new
+    segment starts it at zero."""
+
+    COLUMNS = ("dx", "lanes", "rho", "capacity_factor", "slow")
 
     def __init__(self, dx, lanes, rho, fd: FundamentalDiagram,
-                 capacity_factor=None):
+                 capacity_factor=None, slow=None):
         self.dx = np.asarray(dx, dtype=float)
         self.lanes = np.asarray(lanes, dtype=float)
         self.rho = np.asarray(rho, dtype=float).copy()
@@ -140,13 +147,26 @@ class MacroSegment:
         if capacity_factor is None:
             capacity_factor = np.ones_like(self.dx)
         self.capacity_factor = np.asarray(capacity_factor, dtype=float).copy()
-        if not (len(self.dx) == len(self.lanes) == len(self.rho)
-                == len(self.capacity_factor)):
+        self.slow = np.zeros(len(self.dx), dtype=np.int64) if slow is None \
+            else np.asarray(slow, dtype=np.int64).copy()
+        if len({len(getattr(self, name)) for name in self.COLUMNS}) != 1:
             raise ValueError("cell arrays must have equal length")
         if np.any(self.dx <= 0):
             raise ValueError("cell lengths must be positive")
         if np.any(self.rho < -1e-12) or np.any(self.rho > fd.rho_jam + 1e-12):
             raise DensityOutOfRange("initial densities outside [0, rho_jam]")
+
+    def part(self, a: int, b: int) -> MacroSegment:
+        """Cells a to b-1 as a segment of their own."""
+        return MacroSegment(fd=self.fd, **{name: getattr(self, name)[a:b]
+                                           for name in self.COLUMNS})
+
+    @staticmethod
+    def join(up: MacroSegment, down: MacroSegment) -> MacroSegment:
+        """The cells of `up` followed by those of `down`."""
+        return MacroSegment(fd=up.fd, **{name: np.concatenate([getattr(up, name),
+                                                               getattr(down, name)])
+                                         for name in MacroSegment.COLUMNS})
 
     def __len__(self) -> int:
         return len(self.dx)
@@ -176,11 +196,11 @@ class CellStore:
     """The cells of several segments in one set of arrays, segment after
     segment, so that one pass advances or observes them all.
 
-    Each segment's `rho`, `dx`, `lanes` and `capacity_factor` are rebound
-    to views into the store, so a write through either side is seen by the
-    other; `slot` maps each segment to its place.  The store and the
-    single-segment forms, `ctm_step`, `cell_speeds` and `mean_speed`, call
-    the same kernels and so give the same floats."""
+    Each segment's `COLUMNS` are rebound to views into the store, so a
+    write through either side is seen by the other; `slot` maps each
+    segment to its place.  The store and the single-segment forms,
+    `ctm_step`, `cell_speeds` and `mean_speed`, call the same kernels and
+    so give the same floats."""
 
     def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
                  dt: float):
@@ -192,9 +212,9 @@ class CellStore:
         self.first = ends - sizes
         self.last = ends - 1
         self.bounds = list(zip(self.first.tolist(), ends.tolist()))
-        for name in ("rho", "dx", "lanes", "capacity_factor"):
+        for name in MacroSegment.COLUMNS:
             whole = np.concatenate([getattr(seg, name) for seg in segments]) \
-                if segments else np.empty(0)
+                if segments else np.empty(0, dtype=np.int64 if name == "slow" else float)
             setattr(self, name, whole)
             for seg, (a, b) in zip(segments, self.bounds):
                 setattr(seg, name, whole[a:b])

@@ -101,8 +101,6 @@ class Vehicle:
     length: float = 4.0
     params: DriverParams = field(default_factory=DriverParams)
     route: object = None       # network.Route or None (follow unique turns)
-    # memorized from the previous step, for diagnostics
-    prev_leader_gap: float = INF
     # stop signs already served, as (road id, sign position) pairs
     satisfied_stops: set = field(default_factory=set)
 

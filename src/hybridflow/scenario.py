@@ -125,6 +125,7 @@ class LevelSpec:
     vehicles: tuple           # VehicleSpec
     restrictions: tuple       # RestrictionSpec
     release_mix: VehicleMix | None
+    release_ref: str | None   # the file release_mix was read from
 
 
 @dataclass
@@ -541,15 +542,16 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
                         to_t=_attr(el, "to_t", path, float, math.inf, allow_inf=True))
         for el in root.findall("restriction"))
 
-    release_mix = None
+    release_mix = release_ref = None
     rel = root.find("release_mix")
     if rel is not None:
-        release_mix = _parse_generation(base / _attr(rel, "generation_ref", path), network)
+        release_ref = _attr(rel, "generation_ref", path)
+        release_mix = _parse_generation(base / release_ref, network)
 
     return LevelSpec(ref=ref, generation_points=tuple(points), sinks=tuple(sinks),
                      clusters=tuple(clusters), densities=densities,
                      vehicles=tuple(vehicles), restrictions=restrictions,
-                     release_mix=release_mix)
+                     release_mix=release_mix, release_ref=release_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +717,7 @@ def serialize_scenario(model: ScenarioModel) -> dict[str, str]:
             files[_join(lv_dir, gp.generation_ref)] = _serialize_generation(gp.mix)
             files[_join(lv_dir, gp.rhythm_ref)] = _serialize_rhythm(gp)
         if lv.release_mix is not None:
-            files[_join(lv_dir, "release-generation.xml")] = \
-                _serialize_generation(lv.release_mix)
+            files[_join(lv_dir, lv.release_ref)] = _serialize_generation(lv.release_mix)
     return files
 
 
@@ -761,7 +762,7 @@ def _serialize_level(lv: LevelSpec) -> str:
     for s in sorted(lv.sinks, key=lambda s: s.id):
         out.append(f'  <end_point id="{s.id}" road="{s.road}" capacity="{_fmt(s.capacity)}"/>')
     if lv.release_mix is not None:
-        out.append('  <release_mix generation_ref="release-generation.xml"/>')
+        out.append(f'  <release_mix generation_ref="{lv.release_ref}"/>')
     for c in sorted(lv.clusters, key=lambda c: (c.extents[0][0], c.extents[0][1])):
         out.append(f'  <cluster representation="{c.representation}">')
         for road, start, end in c.extents:

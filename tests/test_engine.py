@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridflow.engine import (AddVehicle, EngineConfig, EngineState,
+from hybridflow.engine import (ActionRefused, AddVehicle, EngineConfig, EngineState,
                                RemoveVehicle, Scene, SimulationEngine,
                                SimulationError, UnknownTarget, _refresh_restrictions,
                                advance_step, apply_system_influences,
                                build_state)
 from hybridflow import engine, lod
 from hybridflow.generation import FlowMassGenerator, InsertionSpec
-from hybridflow.hybrid import MICRO
-from hybridflow.lod import Action, LodController
+from hybridflow.hybrid import MACRO, MICRO
+from hybridflow.lod import Action
 from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
 from hybridflow.probes import CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
@@ -300,14 +300,13 @@ def _check_layout(state, scene):
 
 
 def _scalar_decisions(state):
-    """What the per-vehicle loop decides and memorizes, vehicle by vehicle."""
+    """What the per-vehicle loop decides, vehicle by vehicle."""
     scene = Scene(state)
     out = {}
     for cluster in state.clusters.values():
         if cluster.representation == MICRO:
             for veh in cluster.vehicles.values():
-                perception, ctx = perceive(scene, veh)
-                out[veh.id] = (behavior_chain(veh, perception, ctx), perception.leader_gap)
+                out[veh.id] = behavior_chain(veh, *perceive(scene, veh))
     return out
 
 
@@ -389,9 +388,8 @@ class TestPerceptionOracle:
             accel, change = engine._decide(state, scene)
             assert sorted(veh.id for veh in scene.vehicles) == sorted(expected)
             for veh, a, c in zip(scene.vehicles, accel.tolist(), change.tolist()):
-                intent, gap = expected[veh.id]
+                intent = expected[veh.id]
                 assert (a, c) == (intent.acceleration, intent.lane_change)
-                assert veh.prev_leader_gap == gap
             try:
                 advance_step(state, config)
             except SimulationError:
@@ -445,7 +443,7 @@ class TestPerceptionOracle:
         scene = Scene(states[1])
         accel, change = engine._decide(states[1], scene)
         decided = list(zip(accel.tolist(), change.tolist()))
-        assert decided == [(expected[veh.id][0].acceleration, expected[veh.id][0].lane_change)
+        assert decided == [(expected[veh.id].acceleration, expected[veh.id].lane_change)
                            for veh in scene.vehicles]
         assert not change.any()
 
@@ -1036,8 +1034,8 @@ class TestTransitionStamps:
 
 class TestLodWithoutMacroCells:
     """With the LOD on and no macro cell anywhere, steps run, the plan is
-    empty and the LOD does no cell-store work: no remap, no concatenation
-    and no per-segment reduction."""
+    empty and the LOD does no cell-store work: no store rebuild, no
+    concatenation and no per-segment reduction."""
 
     @pytest.mark.parametrize("name", ["minimal", "jam"])
     def test_steps_plan_nothing_without_store_work(self, monkeypatch, name):
@@ -1053,10 +1051,7 @@ class TestLodWithoutMacroCells:
         advance_step(state, config)   # the jam fixture's store is rebuilt empty here
         assert all(c.representation == MICRO for c in state.clusters.values())
 
-        remaps = []
-        remap = LodController._remap
-        monkeypatch.setattr(LodController, "_remap",
-                            lambda *args: remaps.append(args) or remap(*args))
+        held = state.cells
 
         class NoStoreWork:
             def __getattr__(self, attr):
@@ -1067,10 +1062,49 @@ class TestLodWithoutMacroCells:
         for _ in range(30):
             advance_step(state, config)
         ctl = state.controller
-        assert remaps == [] and len(ctl.low) == 0
+        assert state.cells is held and ctl.store is held and len(held.slow) == 0
         assert all(c.representation == MICRO for c in state.clusters.values())
         assert ctl.plan(list(state.clusters.values()), list(state.interfaces.values()),
                         state.step, state.micro_vehicle_count(), lambda c: True) == []
+
+
+class TestJamCountersEndAtARefine:
+    """A forced refine then coarsen of one extent between two observations
+    leaves its cells' jam counters at zero: the coarsen builds new cells."""
+
+    def test_refine_then_coarsen_starts_the_counters_afresh(self):
+        config = EngineConfig(seed=1)
+        state = build_state(load("jam"), config)
+        for _ in range(5):
+            advance_step(state, config)
+        (cluster,) = state.clusters.values()
+        assert cluster.segment.slow.max() == 5
+        apply_system_influences(state, [Action("refine", cluster.chain_id, 1000.0, "forced"),
+                                        Action("coarsen", cluster.chain_id, 1000.0, "forced")])
+        assert [t.kind for t in state.transitions] == ["refine", "coarsen"]
+        assert cluster.representation == MACRO and not cluster.segment.slow.any()
+        advance_step(state, config)
+        assert cluster.segment.slow.max() == 1
+
+
+class TestActionRefused:
+    """A forced coarsen that would leave a macro extent the engine cannot
+    step is refused before it changes anything."""
+
+    def test_unstable_coarsen_is_refused_and_the_run_steps_on(self):
+        config = EngineConfig(seed=17, lod_enabled=False)
+        state = build_state(load("ring"), config)
+        for _ in range(10):
+            advance_step(state, config)
+        apply_system_influences(state, [Action("split", "chain0", 497.8, "forced")])
+        digest = state.state_digest()
+        with pytest.raises(ActionRefused, match=r"coarsen of c3 at chain0@700: "
+                           r"time step 0.25 violates the stability bound for 2.2 m cells"):
+            apply_system_influences(state, [Action("coarsen", "chain0", 700.0, "forced")])
+        assert state.state_digest() == digest
+        for _ in range(5):
+            advance_step(state, config)
+        assert state.ledger_residual() <= 1e-9
 
 
 class TestSpeedCaps:

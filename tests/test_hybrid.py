@@ -7,7 +7,7 @@ from hybridflow.hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                                OverCapacity, aggregate_cluster,
                                boundary_gate_open, build_cell_layout,
                                disaggregate_cluster, macro_to_micro_release,
-                               pos_key, pos_keys, total_mass)
+                               total_mass)
 from hybridflow.macro import FundamentalDiagram, MacroCell, MacroSegment
 from hybridflow.micro import Vehicle
 from hybridflow.network import Node, Road, RoadNetwork, derive_chains
@@ -51,17 +51,6 @@ def release_factory():
         return Vehicle(id=f"n{counter[0]}", road="r", lane=lane,
                        position=500.0, speed=speed)
     return make
-
-
-class TestPosKeys:
-    def test_array_keys_equal_scalar_keys_including_half_millimetre_ties(self):
-        ties = (np.arange(-200, 200) + 0.5) / 1000.0
-        spread = np.random.default_rng(3).uniform(0.0, 50_000.0, 2_000)
-        cells = 17.0 + np.arange(300) * (2500.0 / 27)
-        positions = np.concatenate([ties, spread, cells])
-        keys = pos_keys(positions)
-        assert keys.dtype == np.int64
-        assert keys.tolist() == [pos_key(float(x)) for x in positions]
 
 
 class TestFluxArithmetic:

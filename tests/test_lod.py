@@ -70,6 +70,11 @@ def observe_n(controller, clusters, ratios, cell_ratios, steps, start=0):
         store = observe(controller, clusters, ratios, cell_ratios, start + k, store)
 
 
+def jammed(cluster, policy=POLICY):
+    """Per-cell jam flags: slow for at least `persistence` observations."""
+    return cluster.segment.slow >= policy.persistence
+
+
 class TestPolicy:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -94,7 +99,7 @@ class TestDetectJam:
         ratios = {cluster.id: 1.0}
         cells = {cluster.id: np.ones(10)}
         observe_n(ctl, [cluster], ratios, cells, 100)
-        assert not ctl.detect_jam(cluster).any()
+        assert not jammed(cluster).any()
 
     def test_flag_appears_exactly_at_persistence(self):
         ctl = LodController(POLICY)
@@ -104,9 +109,9 @@ class TestDetectJam:
         ratios = {cluster.id: 0.0385}
         for k in range(POLICY.persistence - 1):
             observe(ctl, [cluster], ratios, cells, k, ctl.store)
-            assert not ctl.detect_jam(cluster).any(), f"flagged early at {k}"
+            assert not jammed(cluster).any(), f"flagged early at {k}"
         observe(ctl, [cluster], ratios, cells, POLICY.persistence - 1, ctl.store)
-        assert ctl.detect_jam(cluster).all()
+        assert jammed(cluster).all()
 
     def test_oscillating_ratio_never_flags(self):
         ctl = LodController(POLICY)
@@ -115,16 +120,36 @@ class TestDetectJam:
             ratio = 0.2 if k % 2 == 0 else 0.9
             observe(ctl, [cluster], {cluster.id: ratio},
                     {cluster.id: np.full(10, ratio)}, k, ctl.store)
-            assert not ctl.detect_jam(cluster).any()
+            assert not jammed(cluster).any()
 
-    def test_counters_keyed_by_position_survive_splits(self):
+    def test_counters_survive_splits(self):
         ctl = LodController(POLICY)
         cluster = macro_cluster(rho=0.12)
         cells = {cluster.id: np.full(10, 0.0385)}
         observe_n(ctl, [cluster], {cluster.id: 0.0385}, cells, POLICY.persistence)
         left, right = split_cluster(cluster, 500.0, CHAIN)
-        assert ctl.detect_jam(left).all()
-        assert ctl.detect_jam(right).all()
+        assert jammed(left).all()
+        assert jammed(right).all()
+
+
+class TestCountersLiveOnTheSegment:
+    def test_store_columns_are_the_segments_and_observe_advances_them(self):
+        ctl = LodController(POLICY)
+        clusters = [macro_cluster("a", 0.0, 400.0), macro_cluster("b", 400.0, 1000.0)]
+        ratios = {c.id: 0.3 for c in clusters}
+        cells = {"a": np.full(4, 0.3), "b": np.array([0.3, 1.0, 0.3, 0.3, 1.0, 0.3])}
+        store = observe(ctl, clusters, ratios, cells, 0)
+        # a rebuilt store over the same segments takes over their counters
+        rebuilt = CellStore(store.segments, FD, STORE_DT)
+        assert rebuilt is not store
+        for cluster in clusters:
+            for name in MacroSegment.COLUMNS:
+                assert np.shares_memory(getattr(cluster.segment, name),
+                                        getattr(rebuilt, name)), name
+        ctl.observe(clusters, ratios, rebuilt, np.concatenate([cells["a"], cells["b"]]), 1)
+        assert ctl.store is rebuilt and [c.id for c in ctl.macro] == ["a", "b"]
+        assert clusters[0].segment.slow.tolist() == [2, 2, 2, 2]
+        assert clusters[1].segment.slow.tolist() == [2, 0, 2, 2, 0, 2]
 
 
 class DictCounters:
@@ -134,6 +159,11 @@ class DictCounters:
     def __init__(self, policy):
         self.policy = policy
         self.cell_low: dict[tuple[str, int], int] = {}
+
+    def forget(self, cluster):
+        """A refine ends the counters of the cluster's cells."""
+        for start in cluster.cell_starts:
+            self.cell_low.pop((cluster.chain_id, pos_key(float(start))), None)
 
     def observe(self, clusters, cell_ratios):
         live = set()
@@ -177,8 +207,9 @@ def fresh_macro(cid, chain_id, start, end, target_dx):
 class TestCountersMatchDictReference:
     """Random observations interleaved with splits, merges, refines,
     coarsens and cell starts replaced by equal new arrays, on an open and a
-    cyclic chain: after every operation the array-backed flags equal the
-    dict-keyed reference for every macro cluster."""
+    cyclic chain: after every operation the flags of the segments' counters
+    equal the dict-keyed reference, which forgets a refined cluster's cells,
+    for every macro cluster."""
 
     @given(st.data())
     def test_flags_equal_reference(self, data):
@@ -241,6 +272,7 @@ class TestCountersMatchDictReference:
                 if not macro:
                     continue
                 target = data.draw(st.sampled_from(macro))
+                ref.forget(target)
                 clusters[clusters.index(target)] = Cluster(
                     id=target.id, chain_id=target.chain_id, start=target.start,
                     end=target.end)
@@ -254,13 +286,13 @@ class TestCountersMatchDictReference:
 
             for cluster in clusters:
                 if cluster.representation == MACRO:
-                    assert np.array_equal(ctl.detect_jam(cluster),
+                    assert np.array_equal(jammed(cluster, policy),
                                           ref.detect_jam(cluster)), (kind, cluster.id)
 
 
 def per_cluster_jam_actions(ctl, ref, clusters, step):
-    """The jam pass as it was before it read the store: `detect_jam` (here
-    the dict reference's) and `_jam_region` on every macro cluster not in
+    """The jam pass as it was before it read the store: the flags (here the
+    dict reference's) and `_jam_region` of every macro cluster not in
     cooldown, in (chain, start) order."""
     actions = []
     for cluster in sorted(clusters, key=lambda c: (c.chain_id, c.start)):
@@ -279,9 +311,9 @@ def per_cluster_jam_actions(ctl, ref, clusters, step):
 
 
 class TestPlanMatchesPerClusterLoop:
-    """Counters drawn by observing a few partitions in turn, each on a
-    rebuilt store, and cooldowns drawn per cluster: the jam pass over the
-    hot store segments plans exactly what the per-cluster loop plans."""
+    """Counters drawn by observing one drawn partition several times, and
+    cooldowns drawn per cluster: the jam pass over the hot store segments
+    plans exactly what the per-cluster loop plans."""
 
     @staticmethod
     def draw_partition(data, ids):
@@ -307,19 +339,17 @@ class TestPlanMatchesPerClusterLoop:
             st.sampled_from([0.0, 200.0])))
         ctl, ref = LodController(policy), DictCounters(policy)
         ids = iter(f"k{i}" for i in range(10_000))
-        step = 0
-        for _ in range(data.draw(st.integers(1, 4))):
-            clusters = self.draw_partition(data, ids)
-            macro = [c for c in clusters if c.representation == MACRO]
-            store = None
-            for _ in range(data.draw(st.integers(1, 4))):
-                cell_ratios = {c.id: np.array(data.draw(st.lists(
-                    st.sampled_from([0.1, 1.0]), min_size=len(c.segment),
-                    max_size=len(c.segment)))) for c in macro}
-                store = observe(ctl, clusters, {c.id: 1.0 for c in clusters},
-                                cell_ratios, step, store)
-                ref.observe(clusters, cell_ratios)
-                step += 1
+        clusters = self.draw_partition(data, ids)
+        macro = [c for c in clusters if c.representation == MACRO]
+        store = None
+        for step in range(data.draw(st.integers(1, 8))):
+            cell_ratios = {c.id: np.array(data.draw(st.lists(
+                st.sampled_from([0.1, 1.0]), min_size=len(c.segment),
+                max_size=len(c.segment)))) for c in macro}
+            store = observe(ctl, clusters, {c.id: 1.0 for c in clusters},
+                            cell_ratios, step, store)
+            ref.observe(clusters, cell_ratios)
+        step += 1
         for cluster in macro:
             if data.draw(st.booleans()):
                 ctl.mark_switch(cluster, step - data.draw(st.integers(0, 8)), False)

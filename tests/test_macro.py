@@ -214,6 +214,23 @@ class TestSegment:
         with pytest.raises(DensityOutOfRange):
             MacroSegment(dx=[100.0], lanes=[1], rho=[0.2], fd=FD)
 
+    def test_part_slices_and_join_keeps_every_column(self):
+        seg = MacroSegment(dx=[50.0, 60.0, 70.0, 80.0], lanes=[1, 2, 2, 3],
+                           rho=[0.01, 0.02, 0.03, 0.04], fd=FD,
+                           capacity_factor=[1.0, 0.5, 0.5, 1.0], slow=[4, 0, 7, 2])
+        up, down = seg.part(0, 1), seg.part(1, 4)
+        assert up.slow.tolist() == [4] and down.slow.tolist() == [0, 7, 2]
+        assert down.dx.tolist() == [60.0, 70.0, 80.0] and up.fd is FD
+        down.slow[1] += 1
+        assert seg.slow.tolist() == [4, 0, 7, 2]      # a part owns its counts
+        joined = MacroSegment.join(up, down)
+        assert joined.slow.dtype == np.int64
+        assert joined.slow.tolist() == [4, 0, 8, 2]
+        for name in MacroSegment.COLUMNS:
+            if name != "slow":
+                assert same_bits(getattr(joined, name), getattr(seg, name)), name
+        assert not MacroSegment(dx=[100.0], lanes=[1], rho=[0.0], fd=FD).slow.any()
+
 
 def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()

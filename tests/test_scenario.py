@@ -269,7 +269,7 @@ class TestRoundTrip:
         assert model.release_mix.params["v0"].a == 24.0
         assert [t for t, _ in model.generation_points[0].events] == [1.0, 2.5]
         first = serialize_scenario(model)
-        assert "release-generation.xml" in first
+        assert "release.xml" in first
         write_scenario(model, tmp_path / "once")
         reparsed = parse_scenario(tmp_path / "once" / "scenario.xml")
         assert serialize_scenario(reparsed) == first
@@ -279,7 +279,10 @@ class TestRoundTrip:
 
 
 class TestMultipleLevels:
-    def test_two_level_files_merge(self, tmp_path):
+    @staticmethod
+    def two_levels(tmp_path):
+        """A one-road scenario whose source and sink are declared in two
+        level files."""
         root = tmp_path / "two"
         root.mkdir()
         (root / "scenario.xml").write_text(
@@ -305,6 +308,10 @@ class TestMultipleLevels:
         (root / "rhythm.xml").write_text(
             '<?xml version="1.0"?>\n<rhythm kind="flow">\n'
             '  <flow t="0" q="360"/>\n</rhythm>\n')
+        return root
+
+    def test_two_level_files_merge(self, tmp_path):
+        root = self.two_levels(tmp_path)
         model = parse_scenario(root)
         assert len(model.levels) == 2
         assert len(model.generation_points) == 1
@@ -312,3 +319,21 @@ class TestMultipleLevels:
         first = serialize_scenario(model)
         write_scenario(model, tmp_path / "round")
         assert serialize_scenario(parse_scenario(tmp_path / "round")) == first
+
+    def test_each_level_keeps_its_release_mix_file(self, tmp_path):
+        root = self.two_levels(tmp_path)
+        for name, v0 in (("level_a.xml", 11), ("level_b.xml", 33)):
+            release = f"release_{name}"
+            level = root / name
+            level.write_text(level.read_text().replace(
+                "</level>", f'  <release_mix generation_ref="{release}"/>\n</level>'))
+            (root / release).write_text(
+                '<?xml version="1.0"?>\n<generation>\n'
+                f'  <param name="v0" distribution="constant" value="{v0}"/>\n</generation>\n')
+        model = parse_scenario(root)
+        assert model.release_mix.params["v0"].a == 11.0
+        write_scenario(model, tmp_path / "round")
+        reparsed = parse_scenario(tmp_path / "round")
+        assert reparsed.release_mix == model.release_mix
+        assert [lv.release_mix for lv in reparsed.levels] == \
+            [lv.release_mix for lv in model.levels]
