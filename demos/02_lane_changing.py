@@ -6,8 +6,6 @@ left lane carries a follower at varying distance.  The decision flips from
 would exceed the safety bound.
 """
 
-import numpy as np
-
 from hybridflow import DriverParams, idm_acceleration, mobil_decide
 from hybridflow.micro import AdjacentView, Perception, LEFT, STAY
 

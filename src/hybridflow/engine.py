@@ -559,8 +559,7 @@ def _to_macro(state: EngineState, cluster: Cluster, densities) -> None:
                 rho[i] = spec.value
     if np.any(rho > state.fd.rho_jam + 1e-12):
         raise ScenarioRefused("initial density above jam density")
-    cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=state.fd)
-    cluster.cell_starts = starts
+    cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=state.fd, start=starts)
     cluster.representation = MACRO
     cluster.vehicles = {}
 
@@ -1062,8 +1061,7 @@ def _refresh_restrictions(state: EngineState) -> None:
                 continue
             a = chain.to_chain_pos(rs.road, rs.start)
             b = chain.to_chain_pos(rs.road, rs.end)
-            starts = cluster.cell_starts
-            overlap = np.minimum(b, starts + seg.dx) - np.maximum(a, starts) > 1e-9
+            overlap = np.minimum(b, seg.start + seg.dx) - np.maximum(a, seg.start) > 1e-9
             np.minimum(seg.capacity_factor, rs.factor, out=seg.capacity_factor,
                        where=overlap)
 
@@ -1558,7 +1556,7 @@ def _observe_and_plan(state: EngineState) -> None:
             ratios[c.id] = 1.0           # empty extents count as free flow
     state.controller.observe(clusters, ratios, store, cells, state.step)
 
-    plan = state.controller.plan(clusters, list(state.interfaces.values()),
+    plan = state.controller.plan(clusters, store, list(state.interfaces.values()),
                                  state.step, state.micro_vehicle_count(),
                                  lambda c: _macro_boundary_problem(state, c) is None)
     for action in plan:

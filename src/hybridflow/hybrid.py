@@ -52,7 +52,6 @@ class Cluster:
     representation: str = MICRO
     vehicles: dict[str, Vehicle] = field(default_factory=dict)
     segment: MacroSegment | None = None
-    cell_starts: np.ndarray | None = None   # chain coordinate per cell
     recovered_steps: int = 0        # consecutive observations above theta_up
     last_jam_step: int = -1         # last observation below theta_down
     cooldown_until: int = -1        # no switch before this step
@@ -91,10 +90,6 @@ class BoundaryInterface:
     def throttled(self) -> bool:
         return len(self.pending) > RELEASE_QUEUE_THRESHOLD
 
-    def accumulate(self, outflow: float, dt: float) -> None:
-        """Bank one step of macro outflow as fractional vehicles per lane."""
-        self.carryover += outflow * dt / self.lanes
-
     def due_release_lanes(self) -> list[int]:
         """Lanes owing a whole vehicle; decrements their accumulators."""
         due: list[int] = []
@@ -105,9 +100,8 @@ class BoundaryInterface:
         return due
 
     def add_fractional(self, mass: float) -> None:
-        """Bank leftover conversion mass, spread equally across lanes."""
-        if mass > 0:
-            self.carryover += mass / self.lanes
+        """Bank fractional vehicles, spread equally across lanes."""
+        self.carryover += mass / self.lanes
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def macro_to_micro_release(interface: BoundaryInterface, outflow: float,
     parameters from the caller's seeded stream); `try_insert(vehicle)`
     places it when the insertion gap allows and reports success.  Pending
     candidates from earlier steps are retried first, in FIFO order."""
-    interface.accumulate(outflow, dt)
+    interface.add_fractional(outflow * dt)
     speed = cell_mean_speed(boundary_cell, fd)
 
     inserted = drain(interface.pending, try_insert)
@@ -238,8 +232,8 @@ def aggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
                            f"{capacity.sum():.2f} of cluster {cluster.id}")
     counts[0] = min(counts[0], capacity[0])
 
-    cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=counts / (dx * lanes), fd=fd)
-    cluster.cell_starts = starts
+    cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=counts / (dx * lanes), fd=fd,
+                                   start=starts)
     cluster.vehicles = {}
     cluster.representation = MACRO
 
@@ -267,7 +261,7 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
         dx = float(seg.dx[i])
         lanes = int(seg.lanes[i])
         speed = float(speeds[i])
-        start = float(cluster.cell_starts[i])
+        start = float(seg.start[i])
         road_id, road_pos = chain.locate(min(start + 1e-6, chain.length))
         road_pos = start - chain.offset_of(road_id)
         speed = min(speed, network.roads[road_id].speed_limit)
@@ -290,7 +284,6 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
                                              speed))
     residual = acc + spill
     cluster.segment = None
-    cluster.cell_starts = None
     cluster.vehicles = {v.id: v for v in vehicles}
     cluster.representation = MICRO
     return vehicles, residual

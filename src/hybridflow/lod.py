@@ -88,7 +88,7 @@ def split_cluster(cluster: Cluster, position: float, chain,
         raise TooSmall(f"split at {position} leaves a part below "
                        f"{min_cluster_length} m")
     if cluster.representation == MACRO:
-        edges = cluster.cell_starts
+        edges = cluster.segment.start
         idx = int(np.argmin(np.abs(edges - position)))
         if abs(edges[idx] - position) > 1e-6 or idx == 0:
             raise ValueError(f"split position {position} is not an interior cell edge")
@@ -106,9 +106,7 @@ def split_cluster(cluster: Cluster, position: float, chain,
             (left if pos < position else right).vehicles[vid] = veh
     else:
         left.segment = cluster.segment.part(0, idx)
-        left.cell_starts = cluster.cell_starts[:idx].copy()
         right.segment = cluster.segment.part(idx, len(cluster.segment))
-        right.cell_starts = cluster.cell_starts[idx:].copy()
     return left, right
 
 
@@ -156,7 +154,6 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
         homeless_mass = float(np.sum(shared.carryover))
     else:
         merged.segment = MacroSegment.join(a.segment, b.segment)
-        merged.cell_starts = np.concatenate([a.cell_starts, b.cell_starts])
         extra = shared.mass()
         if extra > 0:
             left = bank_mass_into_segment(merged.segment, len(a.segment), extra)
@@ -176,14 +173,11 @@ class LodController:
     the `Cluster`, and each cell's count of consecutive slow steps lives on
     its `MacroSegment` as `slow`, a view into the cell store like `rho`.
     Splits, merges and switches carry both with the state they belong to,
-    so the controller keeps no table by cluster or by cell: only the store
-    `observe` last advanced and that store's clusters, which `plan` reads.
+    so the controller keeps nothing but its policy.
     """
 
     def __init__(self, policy: LodPolicy):
         self.policy = policy
-        self.store: CellStore | None = None      # the store observe last advanced
-        self.macro: list[Cluster] = []           # its segments' clusters, in store order
 
     # -- the cluster memory a representation switch resets -----------------
 
@@ -211,10 +205,6 @@ class LodController:
                 if ratio > self.policy.theta_up else 0
             if ratio < self.policy.theta_down:
                 cluster.last_jam_step = step
-        if store is not self.store:
-            self.store = store
-            self.macro = sorted((c for c in clusters if c.representation == MACRO),
-                                key=lambda c: store.slot[c.segment])
         # in place: the segments' counters are views into the store's
         store.slow[:] = np.where(cell_ratios < self.policy.theta_down, store.slow + 1, 0)
 
@@ -226,7 +216,7 @@ class LodController:
         idx = np.flatnonzero(flags)
         lo = max(int(idx[0]) - 1, 0)
         hi = min(int(idx[-1]) + 1, len(flags) - 1)
-        edges = np.append(cluster.cell_starts, cluster.end)
+        edges = np.append(cluster.segment.start, cluster.end)
         start, end = float(edges[lo]), float(edges[hi + 1])
         while end - start < self.policy.min_cluster_length and (lo > 0 or hi < len(flags) - 1):
             if lo > 0:
@@ -242,26 +232,27 @@ class LodController:
             end = cluster.end
         return start, end
 
-    def plan(self, clusters: list[Cluster], interfaces: list[BoundaryInterface],
-             step: int, micro_vehicles: int,
+    def plan(self, clusters: list[Cluster], store: CellStore,
+             interfaces: list[BoundaryInterface], step: int, micro_vehicles: int,
              macro_capable) -> list[Action]:
         """Deterministic plan: refine jams, coarsen recovered or over-budget
         micro clusters, merge recovered same-representation neighbors.
 
-        The jam pass reads the macro clusters as `observe` last saw them and
-        visits only those with a cell at the persistence count.
-        `macro_capable(cluster)` tells whether a micro cluster may be
-        aggregated (linear downstream boundary, CFL-safe layout)."""
+        `store` is the cell store `observe` advanced; the jam pass visits,
+        in store order, only its segments with a cell at the persistence
+        count.  `macro_capable(cluster)` tells whether a micro cluster may
+        be aggregated (linear downstream boundary, CFL-safe layout); only
+        clusters that would otherwise switch are asked."""
         actions: list[Action] = []
         used: set[str] = set()
         ordered = sorted(clusters, key=lambda c: (c.chain_id, c.start))
 
         # 1. jam-flagged macro clusters: isolate the region, then refine it
-        persistence, store = self.policy.persistence, self.store
+        persistence = self.policy.persistence
         hot = np.flatnonzero(np.maximum.reduceat(store.slow, store.first) >= persistence) \
-            if store is not None and len(store.slow) else ()
+            if len(store.slow) else ()
         for k in hot:
-            cluster = self.macro[k]
+            cluster = next(c for c in clusters if c.segment is store.segments[k])
             if self.in_cooldown(cluster, step):
                 continue
             start, end = self._jam_region(cluster, cluster.segment.slow >= persistence)
@@ -277,14 +268,13 @@ class LodController:
         for cluster in ordered:
             if cluster.representation != MICRO or cluster.id in used:
                 continue
-            if not cluster.refined:
+            if not cluster.refined or cluster.recovered_steps < persistence:
                 continue
             if self.in_cooldown(cluster, step) or not macro_capable(cluster):
                 continue
-            if cluster.recovered_steps >= self.policy.persistence:
-                actions.append(Action("coarsen", cluster.chain_id,
-                                      (cluster.start + cluster.end) / 2.0, "recovery"))
-                used.add(cluster.id)
+            actions.append(Action("coarsen", cluster.chain_id,
+                                  (cluster.start + cluster.end) / 2.0, "recovery"))
+            used.add(cluster.id)
 
         # 3. over budget: coarsen the least recently jammed micro clusters
         if micro_vehicles > self.policy.micro_vehicle_budget:

@@ -131,15 +131,16 @@ def _mass_weighted_mean(mass: np.ndarray, moving: np.ndarray, v_f: float) -> flo
 class MacroSegment:
     """Ordered cells covering one cluster extent, stored as arrays.
 
-    `COLUMNS` names the per-cell arrays.  `slow` counts each cell's
-    consecutive observations below the jam threshold (see `lod`); it is
-    state like `rho`, so a split slices it, a merge joins it and a new
-    segment starts it at zero."""
+    `COLUMNS` names the per-cell arrays.  `start` is each cell's chain
+    coordinate; without it the cells start at 0 and follow on.  `slow`
+    counts each cell's consecutive observations below the jam threshold
+    (see `lod`); it is state like `rho`, so a split slices it, a merge
+    joins it and a new segment starts it at zero."""
 
-    COLUMNS = ("dx", "lanes", "rho", "capacity_factor", "slow")
+    COLUMNS = ("dx", "lanes", "rho", "capacity_factor", "slow", "start")
 
     def __init__(self, dx, lanes, rho, fd: FundamentalDiagram,
-                 capacity_factor=None, slow=None):
+                 capacity_factor=None, slow=None, start=None):
         self.dx = np.asarray(dx, dtype=float)
         self.lanes = np.asarray(lanes, dtype=float)
         self.rho = np.asarray(rho, dtype=float).copy()
@@ -149,6 +150,8 @@ class MacroSegment:
         self.capacity_factor = np.asarray(capacity_factor, dtype=float).copy()
         self.slow = np.zeros(len(self.dx), dtype=np.int64) if slow is None \
             else np.asarray(slow, dtype=np.int64).copy()
+        self.start = np.cumsum(self.dx) - self.dx if start is None \
+            else np.asarray(start, dtype=float).copy()
         if len({len(getattr(self, name)) for name in self.COLUMNS}) != 1:
             raise ValueError("cell arrays must have equal length")
         if np.any(self.dx <= 0):
@@ -196,11 +199,11 @@ class CellStore:
     """The cells of several segments in one set of arrays, segment after
     segment, so that one pass advances or observes them all.
 
-    Each segment's `COLUMNS` are rebound to views into the store, so a
-    write through either side is seen by the other; `slot` maps each
-    segment to its place.  The store and the single-segment forms,
-    `ctm_step`, `cell_speeds` and `mean_speed`, call the same kernels and
-    so give the same floats."""
+    Each segment's `COLUMNS`, cell starts and jam counters included, are
+    rebound to views into the store, so a write through either side is
+    seen by the other; `slot[segments[k]] == k`.  The store and the
+    single-segment forms, `ctm_step`, `cell_speeds` and `mean_speed`,
+    call the same kernels and so give the same floats."""
 
     def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
                  dt: float):

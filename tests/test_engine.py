@@ -1062,9 +1062,9 @@ class TestLodWithoutMacroCells:
         for _ in range(30):
             advance_step(state, config)
         ctl = state.controller
-        assert state.cells is held and ctl.store is held and len(held.slow) == 0
+        assert state.cells is held and len(held.slow) == 0
         assert all(c.representation == MICRO for c in state.clusters.values())
-        assert ctl.plan(list(state.clusters.values()), list(state.interfaces.values()),
+        assert ctl.plan(list(state.clusters.values()), held, list(state.interfaces.values()),
                         state.step, state.micro_vehicle_count(), lambda c: True) == []
 
 
@@ -1245,7 +1245,7 @@ class TestRestrictionFactors:
                 continue
             a = chain.to_chain_pos(rs.road, rs.start)
             b = chain.to_chain_pos(rs.road, rs.end)
-            for i, s in enumerate(cluster.cell_starts):
+            for i, s in enumerate(seg.start):
                 e = s + seg.dx[i]
                 if min(b, e) - max(a, s) > 1e-9:
                     factors[i] = min(factors[i], rs.factor)

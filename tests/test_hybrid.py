@@ -101,8 +101,8 @@ class TestDisaggregate:
         cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=1000.0,
                           representation=MACRO)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 1000.0, 100.0)
-        cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=np.zeros(len(dx)), fd=FD)
-        cluster.cell_starts = starts
+        cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=np.zeros(len(dx)), fd=FD,
+                                       start=starts)
         vehicles, residual = disaggregate_cluster(cluster, chain, net,
                                                   make_vehicle_factory())
         assert vehicles == [] and residual == pytest.approx(0.0)
@@ -113,8 +113,7 @@ class TestDisaggregate:
                           representation=MACRO)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 1000.0, 100.0)
         cluster.segment = MacroSegment(dx=dx, lanes=lanes,
-                                       rho=np.full(len(dx), 0.05), fd=FD)
-        cluster.cell_starts = starts
+                                       rho=np.full(len(dx), 0.05), fd=FD, start=starts)
         vehicles, residual = disaggregate_cluster(cluster, chain, net,
                                                   make_vehicle_factory())
         assert len(vehicles) + residual == pytest.approx(100.0, abs=1e-9)
@@ -145,8 +144,7 @@ class TestDisaggregate:
                           representation=MACRO)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 300.0, 100.0)
         rho = np.array([0.0, 0.0, FD.rho_jam])    # 15 vehicles in the last cell
-        cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=FD)
-        cluster.cell_starts = starts
+        cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=FD, start=starts)
         vehicles, residual = disaggregate_cluster(
             cluster, chain, net, make_vehicle_factory(), min_spacing=10.0)
         # only 10 fit in the last cell at 10 m spacing, the rest move upstream

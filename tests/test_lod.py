@@ -24,8 +24,8 @@ def macro_cluster(cid="m", start=0.0, end=1000.0, rho=0.0):
     cluster = Cluster(id=cid, chain_id="chain0", start=start, end=end,
                       representation=MACRO)
     cluster.segment = MacroSegment(dx=[100.0] * n, lanes=[1.0] * n,
-                                   rho=np.full(n, rho), fd=FD)
-    cluster.cell_starts = start + np.arange(n) * 100.0
+                                   rho=np.full(n, rho), fd=FD,
+                                   start=start + np.arange(n) * 100.0)
     return cluster
 
 
@@ -68,6 +68,7 @@ def observe_n(controller, clusters, ratios, cell_ratios, steps, start=0):
     store = None
     for k in range(steps):
         store = observe(controller, clusters, ratios, cell_ratios, start + k, store)
+    return store
 
 
 def jammed(cluster, policy=POLICY):
@@ -107,19 +108,21 @@ class TestDetectJam:
         # ratio for rho=0.12 is about 0.0385, well under theta_down
         cells = {cluster.id: np.full(10, 0.0385)}
         ratios = {cluster.id: 0.0385}
+        store = None
         for k in range(POLICY.persistence - 1):
-            observe(ctl, [cluster], ratios, cells, k, ctl.store)
+            store = observe(ctl, [cluster], ratios, cells, k, store)
             assert not jammed(cluster).any(), f"flagged early at {k}"
-        observe(ctl, [cluster], ratios, cells, POLICY.persistence - 1, ctl.store)
+        observe(ctl, [cluster], ratios, cells, POLICY.persistence - 1, store)
         assert jammed(cluster).all()
 
     def test_oscillating_ratio_never_flags(self):
         ctl = LodController(POLICY)
         cluster = macro_cluster(rho=0.05)
+        store = None
         for k in range(200):
             ratio = 0.2 if k % 2 == 0 else 0.9
-            observe(ctl, [cluster], {cluster.id: ratio},
-                    {cluster.id: np.full(10, ratio)}, k, ctl.store)
+            store = observe(ctl, [cluster], {cluster.id: ratio},
+                            {cluster.id: np.full(10, ratio)}, k, store)
             assert not jammed(cluster).any()
 
     def test_counters_survive_splits(self):
@@ -147,7 +150,6 @@ class TestCountersLiveOnTheSegment:
                 assert np.shares_memory(getattr(cluster.segment, name),
                                         getattr(rebuilt, name)), name
         ctl.observe(clusters, ratios, rebuilt, np.concatenate([cells["a"], cells["b"]]), 1)
-        assert ctl.store is rebuilt and [c.id for c in ctl.macro] == ["a", "b"]
         assert clusters[0].segment.slow.tolist() == [2, 2, 2, 2]
         assert clusters[1].segment.slow.tolist() == [2, 0, 2, 2, 0, 2]
 
@@ -162,7 +164,7 @@ class DictCounters:
 
     def forget(self, cluster):
         """A refine ends the counters of the cluster's cells."""
-        for start in cluster.cell_starts:
+        for start in cluster.segment.start:
             self.cell_low.pop((cluster.chain_id, pos_key(float(start))), None)
 
     def observe(self, clusters, cell_ratios):
@@ -170,7 +172,7 @@ class DictCounters:
         for cluster in clusters:
             if cluster.representation != MACRO:
                 continue
-            for start, ratio in zip(cluster.cell_starts, cell_ratios[cluster.id]):
+            for start, ratio in zip(cluster.segment.start, cell_ratios[cluster.id]):
                 key = (cluster.chain_id, pos_key(float(start)))
                 live.add(key)
                 if ratio < self.policy.theta_down:
@@ -182,7 +184,7 @@ class DictCounters:
 
     def detect_jam(self, cluster):
         return np.array([self.cell_low.get((cluster.chain_id, pos_key(float(s))), 0)
-                         >= self.policy.persistence for s in cluster.cell_starts],
+                         >= self.policy.persistence for s in cluster.segment.start],
                         dtype=bool)
 
 
@@ -199,9 +201,17 @@ def fresh_macro(cid, chain_id, start, end, target_dx):
     cluster = Cluster(id=cid, chain_id=chain_id, start=start, end=end,
                       representation=MACRO)
     cluster.segment = MacroSegment(dx=[cell] * n, lanes=[1.0] * n,
-                                   rho=np.zeros(n), fd=FD)
-    cluster.cell_starts = start + np.arange(n) * cell
+                                   rho=np.zeros(n), fd=FD,
+                                   start=start + np.arange(n) * cell)
     return cluster
+
+
+def assert_cells_tile(cluster):
+    """The segment's cells cover the cluster's extent end to end."""
+    seg = cluster.segment
+    assert seg.start[0] == pytest.approx(cluster.start, abs=1e-6)
+    assert np.allclose(seg.start[1:], seg.start[:-1] + seg.dx[:-1], rtol=0.0, atol=1e-6)
+    assert seg.start[-1] + seg.dx[-1] == pytest.approx(cluster.end, abs=1e-6)
 
 
 class TestCountersMatchDictReference:
@@ -209,7 +219,7 @@ class TestCountersMatchDictReference:
     coarsens and cell starts replaced by equal new arrays, on an open and a
     cyclic chain: after every operation the flags of the segments' counters
     equal the dict-keyed reference, which forgets a refined cluster's cells,
-    for every macro cluster."""
+    for every macro cluster, and every segment's cells tile its cluster."""
 
     @given(st.data())
     def test_flags_equal_reference(self, data):
@@ -233,7 +243,7 @@ class TestCountersMatchDictReference:
                 if not macro:
                     continue
                 target = data.draw(st.sampled_from(macro))
-                target.cell_starts = target.cell_starts.copy()
+                target.segment.start = target.segment.start.copy()
                 store = None
             if kind in ("observe", "relayout"):
                 cell_ratios = {c.id: np.array(data.draw(st.lists(
@@ -248,13 +258,17 @@ class TestCountersMatchDictReference:
                     continue
                 target = data.draw(st.sampled_from(splittable))
                 if target.representation == MACRO:
-                    at = float(target.cell_starts[data.draw(
+                    at = float(target.segment.start[data.draw(
                         st.integers(1, len(target.segment) - 1))])
                 else:
                     at = data.draw(st.sampled_from([target.start + 0.25 * target.length,
                                                     target.start + 0.5 * target.length]))
                 left, right = split_cluster(target, at, ORACLE_CHAINS[target.chain_id])
                 left.id, right.id = next(ids), next(ids)
+                if target.representation == MACRO:
+                    cut = len(left.segment)
+                    assert left.segment.start.tobytes() == target.segment.start[:cut].tobytes()
+                    assert right.segment.start.tobytes() == target.segment.start[cut:].tobytes()
                 clusters[clusters.index(target):clusters.index(target) + 1] = [left, right]
             elif kind == "merge":
                 pairs = [(a, b) for a, b in zip(clusters, clusters[1:])
@@ -288,6 +302,7 @@ class TestCountersMatchDictReference:
                 if cluster.representation == MACRO:
                     assert np.array_equal(jammed(cluster, policy),
                                           ref.detect_jam(cluster)), (kind, cluster.id)
+                    assert_cells_tile(cluster)
 
 
 def per_cluster_jam_actions(ctl, ref, clusters, step):
@@ -353,8 +368,11 @@ class TestPlanMatchesPerClusterLoop:
         for cluster in macro:
             if data.draw(st.booleans()):
                 ctl.mark_switch(cluster, step - data.draw(st.integers(0, 8)), False)
-        planned = ctl.plan(clusters, [], step, 0, lambda c: False)
+        planned = ctl.plan(clusters, store, [], step, 0, lambda c: False)
         assert planned == per_cluster_jam_actions(ctl, ref, clusters, step)
+        # the plan does not depend on the order the clusters come in
+        shuffled = data.draw(st.permutations(clusters))
+        assert ctl.plan(shuffled, store, [], step, 0, lambda c: False) == planned
 
 
 class TestSplit:
@@ -572,13 +590,11 @@ class TestMemoryMatchesDictReference:
                 target = data.draw(st.sampled_from(clusters))
                 refined = target.representation == MACRO
                 if refined:
-                    target.representation, target.segment, target.cell_starts = \
-                        MICRO, None, None
+                    target.representation, target.segment = MICRO, None
                 else:
-                    layout = fresh_macro(target.id, target.chain_id, target.start,
-                                         target.end, 100.0)
                     target.representation = MACRO
-                    target.segment, target.cell_starts = layout.segment, layout.cell_starts
+                    target.segment = fresh_macro(target.id, target.chain_id, target.start,
+                                                 target.end, 100.0).segment
                 ctl.mark_switch(target, step, refined)
                 ref.mark_switch(target.id, step, refined)
             elif kind == "split":
@@ -586,7 +602,7 @@ class TestMemoryMatchesDictReference:
                 if target.representation == MACRO:
                     if len(target.segment) < 2:
                         continue
-                    at = float(target.cell_starts[data.draw(
+                    at = float(target.segment.start[data.draw(
                         st.integers(1, len(target.segment) - 1))])
                 else:
                     at = target.start + 0.5 * target.length
@@ -617,7 +633,8 @@ class TestMemoryMatchesDictReference:
 class TestPlan:
     def plan(self, ctl, clusters, interfaces=(), step=100, micro_count=0,
              capable=lambda c: True):
-        return ctl.plan(clusters, list(interfaces), step, micro_count, capable)
+        return ctl.plan(clusters, engine_store(clusters), list(interfaces), step,
+                        micro_count, capable)
 
     def test_steady_free_flow_is_empty_plan(self):
         ctl = LodController(POLICY)
@@ -679,6 +696,17 @@ class TestPlan:
         actions = self.plan(ctl, [a], step=start + POLICY.persistence)
         assert [x.kind for x in actions] == ["coarsen"]
         assert actions[0].trigger == "recovery"
+
+    def test_recovery_asks_capability_only_of_recovered_clusters(self):
+        ctl = LodController(POLICY)
+        a = micro_cluster_with("a", 0.0, 500.0, [100])
+        ctl.mark_switch(a, step=0, refined=True)
+        start = POLICY.cooldown + 1
+        observe_n(ctl, [a], {"a": 0.3}, {}, POLICY.persistence, start=start)
+        asked = []
+        actions = self.plan(ctl, [a], step=start + POLICY.persistence,
+                            capable=lambda c: asked.append(c.id) or True)
+        assert actions == [] and asked == []
 
     def test_recovered_neighbors_merge(self):
         ctl = LodController(POLICY)

@@ -10,6 +10,7 @@ from hybridflow.engine import EngineConfig
 from hybridflow.lod import LodPolicy
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hybridflow"
+REPO = PACKAGE.parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,13 +45,12 @@ def test_checker_flags_only_unread_unmarked_names():
 
 # a package's __init__ imports its public names in order to export them
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"),
+                                        if p.name != "__init__.py")
+                         + sorted((REPO / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
-
-REPO = PACKAGE.parents[1]
 
 #: public names that code outside the tests need not reference, with the reason
 UNREFERENCED_ALLOWED: dict[str, str] = {}
