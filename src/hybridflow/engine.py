@@ -73,7 +73,8 @@ class OverlapDetected(SimulationError):
 
 
 class UnknownTarget(SimulationError):
-    """A system influence referenced a vehicle that does not exist."""
+    """A system influence referenced a vehicle or generator that does not
+    exist."""
 
 
 class ActionRefused(SimulationError):
@@ -393,14 +394,13 @@ class EngineState:
 
     def micro_vehicle_count(self) -> int:
         return sum(len(c.vehicles) for c in self.clusters.values()
-                   if c.representation == MICRO)
+                   if c.segment is None)
 
     def consistency_errors(self) -> list[str]:
-        """Partition, interface, bounds and representation invariants: the
-        structural pass of `MassAuditProbe`, which checks them at every
-        consistent instant; `CanaryProbe` reads them too.  The interfaces
-        are checked against the clusters alone, not through `reindex` or
-        its adjacency maps."""
+        """Partition, interface and bounds invariants: the structural pass
+        of `MassAuditProbe`, which checks them at every consistent instant;
+        `CanaryProbe` reads them too.  The interfaces are checked against
+        the clusters alone, not through `reindex` or its adjacency maps."""
         problems: list[str] = []
         for chain_id, ids in self.order.items():
             chain = self.chains[chain_id]
@@ -413,9 +413,7 @@ class EngineState:
             if abs(cursor - chain.length) > 1e-6:
                 problems.append(f"chain {chain_id} not covered to {chain.length}")
         for c in self.clusters.values():
-            if c.representation == MICRO:
-                if c.segment is not None:
-                    problems.append(f"{c.id} micro but has a segment")
+            if c.segment is None:
                 chain = self.chains[c.chain_id]
                 for veh in c.vehicles.values():
                     pos = chain.to_chain_pos(veh.road, veh.position)
@@ -424,9 +422,7 @@ class EngineState:
                     if veh.speed < 0:
                         problems.append(f"{veh.id} negative speed")
             else:
-                if c.segment is None:
-                    problems.append(f"{c.id} macro without segment")
-                elif np.any(c.segment.rho < -1e-9) or \
+                if np.any(c.segment.rho < -1e-9) or \
                         np.any(c.segment.rho > self.fd.rho_jam + 1e-9):
                     problems.append(f"{c.id} density out of range")
                 if c.vehicles:
@@ -464,7 +460,7 @@ class EngineState:
         for cid in sorted(self.clusters):
             c = self.clusters[cid]
             h.update(f"{cid},{c.representation},{c.start!r},{c.end!r}".encode())
-            if c.representation == MICRO:
+            if c.segment is None:
                 for veh in sorted(c.vehicles.values(), key=lambda v: v.id):
                     h.update(f"{veh.id},{veh.road},{veh.lane},{veh.position!r},"
                              f"{veh.speed!r}".encode())
@@ -532,7 +528,7 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
     for spec in sorted(model.vehicles, key=lambda v: (v.road, v.lane, v.position)):
         chain = state.chain_of_road[spec.road]
         cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
-        if cluster.representation != MICRO:
+        if cluster.segment is not None:
             raise ScenarioRefused(f"initial vehicle on {spec.road}@{spec.position} "
                                   f"falls in macro cluster {cluster.id}")
         veh = Vehicle(id=state.new_vehicle_id(), road=spec.road, lane=spec.lane,
@@ -560,13 +556,12 @@ def _to_macro(state: EngineState, cluster: Cluster, densities) -> None:
     if np.any(rho > state.fd.rho_jam + 1e-12):
         raise ScenarioRefused("initial density above jam density")
     cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=state.fd, start=starts)
-    cluster.representation = MACRO
     cluster.vehicles = {}
 
 
 def _validate_macro_boundaries(state: EngineState) -> None:
     for cluster in state.clusters.values():
-        if cluster.representation != MACRO:
+        if cluster.segment is None:
             continue
         problem = _macro_boundary_problem(state, cluster)
         if problem:
@@ -704,7 +699,7 @@ class Scene:
     def __init__(self, state: EngineState):
         self.state = state
         layout = sorted(((veh, cluster) for cluster in state.clusters.values()
-                         if cluster.representation == MICRO
+                         if cluster.segment is None
                          for veh in cluster.vehicles.values()),
                         key=lambda vc: (vc[0].road, vc[0].lane, vc[0].position, vc[0].id))
         self.vehicles = [veh for veh, _ in layout]
@@ -724,20 +719,21 @@ class Scene:
         # how far ahead of a slot the front of a vehicle covering it can be
         self.reach = float(self.length.max(initial=0.0)) + 1e-9
         # micro->macro gates per chain, sorted by position, as (position,
-        # interface key, open); a cycle's wrap gate sits at the chain end
-        self.gates: dict[str, list[tuple[float, tuple[str, int], bool]]] = {}
-        self.gate_budget: dict[tuple[str, int], int] = {}
-        self.crossings: dict[tuple[str, int], int] = {}
-        for key, itf in state.interfaces.items():
+        # id of the macro cluster the gate opens into, open); each cluster
+        # has one interface into it, so its id names the gate, its budget
+        # and its crossings.  A cycle's wrap gate sits at the chain end.
+        self.gates: dict[str, list[tuple[float, str, bool]]] = {}
+        self.gate_budget: dict[str, int] = {}
+        self.crossings: dict[str, int] = {}
+        for itf in state.interfaces.values():
             down = state.clusters[itf.downstream_id]
-            up = state.clusters[itf.upstream_id]
-            if down.representation == MACRO and up.representation == MICRO:
+            if down.segment is not None and state.clusters[itf.upstream_id].segment is None:
                 chain = state.chains[itf.chain_id]
                 pos = itf.position if itf.position > 1e-9 or not chain.cyclic \
                     else chain.length
                 open_ = boundary_gate_open(down.segment, itf.lanes)
-                self.gates.setdefault(chain.id, []).append((pos, key, open_))
-                self.gate_budget[key] = int(math.floor(down.segment.room(0))) \
+                self.gates.setdefault(chain.id, []).append((pos, down.id, open_))
+                self.gate_budget[down.id] = int(math.floor(down.segment.room(0))) \
                     if open_ else 0
         for entries in self.gates.values():
             entries.sort()
@@ -762,26 +758,27 @@ class Scene:
     def gate_ahead(self, chain, cpos: float, horizon: float = INF,
                    closed_only: bool = False):
         """Nearest micro-to-macro gate strictly ahead of a chain position and
-        within the horizon, as (distance, interface key), or None.  Ahead
-        wraps around cyclic chains."""
+        within the horizon, as (distance, id of the macro cluster it opens
+        into), or None.  Ahead wraps around cyclic chains."""
         best = None
-        for pos, key, open_ in self.gates.get(chain.id, ()):
+        for pos, into, open_ in self.gates.get(chain.id, ()):
             if closed_only and open_:
                 continue
             d = pos - cpos
             if chain.cyclic and d <= 1e-9:
                 d += chain.length
             if 1e-9 < d <= horizon and (best is None or d < best[0]):
-                best = (d, key)
+                best = (d, into)
         return best
 
-    def cross_gate(self, key) -> bool:
-        """Spend one place of a gate's budget and count the crossing;
-        False when the gate has no place left."""
-        if self.gate_budget.get(key, 0) < 1:
+    def cross_gate(self, cluster_id: str) -> bool:
+        """Spend one place of the budget of the gate into a macro cluster and
+        count the crossing; False when the gate has no place left or the
+        cluster has no gate."""
+        if self.gate_budget.get(cluster_id, 0) < 1:
             return False
-        self.gate_budget[key] -= 1
-        self.crossings[key] = self.crossings.get(key, 0) + 1
+        self.gate_budget[cluster_id] -= 1
+        self.crossings[cluster_id] = self.crossings.get(cluster_id, 0) + 1
         return True
 
     def _leader_on(self, road_id: str, lane: int, position: float,
@@ -926,7 +923,7 @@ class Scene:
         state, roads = self.state, self.state.road_arrays
         best = None
         for chain_id, entries in self.gates.items():
-            gates = [pos for pos, _key, open_ in entries if not (closed_only and open_)]
+            gates = [pos for pos, _into, open_ in entries if not (closed_only and open_)]
             if not gates:
                 continue
             if best is None:
@@ -1051,7 +1048,7 @@ def _refresh_restrictions(state: EngineState) -> None:
     active = [rs for rs in state.model.restrictions
               if rs.from_t <= state.time < rs.to_t]
     for cluster in state.clusters.values():
-        if cluster.representation != MACRO:
+        if cluster.segment is None:
             continue
         chain = state.chains[cluster.chain_id]
         seg = cluster.segment
@@ -1097,7 +1094,7 @@ def _natural(state: EngineState) -> list[tuple[str, InsertionSpec]]:
     emissions: list[tuple[str, InsertionSpec]] = []
     for gen in state.generators:
         entry_cluster = state.entry_cluster(gen)
-        if entry_cluster is not None and entry_cluster.representation == MACRO:
+        if entry_cluster is not None and entry_cluster.segment is not None:
             continue   # handled as continuous inflow in the macro reaction
         for spec in gen.generation_influences(state.time, state.dt):
             emissions.append((gen.id, spec))
@@ -1233,7 +1230,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         road = state.network.roads[veh.road]
         chain = state.chain_of_road[veh.road]
         gate = scene.gate_ahead(chain, chain.to_chain_pos(veh.road, veh.position))
-        gate_dist, gate_key = gate if gate is not None else (INF, None)
+        gate_dist, gate_into = gate if gate is not None else (INF, None)
 
         dist_to_end = road.length - veh.position
         if remaining < min(dist_to_end, gate_dist) - 1e-12:
@@ -1242,7 +1239,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
 
         if gate_dist <= dist_to_end + 1e-12:
             # reached a micro-to-macro boundary
-            if scene.cross_gate(gate_key):
+            if scene.cross_gate(gate_into):
                 _leave(state, cluster, veh)
                 return None
             veh.position += max(gate_dist - NODE_STANDOFF, 0.0)
@@ -1262,8 +1259,8 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         nxt, entry = hop
         next_chain = state.chain_of_road[nxt]
         target = state.cluster_at(next_chain.id, next_chain.to_chain_pos(nxt, 0.0))
-        if target.representation == MACRO:
-            if scene.cross_gate((next_chain.id, pos_key(target.start))):
+        if target.segment is not None:
+            if scene.cross_gate(target.id):
                 _leave(state, cluster, veh)
                 return None
             _hold_at_node(veh, road)
@@ -1301,8 +1298,8 @@ def _settle(state: EngineState, scene: Scene, cluster: Cluster,
     chain = state.chain_of_road[veh.road]
     cpos = chain.to_chain_pos(veh.road, veh.position)
     owner = state.cluster_at(chain.id, min(cpos, chain.length - 1e-9))
-    if owner.representation == MACRO:
-        if scene.cross_gate((chain.id, pos_key(owner.start))):
+    if owner.segment is not None:
+        if scene.cross_gate(owner.id):
             _leave(state, cluster, veh)
             return None
         veh.position -= max(cpos - owner.start, 0.0)
@@ -1331,7 +1328,7 @@ def _first_vehicle_on(state: EngineState, road_id: str, lane: int):
     """Vehicle nearest to the start of a lane, from the live cluster state."""
     best = None
     for cluster in state.clusters.values():
-        if cluster.representation != MICRO:
+        if cluster.segment is not None:
             continue
         for veh in cluster.vehicles.values():
             if (veh.road, veh.lane) == (road_id, lane):
@@ -1344,7 +1341,7 @@ def _rehome_and_check(state: EngineState) -> None:
     """Detect residual overlaps; clamp small ones, abort on real ones."""
     by_lane: dict[tuple[str, int], list[Vehicle]] = {}
     for cluster in state.clusters.values():
-        if cluster.representation != MICRO:
+        if cluster.segment is not None:
             continue
         for veh in cluster.vehicles.values():
             by_lane.setdefault((veh.road, veh.lane), []).append(veh)
@@ -1367,7 +1364,7 @@ def _macro_reaction(state: EngineState, scene: Scene) -> None:
     over all cells, then each segment's boundary settlement, in chain and
     start order."""
     macro = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)
-             if c.representation == MACRO]
+             if c.segment is not None]
     if not macro:
         return
     # Boundary rates read the cells and release queues here, as the natural
@@ -1394,10 +1391,9 @@ def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.
     micro_up = False
     if itf_up is not None:
         up = state.clusters[itf_up.upstream_id]
-        if up.representation == MICRO:
+        if up.segment is None:
             micro_up = True
-            key = (itf_up.chain_id, pos_key(itf_up.position))
-            inflow = scene.crossings.get(key, 0) / state.dt
+            inflow = scene.crossings.get(cluster.id, 0) / state.dt
         else:
             inflow = min(float(dem[store.last[store.slot[up.segment]]]),
                          float(sup[store.first[store.slot[cluster.segment]]]))
@@ -1408,7 +1404,7 @@ def _boundary_rates(state: EngineState, scene: Scene, store: CellStore, dem: np.
 
     if itf_down is not None:
         down = state.clusters[itf_down.downstream_id]
-        if down.representation == MACRO:
+        if down.segment is not None:
             supply = float(sup[store.first[store.slot[down.segment]]])
         else:
             supply = 0.0 if itf_down.throttled() else INF
@@ -1434,7 +1430,7 @@ def _settle_segment(state: EngineState, scene: Scene, cluster: Cluster, inflow: 
     itf_down = state.itf_down.get(cluster.id)
     if itf_down is not None:
         down = state.clusters[itf_down.downstream_id]
-        if down.representation == MICRO:
+        if down.segment is None:
             _release_into_micro(state, scene, itf_down, outflow, cluster, down)
     elif cluster.chain_id in state.tail_sink:
         state.ledger.add_macro_out(outflow * state.dt)
@@ -1479,7 +1475,7 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
         by_gen[gen_id].retry.append(spec)
     for gen in state.generators:
         entry = state.entry_cluster(gen)
-        if entry is not None and entry.representation == MACRO:
+        if entry is not None and entry.segment is not None:
             _dissolve_queue(entry.segment, gen.retry)
         else:
             drain(gen.retry, lambda spec: _try_insert_spec(state, scene, spec))
@@ -1488,7 +1484,7 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
 def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> bool:
     chain = state.chain_of_road[spec.road]
     cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
-    if cluster.representation != MICRO:
+    if cluster.segment is not None:
         return False
     speed = spec.speed
     if speed is None:
@@ -1530,8 +1526,7 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
         itf = state.interfaces[key]
         down = state.clusters[itf.downstream_id]
         # behind a macro upstream the macro reaction drained it this step
-        if down.representation == MICRO and \
-                state.clusters[itf.upstream_id].representation != MACRO:
+        if down.segment is None and state.clusters[itf.upstream_id].segment is None:
             drain(itf.pending, lambda veh: _admit(state, scene, down, veh))
 
 
@@ -1539,7 +1534,7 @@ def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
 
 def _observe_and_plan(state: EngineState) -> None:
     clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
-    macro = [c for c in clusters if c.representation == MACRO]
+    macro = [c for c in clusters if c.segment is not None]
     # one speed pass over the cell store serves the cell counters and the
     # cluster ratios (mean speed over free speed)
     store = state.cell_store(macro)
@@ -1547,7 +1542,7 @@ def _observe_and_plan(state: EngineState) -> None:
     ratios = {c.id: r for c, r in zip(macro, means)}
     v_f = state.fd.v_f
     for c in clusters:
-        if c.representation == MACRO:
+        if c.segment is not None:
             continue
         if c.vehicles:
             ratios[c.id] = sum(v.speed for v in c.vehicles.values()) \
@@ -1604,7 +1599,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         return
 
     cluster = state.cluster_at(action.chain_id, action.position)
-    if action.kind == "refine" and cluster.representation == MACRO:
+    if action.kind == "refine" and cluster.segment is not None:
         pre = cluster.mass()
         vehicles, residual = disaggregate_cluster(
             cluster, chain, state.network,
@@ -1617,7 +1612,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
                         cluster.mass() + residual)
         return
 
-    if action.kind == "coarsen" and cluster.representation == MICRO:
+    if action.kind == "coarsen" and cluster.segment is None:
         problem = _macro_boundary_problem(state, cluster)
         if problem:
             raise ActionRefused(f"coarsen of {cluster.id} at {action.chain_id}@"
@@ -1654,7 +1649,7 @@ def _rehome_queue(state: EngineState, merged: Cluster, chain, position: float,
     """Give the dissolved interface's holdings a conservation-safe home.
     Returns the mass that ended up outside the merged cluster."""
     outside = 0.0
-    if merged.representation == MICRO and vehicles:
+    if merged.segment is None and vehicles:
         for veh in vehicles:
             placed = _place_near(state, merged, chain, position, veh)
             if not placed:
@@ -1782,17 +1777,16 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     scene = Scene(state)
     for infl in additions:
         if not _try_insert_spec(state, scene, infl.spec):
-            if infl.generator_id is not None:
-                gen = {g.id: g for g in state.generators}.get(infl.generator_id)
-                if gen is None:
-                    raise UnknownTarget(f"no generator {infl.generator_id!r}")
-                gen.retry.append(infl.spec)
-            else:
+            if infl.generator_id is None:
                 raise SimulationError(
                     f"insertion on {infl.spec.road} lane {infl.spec.lane} blocked "
                     f"and no generator queue given")
-        else:
-            state.ledger.inserted += 1
+            gen = {g.id: g for g in state.generators}.get(infl.generator_id)
+            if gen is None:
+                raise UnknownTarget(f"no generator {infl.generator_id!r}")
+            # a queued insertion is held by its generator, as an emission is
+            gen.retry.append(infl.spec)
+        state.ledger.inserted += 1
     return state
 
 

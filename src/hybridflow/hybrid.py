@@ -31,14 +31,16 @@ class OverCapacity(RuntimeError):
 
 
 def pos_key(position: float) -> int:
-    """Chain position rounded to the millimetre: the key of interfaces, gates
-    and per-boundary release streams."""
+    """Chain position rounded to the millimetre: the key of interfaces and
+    per-boundary release streams."""
     return int(round(position * 1000))
 
 
 @dataclass
 class Cluster:
-    """One extent of a chain with exactly one active representation.
+    """One extent of a chain with exactly one active representation: macro
+    exactly when it holds a `segment` of cells, micro (its `vehicles`)
+    otherwise.  `representation` is that fact as a label.
 
     The last four fields are the cluster's level-of-detail memory: the
     controller reads and writes them, a representation switch keeps them
@@ -49,7 +51,6 @@ class Cluster:
     chain_id: str
     start: float                    # chain coordinate, inclusive
     end: float                      # chain coordinate, exclusive
-    representation: str = MICRO
     vehicles: dict[str, Vehicle] = field(default_factory=dict)
     segment: MacroSegment | None = None
     recovered_steps: int = 0        # consecutive observations above theta_up
@@ -58,11 +59,15 @@ class Cluster:
     refined: bool = False           # micro by a refine: recovery may coarsen it
 
     @property
+    def representation(self) -> str:
+        return MICRO if self.segment is None else MACRO
+
+    @property
     def length(self) -> float:
         return self.end - self.start
 
     def mass(self) -> float:
-        if self.representation == MICRO:
+        if self.segment is None:
             return float(len(self.vehicles))
         return self.segment.total_mass()
 
@@ -211,7 +216,7 @@ def aggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
     Cells that would exceed jam density push the excess to their upstream
     neighbor, mirroring queue spillback; if the whole extent cannot hold the
     vehicles the state was already inconsistent and OverCapacity is raised."""
-    if cluster.representation != MICRO:
+    if cluster.segment is not None:
         raise ValueError(f"cluster {cluster.id} is not micro")
     dx, lanes, starts = build_cell_layout(chain, network, cluster.start,
                                           cluster.end, target_dx)
@@ -235,7 +240,6 @@ def aggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
     cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=counts / (dx * lanes), fd=fd,
                                    start=starts)
     cluster.vehicles = {}
-    cluster.representation = MACRO
 
 
 def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
@@ -250,7 +254,7 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
     `min_spacing` is the tightest front-to-front spacing ever placed
     (standstill gap plus vehicle length); cells denser than that push the
     excess to upstream cells."""
-    if cluster.representation != MACRO:
+    if cluster.segment is None:
         raise ValueError(f"cluster {cluster.id} is not macro")
     seg = cluster.segment
     speeds = seg.cell_speeds()
@@ -285,7 +289,6 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
     residual = acc + spill
     cluster.segment = None
     cluster.vehicles = {v.id: v for v in vehicles}
-    cluster.representation = MICRO
     return vehicles, residual
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import MACRO, MICRO, BoundaryInterface, Cluster
+from .hybrid import BoundaryInterface, Cluster
 from .macro import CellStore, MacroSegment
 
 
@@ -87,7 +87,7 @@ def split_cluster(cluster: Cluster, position: float, chain,
     if min(position - cluster.start, cluster.end - position) < min_cluster_length - 1e-9:
         raise TooSmall(f"split at {position} leaves a part below "
                        f"{min_cluster_length} m")
-    if cluster.representation == MACRO:
+    if cluster.segment is not None:
         edges = cluster.segment.start
         idx = int(np.argmin(np.abs(edges - position)))
         if abs(edges[idx] - position) > 1e-6 or idx == 0:
@@ -95,12 +95,11 @@ def split_cluster(cluster: Cluster, position: float, chain,
         position = float(edges[idx])
 
     # both parts keep the parent's LOD memory; recovery counts afresh
-    inherited = dict(chain_id=cluster.chain_id, representation=cluster.representation,
-                     last_jam_step=cluster.last_jam_step,
+    inherited = dict(chain_id=cluster.chain_id, last_jam_step=cluster.last_jam_step,
                      cooldown_until=cluster.cooldown_until, refined=cluster.refined)
     left = Cluster(id=f"{cluster.id}a", start=cluster.start, end=position, **inherited)
     right = Cluster(id=f"{cluster.id}b", start=position, end=cluster.end, **inherited)
-    if cluster.representation == MICRO:
+    if cluster.segment is None:
         for vid, veh in cluster.vehicles.items():
             pos = chain.to_chain_pos(veh.road, veh.position)
             (left if pos < position else right).vehicles[vid] = veh
@@ -137,17 +136,16 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
     """
     if abs(a.end - b.start) > 1e-9:
         raise NotAdjacent(f"{a.id} ends at {a.end}, {b.id} starts at {b.start}")
-    if a.representation != b.representation:
+    if (a.segment is None) != (b.segment is None):
         raise RepresentationMismatch(f"{a.representation} vs {b.representation}")
 
-    merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id,
-                     start=a.start, end=b.end, representation=a.representation,
+    merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id, start=a.start, end=b.end,
                      last_jam_step=max(a.last_jam_step, b.last_jam_step),
                      cooldown_until=max(a.cooldown_until, b.cooldown_until),
                      refined=a.refined or b.refined)
     homeless_vehicles: list = []
     homeless_mass = 0.0
-    if a.representation == MICRO:
+    if a.segment is None:
         merged.vehicles.update(a.vehicles)
         merged.vehicles.update(b.vehicles)
         homeless_vehicles = list(shared.pending)
@@ -266,7 +264,7 @@ class LodController:
 
         # 2. recovered refined clusters coarsen back
         for cluster in ordered:
-            if cluster.representation != MICRO or cluster.id in used:
+            if cluster.segment is not None or cluster.id in used:
                 continue
             if not cluster.refined or cluster.recovered_steps < persistence:
                 continue
@@ -280,7 +278,7 @@ class LodController:
         if micro_vehicles > self.policy.micro_vehicle_budget:
             shedding = micro_vehicles
             by_activity = sorted(
-                (c for c in ordered if c.representation == MICRO and c.id not in used),
+                (c for c in ordered if c.segment is None and c.id not in used),
                 key=lambda c: (c.last_jam_step, c.chain_id, c.start))
             for cluster in by_activity:
                 if shedding <= self.policy.micro_vehicle_budget:
@@ -298,7 +296,7 @@ class LodController:
             up, down = by_id.get(itf.upstream_id), by_id.get(itf.downstream_id)
             if up is None or down is None or up.id in used or down.id in used:
                 continue
-            if up.id == down.id or up.representation != down.representation:
+            if up.id == down.id or (up.segment is None) != (down.segment is None):
                 continue
             if abs(up.end - down.start) > 1e-9:
                 continue   # the wrap boundary of a cyclic chain never merges

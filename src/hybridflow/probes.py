@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .engine import EngineState, Probe
-from .hybrid import MICRO
 
 
 def fmt(x) -> str:
@@ -53,7 +52,7 @@ class StepRecordProbe(Probe):
         for chain_id in sorted(state.order):
             for cluster in state.chain_clusters(chain_id):
                 lane_length = _lane_length(state, cluster)
-                if cluster.representation == MICRO:
+                if cluster.segment is None:
                     count = float(len(cluster.vehicles))
                     density = count / lane_length if lane_length > 0 else 0.0
                     speed = (sum(v.speed for v in cluster.vehicles.values()) / count
@@ -83,7 +82,7 @@ class TrajectoryProbe(Probe):
         step, time = state.step, state.time
         for cid in sorted(state.clusters):
             cluster = state.clusters[cid]
-            if cluster.representation != MICRO:
+            if cluster.segment is not None:
                 continue
             self.rows.extend((step, time, veh.id, veh.road, veh.lane, veh.position, veh.speed)
                              for veh in sorted(cluster.vehicles.values(), key=lambda v: v.id))

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -903,14 +904,43 @@ class TestSystemInfluences:
         with pytest.raises(UnknownTarget):
             apply_system_influences(state, [RemoveVehicle("ghost", "out1")])
 
-    def test_blocked_insertion_without_generator_fails(self):
-        model = load("minimal")
-        state = build_state(model, EngineConfig(steps=0))
+    def blocked(self):
+        """The minimal corridor with a vehicle standing on the entry slot."""
+        state = build_state(load("minimal"), EngineConfig(steps=0))
         cluster = next(iter(state.clusters.values()))
-        blocker = Vehicle(id="x", road="r1", lane=0, position=4.0, speed=0.0)
-        cluster.vehicles[blocker.id] = blocker
+        cluster.vehicles["x"] = Vehicle(id="x", road="r1", lane=0, position=4.0, speed=0.0)
+        state.ledger.inserted += 1
+        return state
+
+    def test_blocked_insertion_without_generator_fails(self):
+        state = self.blocked()
         with pytest.raises(Exception):
             apply_system_influences(state, [AddVehicle(self.spec())])
+
+    def test_blocked_insertion_waits_in_its_generators_queue(self):
+        state = self.blocked()
+        (gen,) = state.generators
+        spec = self.spec()
+        apply_system_influences(state, [AddVehicle(spec, generator_id=gen.id)])
+        assert list(gen.retry) == [spec]
+        assert len(next(iter(state.clusters.values())).vehicles) == 1
+        # the queued vehicle is in the network, held by its generator
+        assert state.ledger.inserted == 2
+        assert abs(state.ledger_residual()) <= 1e-9
+
+    def test_blocked_insertion_names_an_unknown_generator(self):
+        state = self.blocked()
+        with pytest.raises(UnknownTarget, match="ghost"):
+            apply_system_influences(state, [AddVehicle(self.spec(), generator_id="ghost")])
+
+    @pytest.mark.parametrize("kind, position", [("split", 700.0), ("merge", 1000.0)],
+                             ids=["split-on-an-edge", "merge-without-interface"])
+    def test_action_without_a_target_changes_nothing(self, kind, position):
+        state = build_state(load("hybrid"), EngineConfig(steps=0))
+        digest = state.state_digest()
+        apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+        assert state.state_digest() == digest
+        assert state.transitions == []
 
 
 class TestLedgerSums:
@@ -1182,7 +1212,9 @@ class TestGateQuery:
     def test_nearest_gate_ahead_wraps_and_filters(self, tmp_path):
         scene, chain = self.build(tmp_path)
         assert chain.cyclic and chain.length == 2000.0
-        wrap, mid = (chain.id, 0), (chain.id, 1000000)
+        # each gate is named by the macro cluster it opens into
+        wrap, mid = scene.state.cluster_at(chain.id, 0.0).id, \
+            scene.state.cluster_at(chain.id, 1000.0).id
         assert scene.gates[chain.id] == [(1000.0, mid, False), (2000.0, wrap, True)]
         # the wrap gate at position 0, seen from just before the chain end
         assert scene.gate_ahead(chain, 1999.0) == (1.0, wrap)
@@ -1198,7 +1230,9 @@ class TestGateQuery:
 
     def test_crossing_spends_the_gate_budget(self, tmp_path):
         scene, chain = self.build(tmp_path)
-        wrap, mid = (chain.id, 0), (chain.id, 1000000)
+        # each gate is named by the macro cluster it opens into
+        wrap, mid = scene.state.cluster_at(chain.id, 0.0).id, \
+            scene.state.cluster_at(chain.id, 1000.0).id
         assert not scene.cross_gate(mid)          # closed: no place at all
         places = scene.gate_budget[wrap]
         assert places == 15                      # an empty 100 m cell at 0.15 veh/m
@@ -1490,6 +1524,91 @@ class TestMergeWithPendingQueue:
         for _ in range(40):   # and the situation must integrate cleanly
             advance_step(state, config)
         assert state.consistency_errors() == []
+
+
+class TestMergeRehoming:
+    """A micro+micro merge whose dissolved interface holds a fraction and a
+    queued vehicle that fits nowhere in the merged extent: the vehicle and
+    the fraction move to the merged cluster's upstream interface, or into
+    `orphan_mass` when it has none, and no mass is lost."""
+
+    def merge(self, state, position):
+        before = state.ledger_residual()
+        apply_system_influences(state, [Action("merge", "chain0", position, "forced")])
+        assert abs(state.ledger_residual() - before) <= 1e-9
+        record = state.transitions[-1]
+        assert record.kind == "merge"
+        assert abs(record.post_mass - record.pre_mass) <= 1e-9
+        assert state.consistency_errors() == []
+
+    def test_unplaced_release_moves_to_the_upstream_interface(self, tmp_path):
+        # the hybrid corridor, its macro extent at 0.1 veh/m, and a vehicle
+        # standing just past 1400 that makes the releases there queue
+        root = tmp_path / "queued"
+        shutil.copytree(FIXTURES / "hybrid", root)
+        level = root / "level.xml"
+        level.write_text(level.read_text().replace("</level>", (
+            '  <initial_density road="r1" start="700" end="1400" value="0.1"/>\n'
+            '  <vehicle road="r1" lane="0" position="1405" speed="0"/>\n</level>')))
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(parse_scenario(root), config)
+        shared = state.interfaces[("chain0", 1400000)]
+        for _ in range(12):
+            advance_step(state, config)
+        fraction = float(np.sum(shared.carryover))
+        assert len(shared.pending) == 1 and fraction > 0
+
+        # refined, the extent before 1400 holds vehicles 10 m apart: no slot
+        apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
+        upstream = state.interfaces[("chain0", 700000)]
+        queued, carried = list(upstream.pending), float(np.sum(upstream.carryover))
+        (waiting,) = shared.pending
+        self.merge(state, 1400.0)
+        merged = state.cluster_at("chain0", 1400.0)
+        assert (merged.start, merged.end) == (700.0, 2000.0)
+        assert state.itf_up[merged.id] is upstream
+        assert list(upstream.pending) == queued + [waiting]
+        assert waiting.id not in merged.vehicles
+        assert float(np.sum(upstream.carryover)) == pytest.approx(carried + fraction, abs=1e-12)
+        assert state.orphan_mass == 0.0
+
+    def test_without_an_upstream_interface_the_mass_is_orphaned(self, tmp_path):
+        # two micro extents on a road no source feeds; a vehicle stands
+        # across the boundary, so the queued one has no gap to enter
+        root = tmp_path / "headless"
+        root.mkdir()
+        (root / "scenario.xml").write_text(
+            '<?xml version="1.0"?>\n'
+            '<simulation time_step="0.25" duration="10">\n'
+            '  <infrastructure ref="infra.xml"/>\n  <level ref="level.xml"/>\n'
+            '</simulation>\n')
+        (root / "infra.xml").write_text(
+            '<?xml version="1.0"?>\n<infrastructure>\n'
+            '  <node id="a" kind="crossroads"/>\n  <node id="b" kind="crossroads"/>\n'
+            '  <road id="r1" from="a" to="b" length="2000" lanes="1" speed_limit="25"/>\n'
+            '</infrastructure>\n')
+        (root / "level.xml").write_text(
+            '<?xml version="1.0"?>\n<level>\n'
+            '  <end_point id="out1" road="r1"/>\n'
+            '  <cluster representation="micro" road="r1" start="0" end="1000"/>\n'
+            '  <cluster representation="micro" road="r1" start="1000" end="2000"/>\n'
+            '  <vehicle road="r1" lane="0" position="1003" speed="0"/>\n'
+            '</level>\n')
+        state = build_state(parse_scenario(root), EngineConfig(seed=1, lod_enabled=False))
+        shared = state.interfaces[("chain0", 1000000)]
+        shared.pending.append(Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
+                                      position=1000.0, speed=5.0))
+        shared.add_fractional(0.25)
+        state.ledger.inserted += 1
+        state.ledger.add_macro_in(0.25)
+        assert abs(state.ledger_residual()) <= 1e-9
+
+        self.merge(state, 1000.0)
+        (merged,) = state.clusters.values()
+        assert state.itf_up.get(merged.id) is None and "chain0" not in state.head_source
+        assert len(merged.vehicles) == 1
+        assert state.orphan_mass == pytest.approx(1.25, abs=1e-12)
+        assert abs(state.ledger_residual()) <= 1e-9
 
 
 class TestBankedFraction:

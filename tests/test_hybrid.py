@@ -98,8 +98,7 @@ class TestAggregate:
 class TestDisaggregate:
     def test_zero_density_releases_nothing(self):
         net, chain = corridor()
-        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=1000.0,
-                          representation=MACRO)
+        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=1000.0)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 1000.0, 100.0)
         cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=np.zeros(len(dx)), fd=FD,
                                        start=starts)
@@ -109,8 +108,7 @@ class TestDisaggregate:
 
     def test_uniform_density_counts_and_spacing(self):
         net, chain = corridor(1000.0, 2)
-        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=1000.0,
-                          representation=MACRO)
+        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=1000.0)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 1000.0, 100.0)
         cluster.segment = MacroSegment(dx=dx, lanes=lanes,
                                        rho=np.full(len(dx), 0.05), fd=FD, start=starts)
@@ -140,8 +138,7 @@ class TestDisaggregate:
 
     def test_dense_cells_push_excess_upstream(self):
         net, chain = corridor(300.0, 1)
-        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=300.0,
-                          representation=MACRO)
+        cluster = Cluster(id="c", chain_id=chain.id, start=0.0, end=300.0)
         dx, lanes, starts = build_cell_layout(chain, net, 0.0, 300.0, 100.0)
         rho = np.array([0.0, 0.0, FD.rho_jam])    # 15 vehicles in the last cell
         cluster.segment = MacroSegment(dx=dx, lanes=lanes, rho=rho, fd=FD, start=starts)

@@ -21,8 +21,7 @@ CHAIN = Chain(id="chain0", roads=("r",), offsets=(0.0,), length=1000.0, cyclic=F
 
 def macro_cluster(cid="m", start=0.0, end=1000.0, rho=0.0):
     n = int((end - start) / 100.0)
-    cluster = Cluster(id=cid, chain_id="chain0", start=start, end=end,
-                      representation=MACRO)
+    cluster = Cluster(id=cid, chain_id="chain0", start=start, end=end)
     cluster.segment = MacroSegment(dx=[100.0] * n, lanes=[1.0] * n,
                                    rho=np.full(n, rho), fd=FD,
                                    start=start + np.arange(n) * 100.0)
@@ -198,8 +197,7 @@ def fresh_macro(cid, chain_id, start, end, target_dx):
     """Macro cluster over [start, end) with equal cells near target_dx."""
     n = max(1, round((end - start) / target_dx))
     cell = (end - start) / n
-    cluster = Cluster(id=cid, chain_id=chain_id, start=start, end=end,
-                      representation=MACRO)
+    cluster = Cluster(id=cid, chain_id=chain_id, start=start, end=end)
     cluster.segment = MacroSegment(dx=[cell] * n, lanes=[1.0] * n,
                                    rho=np.zeros(n), fd=FD,
                                    start=start + np.arange(n) * cell)
@@ -590,9 +588,8 @@ class TestMemoryMatchesDictReference:
                 target = data.draw(st.sampled_from(clusters))
                 refined = target.representation == MACRO
                 if refined:
-                    target.representation, target.segment = MICRO, None
+                    target.segment = None
                 else:
-                    target.representation = MACRO
                     target.segment = fresh_macro(target.id, target.chain_id, target.start,
                                                  target.end, 100.0).segment
                 ctl.mark_switch(target, step, refined)

@@ -46,14 +46,23 @@ def test_checker_flags_only_unread_unmarked_names():
 # a package's __init__ imports its public names in order to export them
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
                                         if p.name != "__init__.py")
-                         + sorted((REPO / "demos").glob("*.py")),
+                         + sorted((REPO / "demos").glob("*.py"))
+                         + sorted((REPO / "tests").glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
 #: public names that code outside the tests need not reference, with the reason
-UNREFERENCED_ALLOWED: dict[str, str] = {}
+UNREFERENCED_ALLOWED: dict[str, str] = {
+    "engine.apply_system_influences":
+        "the influence API through which the paper's regulation algorithms "
+        "remove, insert and restructure",
+    "macro.demand":
+        "the scalar oracle that the vectorized `demand_supply` is checked against",
+    "scenario.write_scenario":
+        "the file writer paired with `serialize_scenario`",
+}
 
 
 def public_definitions(source: str, module: str) -> list[tuple[str, str]]:
@@ -100,7 +109,9 @@ def test_every_public_name_is_used_outside_the_tests():
     used = set()
     for directory in ("src", "demos", "bench"):
         for path in sorted((REPO / directory).rglob("*.py")):
-            used |= referenced_names(path.read_text())
+            # the package's re-exports are no use: any exported name passes
+            if path != PACKAGE / "__init__.py":
+                used |= referenced_names(path.read_text())
     unused = [qualified for path in sorted(PACKAGE.glob("*.py"))
               for qualified, name in public_definitions(path.read_text(), path.stem)
               if name not in used]
