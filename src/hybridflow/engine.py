@@ -29,7 +29,8 @@ from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      disaggregate_cluster, drain, lanes_at,
                      macro_to_micro_release, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
-from .lod import Action, LodController, bank_mass_into_segment, merge_clusters, split_cluster
+from .lod import (Action, LodController, QueueNotEmpty, bank_mass_into_segment,
+                  merge_clusters, split_cluster)
 from .macro import CellStore, MacroSegment
 from .macro import ctm_step  # noqa: F401 - the benchmark tracer wraps this name
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
@@ -1587,15 +1588,18 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         a = state.clusters[itf.upstream_id]
         b = state.clusters[itf.downstream_id]
         pre = a.mass() + b.mass() + itf.mass()
-        merged, homeless, fraction = merge_clusters(a, b, itf, chain,
-                                                    state.new_cluster_id)
+        try:
+            merged, leftover = merge_clusters(a, b, itf, state.new_cluster_id)
+        except QueueNotEmpty as exc:
+            raise ActionRefused(f"merge of {a.id} and {b.id} at {action.chain_id}@"
+                                f"{action.position:g}: {exc}") from None
         del state.clusters[a.id], state.clusters[b.id]
         del state.interfaces[key]
         state.clusters[merged.id] = merged
         state.reindex()
-        outside = _rehome_queue(state, merged, chain, itf.position, homeless, fraction)
+        _bank_fraction(state, merged, leftover)
         _log_transition(state, stamp, action, (a.id, b.id, merged.id), pre,
-                        merged.mass() + outside)
+                        merged.mass() + leftover)
         return
 
     cluster = state.cluster_at(action.chain_id, action.position)
@@ -1644,27 +1648,6 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         return
 
 
-def _rehome_queue(state: EngineState, merged: Cluster, chain, position: float,
-                  vehicles: list, fraction: float) -> float:
-    """Give the dissolved interface's holdings a conservation-safe home.
-    Returns the mass that ended up outside the merged cluster."""
-    outside = 0.0
-    if merged.segment is None and vehicles:
-        for veh in vehicles:
-            placed = _place_near(state, merged, chain, position, veh)
-            if not placed:
-                outside += 1.0
-                itf_up = state.itf_up.get(merged.id)
-                if itf_up is not None:
-                    itf_up.pending.append(veh)
-                else:
-                    state.orphan_mass += 1.0
-    if fraction > 0:
-        outside += fraction
-        _bank_fraction(state, merged, fraction)
-    return outside
-
-
 def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> None:
     if fraction <= 0:
         return
@@ -1680,37 +1663,6 @@ def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> Non
         state.ledger.add_macro_in(-fraction)
         return
     state.orphan_mass += fraction
-
-
-def _place_near(state: EngineState, cluster: Cluster, chain, position: float,
-                veh: Vehicle) -> bool:
-    """Walk upstream from a boundary position to the first safe slot."""
-    peers = sorted((v for v in cluster.vehicles.values()
-                    if (v.road, v.lane) == (veh.road, veh.lane)),
-                   key=lambda v: -v.position)
-    candidate = veh.position
-    for peer in peers:
-        if peer.position <= candidate + 1e-9:
-            lead_gap = INF
-            ahead = [v for v in peers if v.position > candidate]
-            if ahead:
-                lead = min(ahead, key=lambda v: v.position)
-                lead_gap = lead.position - lead.length - candidate
-            if lead_gap >= veh.params.s0 and candidate - veh.length - peer.position \
-                    >= peer.params.s0:
-                break
-            candidate = peer.position - peer.length - veh.params.s0
-    start_road_pos = max(cluster.start - chain.offset_of(veh.road), 0.0)
-    if candidate < start_road_pos:
-        return False
-    ahead = [v for v in peers if v.position > candidate]
-    if ahead:
-        lead = min(ahead, key=lambda v: v.position)
-        if lead.position - lead.length - candidate < veh.params.s0:
-            return False
-    veh.position = candidate
-    cluster.vehicles[veh.id] = veh
-    return True
 
 
 def _flow(state: EngineState, cluster_id: str, rate_in: float,
@@ -1753,12 +1705,17 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     """Apply external system influences: removals, LOD actions, insertions.
 
     Application order is removals, then structural actions, then
-    insertions, each class ordered by target identifier."""
+    insertions, each class ordered by target identifier.  An unknown
+    generator named by an insertion is refused before anything applies."""
     removals = sorted((i for i in influences if isinstance(i, RemoveVehicle)),
                       key=lambda i: i.vehicle_id)
     actions = [i for i in influences if isinstance(i, Action)]
     additions = sorted((i for i in influences if isinstance(i, AddVehicle)),
                        key=lambda i: (i.spec.road, i.spec.lane, i.spec.position))
+    by_gen = {g.id: g for g in state.generators}
+    for infl in additions:
+        if infl.generator_id is not None and infl.generator_id not in by_gen:
+            raise UnknownTarget(f"no generator {infl.generator_id!r}")
 
     for infl in removals:
         found = None
@@ -1781,11 +1738,8 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
                 raise SimulationError(
                     f"insertion on {infl.spec.road} lane {infl.spec.lane} blocked "
                     f"and no generator queue given")
-            gen = {g.id: g for g in state.generators}.get(infl.generator_id)
-            if gen is None:
-                raise UnknownTarget(f"no generator {infl.generator_id!r}")
             # a queued insertion is held by its generator, as an emission is
-            gen.retry.append(infl.spec)
+            by_gen[infl.generator_id].retry.append(infl.spec)
         state.ledger.inserted += 1
     return state
 

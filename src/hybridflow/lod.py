@@ -31,6 +31,11 @@ class RepresentationMismatch(ValueError):
     """Merge requested across different representations."""
 
 
+class QueueNotEmpty(ValueError):
+    """Merge requested for micro clusters whose shared interface still
+    queues whole vehicles."""
+
+
 @dataclass(frozen=True)
 class LodPolicy:
     """Thresholds governing jam detection and representation switching.
@@ -124,13 +129,14 @@ def bank_mass_into_segment(segment: MacroSegment, cell: int, mass: float) -> flo
 
 
 def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
-                   chain, make_cluster_id) -> tuple[Cluster, list, float]:
+                   make_cluster_id) -> tuple[Cluster, float]:
     """Concatenate two adjacent same-representation clusters.
 
-    Returns (merged cluster, vehicles needing re-insertion, fractional mass
-    needing a new home).  For macro pairs the shared interface's carryover
-    and queue dissolve into the boundary cell, so both extras are empty; for
-    micro pairs the caller places the queue and banks the fraction upstream.
+    Returns (merged cluster, fractional mass needing a new home).  A micro
+    pair merges only once the shared interface queues no whole vehicle (the
+    engine admits those into `b`); its carryover is the leftover.  A macro
+    pair dissolves the interface's carryover and queue into the boundary
+    cell, spilling upstream, and the leftover is what no cell could seat.
     The merged cluster keeps the later jam and cooldown of the two, is
     refined if either was, and counts recovery afresh.
     """
@@ -138,25 +144,19 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
         raise NotAdjacent(f"{a.id} ends at {a.end}, {b.id} starts at {b.start}")
     if (a.segment is None) != (b.segment is None):
         raise RepresentationMismatch(f"{a.representation} vs {b.representation}")
+    if a.segment is None and shared.pending:
+        raise QueueNotEmpty(f"{len(shared.pending)} vehicles queued at {shared.position:g}")
 
     merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id, start=a.start, end=b.end,
                      last_jam_step=max(a.last_jam_step, b.last_jam_step),
                      cooldown_until=max(a.cooldown_until, b.cooldown_until),
                      refined=a.refined or b.refined)
-    homeless_vehicles: list = []
-    homeless_mass = 0.0
     if a.segment is None:
         merged.vehicles.update(a.vehicles)
         merged.vehicles.update(b.vehicles)
-        homeless_vehicles = list(shared.pending)
-        homeless_mass = float(np.sum(shared.carryover))
-    else:
-        merged.segment = MacroSegment.join(a.segment, b.segment)
-        extra = shared.mass()
-        if extra > 0:
-            left = bank_mass_into_segment(merged.segment, len(a.segment), extra)
-            homeless_mass = left
-    return merged, homeless_vehicles, homeless_mass
+        return merged, float(np.sum(shared.carryover))
+    merged.segment = MacroSegment.join(a.segment, b.segment)
+    return merged, bank_mass_into_segment(merged.segment, len(a.segment), shared.mass())
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,8 @@ class LodController:
                 continue
             if up.id == down.id or (up.segment is None) != (down.segment is None):
                 continue
+            if up.segment is None and itf.pending:
+                continue   # a micro pair waits until its queue has entered `down`
             if abs(up.end - down.start) > 1e-9:
                 continue   # the wrap boundary of a cyclic chain never merges
             if self.in_cooldown(up, step) or self.in_cooldown(down, step):

@@ -933,6 +933,18 @@ class TestSystemInfluences:
         with pytest.raises(UnknownTarget, match="ghost"):
             apply_system_influences(state, [AddVehicle(self.spec(), generator_id="ghost")])
 
+    @pytest.mark.parametrize("blocked", [False, True], ids=["free-slot", "after-a-removal"])
+    def test_unknown_generator_is_refused_before_anything_applies(self, blocked):
+        state = self.blocked() if blocked else build_state(load("minimal"),
+                                                            EngineConfig(steps=0))
+        digest = state.state_digest()
+        influences = [AddVehicle(self.spec(), generator_id="ghost")]
+        if blocked:
+            influences.append(RemoveVehicle("x", "out1"))
+        with pytest.raises(UnknownTarget, match="ghost"):
+            apply_system_influences(state, influences)
+        assert state.state_digest() == digest
+
     @pytest.mark.parametrize("kind, position", [("split", 700.0), ("merge", 1000.0)],
                              ids=["split-on-an-edge", "merge-without-interface"])
     def test_action_without_a_target_changes_nothing(self, kind, position):
@@ -1485,63 +1497,22 @@ class TestMergeJunction:
 
 
 class TestMergeWithPendingQueue:
-    """Micro+micro merge re-homes queued releases without losing mass."""
+    """A micro+micro merge waits until the shared interface queues no whole
+    vehicle: forced earlier, it is refused before it changes anything, and
+    once the engine has admitted the queue into the downstream cluster it
+    proceeds."""
 
-    def test_queue_reinserted_on_merge(self, tmp_path):
-        from hybridflow.lod import Action
-        from hybridflow.micro import Vehicle as V
+    def refused(self, state, position):
+        digest, ledger = state.state_digest(), copy.deepcopy(state.ledger)
+        transitions, orphan = list(state.transitions), state.orphan_mass
+        with pytest.raises(ActionRefused, match=rf"merge of .* at chain0@{position:g}: "
+                           rf"\d+ vehicles queued at {position:g}"):
+            apply_system_influences(state, [Action("merge", "chain0", position, "forced")])
+        assert state.state_digest() == digest
+        assert state.ledger == ledger and state.orphan_mass == orphan
+        assert state.transitions == transitions
 
-        model = parse_scenario(FIXTURES / "hybrid")
-        config = EngineConfig(steps=0, seed=1, lod_enabled=False)
-        state = build_state(model, config)
-
-        # refine the middle cluster so the corridor is micro/micro/micro
-        apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
-        itf = state.interfaces[("chain0", 1400000)]
-        up = state.clusters[itf.upstream_id]
-        down = state.clusters[itf.downstream_id]
-        assert up.representation == down.representation == "micro"
-
-        # park two vehicles in the dissolving interface's queue
-        for i in range(2):
-            itf.pending.append(V(id=state.new_vehicle_id(), road="r1", lane=0,
-                                 position=1400.0, speed=5.0))
-        mass0 = state.total_mass()
-        apply_system_influences(state, [Action("merge", "chain0", 1400.0, "forced")])
-        assert state.total_mass() == pytest.approx(mass0, abs=1e-9)
-        merged = state.cluster_at("chain0", 1400.0)
-        assert merged.start <= 1000.0 or merged.end >= 2000.0
-        # the two queued vehicles now live in a cluster (or an upstream queue)
-        total_vehicles = sum(len(c.vehicles) for c in state.clusters.values())
-        queued = sum(len(i.pending) for i in state.interfaces.values())
-        assert total_vehicles + queued == mass0
-        assert state.consistency_errors() == []
-        # re-homed vehicles must be physically separated, not stacked
-        placed = sorted((v for c in state.clusters.values()
-                         for v in c.vehicles.values()), key=lambda v: v.position)
-        for back, front in zip(placed, placed[1:]):
-            assert front.position - front.length - back.position >= 0.0
-        for _ in range(40):   # and the situation must integrate cleanly
-            advance_step(state, config)
-        assert state.consistency_errors() == []
-
-
-class TestMergeRehoming:
-    """A micro+micro merge whose dissolved interface holds a fraction and a
-    queued vehicle that fits nowhere in the merged extent: the vehicle and
-    the fraction move to the merged cluster's upstream interface, or into
-    `orphan_mass` when it has none, and no mass is lost."""
-
-    def merge(self, state, position):
-        before = state.ledger_residual()
-        apply_system_influences(state, [Action("merge", "chain0", position, "forced")])
-        assert abs(state.ledger_residual() - before) <= 1e-9
-        record = state.transitions[-1]
-        assert record.kind == "merge"
-        assert abs(record.post_mass - record.pre_mass) <= 1e-9
-        assert state.consistency_errors() == []
-
-    def test_unplaced_release_moves_to_the_upstream_interface(self, tmp_path):
+    def test_forced_merge_over_a_queue_is_refused(self, tmp_path):
         # the hybrid corridor, its macro extent at 0.1 veh/m, and a vehicle
         # standing just past 1400 that makes the releases there queue
         root = tmp_path / "queued"
@@ -1555,26 +1526,74 @@ class TestMergeRehoming:
         shared = state.interfaces[("chain0", 1400000)]
         for _ in range(12):
             advance_step(state, config)
-        fraction = float(np.sum(shared.carryover))
-        assert len(shared.pending) == 1 and fraction > 0
-
-        # refined, the extent before 1400 holds vehicles 10 m apart: no slot
         apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
-        upstream = state.interfaces[("chain0", 700000)]
-        queued, carried = list(upstream.pending), float(np.sum(upstream.carryover))
-        (waiting,) = shared.pending
-        self.merge(state, 1400.0)
+        assert state.cluster_at("chain0", 1399.0).segment is None
+        assert len(shared.pending) == 1
+        self.refused(state, 1400.0)
+        advance_step(state, config)
+        assert abs(state.ledger_residual()) <= 1e-9
+
+    def test_merge_proceeds_once_the_queue_has_drained(self):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        # refine the middle cluster so the corridor is micro/micro/micro
+        apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
+        itf = state.interfaces[("chain0", 1400000)]
+        queued = [Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
+                          position=1400.0, speed=5.0) for _ in range(2)]
+        itf.pending.extend(queued)
+        state.ledger.inserted += len(queued)   # the queued vehicles entered the network
+        self.refused(state, 1400.0)
+
+        while itf.pending:
+            advance_step(state, config)
+            assert state.step < 40
+        apply_system_influences(state, [Action("merge", "chain0", 1400.0, "forced")])
+        assert state.transitions[-1].kind == "merge"
         merged = state.cluster_at("chain0", 1400.0)
         assert (merged.start, merged.end) == (700.0, 2000.0)
+        assert all(veh.id in merged.vehicles for veh in queued)
+        assert abs(state.ledger_residual()) <= 1e-9
+        assert state.consistency_errors() == []
+        for _ in range(40):   # and the situation must integrate cleanly
+            advance_step(state, config)
+        assert state.consistency_errors() == []
+
+
+class TestMergeRehoming:
+    """A merge hands the mass its dissolved interface held and the merged
+    cluster cannot seat to the merged cluster's upstream interface, or to
+    `orphan_mass` when it has none, and loses no mass: a micro pair's
+    fraction, and what a macro pair's boundary cells have no room for."""
+
+    def merge(self, state, position):
+        before = state.ledger_residual()
+        apply_system_influences(state, [Action("merge", "chain0", position, "forced")])
+        assert abs(state.ledger_residual() - before) <= 1e-9
+        record = state.transitions[-1]
+        assert record.kind == "merge"
+        assert abs(record.post_mass - record.pre_mass) <= 1e-9
+        assert state.consistency_errors() == []
+        return state.cluster_at("chain0", position)
+
+    def test_fraction_moves_to_the_upstream_interface(self):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        shared = state.interfaces[("chain0", 1400000)]
+        for _ in range(300):
+            advance_step(state, config)
+        apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
+        upstream = state.interfaces[("chain0", 700000)]
+        fraction, carried = float(np.sum(shared.carryover)), float(np.sum(upstream.carryover))
+        assert not shared.pending and fraction > 0
+        merged = self.merge(state, 1400.0)
+        assert (merged.start, merged.end) == (700.0, 2000.0)
         assert state.itf_up[merged.id] is upstream
-        assert list(upstream.pending) == queued + [waiting]
-        assert waiting.id not in merged.vehicles
         assert float(np.sum(upstream.carryover)) == pytest.approx(carried + fraction, abs=1e-12)
         assert state.orphan_mass == 0.0
 
     def test_without_an_upstream_interface_the_mass_is_orphaned(self, tmp_path):
-        # two micro extents on a road no source feeds; a vehicle stands
-        # across the boundary, so the queued one has no gap to enter
+        # two micro extents on a road no source feeds
         root = tmp_path / "headless"
         root.mkdir()
         (root / "scenario.xml").write_text(
@@ -1595,20 +1614,40 @@ class TestMergeRehoming:
             '  <vehicle road="r1" lane="0" position="1003" speed="0"/>\n'
             '</level>\n')
         state = build_state(parse_scenario(root), EngineConfig(seed=1, lod_enabled=False))
-        shared = state.interfaces[("chain0", 1000000)]
-        shared.pending.append(Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
-                                      position=1000.0, speed=5.0))
-        shared.add_fractional(0.25)
-        state.ledger.inserted += 1
+        state.interfaces[("chain0", 1000000)].add_fractional(0.25)
         state.ledger.add_macro_in(0.25)
         assert abs(state.ledger_residual()) <= 1e-9
 
-        self.merge(state, 1000.0)
-        (merged,) = state.clusters.values()
+        merged = self.merge(state, 1000.0)
+        assert list(state.clusters.values()) == [merged]
         assert state.itf_up.get(merged.id) is None and "chain0" not in state.head_source
         assert len(merged.vehicles) == 1
-        assert state.orphan_mass == pytest.approx(1.25, abs=1e-12)
+        assert state.orphan_mass == pytest.approx(0.25, abs=1e-12)
         assert abs(state.ledger_residual()) <= 1e-9
+
+    def test_macro_mass_without_room_moves_to_the_upstream_interface(self):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        for _ in range(300):
+            advance_step(state, config)
+        apply_system_influences(state, [Action("split", "chain0", 1000.0, "forced")])
+        a, b = state.cluster_at("chain0", 999.0), state.cluster_at("chain0", 1000.0)
+        shared = state.interfaces[("chain0", 1000000)]
+        upstream = state.interfaces[("chain0", 700000)]
+        # the boundary cell and every cell upstream of it seat nothing more
+        a.segment.rho[:] = state.fd.rho_jam
+        b.segment.rho[0] = state.fd.rho_jam
+        shared.add_fractional(0.5)
+        shared.pending.append(Vehicle(id=state.new_vehicle_id(), road="r1", lane=0,
+                                      position=1000.0, speed=0.0))
+        rho, carried = np.concatenate([a.segment.rho, b.segment.rho]), \
+            float(np.sum(upstream.carryover))
+        merged = self.merge(state, 1000.0)
+        assert (merged.start, merged.end) == (700.0, 1400.0)
+        assert np.array_equal(merged.segment.rho, rho)
+        assert state.itf_up[merged.id] is upstream
+        assert float(np.sum(upstream.carryover)) == pytest.approx(carried + 1.5, abs=1e-12)
+        assert state.orphan_mass == 0.0
 
 
 class TestBankedFraction:

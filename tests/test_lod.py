@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridflow.hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
-from hybridflow.lod import (Action, LodController, LodPolicy, NotAdjacent,
+from hybridflow.lod import (Action, LodController, LodPolicy, NotAdjacent, QueueNotEmpty,
                             RepresentationMismatch, TooSmall, merge_clusters,
                             split_cluster)
 from hybridflow.macro import CellStore, FundamentalDiagram, MacroSegment
@@ -277,8 +277,7 @@ class TestCountersMatchDictReference:
                 a, b = data.draw(st.sampled_from(pairs))
                 shared = BoundaryInterface(id="i", chain_id=a.chain_id, position=b.start,
                                            upstream_id=a.id, downstream_id=b.id, lanes=1)
-                merged, _, _ = merge_clusters(a, b, shared, ORACLE_CHAINS[a.chain_id],
-                                              lambda: next(ids))
+                merged, _ = merge_clusters(a, b, shared, lambda: next(ids))
                 clusters[clusters.index(a):clusters.index(b) + 1] = [merged]
             elif kind == "refine":
                 if not macro:
@@ -414,17 +413,16 @@ class TestMerge:
     def test_split_then_merge_macro_is_identity(self):
         cluster = macro_cluster(rho=0.06)
         left, right = split_cluster(cluster, 500.0, CHAIN)
-        merged, homeless, fraction = merge_clusters(
-            left, right, self.shared(left.id, right.id), CHAIN, lambda: "m2")
+        merged, fraction = merge_clusters(
+            left, right, self.shared(left.id, right.id), lambda: "m2")
         assert merged.mass() == pytest.approx(cluster.mass(), abs=1e-12)
         assert np.allclose(merged.segment.rho, cluster.segment.rho)
-        assert homeless == [] and fraction == 0.0
+        assert fraction == 0.0
 
     def test_merge_micro_union_ordered(self):
         a = micro_cluster_with("a", 0.0, 500.0, [100, 200])
         b = micro_cluster_with("b", 500.0, 1000.0, [600, 700])
-        merged, homeless, fraction = merge_clusters(
-            a, b, self.shared("a", "b"), CHAIN, lambda: "m")
+        merged, fraction = merge_clusters(a, b, self.shared("a", "b"), lambda: "m")
         assert len(merged.vehicles) == 4
         ordered = sorted(merged.vehicles.values(), key=lambda v: v.position)
         assert [v.position for v in ordered] == [100, 200, 600, 700]
@@ -433,13 +431,28 @@ class TestMerge:
         a = micro_cluster_with("a", 0.0, 400.0, [])
         b = micro_cluster_with("b", 500.0, 1000.0, [])
         with pytest.raises(NotAdjacent):
-            merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+            merge_clusters(a, b, self.shared(), lambda: "m")
+
+    def test_micro_merge_waits_for_the_queue_and_returns_the_carryover(self):
+        a = micro_cluster_with("a", 0.0, 500.0, [100])
+        b = micro_cluster_with("b", 500.0, 1000.0, [600])
+        shared = self.shared("a", "b")
+        shared.carryover[:] = [0.75]
+        shared.pending.append(Vehicle(id="q", road="r", lane=0, position=500.0, speed=0.0))
+        ids = iter(["m1", "m2"])
+        with pytest.raises(QueueNotEmpty, match="1 vehicles queued at 500"):
+            merge_clusters(a, b, shared, lambda: next(ids))
+        shared.pending.clear()
+        merged, fraction = merge_clusters(a, b, shared, lambda: next(ids))
+        # the refused call built nothing, so it drew no id
+        assert merged.id == "m1" and sorted(merged.vehicles) == ["a_v0", "b_v0"]
+        assert fraction == 0.75
 
     def test_merge_requires_same_representation(self):
         a = micro_cluster_with("a", 0.0, 500.0, [])
         b = macro_cluster("b", 500.0, 1000.0)
         with pytest.raises(RepresentationMismatch):
-            merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+            merge_clusters(a, b, self.shared(), lambda: "m")
 
     def test_macro_merge_folds_interface_mass_into_boundary_cell(self):
         a = macro_cluster("a", 0.0, 500.0, rho=0.02)
@@ -449,9 +462,8 @@ class TestMerge:
         shared.pending.append(Vehicle(id="q", road="r", lane=0,
                                       position=500.0, speed=0.0))
         before = a.mass() + b.mass() + shared.mass()
-        merged, homeless, fraction = merge_clusters(a, b, shared, CHAIN, lambda: "m")
+        merged, fraction = merge_clusters(a, b, shared, lambda: "m")
         assert merged.mass() + fraction == pytest.approx(before, abs=1e-12)
-        assert homeless == []
 
 
 class TestMemoryFollowsTheCluster:
@@ -482,7 +494,7 @@ class TestMemoryFollowsTheCluster:
         ctl.mark_switch(b, step=10, refined=True)
         a.last_jam_step, b.last_jam_step = 12, 37
         a.recovered_steps = b.recovered_steps = 5
-        merged, _, _ = merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+        merged, _ = merge_clusters(a, b, self.shared(), lambda: "m")
         assert merged.cooldown_until == 40 + POLICY.cooldown
         assert merged.last_jam_step == 37
         assert merged.refined
@@ -491,7 +503,7 @@ class TestMemoryFollowsTheCluster:
     def test_merge_of_untouched_clusters_keeps_the_defaults(self):
         a = macro_cluster("a", 0.0, 500.0)
         b = macro_cluster("b", 500.0, 1000.0)
-        merged, _, _ = merge_clusters(a, b, self.shared(), CHAIN, lambda: "m")
+        merged, _ = merge_clusters(a, b, self.shared(), lambda: "m")
         assert (merged.recovered_steps, merged.last_jam_step, merged.cooldown_until,
                 merged.refined) == (0, -1, -1, False)
 
@@ -616,8 +628,7 @@ class TestMemoryMatchesDictReference:
                 a, b = data.draw(st.sampled_from(pairs))
                 shared = BoundaryInterface(id="i", chain_id=a.chain_id, position=b.start,
                                            upstream_id=a.id, downstream_id=b.id, lanes=1)
-                merged, _, _ = merge_clusters(a, b, shared, ORACLE_CHAINS[a.chain_id],
-                                              lambda: next(ids))
+                merged, _ = merge_clusters(a, b, shared, lambda: next(ids))
                 clusters[clusters.index(a):clusters.index(b) + 1] = [merged]
                 ref.inherit_merge((a.id, b.id), merged.id)
 
@@ -717,6 +728,19 @@ class TestPlan:
         actions = self.plan(ctl, [a, b], [itf], step=POLICY.persistence)
         assert [x.kind for x in actions] == ["merge"]
         assert actions[0].position == pytest.approx(500.0)
+
+    def test_micro_neighbors_merge_once_their_queue_is_empty(self):
+        ctl = LodController(POLICY)
+        a = micro_cluster_with("a", 0.0, 500.0, [100])
+        b = micro_cluster_with("b", 500.0, 1000.0, [600])
+        itf = BoundaryInterface(id="i", chain_id="chain0", position=500.0,
+                                upstream_id="a", downstream_id="b", lanes=1)
+        itf.pending.append(Vehicle(id="q", road="r", lane=0, position=500.0, speed=5.0))
+        observe_n(ctl, [a, b], {"a": 1.0, "b": 1.0}, {}, POLICY.persistence)
+        assert self.plan(ctl, [a, b], [itf], step=POLICY.persistence) == []
+        itf.pending.clear()
+        actions = self.plan(ctl, [a, b], [itf], step=POLICY.persistence)
+        assert [(x.kind, x.position) for x in actions] == [("merge", 500.0)]
 
     def test_plan_is_deterministic(self):
         def build():

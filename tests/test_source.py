@@ -118,6 +118,38 @@ def test_every_public_name_is_used_outside_the_tests():
     assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)
 
 
+def private_definitions(source: str, module: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of each private top-level function of a module
+    and of each private method of its classes; Python itself calls the
+    dunder methods."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            defs.append((f"{module}.{node.name}", node.name))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{module}.{node.name}.{item.name}", item.name) for item in node.body
+                     if isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                     and not item.name.endswith("__")]
+    return defs
+
+
+def test_private_finder_skips_public_and_dunder_names():
+    source = ("def _f(): pass\ndef g(): pass\nclass _H:\n    def __init__(self): pass\n"
+              "    def _i(self): pass\n    def j(self): pass\n")
+    assert private_definitions(source, "mod") == [("mod._f", "_f"), ("mod._H._i", "_i")]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    """A helper nothing in the package calls is dead code."""
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        used |= referenced_names(path.read_text())
+    unused = [qualified for path in sorted(PACKAGE.glob("*.py"))
+              for qualified, name in private_definitions(path.read_text(), path.stem)
+              if name not in used]
+    assert unused == []
+
+
 #: settings that code outside the tests need not pass by keyword, with the reason
 UNPASSED_ALLOWED = {
     "EngineConfig.lod_enabled":
