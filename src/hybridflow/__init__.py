@@ -14,8 +14,7 @@ from .generation import (Distribution, FlowMassGenerator, FlowProfile,
                          ScriptedGenerator, VehicleMix)
 from .hybrid import (BoundaryInterface, Cluster, aggregate_cluster,
                      disaggregate_cluster, total_mass)
-from .lod import (Action, LodController, LodPolicy, merge_clusters,
-                  split_cluster)
+from .lod import Action, LodController, LodPolicy
 from .macro import (CflViolation, FundamentalDiagram, MacroCell, MacroSegment,
                     cell_mean_speed, ctm_step, demand, fd_flow, supply)
 from .micro import (DriverParams, Perception, Vehicle, behavior_chain,

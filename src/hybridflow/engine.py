@@ -29,8 +29,8 @@ from .hybrid import (MACRO, MICRO, BoundaryInterface, Cluster,
                      disaggregate_cluster, drain, lanes_at,
                      macro_to_micro_release, pos_key)
 from .hybrid import total_mass as _hybrid_total_mass
-from .lod import (Action, LodController, QueueNotEmpty, bank_mass_into_segment,
-                  merge_clusters, split_cluster)
+from .lod import (Action, LodController, bank_mass_into_segment, merge_clusters,
+                  split_cluster)
 from .macro import CellStore, MacroSegment
 from .macro import ctm_step  # noqa: F401 - the benchmark tracer wraps this name
 from .macro import cell_mean_speed  # noqa: F401 - the benchmark tracer wraps this name
@@ -79,8 +79,8 @@ class UnknownTarget(SimulationError):
 
 
 class ActionRefused(SimulationError):
-    """A structural action would leave a state the engine cannot step; it
-    is refused before it changes anything."""
+    """A structural action fails a precondition (see `_refusal`); it is
+    refused before it changes anything."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,6 @@ class AddVehicle:
 @dataclass(frozen=True)
 class RemoveVehicle:
     vehicle_id: str
-    sink_id: str
 
 
 # ---------------------------------------------------------------------------
@@ -1554,23 +1553,65 @@ def _observe_and_plan(state: EngineState) -> None:
 
     plan = state.controller.plan(clusters, store, list(state.interfaces.values()),
                                  state.step, state.micro_vehicle_count(),
-                                 lambda c: _macro_boundary_problem(state, c) is None)
+                                 lambda action: _refusal(state, action))
     for action in plan:
         # the plan completes this step, so its transitions carry the next stamp
         _apply_action(state, action, state.step + 1)
 
 
+def _refusal(state: EngineState, action: Action) -> str | None:
+    """Why the action cannot apply to the current partition, or None: every
+    precondition of each kind, shared by the planner and forced actions."""
+    def refuse(reason: str, *targets: str) -> str:
+        of = f" of {' and '.join(targets)}" if targets else ""
+        return f"{action.kind}{of} at {action.chain_id}@{action.position:g}: {reason}"
+
+    pos = action.position
+    if action.kind == "merge":
+        itf = state.interfaces.get((action.chain_id, pos_key(pos)))
+        if itf is None:
+            return refuse(f"no interface at {pos:g}")
+        up, down = state.clusters[itf.upstream_id], state.clusters[itf.downstream_id]
+        if abs(up.end - down.start) > 1e-9:
+            return refuse("the wrap boundary of a cyclic chain never merges", up.id, down.id)
+        if up.representation != down.representation:
+            return refuse(f"{up.representation} meets {down.representation}", up.id, down.id)
+        if up.segment is None and itf.pending:
+            return refuse(f"{len(itf.pending)} vehicles queued at {pos:g}", up.id, down.id)
+        return None
+    if action.kind == "split":
+        cluster = state.cluster_at(action.chain_id, pos - 1e-6)
+        if not cluster.start + 1e-9 < pos < cluster.end - 1e-9:
+            return refuse(f"{pos:g} is not strictly inside a cluster")
+        least = state.policy.min_cluster_length
+        if min(pos - cluster.start, cluster.end - pos) < least - 1e-9:
+            return refuse(f"a part would be shorter than {least:g} m", cluster.id)
+        if cluster.segment is not None and not np.any(
+                np.abs(cluster.segment.start[1:] - pos) <= 1e-6):
+            return refuse(f"{pos:g} is not an interior cell edge", cluster.id)
+        return None
+    cluster = state.cluster_at(action.chain_id, pos)
+    if action.kind == "refine":
+        return None if cluster.segment is not None else refuse("it is micro already", cluster.id)
+    if action.kind == "coarsen":
+        problem = "it is macro already" if cluster.segment is not None \
+            else _macro_boundary_problem(state, cluster)
+        return refuse(problem, cluster.id) if problem else None
+    return refuse("unknown action kind")
+
+
 def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
     """Resolve the action's anchor against the current partition and apply
-    it; `stamp` is the step its transition record names."""
+    it, or raise `ActionRefused` before any change; `stamp` is the step its
+    transition record names."""
+    refusal = _refusal(state, action)
+    if refusal:
+        raise ActionRefused(refusal)
     chain = state.chains[action.chain_id]
     if action.kind == "split":
         cluster = state.cluster_at(action.chain_id, action.position - 1e-6)
-        if not cluster.start + 1e-9 < action.position < cluster.end - 1e-9:
-            return
         pre = cluster.mass()
-        left, right = split_cluster(cluster, action.position, chain,
-                                    state.policy.min_cluster_length)
+        left, right = split_cluster(cluster, action.position, chain)
         left.id, right.id = state.new_cluster_id(), state.new_cluster_id()
         del state.clusters[cluster.id]
         state.clusters[left.id] = left
@@ -1581,20 +1622,10 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         return
 
     if action.kind == "merge":
-        key = (action.chain_id, pos_key(action.position))
-        itf = state.interfaces.get(key)
-        if itf is None:
-            return
-        a = state.clusters[itf.upstream_id]
-        b = state.clusters[itf.downstream_id]
+        itf = state.interfaces.pop((action.chain_id, pos_key(action.position)))
+        a, b = state.clusters.pop(itf.upstream_id), state.clusters.pop(itf.downstream_id)
         pre = a.mass() + b.mass() + itf.mass()
-        try:
-            merged, leftover = merge_clusters(a, b, itf, state.new_cluster_id)
-        except QueueNotEmpty as exc:
-            raise ActionRefused(f"merge of {a.id} and {b.id} at {action.chain_id}@"
-                                f"{action.position:g}: {exc}") from None
-        del state.clusters[a.id], state.clusters[b.id]
-        del state.interfaces[key]
+        merged, leftover = merge_clusters(a, b, itf, state.new_cluster_id)
         state.clusters[merged.id] = merged
         state.reindex()
         _bank_fraction(state, merged, leftover)
@@ -1603,7 +1634,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         return
 
     cluster = state.cluster_at(action.chain_id, action.position)
-    if action.kind == "refine" and cluster.segment is not None:
+    if action.kind == "refine":
         pre = cluster.mass()
         vehicles, residual = disaggregate_cluster(
             cluster, chain, state.network,
@@ -1616,11 +1647,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
                         cluster.mass() + residual)
         return
 
-    if action.kind == "coarsen" and cluster.segment is None:
-        problem = _macro_boundary_problem(state, cluster)
-        if problem:
-            raise ActionRefused(f"coarsen of {cluster.id} at {action.chain_id}@"
-                                f"{action.position:g}: {problem}")
+    if action.kind == "coarsen":
         itf_up = state.itf_up.get(cluster.id)
         gen = state.head_source.get(cluster.chain_id) if itf_up is None else None
 
@@ -1645,7 +1672,6 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         state.controller.mark_switch(cluster, state.step, refined=False)
         _log_transition(state, stamp, action, (cluster.id,), pre,
                         cluster.mass() + held_upstream())
-        return
 
 
 def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> None:
@@ -1706,9 +1732,11 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
 
     Application order is removals, then structural actions, then
     insertions, each class ordered by target identifier.  An unknown
-    generator named by an insertion is refused before anything applies."""
-    removals = sorted((i for i in influences if isinstance(i, RemoveVehicle)),
-                      key=lambda i: i.vehicle_id)
+    vehicle named by a removal, or generator named by an insertion, is
+    refused before anything applies.  An action that fails a precondition
+    (`_refusal`) is refused before it changes anything, but what the set
+    applied before it stays applied."""
+    removed = sorted({i.vehicle_id for i in influences if isinstance(i, RemoveVehicle)})
     actions = [i for i in influences if isinstance(i, Action)]
     additions = sorted((i for i in influences if isinstance(i, AddVehicle)),
                        key=lambda i: (i.spec.road, i.spec.lane, i.spec.position))
@@ -1716,16 +1744,13 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     for infl in additions:
         if infl.generator_id is not None and infl.generator_id not in by_gen:
             raise UnknownTarget(f"no generator {infl.generator_id!r}")
+    holders = [next((c for c in state.clusters.values() if vid in c.vehicles), None)
+               for vid in removed]
+    if None in holders:
+        raise UnknownTarget(f"no vehicle {removed[holders.index(None)]!r}")
 
-    for infl in removals:
-        found = None
-        for cluster in state.clusters.values():
-            if infl.vehicle_id in cluster.vehicles:
-                found = cluster
-                break
-        if found is None:
-            raise UnknownTarget(f"no vehicle {infl.vehicle_id!r}")
-        del found.vehicles[infl.vehicle_id]
+    for vid, holder in zip(removed, holders):
+        del holder.vehicles[vid]
         state.ledger.absorbed += 1
 
     for action in actions:

@@ -19,23 +19,6 @@ from .hybrid import BoundaryInterface, Cluster
 from .macro import CellStore, MacroSegment
 
 
-class TooSmall(ValueError):
-    """A split would leave a part below the minimum cluster length."""
-
-
-class NotAdjacent(ValueError):
-    """Merge requested for clusters that do not share a boundary."""
-
-
-class RepresentationMismatch(ValueError):
-    """Merge requested across different representations."""
-
-
-class QueueNotEmpty(ValueError):
-    """Merge requested for micro clusters whose shared interface still
-    queues whole vehicles."""
-
-
 @dataclass(frozen=True)
 class LodPolicy:
     """Thresholds governing jam detection and representation switching.
@@ -81,23 +64,14 @@ class Action:
 # Structural operations
 # ---------------------------------------------------------------------------
 
-def split_cluster(cluster: Cluster, position: float, chain,
-                  min_cluster_length: float = 0.0) -> tuple[Cluster, Cluster]:
+def split_cluster(cluster: Cluster, position: float, chain) -> tuple[Cluster, Cluster]:
     """Partition one cluster at a chain position into two of the same
-    representation.  Vehicles split by position, cells by index; macro
-    splits must land on an interior cell edge."""
-    if not cluster.start < position < cluster.end:
-        raise ValueError(f"split position {position} outside cluster "
-                         f"({cluster.start}, {cluster.end})")
-    if min(position - cluster.start, cluster.end - position) < min_cluster_length - 1e-9:
-        raise TooSmall(f"split at {position} leaves a part below "
-                       f"{min_cluster_length} m")
+    representation.  Vehicles split by position, cells by index at the cell
+    edge nearest the position.  The engine's `_refusal` checks the position
+    first."""
     if cluster.segment is not None:
-        edges = cluster.segment.start
-        idx = int(np.argmin(np.abs(edges - position)))
-        if abs(edges[idx] - position) > 1e-6 or idx == 0:
-            raise ValueError(f"split position {position} is not an interior cell edge")
-        position = float(edges[idx])
+        idx = int(np.argmin(np.abs(cluster.segment.start - position)))
+        position = float(cluster.segment.start[idx])
 
     # both parts keep the parent's LOD memory; recovery counts afresh
     inherited = dict(chain_id=cluster.chain_id, last_jam_step=cluster.last_jam_step,
@@ -133,20 +107,13 @@ def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
     """Concatenate two adjacent same-representation clusters.
 
     Returns (merged cluster, fractional mass needing a new home).  A micro
-    pair merges only once the shared interface queues no whole vehicle (the
-    engine admits those into `b`); its carryover is the leftover.  A macro
-    pair dissolves the interface's carryover and queue into the boundary
-    cell, spilling upstream, and the leftover is what no cell could seat.
-    The merged cluster keeps the later jam and cooldown of the two, is
-    refined if either was, and counts recovery afresh.
+    pair's leftover is the interface's carryover; the engine's `_refusal`
+    lets such a pair merge only once the interface queues no whole vehicle.
+    A macro pair dissolves the interface's carryover and queue into the
+    boundary cell, spilling upstream, and the leftover is what no cell could
+    seat.  The merged cluster keeps the later jam and cooldown of the two,
+    is refined if either was, and counts recovery afresh.
     """
-    if abs(a.end - b.start) > 1e-9:
-        raise NotAdjacent(f"{a.id} ends at {a.end}, {b.id} starts at {b.start}")
-    if (a.segment is None) != (b.segment is None):
-        raise RepresentationMismatch(f"{a.representation} vs {b.representation}")
-    if a.segment is None and shared.pending:
-        raise QueueNotEmpty(f"{len(shared.pending)} vehicles queued at {shared.position:g}")
-
     merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id, start=a.start, end=b.end,
                      last_jam_step=max(a.last_jam_step, b.last_jam_step),
                      cooldown_until=max(a.cooldown_until, b.cooldown_until),
@@ -232,15 +199,14 @@ class LodController:
 
     def plan(self, clusters: list[Cluster], store: CellStore,
              interfaces: list[BoundaryInterface], step: int, micro_vehicles: int,
-             macro_capable) -> list[Action]:
+             refused) -> list[Action]:
         """Deterministic plan: refine jams, coarsen recovered or over-budget
         micro clusters, merge recovered same-representation neighbors.
 
         `store` is the cell store `observe` advanced; the jam pass visits,
         in store order, only its segments with a cell at the persistence
-        count.  `macro_capable(cluster)` tells whether a micro cluster may
-        be aggregated (linear downstream boundary, CFL-safe layout); only
-        clusters that would otherwise switch are asked."""
+        count.  `refused(action)` gives the reason a coarsen or merge cannot
+        apply, or None; only actions that pass the policy are asked."""
         actions: list[Action] = []
         used: set[str] = set()
         ordered = sorted(clusters, key=lambda c: (c.chain_id, c.start))
@@ -268,11 +234,13 @@ class LodController:
                 continue
             if not cluster.refined or cluster.recovered_steps < persistence:
                 continue
-            if self.in_cooldown(cluster, step) or not macro_capable(cluster):
+            if self.in_cooldown(cluster, step):
                 continue
-            actions.append(Action("coarsen", cluster.chain_id,
-                                  (cluster.start + cluster.end) / 2.0, "recovery"))
-            used.add(cluster.id)
+            action = Action("coarsen", cluster.chain_id,
+                            (cluster.start + cluster.end) / 2.0, "recovery")
+            if not refused(action):
+                actions.append(action)
+                used.add(cluster.id)
 
         # 3. over budget: coarsen the least recently jammed micro clusters
         if micro_vehicles > self.policy.micro_vehicle_budget:
@@ -283,30 +251,26 @@ class LodController:
             for cluster in by_activity:
                 if shedding <= self.policy.micro_vehicle_budget:
                     break
-                if self.in_cooldown(cluster, step) or not macro_capable(cluster):
+                if self.in_cooldown(cluster, step):
                     continue
-                actions.append(Action("coarsen", cluster.chain_id,
-                                      (cluster.start + cluster.end) / 2.0, "budget"))
-                used.add(cluster.id)
-                shedding -= len(cluster.vehicles)
+                action = Action("coarsen", cluster.chain_id,
+                                (cluster.start + cluster.end) / 2.0, "budget")
+                if not refused(action):
+                    actions.append(action)
+                    used.add(cluster.id)
+                    shedding -= len(cluster.vehicles)
 
         # 4. merge adjacent recovered clusters of equal representation
         by_id = {c.id: c for c in clusters}
         for itf in sorted(interfaces, key=lambda i: (i.chain_id, i.position)):
-            up, down = by_id.get(itf.upstream_id), by_id.get(itf.downstream_id)
-            if up is None or down is None or up.id in used or down.id in used:
+            pair = (by_id[itf.upstream_id], by_id[itf.downstream_id])
+            if any(c.id in used or self.in_cooldown(c, step)
+                   or c.recovered_steps < persistence for c in pair):
                 continue
-            if up.id == down.id or (up.segment is None) != (down.segment is None):
-                continue
-            if up.segment is None and itf.pending:
-                continue   # a micro pair waits until its queue has entered `down`
-            if abs(up.end - down.start) > 1e-9:
-                continue   # the wrap boundary of a cyclic chain never merges
-            if self.in_cooldown(up, step) or self.in_cooldown(down, step):
-                continue
-            if min(up.recovered_steps, down.recovered_steps) >= self.policy.persistence:
-                actions.append(Action("merge", itf.chain_id, itf.position, "recovery"))
-                used.update((up.id, down.id))
+            action = Action("merge", itf.chain_id, itf.position, "recovery")
+            if not refused(action):
+                actions.append(action)
+                used.update(c.id for c in pair)
 
         return actions
 

@@ -891,7 +891,7 @@ class TestSystemInfluences:
         blocker = Vehicle(id="x", road="r1", lane=0, position=4.0, speed=0.0)
         cluster.vehicles[blocker.id] = blocker
         # alone, the insertion would fail against the blocker
-        influences = [RemoveVehicle("x", "out1"), AddVehicle(self.spec())]
+        influences = [RemoveVehicle("x"), AddVehicle(self.spec())]
         apply_system_influences(state, influences)
         assert "x" not in cluster.vehicles
         assert state.ledger.absorbed == 1
@@ -902,7 +902,7 @@ class TestSystemInfluences:
         model = load("minimal")
         state = build_state(model, EngineConfig(steps=0))
         with pytest.raises(UnknownTarget):
-            apply_system_influences(state, [RemoveVehicle("ghost", "out1")])
+            apply_system_influences(state, [RemoveVehicle("ghost")])
 
     def blocked(self):
         """The minimal corridor with a vehicle standing on the entry slot."""
@@ -940,19 +940,22 @@ class TestSystemInfluences:
         digest = state.state_digest()
         influences = [AddVehicle(self.spec(), generator_id="ghost")]
         if blocked:
-            influences.append(RemoveVehicle("x", "out1"))
+            influences.append(RemoveVehicle("x"))
         with pytest.raises(UnknownTarget, match="ghost"):
             apply_system_influences(state, influences)
         assert state.state_digest() == digest
 
-    @pytest.mark.parametrize("kind, position", [("split", 700.0), ("merge", 1000.0)],
-                             ids=["split-on-an-edge", "merge-without-interface"])
-    def test_action_without_a_target_changes_nothing(self, kind, position):
-        state = build_state(load("hybrid"), EngineConfig(steps=0))
-        digest = state.state_digest()
-        apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+    def test_a_removal_set_is_refused_before_anything_applies(self):
+        config = EngineConfig(seed=1)
+        state = build_state(load("hybrid"), config)
+        for _ in range(40):
+            advance_step(state, config)
+        assert any("v0" in c.vehicles for c in state.clusters.values())
+        digest, absorbed = state.state_digest(), state.ledger.absorbed
+        with pytest.raises(UnknownTarget, match="zz-ghost"):
+            apply_system_influences(state, [RemoveVehicle("v0"), RemoveVehicle("zz-ghost")])
         assert state.state_digest() == digest
-        assert state.transitions == []
+        assert state.ledger.absorbed == absorbed
 
 
 class TestLedgerSums:
@@ -1107,7 +1110,7 @@ class TestLodWithoutMacroCells:
         assert state.cells is held and len(held.slow) == 0
         assert all(c.representation == MICRO for c in state.clusters.values())
         assert ctl.plan(list(state.clusters.values()), held, list(state.interfaces.values()),
-                        state.step, state.micro_vehicle_count(), lambda c: True) == []
+                        state.step, state.micro_vehicle_count(), lambda action: None) == []
 
 
 class TestJamCountersEndAtARefine:
@@ -1129,16 +1132,72 @@ class TestJamCountersEndAtARefine:
         assert cluster.segment.slow.max() == 1
 
 
+def unstable_ring(config):
+    """The ring after 10 steps and a split at 497.8 m: coarsening the micro
+    extent [497.8, 1000) would make a 2.2 m cell."""
+    state = build_state(load("ring"), config)
+    for _ in range(10):
+        advance_step(state, config)
+    apply_system_influences(state, [Action("split", "chain0", 497.8, "forced")])
+    return state
+
+
+def queued_hybrid(tmp_path, config):
+    """The hybrid corridor, its macro extent at 0.1 veh/m and a vehicle
+    standing just past 1400 that makes the releases there queue, refined
+    after 12 steps: one release waits at the micro/micro interface 1400."""
+    root = tmp_path / "queued"
+    shutil.copytree(FIXTURES / "hybrid", root)
+    level = root / "level.xml"
+    level.write_text(level.read_text().replace("</level>", (
+        '  <initial_density road="r1" start="700" end="1400" value="0.1"/>\n'
+        '  <vehicle road="r1" lane="0" position="1405" speed="0"/>\n</level>')))
+    state = build_state(parse_scenario(root), config)
+    for _ in range(12):
+        advance_step(state, config)
+    apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
+    return state
+
+
 class TestActionRefused:
-    """A forced coarsen that would leave a macro extent the engine cannot
-    step is refused before it changes anything."""
+    """A forced action that fails a precondition is refused before it
+    changes anything."""
+
+    # hybrid: micro [0, 700), macro [700, 1400), micro [1400, 2000);
+    # ring: micro [0, 1000), macro [1000, 2000)
+    @pytest.mark.parametrize("scene, kind, position, reason", [
+        ("hybrid", "split", 700.0, "700 is not strictly inside a cluster"),
+        ("hybrid", "split", 750.0, "a part would be shorter than 200 m"),
+        ("hybrid", "split", 1900.0, "a part would be shorter than 200 m"),
+        ("hybrid", "split", 1023.0, "1023 is not an interior cell edge"),
+        ("hybrid", "merge", 1000.0, "no interface at 1000"),
+        ("ring", "merge", 0.0, "the wrap boundary of a cyclic chain never merges"),
+        ("hybrid", "merge", 700.0, "micro meets macro"),
+        ("queued", "merge", 1400.0, "1 vehicles queued at 1400"),
+        ("hybrid", "refine", 300.0, "it is micro already"),
+        ("hybrid", "coarsen", 1000.0, "it is macro already"),
+        ("unstable", "coarsen", 700.0, "time step 0.25 violates the stability bound"),
+        ("hybrid", "widen", 1000.0, "unknown action kind"),
+    ], ids=["split-on-a-boundary", "split-too-short-macro", "split-too-short-micro",
+            "split-off-a-cell-edge", "merge-without-interface", "merge-at-the-wrap",
+            "merge-across-representations", "merge-over-a-queue", "refine-micro",
+            "coarsen-macro", "coarsen-unstable", "unknown-kind"])
+    def test_refusal_changes_nothing(self, tmp_path, scene, kind, position, reason):
+        config = EngineConfig(seed=17, lod_enabled=False)
+        state = {"hybrid": lambda: build_state(load("hybrid"), config),
+                 "ring": lambda: build_state(load("ring"), config),
+                 "queued": lambda: queued_hybrid(tmp_path, config),
+                 "unstable": lambda: unstable_ring(config)}[scene]()
+        digest, transitions = state.state_digest(), list(state.transitions)
+        with pytest.raises(ActionRefused, match=rf"^{kind}( of .*)? at chain0@{position:g}: "
+                           f"{reason}"):
+            apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+        assert state.state_digest() == digest
+        assert state.transitions == transitions
 
     def test_unstable_coarsen_is_refused_and_the_run_steps_on(self):
         config = EngineConfig(seed=17, lod_enabled=False)
-        state = build_state(load("ring"), config)
-        for _ in range(10):
-            advance_step(state, config)
-        apply_system_influences(state, [Action("split", "chain0", 497.8, "forced")])
+        state = unstable_ring(config)
         digest = state.state_digest()
         with pytest.raises(ActionRefused, match=r"coarsen of c3 at chain0@700: "
                            r"time step 0.25 violates the stability bound for 2.2 m cells"):
@@ -1513,20 +1572,9 @@ class TestMergeWithPendingQueue:
         assert state.transitions == transitions
 
     def test_forced_merge_over_a_queue_is_refused(self, tmp_path):
-        # the hybrid corridor, its macro extent at 0.1 veh/m, and a vehicle
-        # standing just past 1400 that makes the releases there queue
-        root = tmp_path / "queued"
-        shutil.copytree(FIXTURES / "hybrid", root)
-        level = root / "level.xml"
-        level.write_text(level.read_text().replace("</level>", (
-            '  <initial_density road="r1" start="700" end="1400" value="0.1"/>\n'
-            '  <vehicle road="r1" lane="0" position="1405" speed="0"/>\n</level>')))
         config = EngineConfig(seed=1, lod_enabled=False)
-        state = build_state(parse_scenario(root), config)
+        state = queued_hybrid(tmp_path, config)
         shared = state.interfaces[("chain0", 1400000)]
-        for _ in range(12):
-            advance_step(state, config)
-        apply_system_influences(state, [Action("refine", "chain0", 1000.0, "forced")])
         assert state.cluster_at("chain0", 1399.0).segment is None
         assert len(shared.pending) == 1
         self.refused(state, 1400.0)

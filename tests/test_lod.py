@@ -6,9 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridflow.hybrid import MACRO, MICRO, BoundaryInterface, Cluster, pos_key
-from hybridflow.lod import (Action, LodController, LodPolicy, NotAdjacent, QueueNotEmpty,
-                            RepresentationMismatch, TooSmall, merge_clusters,
-                            split_cluster)
+from hybridflow.lod import Action, LodController, LodPolicy, merge_clusters, split_cluster
 from hybridflow.macro import CellStore, FundamentalDiagram, MacroSegment
 from hybridflow.micro import Vehicle
 from hybridflow.network import Chain
@@ -365,11 +363,11 @@ class TestPlanMatchesPerClusterLoop:
         for cluster in macro:
             if data.draw(st.booleans()):
                 ctl.mark_switch(cluster, step - data.draw(st.integers(0, 8)), False)
-        planned = ctl.plan(clusters, store, [], step, 0, lambda c: False)
+        planned = ctl.plan(clusters, store, [], step, 0, lambda action: "refused")
         assert planned == per_cluster_jam_actions(ctl, ref, clusters, step)
         # the plan does not depend on the order the clusters come in
         shuffled = data.draw(st.permutations(clusters))
-        assert ctl.plan(shuffled, store, [], step, 0, lambda c: False) == planned
+        assert ctl.plan(shuffled, store, [], step, 0, lambda action: "refused") == planned
 
 
 class TestSplit:
@@ -387,16 +385,6 @@ class TestSplit:
         left, right = split_cluster(cluster, 400.0, CHAIN)
         assert len(left.vehicles) == 4
         assert len(right.vehicles) == 6
-
-    def test_macro_split_requires_cell_edge(self):
-        cluster = macro_cluster()
-        with pytest.raises(ValueError):
-            split_cluster(cluster, 523.0, CHAIN)
-
-    def test_too_small_rejected(self):
-        cluster = macro_cluster()
-        with pytest.raises(TooSmall):
-            split_cluster(cluster, 100.0, CHAIN, min_cluster_length=200.0)
 
     def test_mass_preserved(self):
         cluster = macro_cluster(rho=0.07)
@@ -427,32 +415,14 @@ class TestMerge:
         ordered = sorted(merged.vehicles.values(), key=lambda v: v.position)
         assert [v.position for v in ordered] == [100, 200, 600, 700]
 
-    def test_merge_requires_adjacency(self):
-        a = micro_cluster_with("a", 0.0, 400.0, [])
-        b = micro_cluster_with("b", 500.0, 1000.0, [])
-        with pytest.raises(NotAdjacent):
-            merge_clusters(a, b, self.shared(), lambda: "m")
-
-    def test_micro_merge_waits_for_the_queue_and_returns_the_carryover(self):
+    def test_micro_merge_returns_the_carryover(self):
         a = micro_cluster_with("a", 0.0, 500.0, [100])
         b = micro_cluster_with("b", 500.0, 1000.0, [600])
         shared = self.shared("a", "b")
         shared.carryover[:] = [0.75]
-        shared.pending.append(Vehicle(id="q", road="r", lane=0, position=500.0, speed=0.0))
-        ids = iter(["m1", "m2"])
-        with pytest.raises(QueueNotEmpty, match="1 vehicles queued at 500"):
-            merge_clusters(a, b, shared, lambda: next(ids))
-        shared.pending.clear()
-        merged, fraction = merge_clusters(a, b, shared, lambda: next(ids))
-        # the refused call built nothing, so it drew no id
+        merged, fraction = merge_clusters(a, b, shared, lambda: "m1")
         assert merged.id == "m1" and sorted(merged.vehicles) == ["a_v0", "b_v0"]
         assert fraction == 0.75
-
-    def test_merge_requires_same_representation(self):
-        a = micro_cluster_with("a", 0.0, 500.0, [])
-        b = macro_cluster("b", 500.0, 1000.0)
-        with pytest.raises(RepresentationMismatch):
-            merge_clusters(a, b, self.shared(), lambda: "m")
 
     def test_macro_merge_folds_interface_mass_into_boundary_cell(self):
         a = macro_cluster("a", 0.0, 500.0, rho=0.02)
@@ -640,9 +610,9 @@ class TestMemoryMatchesDictReference:
 
 class TestPlan:
     def plan(self, ctl, clusters, interfaces=(), step=100, micro_count=0,
-             capable=lambda c: True):
+             refused=lambda action: None):
         return ctl.plan(clusters, engine_store(clusters), list(interfaces), step,
-                        micro_count, capable)
+                        micro_count, refused)
 
     def test_steady_free_flow_is_empty_plan(self):
         ctl = LodController(POLICY)
@@ -713,7 +683,7 @@ class TestPlan:
         observe_n(ctl, [a], {"a": 0.3}, {}, POLICY.persistence, start=start)
         asked = []
         actions = self.plan(ctl, [a], step=start + POLICY.persistence,
-                            capable=lambda c: asked.append(c.id) or True)
+                            refused=asked.append)
         assert actions == [] and asked == []
 
     def test_recovered_neighbors_merge(self):
@@ -737,9 +707,13 @@ class TestPlan:
                                 upstream_id="a", downstream_id="b", lanes=1)
         itf.pending.append(Vehicle(id="q", road="r", lane=0, position=500.0, speed=5.0))
         observe_n(ctl, [a, b], {"a": 1.0, "b": 1.0}, {}, POLICY.persistence)
-        assert self.plan(ctl, [a, b], [itf], step=POLICY.persistence) == []
+
+        def queued(action):
+            # the engine's rule: a micro pair's merge waits for its queue
+            return "vehicles queued" if itf.pending else None
+        assert self.plan(ctl, [a, b], [itf], step=POLICY.persistence, refused=queued) == []
         itf.pending.clear()
-        actions = self.plan(ctl, [a, b], [itf], step=POLICY.persistence)
+        actions = self.plan(ctl, [a, b], [itf], step=POLICY.persistence, refused=queued)
         assert [(x.kind, x.position) for x in actions] == [("merge", 500.0)]
 
     def test_plan_is_deterministic(self):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -186,3 +187,37 @@ def test_every_setting_is_passed_by_keyword_outside_the_tests():
     settings = {f"{cls.__name__}.{f.name}" for cls in (EngineConfig, LodPolicy)
                 for f in dataclasses.fields(cls)}
     assert sorted(settings - passed) == sorted(UNPASSED_ALLOWED)
+
+
+def raised_or_subclassed(source: str) -> set[str]:
+    """Names the source raises, called or bare, and names its classes derive
+    from."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+        elif isinstance(node, ast.ClassDef):
+            names |= {base.id if isinstance(base, ast.Name) else base.attr
+                      for base in node.bases if isinstance(base, (ast.Name, ast.Attribute))}
+    return names
+
+
+def test_raise_finder_sees_raises_and_bases():
+    source = ("raise A('x')\nraise m.B\nraise\nclass C(D, n.E): pass\n"
+              "try:\n    f()\nexcept G:\n    raise H from None\n")
+    assert raised_or_subclassed(source) == {"A", "B", "D", "E", "H"}
+
+
+def test_every_exception_class_is_raised_or_subclassed():
+    """An exception nothing raises is a promise the package does not keep."""
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        used |= raised_or_subclassed(path.read_text())
+    unused = []
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        module = importlib.import_module(f"hybridflow.{path.stem}")
+        unused += [f"{path.stem}.{name}" for name, obj in vars(module).items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__ and name not in used]
+    assert unused == []
