@@ -2,34 +2,51 @@
 
 Walks through the acceleration law: free-road behavior, the interaction
 term, the equilibrium gap, and a small platoon relaxing behind a slow
-leader.  Run with `python demos/01_car_following.py`.
+leader.  Every acceleration comes from the batch behavior chain the
+engine runs each step.  Run with `python demos/01_car_following.py`.
 """
 
 import numpy as np
 
-from hybridflow import DriverParams, equilibrium_gap, idm_acceleration
+from hybridflow import DriverParams, Perception, equilibrium_gap
+from hybridflow.micro import BehaviorContext, DriverArrays, PerceptionArrays, behavior_chains
 
 params = DriverParams()
 print("driver parameters:", params, "\n")
 
+
+def accelerations(speeds, gaps, closing):
+    """The engine's behavior chain for drivers alone on one-lane roads:
+    driver i at speeds[i], gaps[i] behind a leader it closes on at
+    closing[i] m/s."""
+    n = len(speeds)
+    perception = PerceptionArrays.of(
+        [Perception(leader_gap=float(g), leader_dv=float(dv)) for g, dv in zip(gaps, closing)],
+        [BehaviorContext(lane_count=1)] * n)
+    accel, _ = behavior_chains(np.array(speeds, dtype=float), np.full(n, 4.0),
+                               np.zeros(n, dtype=np.int64), DriverArrays.stack([params] * n),
+                               perception)
+    return accel
+
+
 # --- 1. free road: acceleration decays as speed approaches the target -----
 print("free-road acceleration vs speed")
-for v in np.linspace(0, params.v0, 8):
-    a = idm_acceleration(v, float("inf"), 0.0, params)
+speeds = np.linspace(0, params.v0, 8)
+for v, a in zip(speeds, accelerations(speeds, [float("inf")] * 8, [0.0] * 8)):
     bar = "#" * int(40 * max(a, 0) / params.a_max)
     print(f"  v = {v:5.1f} m/s   a = {a:+.3f} m/s^2  {bar}")
 
 # --- 2. closing in on a leader: the interaction term takes over -----------
 print("\napproaching a leader 3 m/s slower, by gap")
-for gap in (150, 100, 60, 40, 25, 15, 8):
-    a = idm_acceleration(25.0, gap, 3.0, params)
+gaps = (150, 100, 60, 40, 25, 15, 8)
+for gap, a in zip(gaps, accelerations([25.0] * 7, gaps, [3.0] * 7)):
     print(f"  gap = {gap:4d} m   a = {a:+8.3f} m/s^2")
 
 # --- 3. the gap at which following is exactly comfortable ------------------
 print("\nequilibrium gaps (zero acceleration while following)")
-for v in (5, 10, 15, 20, 25, 30):
-    gap = equilibrium_gap(float(v), params)
-    check = idm_acceleration(float(v), gap, 0.0, params)
+speeds = (5, 10, 15, 20, 25, 30)
+gaps = [equilibrium_gap(float(v), params) for v in speeds]
+for v, gap, check in zip(speeds, gaps, accelerations(speeds, gaps, [0.0] * 6)):
     print(f"  v = {v:2d} m/s   gap = {gap:7.2f} m   residual = {check:+.1e}")
 
 # --- 4. a platoon relaxing behind a steady leader --------------------------
@@ -45,9 +62,8 @@ for step in range(int(240 / dt) + 1):
         print(f"  t = {step * dt:5.0f} s   gaps:",
               "  ".join(f"{g:6.2f}" for g in gaps))
     accel = np.zeros_like(speeds)
-    for i in range(1, len(positions)):
-        gap = positions[i - 1] - length - positions[i]
-        accel[i] = idm_acceleration(speeds[i], gap, speeds[i] - speeds[i - 1], params)
+    accel[1:] = accelerations(speeds[1:], positions[:-1] - length - positions[1:],
+                              speeds[1:] - speeds[:-1])
     speeds = np.maximum(speeds + accel * dt, 0.0)
     positions += speeds * dt + 0.5 * np.maximum(accel, -speeds / dt) * dt * dt
 

@@ -16,11 +16,10 @@ from .hybrid import (BoundaryInterface, Cluster, aggregate_cluster,
                      disaggregate_cluster, total_mass)
 from .lod import Action, LodController, LodPolicy
 from .macro import (CflViolation, FundamentalDiagram, MacroCell, MacroSegment,
-                    cell_mean_speed, ctm_step, demand, fd_flow, supply)
-from .micro import (DriverParams, Perception, Vehicle, behavior_chain,
-                    equilibrium_gap, idm_acceleration, mobil_decide)
+                    cell_mean_speed, ctm_step, fd_flow)
+from .micro import DriverParams, Perception, Vehicle, behavior_chain, equilibrium_gap
 from .network import (Chain, Node, Road, RoadNetwork, Route, VerticalSign,
-                      compute_route, derive_chains, lanes_to_destination,
+                      compute_route, derive_chains, lanes_toward,
                       validate_network)
 from .scenario import (ScenarioError, ScenarioModel, parse_scenario,
                        serialize_scenario, write_scenario)

@@ -38,7 +38,7 @@ from .micro import (NAV_HORIZON, VIEW_OFFSETS, DriverArrays, DriverParams, Perce
                     Vehicle, behavior_chains)
 from .micro import behavior_chain  # noqa: F401 - the benchmark tracer wraps this name
 from .network import (MAX_LANES, Route, SinkPoint, UnreachableError, compute_route,
-                      lanes_to_destination, permitted_entry_lane, road_successors)
+                      lanes_toward, permitted_entry_lane, road_successors)
 from .scenario import ScenarioModel
 
 INF = float("inf")
@@ -337,19 +337,11 @@ class EngineState:
         sink ends the road, so that any lane will do."""
         key = ("permitted", road_id, route)
         if key not in self._edge_lookups:
-            road = self.network.roads[road_id]
             permitted = None
             if not self.sinks_by_road.get(road_id):
                 nxt = self.next_road(road_id, route)
-                if nxt is None:
-                    permitted = frozenset()
-                elif route is not None:
-                    permitted = frozenset(lanes_to_destination(
-                        self.network, road_id, road.to_node, route))
-                else:
-                    node = self.network.nodes[road.to_node]
-                    permitted = frozenset(t.from_lane for t in node.turns
-                                          if t.from_road == road_id and t.to_road == nxt)
+                permitted = frozenset() if nxt is None \
+                    else lanes_toward(self.network, road_id, nxt)
             self._edge_lookups[key] = permitted
         return self._edge_lookups[key]
 
@@ -1567,6 +1559,11 @@ def _refusal(state: EngineState, action: Action) -> str | None:
         return f"{action.kind}{of} at {action.chain_id}@{action.position:g}: {reason}"
 
     pos = action.position
+    chain = state.chains.get(action.chain_id)
+    if chain is None:
+        return refuse("no such chain")
+    if not 0.0 <= pos <= chain.length:
+        return refuse(f"{pos:g} lies off the chain's [0, {chain.length:g}]")
     if action.kind == "merge":
         itf = state.interfaces.get((action.chain_id, pos_key(pos)))
         if itf is None:

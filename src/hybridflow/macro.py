@@ -8,6 +8,13 @@ density, and a congested branch of slope -w down to the jam density.
 Densities are per lane (veh/m/lane); demand, supply and fluxes are totals
 across lanes (veh/s).  A per-cell capacity factor scales the capacity to
 model incidents or restrictions.
+
+`demand_supply`, `cell_speeds` and `CellStore.step` work on every cell at
+once; `ctm_step` is the step's form for one segment.  The scalar demand,
+supply and cell step, one cell at a time, are the tests' oracle
+(`tests/model_oracle.py`), and `cell_mean_speed` is both the speed of one
+cell, which the macro-to-micro release reads, and the oracle of
+`cell_speeds`.
 """
 
 from __future__ import annotations
@@ -82,17 +89,6 @@ def fd_flow(rho: float, fd: FundamentalDiagram, capacity_factor: float = 1.0) ->
     return min(fd.v_f * rho, capacity_factor * fd.q_max, fd.w * (fd.rho_jam - rho))
 
 
-def demand(cell: MacroCell, fd: FundamentalDiagram) -> float:
-    """Sending capacity of a cell toward downstream, veh/s over all lanes."""
-    return cell.lanes * min(fd.v_f * cell.rho, cell.capacity_factor * fd.q_max)
-
-
-def supply(cell: MacroCell, fd: FundamentalDiagram) -> float:
-    """Receiving capacity of a cell from upstream, veh/s over all lanes."""
-    return cell.lanes * min(cell.capacity_factor * fd.q_max,
-                            fd.w * (fd.rho_jam - cell.rho))
-
-
 def cell_mean_speed(cell: MacroCell, fd: FundamentalDiagram) -> float:
     """Mean speed in a cell; an empty cell moves at the free-flow speed."""
     if cell.rho <= 0.0:
@@ -101,7 +97,8 @@ def cell_mean_speed(cell: MacroCell, fd: FundamentalDiagram) -> float:
 
 
 def demand_supply(cells: MacroSegment | CellStore) -> tuple[np.ndarray, np.ndarray]:
-    """`demand` and `supply` of every cell, veh/s over all lanes."""
+    """Every cell's demand (sending capacity toward downstream) and supply
+    (receiving capacity from upstream), veh/s over all lanes."""
     fd = cells.fd
     cap = cells.capacity_factor * fd.q_max
     return (cells.lanes * np.minimum(fd.v_f * cells.rho, cap),
@@ -201,9 +198,9 @@ class CellStore:
 
     Each segment's `COLUMNS`, cell starts and jam counters included, are
     rebound to views into the store, so a write through either side is
-    seen by the other; `slot[segments[k]] == k`.  The store and the
-    single-segment forms, `ctm_step`, `cell_speeds` and `mean_speed`,
-    call the same kernels and so give the same floats."""
+    seen by the other; `slot[segments[k]] == k`.  The segment's own
+    `cell_speeds` and `mean_speed` call the same kernels as the store and
+    so give the same floats."""
 
     def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
                  dt: float):
@@ -234,9 +231,12 @@ class CellStore:
 
     def step(self, dem: np.ndarray, sup: np.ndarray, inflow: np.ndarray,
              supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`ctm_step` on every segment at once, from this state's `profiles()`
-        and each segment's upstream inflow and downstream supply; returns the
-        accepted inflows and the outflows, veh/s, one per segment."""
+        """Advance every segment one cell-transmission step, from this
+        state's `profiles()` and each segment's upstream inflow and
+        downstream supply; returns the accepted inflows and the outflows,
+        veh/s, one per segment.  Each interface inside a segment carries
+        min(demand, supply); the boundaries are capped by the first cell's
+        supply and the offered downstream supply."""
         if np.any(inflow < 0) or np.any(supply < 0):
             raise ValueError("boundary rates must be non-negative")
         rho = self.rho
@@ -265,24 +265,11 @@ class CellStore:
 
 def ctm_step(segment: MacroSegment, upstream_inflow: float,
              downstream_supply: float, dt: float) -> tuple[float, float]:
-    """Advance the segment one step; returns (accepted inflow, outflow) in veh/s.
-
-    Interface flux between consecutive cells is min(demand, supply); the
-    boundary fluxes are capped by the first cell's supply and the offered
-    downstream supply.  Mutates segment.rho in place."""
-    if upstream_inflow < 0 or downstream_supply < 0:
-        raise ValueError("boundary rates must be non-negative")
-    wave = segment.fd.max_wave_speed
-    min_dx = float(np.min(segment.dx))
-    if dt > min_dx / wave + 1e-12:
-        raise CflViolation(dt, min_dx, wave)
-
-    dem, sup = demand_supply(segment)
-    flux = np.empty(len(segment) + 1)
-    flux[0] = min(upstream_inflow, sup[0])
-    flux[1:-1] = np.minimum(dem[:-1], sup[1:])
-    flux[-1] = min(dem[-1], downstream_supply)
-
-    segment.rho += dt / (segment.dx * segment.lanes) * (flux[:-1] - flux[1:])
-    np.clip(segment.rho, 0.0, segment.fd.rho_jam, out=segment.rho)
-    return float(flux[0]), float(flux[-1])
+    """`CellStore.step` on one segment; returns (accepted inflow, outflow) in
+    veh/s and writes the new densities into segment.rho.  The store works on
+    a copy, so a segment whose columns belong to another store keeps them."""
+    store = CellStore([segment.part(0, len(segment))], segment.fd, dt)
+    accepted, outflow = store.step(*store.profiles(), np.array([upstream_inflow], dtype=float),
+                                   np.array([downstream_supply], dtype=float))
+    segment.rho[:] = store.rho
+    return accepted.item(), outflow.item()

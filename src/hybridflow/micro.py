@@ -5,10 +5,12 @@ uses an incentive/safety trade-off weighted by a politeness factor.  A
 three-part behavior chain arbitrates between mandatory navigation changes,
 opportunistic overtaking, and plain longitudinal control.
 
-The scalar functions take one vehicle at a time and are the reference.
-`behavior_chains` is their array form over many vehicles, which the engine
-runs once per step; entry by entry it returns exactly the scalar chain's
-floats.
+`behavior_chains` runs the chain over many vehicles at once, as arrays;
+the engine calls it once per step, and `behavior_chain` is its form for
+one vehicle.  The scalar statement of the models, one vehicle at a time,
+is the tests' oracle (`tests/model_oracle.py`): entry by entry the batch
+returns exactly its floats.  `equilibrium_gap` is the closed-form steady
+state, which no kernel computes.
 
 Conventions: `position` is the front bumper, measured from the road start.
 A gap is always bumper-to-bumper (leader rear minus own front).  All
@@ -128,114 +130,15 @@ class Perception:
     follower_speed: float = 0.0
 
 
-# ---------------------------------------------------------------------------
-# Longitudinal model
-# ---------------------------------------------------------------------------
-
-def desired_gap(v: float, dv: float, params: DriverParams) -> float:
-    """Dynamical desired gap, floored at the standstill gap s0."""
-    dynamic = v * params.T + v * dv / (2.0 * math.sqrt(params.a_max * params.b))
-    return params.s0 + max(0.0, dynamic)
-
-
-def idm_acceleration(v: float, s: float, dv: float, params: DriverParams) -> float:
-    """Acceleration from own speed v, gap s and closing speed dv.
-
-    s may be +inf (free road).  Raises NonPositiveGap for s <= 0: overlaps
-    must be resolved by the caller, they are not a driving situation.
-    """
-    if v < 0:
-        raise ValueError(f"speed must be non-negative, got {v}")
-    if s <= 0:
-        raise NonPositiveGap(f"gap must be positive, got {s}")
-    free = (v / params.v0) ** params.delta
-    interaction = 0.0 if math.isinf(s) else (desired_gap(v, dv, params) / s) ** 2
-    return params.a_max * (1.0 - free - interaction)
-
-
 def equilibrium_gap(v: float, params: DriverParams) -> float:
-    """Gap at which a follower at speed v exactly holds its speed.
-
-    Closed form of idm_acceleration(v, s, 0) = 0; only defined below the
-    desired speed."""
+    """Gap at which a follower at speed v exactly holds its speed: the
+    closed-form steady state of the acceleration law, defined only below
+    the desired speed."""
     if v >= params.v0:
         raise DesiredSpeedReached(f"no equilibrium gap at v={v} >= v0={params.v0}")
-    return desired_gap(v, 0.0, params) / math.sqrt(1.0 - (v / params.v0) ** params.delta)
+    return (params.s0 + max(0.0, v * params.T)) \
+        / math.sqrt(1.0 - (v / params.v0) ** params.delta)
 
-
-# ---------------------------------------------------------------------------
-# Lane changing
-# ---------------------------------------------------------------------------
-
-def _follower_accel_after(view: AdjacentView, v_self: float,
-                          params: DriverParams) -> float:
-    """New follower's acceleration if we moved in front of it."""
-    if view.follower_gap <= 0:
-        return -INF
-    return idm_acceleration(view.follower_speed, view.follower_gap,
-                            view.follower_speed - v_self, params)
-
-
-def is_change_safe(view: AdjacentView | None, v_self: float,
-                   params: DriverParams) -> bool:
-    """Safety criterion: target slot exists and the prospective follower is
-    not forced below -b_safe."""
-    if view is None or view.leader_gap <= 0 or view.follower_gap <= 0:
-        return False
-    return _follower_accel_after(view, v_self, params) >= -params.b_safe
-
-
-def _incentive(perception: Perception, view: AdjacentView, v: float,
-               own_length: float, params: DriverParams) -> float:
-    """Acceleration gain of a change, politeness-weighted over neighbors."""
-    a_self = idm_acceleration(v, perception.leader_gap, perception.leader_dv, params)
-    a_self_new = idm_acceleration(v, view.leader_gap, view.leader_dv, params)
-
-    # prospective follower: now trails the target-lane leader, would trail us
-    a_new = _follower_accel_after(view, v, params)
-    gap_now = view.follower_gap + own_length + view.leader_gap
-    dv_now = view.follower_speed - (v - view.leader_dv) if math.isfinite(view.leader_gap) else 0.0
-    a_new_now = idm_acceleration(view.follower_speed, gap_now, dv_now, params) \
-        if view.follower_gap > 0 else 0.0
-
-    # old follower: trails us now, would trail our current leader
-    if perception.follower_gap <= 0 or math.isinf(perception.follower_gap):
-        a_old_now = a_old_after = 0.0
-    else:
-        a_old_now = idm_acceleration(perception.follower_speed, perception.follower_gap,
-                                     perception.follower_speed - v, params)
-        gap_after = perception.follower_gap + own_length + perception.leader_gap
-        dv_after = (perception.follower_speed - (v - perception.leader_dv)
-                    if math.isfinite(perception.leader_gap) else 0.0)
-        a_old_after = idm_acceleration(perception.follower_speed, gap_after, dv_after, params)
-
-    return (a_self_new - a_self
-            + params.p * ((a_new - a_new_now) + (a_old_after - a_old_now)))
-
-
-def mobil_decide(perception: Perception, v: float, params: DriverParams,
-                 own_length: float = 4.0) -> int:
-    """Pick LEFT, RIGHT or STAY.
-
-    A side is eligible when the safety criterion holds and the incentive
-    exceeds the threshold; the larger incentive wins, ties go right."""
-    candidates: list[tuple[float, int]] = []
-    for direction, view in ((RIGHT, perception.right), (LEFT, perception.left)):
-        if not is_change_safe(view, v, params):
-            continue
-        gain = _incentive(perception, view, v, own_length, params)
-        if gain > params.da_th:
-            candidates.append((gain, direction))
-    if not candidates:
-        return STAY
-    # max incentive; on an exact tie the earlier entry (RIGHT) survives
-    best = max(candidates, key=lambda c: c[0])
-    return best[1]
-
-
-# ---------------------------------------------------------------------------
-# Behavior chain
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BehaviorContext:
@@ -252,56 +155,31 @@ class VehicleIntent(NamedTuple):
     vehicle_id: str
     acceleration: float
     lane_change: int = STAY
-    reason: str = "acceleration"
 
 
 def behavior_chain(vehicle: Vehicle, perception: Perception,
                    ctx: BehaviorContext) -> VehicleIntent:
-    """Arbitrate navigation, overtaking and car following, in that order.
+    """`behavior_chains` for one vehicle, from its scalar perception.
 
-    Navigation fires when the current lane cannot reach the route's next
-    road and the node is within the navigation horizon; it is gated by the
-    safety criterion only.  Otherwise the incentive model may change lanes.
-    Exactly one intent is returned either way.
-    """
-    params = vehicle.params
-    v = vehicle.speed
-    v0_eff = min(params.v0, perception.speed_limit)
-    eff = DriverParams(v0=max(v0_eff, 0.1), T=params.T, a_max=params.a_max,
-                       b=params.b, delta=params.delta, s0=params.s0,
-                       p=params.p, da_th=params.da_th, b_safe=params.b_safe)
-
-    accel = idm_acceleration(v, perception.leader_gap, perception.leader_dv, eff)
-
-    # None means any lane continues and an empty set that none does: either
-    # way navigation has no lane to aim for
-    must_change = (bool(ctx.permitted_lanes)
-                   and vehicle.lane not in ctx.permitted_lanes
-                   and ctx.distance_to_node < NAV_HORIZON)
-    if must_change:
-        # hold back as if the node were a standing obstacle until the change lands
-        if ctx.distance_to_node > 0:
-            accel = min(accel, idm_acceleration(v, ctx.distance_to_node, v, eff))
-        target = min(ctx.permitted_lanes, key=lambda l: (abs(l - vehicle.lane), l))
-        direction = RIGHT if target > vehicle.lane else LEFT
-        view = perception.right if direction == RIGHT else perception.left
-        if is_change_safe(view, v, params):
-            return VehicleIntent(vehicle.id, accel, direction, "navigation")
-        return VehicleIntent(vehicle.id, accel, STAY, "navigation_blocked")
-
-    decision = mobil_decide(perception, v, eff, vehicle.length)
-    if decision != STAY:
-        return VehicleIntent(vehicle.id, accel, decision, "overtaking")
-    return VehicleIntent(vehicle.id, accel, STAY, "acceleration")
+    Raises NonPositiveGap when the leader gap is not positive, and
+    ValueError when the speed is negative."""
+    if perception.leader_gap <= 0:
+        raise NonPositiveGap(f"gap must be positive, got {perception.leader_gap}")
+    accel, change = behavior_chains(
+        np.array([vehicle.speed], dtype=float), np.array([vehicle.length], dtype=float),
+        np.array([vehicle.lane]), DriverArrays.stack([vehicle.params]),
+        PerceptionArrays.of([perception], [ctx]))
+    return VehicleIntent(vehicle.id, accel.item(), change.item())
 
 
 # ---------------------------------------------------------------------------
 # Array form
 # ---------------------------------------------------------------------------
 #
-# Entry i of every array describes vehicle i.  Each formula keeps the scalar
-# code's operand order, and min/max keep Python's choice between equal
-# operands, so every float equals the scalar chain's.  Powers go through
+# Entry i of every array describes vehicle i.  Each formula keeps the
+# operand order of the scalar models in `tests/model_oracle.py`, and min/max
+# keep Python's choice between equal operands, so every float equals the
+# scalar chain's.  Powers go through
 # Python's own `**`: `np.power` differs from it in the last bit on some
 # inputs.
 
@@ -348,6 +226,26 @@ class PerceptionArrays:
     distance_to_node: np.ndarray
     permitted_lanes: list
 
+    @classmethod
+    def of(cls, perceptions: list[Perception],
+           contexts: list[BehaviorContext]) -> PerceptionArrays:
+        """The arrays of n scalar perceptions and their contexts."""
+        missing = AdjacentView()
+        views = [(p, p.right or missing, p.left or missing) for p in perceptions]
+
+        def rows(name):
+            return np.array([[getattr(view, name) for view in row] for row in views],
+                            dtype=float).reshape(-1, 3).T
+
+        return cls(exists=np.array([(True, p.right is not None, p.left is not None)
+                                    for p in perceptions], dtype=bool).reshape(-1, 3).T,
+                   leader_gap=rows("leader_gap"), leader_dv=rows("leader_dv"),
+                   follower_gap=rows("follower_gap"), follower_speed=rows("follower_speed"),
+                   speed_limit=np.array([p.speed_limit for p in perceptions], dtype=float),
+                   distance_to_node=np.array([c.distance_to_node for c in contexts],
+                                             dtype=float),
+                   permitted_lanes=[c.permitted_lanes for c in contexts])
+
 
 def _py_min(a, b):
     """Python's min(a, b) entry by entry: `a` unless `b` is smaller."""
@@ -362,7 +260,7 @@ def _py_max(a, b):
 def _powers(bases: np.ndarray, exponents, where: np.ndarray) -> np.ndarray:
     """bases ** exponents through Python's float power, at `where` unless the
     base is zero or negative; 0.0 elsewhere.  A zero base gives 0.0 for the
-    exponents used here (>= 1); a negative one makes the scalar call raise
+    exponents used here (>= 1); a negative one makes the scalar model raise
     before its power."""
     at = where & ~(bases <= 0.0)
     out = np.zeros(bases.shape)
@@ -394,12 +292,12 @@ def _navigation(lane: np.ndarray, perception: PerceptionArrays):
 
 def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
                     params: DriverArrays, perception: PerceptionArrays):
-    """`behavior_chain` for n vehicles at once.
+    """The behavior chain for n vehicles at once.
 
     Returns (acceleration, lane_change), one entry per vehicle: the scalar
-    intent's `acceleration` and `lane_change` (LEFT, STAY or RIGHT).  Raises
-    `idm_acceleration`'s ValueError, for the first negative entry of `speed`,
-    when any is negative.  Gaps must be positive wherever IDM reads them:
+    chain's `acceleration` and `lane_change` (LEFT, STAY or RIGHT).  Raises
+    the acceleration law's ValueError, for the first negative entry of
+    `speed`, when any is negative.  Gaps must be positive wherever IDM reads them:
     the perception floors leader gaps at a positive minimum, and the rows
     below mask every other non-positive gap out.  IDM runs in stages of
     stacked rows: first the driver's own acceleration and both sides'
@@ -416,7 +314,7 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
     root = 2.0 * np.sqrt(params.a_max * params.b)
 
     def accelerations(v, s, dv, free, where):
-        """idm_acceleration over stacked rows given their free-road terms
+        """The acceleration law over stacked rows given their free-road terms
         (v / v0) ** delta; 0.0 outside `where`."""
         dynamic = v * params.T + v * dv / root
         ratio = (params.s0 + _py_max(0.0, dynamic)) / s

@@ -269,16 +269,12 @@ def compute_route(network: RoadNetwork, origin: str, destination: str,
     raise UnreachableError(origin, destination)
 
 
-def lanes_to_destination(network: RoadNetwork, road_id: str, node_id: str,
-                         route: Route) -> set[int]:
-    """Lanes on `road_id` from which the node permits entering the route's
-    next road.  Empty means a mandatory lane change upstream was missed."""
-    nxt = route.next_after(road_id)
-    if nxt is None:
-        return set(range(network.roads[road_id].lane_count))
-    node = network.nodes[node_id]
-    return {t.from_lane for t in node.turns
-            if t.from_road == road_id and t.to_road == nxt}
+def lanes_toward(network: RoadNetwork, road_id: str, next_road: str) -> frozenset[int]:
+    """Lanes of `road_id` whose turn at its end node leads onto `next_road`.
+    Empty means a mandatory lane change upstream was missed."""
+    node = network.nodes[network.roads[road_id].to_node]
+    return frozenset(t.from_lane for t in node.turns
+                     if t.from_road == road_id and t.to_road == next_road)
 
 
 def permitted_entry_lane(network: RoadNetwork, road_id: str, lane: int,

@@ -16,10 +16,10 @@ from hybridflow.cli import run_command
 from hybridflow.engine import (EngineConfig, SimulationEngine, SimulationError,
                                advance_step, apply_system_influences, build_state)
 from hybridflow.lod import Action
-from hybridflow.macro import FundamentalDiagram, MacroSegment, ctm_step
-from hybridflow.micro import (AdjacentView, DriverParams, Perception,
-                              equilibrium_gap, idm_acceleration, mobil_decide,
-                              LEFT, STAY)
+from hybridflow.macro import CellStore, FundamentalDiagram, MacroSegment
+from hybridflow.micro import (AdjacentView, BehaviorContext, DriverArrays, DriverParams,
+                              Perception, PerceptionArrays, Vehicle, behavior_chain,
+                              behavior_chains, equilibrium_gap, LEFT, STAY)
 from hybridflow.probes import CanaryProbe
 from hybridflow.scenario import (ScenarioError, parse_scenario,
                                  serialize_scenario, write_scenario)
@@ -38,6 +38,14 @@ def scalar_idm(v, s, dv, p=P):
     s_star = p.s0 + max(0.0, v * p.T + v * dv / (2.0 * math.sqrt(p.a_max * p.b)))
     inter = 0.0 if math.isinf(s) else (s_star / s) ** 2
     return p.a_max * (1.0 - (v / p.v0) ** p.delta - inter)
+
+
+def kernel_idm(v, s, dv, p=P):
+    """The engine's car following: the acceleration its behavior chain gives
+    a lone driver at speed v behind a leader s ahead, closing at dv."""
+    return behavior_chain(Vehicle("ego", "r", 0, 0.0, v, params=p),
+                          Perception(leader_gap=s, leader_dv=dv),
+                          BehaviorContext(lane_count=1)).acceleration
 
 
 def write_single_road_scenario(root: Path, length=2000.0, lanes=1,
@@ -71,16 +79,16 @@ def write_single_road_scenario(root: Path, length=2000.0, lanes=1,
 
 
 def test_c01_idm_point_checks():
-    assert idm_acceleration(0.0, INF, 0.0, P) == P.a_max
-    assert abs(idm_acceleration(P.v0, INF, 0.0, P)) <= 1e-12
+    assert kernel_idm(0.0, INF, 0.0) == P.a_max
+    assert abs(kernel_idm(P.v0, INF, 0.0)) <= 1e-12
     oracle = scalar_idm(20.0, 50.0, 3.0)
-    assert abs(idm_acceleration(20.0, 50.0, 3.0, P) - oracle) <= 1e-3
+    assert abs(kernel_idm(20.0, 50.0, 3.0) - oracle) <= 1e-3
     ok("criterion 01", f"free-road bounds exact; worked example {oracle:.6f}")
 
 
 def test_c02_equilibrium_consistency():
     for v in (1.0, 5.0, 10.0, 20.0, 25.0, 30.0):
-        residual = idm_acceleration(v, equilibrium_gap(v, P), 0.0, P)
+        residual = kernel_idm(v, equilibrium_gap(v, P), 0.0)
         assert abs(residual) <= 1e-9, f"v={v}: residual {residual}"
     ok("criterion 02", "zero acceleration at the closed-form gap for 6 speeds")
 
@@ -110,18 +118,26 @@ def test_c03_platoon_convergence(tmp_path):
 
 def test_c04_mobil_safety_randomized():
     rng = np.random.default_rng(2024)
-    accepted = 0
+
+    def view():
+        return AdjacentView(float(rng.uniform(0.5, 150)), float(rng.uniform(-12, 15)),
+                            float(rng.uniform(0.2, 150)), float(rng.uniform(0, 35)))
+
+    speeds, scenes = [], []
     for _ in range(10_000):
-        v = float(rng.uniform(0, 35))
-        def view():
-            return AdjacentView(float(rng.uniform(0.5, 150)), float(rng.uniform(-12, 15)),
-                                float(rng.uniform(0.2, 150)), float(rng.uniform(0, 35)))
-        pc = Perception(leader_gap=float(rng.uniform(0.5, 150)),
-                        leader_dv=float(rng.uniform(-12, 15)),
-                        speed_limit=INF, left=view(), right=view(),
-                        follower_gap=float(rng.uniform(0.5, 150)),
-                        follower_speed=float(rng.uniform(0, 35)))
-        decision = mobil_decide(pc, v, P)
+        speeds.append(float(rng.uniform(0, 35)))
+        scenes.append(Perception(leader_gap=float(rng.uniform(0.5, 150)),
+                                 leader_dv=float(rng.uniform(-12, 15)),
+                                 speed_limit=INF, left=view(), right=view(),
+                                 follower_gap=float(rng.uniform(0.5, 150)),
+                                 follower_speed=float(rng.uniform(0, 35))))
+    # the engine's kernel, for unrouted 4 m drivers in the middle of three lanes
+    n = len(scenes)
+    _, decisions = behavior_chains(np.array(speeds), np.full(n, 4.0), np.ones(n, dtype=np.int64),
+                                   DriverArrays.stack([P] * n),
+                                   PerceptionArrays.of(scenes, [BehaviorContext(3)] * n))
+    accepted = 0
+    for v, pc, decision in zip(speeds, scenes, decisions.tolist()):
         if decision == STAY:
             continue
         accepted += 1
@@ -139,6 +155,7 @@ def test_c05_ctm_shock_oracle():
     n = 120
     rho = np.where(np.arange(n) * dx < 1500.0, 0.01, 0.12)
     seg = MacroSegment(dx=[dx] * n, lanes=[1] * n, rho=rho, fd=fd)
+    store = CellStore([seg], fd, dt)
     q1 = min(fd.v_f * 0.01, fd.w * (fd.rho_jam - 0.01))
     q2 = min(fd.v_f * 0.12, fd.w * (fd.rho_jam - 0.12))
     expected = (q2 - q1) / (0.12 - 0.01)
@@ -153,7 +170,7 @@ def test_c05_ctm_shock_oracle():
             frac = (mid - seg.rho[i - 1]) / (seg.rho[i] - seg.rho[i - 1])
             times.append(k * dt)
             fronts.append(centers[i - 1] + frac * dx)
-        ctm_step(seg, q1, q2, dt)
+        store.step(*store.profiles(), np.array([q1]), np.array([q2]))
     slope = float(np.polyfit(times, fronts, 1)[0])
     assert abs(slope - expected) / abs(expected) <= 0.05
     ok("criterion 05", f"front speed {slope:.4f} vs flux-jump ratio {expected:.4f}")

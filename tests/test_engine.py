@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -20,9 +21,10 @@ from hybridflow import engine, lod
 from hybridflow.generation import FlowMassGenerator, InsertionSpec
 from hybridflow.hybrid import MACRO, MICRO
 from hybridflow.lod import Action
-from hybridflow.micro import DriverParams, Vehicle, VehicleIntent, behavior_chain
+from hybridflow.micro import DriverParams, Vehicle, VehicleIntent
 from hybridflow.probes import CanaryProbe, MassAuditProbe
 from hybridflow.scenario import parse_scenario
+from model_oracle import behavior_chain
 from perception_oracle import lane_view, perceive
 from probe_contract import CallSequenceProbe, fail_at_step
 
@@ -301,7 +303,7 @@ def _check_layout(state, scene):
 
 
 def _scalar_decisions(state):
-    """What the per-vehicle loop decides, vehicle by vehicle."""
+    """What the scalar models decide, vehicle by vehicle."""
     scene = Scene(state)
     out = {}
     for cluster in state.clusters.values():
@@ -313,9 +315,9 @@ def _scalar_decisions(state):
 
 class TestPerceptionOracle:
     """The engine's batch perception against an exhaustive scan, and its
-    batch decide against the scalar perceive -> behavior_chain chain of
-    `perception_oracle`, which it must equal float for float, errors
-    included."""
+    batch decide against the scalar chain of `perception_oracle.perceive`
+    and `model_oracle.behavior_chain`, which it must equal float for float,
+    errors included."""
 
     def brute_force(self, state, veh, horizon=200.0):
         """Exhaustive pairwise neighbor scan on one road."""
@@ -1165,33 +1167,37 @@ class TestActionRefused:
 
     # hybrid: micro [0, 700), macro [700, 1400), micro [1400, 2000);
     # ring: micro [0, 1000), macro [1000, 2000)
-    @pytest.mark.parametrize("scene, kind, position, reason", [
-        ("hybrid", "split", 700.0, "700 is not strictly inside a cluster"),
-        ("hybrid", "split", 750.0, "a part would be shorter than 200 m"),
-        ("hybrid", "split", 1900.0, "a part would be shorter than 200 m"),
-        ("hybrid", "split", 1023.0, "1023 is not an interior cell edge"),
-        ("hybrid", "merge", 1000.0, "no interface at 1000"),
-        ("ring", "merge", 0.0, "the wrap boundary of a cyclic chain never merges"),
-        ("hybrid", "merge", 700.0, "micro meets macro"),
-        ("queued", "merge", 1400.0, "1 vehicles queued at 1400"),
-        ("hybrid", "refine", 300.0, "it is micro already"),
-        ("hybrid", "coarsen", 1000.0, "it is macro already"),
-        ("unstable", "coarsen", 700.0, "time step 0.25 violates the stability bound"),
-        ("hybrid", "widen", 1000.0, "unknown action kind"),
+    @pytest.mark.parametrize("scene, kind, chain, position, reason", [
+        ("hybrid", "split", "chain0", 700.0, "700 is not strictly inside a cluster"),
+        ("hybrid", "split", "chain0", 750.0, "a part would be shorter than 200 m"),
+        ("hybrid", "split", "chain0", 1900.0, "a part would be shorter than 200 m"),
+        ("hybrid", "split", "chain0", 1023.0, "1023 is not an interior cell edge"),
+        ("hybrid", "merge", "chain0", 1000.0, "no interface at 1000"),
+        ("ring", "merge", "chain0", 0.0, "the wrap boundary of a cyclic chain never merges"),
+        ("hybrid", "merge", "chain0", 700.0, "micro meets macro"),
+        ("queued", "merge", "chain0", 1400.0, "1 vehicles queued at 1400"),
+        ("hybrid", "refine", "chain0", 300.0, "it is micro already"),
+        ("hybrid", "coarsen", "chain0", 1000.0, "it is macro already"),
+        ("unstable", "coarsen", "chain0", 700.0, "time step 0.25 violates the stability bound"),
+        ("hybrid", "widen", "chain0", 1000.0, "unknown action kind"),
+        ("hybrid", "coarsen", "chain0", 5000.0, "5000 lies off the chain's [0, 2000]"),
+        ("hybrid", "refine", "chain0", -50.0, "-50 lies off the chain's [0, 2000]"),
+        ("hybrid", "split", "nochain", 100.0, "no such chain"),
     ], ids=["split-on-a-boundary", "split-too-short-macro", "split-too-short-micro",
             "split-off-a-cell-edge", "merge-without-interface", "merge-at-the-wrap",
             "merge-across-representations", "merge-over-a-queue", "refine-micro",
-            "coarsen-macro", "coarsen-unstable", "unknown-kind"])
-    def test_refusal_changes_nothing(self, tmp_path, scene, kind, position, reason):
+            "coarsen-macro", "coarsen-unstable", "unknown-kind",
+            "coarsen-past-the-end", "refine-before-the-start", "split-on-an-unknown-chain"])
+    def test_refusal_changes_nothing(self, tmp_path, scene, kind, chain, position, reason):
         config = EngineConfig(seed=17, lod_enabled=False)
         state = {"hybrid": lambda: build_state(load("hybrid"), config),
                  "ring": lambda: build_state(load("ring"), config),
                  "queued": lambda: queued_hybrid(tmp_path, config),
                  "unstable": lambda: unstable_ring(config)}[scene]()
         digest, transitions = state.state_digest(), list(state.transitions)
-        with pytest.raises(ActionRefused, match=rf"^{kind}( of .*)? at chain0@{position:g}: "
-                           f"{reason}"):
-            apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+        with pytest.raises(ActionRefused, match=rf"^{kind}( of .*)? at {chain}@{position:g}: "
+                           + re.escape(reason)):
+            apply_system_influences(state, [Action(kind, chain, position, "forced")])
         assert state.state_digest() == digest
         assert state.transitions == transitions
 
@@ -1785,7 +1791,7 @@ class TestBoundaryRates:
 
     def test_macro_to_macro_flux_is_min_of_demand_and_supply(self):
         from hybridflow.lod import Action
-        from hybridflow.macro import demand, supply
+        from model_oracle import demand, supply
 
         config = EngineConfig(seed=1, lod_enabled=False)
         state = build_state(load("jam"), config)
@@ -1802,7 +1808,7 @@ class TestBoundaryRates:
 
     def test_throttled_release_stops_the_macro_outflow(self):
         from hybridflow.hybrid import RELEASE_QUEUE_THRESHOLD
-        from hybridflow.macro import demand
+        from model_oracle import demand
 
         config = EngineConfig(seed=1, lod_enabled=False)
         state = build_state(load("hybrid"), config)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hybridflow.macro import (CellStore, CflViolation, DensityOutOfRange, FundamentalDiagram,
                               MacroCell, MacroSegment, cell_mean_speed, ctm_step,
-                              demand, fd_flow, supply)
+                              demand_supply, fd_flow)
+from model_oracle import cell_step, demand, supply
 
 FD = FundamentalDiagram()   # v_f=25, rho_jam=0.15, q_max=0.5
 
@@ -54,25 +55,32 @@ class TestFlux:
             fd_flow(FD.rho_jam + 0.01, FD)
 
 
+def profile(lanes, rho, capacity_factor=1.0):
+    """`demand_supply` of a one-cell segment, as two floats."""
+    dem, sup = demand_supply(MacroSegment(dx=[100.0], lanes=[lanes], rho=[rho], fd=FD,
+                                          capacity_factor=[capacity_factor]))
+    return dem.item(), sup.item()
+
+
 class TestDemandSupply:
     def test_empty_cell(self):
-        cell = MacroCell(dx=100.0, lanes=2, rho=0.0)
-        assert demand(cell, FD) == 0.0
-        assert supply(cell, FD) == 2 * FD.q_max
+        dem, sup = profile(lanes=2, rho=0.0)
+        assert dem == 0.0
+        assert sup == 2 * FD.q_max
 
     def test_jammed_cell(self):
-        cell = MacroCell(dx=100.0, lanes=2, rho=FD.rho_jam)
-        assert demand(cell, FD) == pytest.approx(2 * FD.q_max)
-        assert supply(cell, FD) == pytest.approx(0.0)
+        dem, sup = profile(lanes=2, rho=FD.rho_jam)
+        assert dem == pytest.approx(2 * FD.q_max)
+        assert sup == pytest.approx(0.0)
 
     def test_light_traffic_demand(self):
-        cell = MacroCell(dx=100.0, lanes=2, rho=0.01)
-        assert demand(cell, FD) == pytest.approx(0.5)   # 2 * v_f * rho
+        dem, _ = profile(lanes=2, rho=0.01)
+        assert dem == pytest.approx(0.5)   # 2 * v_f * rho
 
     def test_capacity_factor_caps_both(self):
-        cell = MacroCell(dx=100.0, lanes=1, rho=0.05, capacity_factor=0.3)
-        assert demand(cell, FD) == pytest.approx(0.15)
-        assert supply(cell, FD) == pytest.approx(0.15)
+        dem, sup = profile(lanes=1, rho=0.05, capacity_factor=0.3)
+        assert dem == pytest.approx(0.15)
+        assert sup == pytest.approx(0.15)
 
 
 class TestMeanSpeed:
@@ -89,21 +97,23 @@ class TestMeanSpeed:
         assert v == pytest.approx(0.9615384615, abs=1e-9)
 
 
+def random_segment(rng, n=200):
+    """Cells drawn across the diagram: empty, critical, jammed, within the
+    clamping tolerance of both ends, and anywhere in between."""
+    special = [0.0, FD.rho_c, FD.rho_jam, FD.rho_jam + 5e-13, -5e-13]
+    rho = np.where(rng.random(n) < 0.5, rng.choice(special, n),
+                   rng.uniform(0.0, FD.rho_jam, n))
+    return MacroSegment(dx=rng.uniform(20.0, 150.0, n),
+                        lanes=rng.integers(1, 4, n), rho=rho, fd=FD,
+                        capacity_factor=rng.choice([1.0, 0.3], n))
+
+
 class TestCellSpeeds:
-    def random_segment(self, rng, n=200):
-        """Cells drawn across the diagram: empty, critical, jammed, within
-        the clamping tolerance of both ends, and anywhere in between."""
-        special = [0.0, FD.rho_c, FD.rho_jam, FD.rho_jam + 5e-13, -5e-13]
-        rho = np.where(rng.random(n) < 0.5, rng.choice(special, n),
-                       rng.uniform(0.0, FD.rho_jam, n))
-        return MacroSegment(dx=rng.uniform(20.0, 150.0, n),
-                            lanes=rng.integers(1, 4, n), rho=rho, fd=FD,
-                            capacity_factor=rng.choice([1.0, 0.3], n))
 
     def test_bitwise_equal_to_scalar_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            seg = self.random_segment(rng)
+            seg = random_segment(rng)
             expected = np.array([cell_mean_speed(seg.cell(i), FD)
                                  for i in range(len(seg))])
             assert seg.cell_speeds().tobytes() == expected.tobytes()
@@ -111,7 +121,7 @@ class TestCellSpeeds:
     def test_profiles_bitwise_equal_to_scalar_oracles(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            seg = self.random_segment(rng)
+            seg = random_segment(rng)
             cells = [seg.cell(i) for i in range(len(seg))]
             dem, sup = CellStore([seg], FD, 0.25).profiles()
             assert dem.tobytes() == np.array([demand(c, FD) for c in cells]).tobytes()
@@ -139,7 +149,8 @@ class TestCtmStep:
 
     def test_uniform_ring_is_invariant(self):
         seg = uniform_segment(rho=0.01)
-        wrap = min(demand(seg.cell(len(seg) - 1), FD), supply(seg.cell(0), FD))
+        dem, sup = demand_supply(seg)
+        wrap = min(dem[-1].item(), sup[0].item())
         before = seg.rho.copy()
         for _ in range(200):
             ctm_step(seg, wrap, wrap, 0.25)
@@ -166,6 +177,18 @@ class TestCtmStep:
                                                    abs=1e-9)
             assert np.all(seg.rho >= -1e-12)
             assert np.all(seg.rho <= FD.rho_jam + 1e-12)
+
+    def test_bitwise_equal_to_scalar_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            seg = random_segment(rng, n=int(rng.integers(1, 30)))
+            oracle = MacroSegment(seg.dx, seg.lanes, seg.rho, FD, seg.capacity_factor)
+            inflow, sup = (float(rng.choice([0.0, rng.uniform(0, 3), math.inf]))
+                           for _ in range(2))
+            found = ctm_step(seg, inflow, sup, 0.25)
+            expected = cell_step(oracle, inflow, sup, 0.25)
+            assert [q.hex() for q in found] == [q.hex() for q in expected]
+            assert seg.rho.tobytes() == oracle.rho.tobytes()
 
     def test_riemann_shock_speed(self):
         """A congestion front must travel at the flux-jump ratio."""

@@ -4,7 +4,7 @@ import pytest
 
 from hybridflow.network import (Chain, Node, Road, RoadNetwork, Route,
                                 SinkPoint, Turn, UnreachableError, VerticalSign,
-                                compute_route, derive_chains, lanes_to_destination,
+                                compute_route, derive_chains, lanes_toward,
                                 permitted_entry_lane, road_successors,
                                 validate_network)
 
@@ -190,12 +190,12 @@ class TestLanesToDestination:
         net = RoadNetwork(roads=roads, nodes=nodes,
                           end_points={"s": SinkPoint("s", "r2")})
         route = Route(roads=("r1", "r2"), destination="s")
-        assert lanes_to_destination(net, "r1", "b", route) == {0, 1}
+        assert lanes_toward(net, "r1", route.next_after("r1")) == {0, 1}
 
     def test_extraction_rightmost_lane_only(self):
         net = simple_network()
         route = Route(roads=("main", "right"), destination="sr")
-        assert lanes_to_destination(net, "main", "b", route) == {1}
+        assert lanes_toward(net, "main", route.next_after("main")) == {1}
 
     def test_enumerated_straight_lanes(self):
         nodes = {"a": Node("a", "crossroads"),
@@ -210,9 +210,9 @@ class TestLanesToDestination:
                           end_points={"s": SinkPoint("s", "r2"),
                                       "se": SinkPoint("se", "exit")})
         straight = Route(roads=("r1", "r2"), destination="s")
-        assert lanes_to_destination(net, "r1", "b", straight) == {0, 1}
+        assert lanes_toward(net, "r1", straight.next_after("r1")) == {0, 1}
         exiting = Route(roads=("r1", "exit"), destination="se")
-        assert lanes_to_destination(net, "r1", "b", exiting) == {2}
+        assert lanes_toward(net, "r1", exiting.next_after("r1")) == {2}
 
     def test_entry_lane_mapping(self):
         net = simple_network()

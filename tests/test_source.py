@@ -54,13 +54,55 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def tracer_replacements(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each `patches.replace(module, "name", ...)` in the
+    benchmark's `install_tracer`, where `module` is a plain name and
+    "name" a literal."""
+    install = next(node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == "install_tracer")
+    return {(call.args[0].id, call.args[1].value) for call in ast.walk(install)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "replace" and isinstance(call.args[0], ast.Name)
+            and isinstance(call.args[1], ast.Constant)}
+
+
+def exempt_imports(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, name) of each name bound by an import marked `# noqa`."""
+    lines = source.splitlines()
+    return {(module, alias.asname or alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for alias in node.names}
+
+
+def test_tracer_finders_see_replacements_and_exempt_imports():
+    tracer = ("def install_tracer(patches, tracer):\n"
+              "    patches.replace(engine, 'a', span)\n"
+              "    patches.replace(engine.Scene, 'b', span)\n"
+              "    text.replace(old, new)\n"
+              "def other(patches):\n    patches.replace(engine, 'c', span)\n")
+    assert tracer_replacements(tracer) == {("engine", "a")}
+    module = "from .m import a  # noqa: F401\nfrom .m import (b,\n    c)  # noqa\nimport d\n"
+    assert exempt_imports(module, "engine") == {("engine", "a"), ("engine", "b"),
+                                                ("engine", "c")}
+
+
+def test_every_exempt_import_is_a_name_the_tracer_wraps():
+    """An import kept unread is kept only so the benchmark tracer can wrap
+    the name where the module looks it up."""
+    wrapped = tracer_replacements((REPO / "bench" / "tracing.py").read_text())
+    exempt = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        exempt |= exempt_imports(path.read_text(), path.stem)
+    assert exempt
+    assert exempt <= wrapped
+
+
 #: public names that code outside the tests need not reference, with the reason
 UNREFERENCED_ALLOWED: dict[str, str] = {
     "engine.apply_system_influences":
         "the influence API through which the paper's regulation algorithms "
         "remove, insert and restructure",
-    "macro.demand":
-        "the scalar oracle that the vectorized `demand_supply` is checked against",
     "scenario.write_scenario":
         "the file writer paired with `serialize_scenario`",
 }
