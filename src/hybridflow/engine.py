@@ -1530,9 +1530,9 @@ def _observe_and_plan(state: EngineState) -> None:
     # one speed pass over the cell store serves the cell counters and the
     # cluster ratios (mean speed over free speed)
     store = state.cell_store(macro)
-    cells, means = store.speed_ratios() if macro else (np.empty(0), [])
-    ratios = {c.id: r for c, r in zip(macro, means)}
+    speeds, _, means = store.observe()
     v_f = state.fd.v_f
+    ratios = dict(zip((c.id for c in macro), (means / v_f).tolist()))
     for c in clusters:
         if c.segment is not None:
             continue
@@ -1541,7 +1541,7 @@ def _observe_and_plan(state: EngineState) -> None:
                 / len(c.vehicles) / v_f
         else:
             ratios[c.id] = 1.0           # empty extents count as free flow
-    state.controller.observe(clusters, ratios, store, cells, state.step)
+    state.controller.observe(clusters, ratios, store, speeds / v_f, state.step)
 
     plan = state.controller.plan(clusters, store, list(state.interfaces.values()),
                                  state.step, state.micro_vehicle_count(),

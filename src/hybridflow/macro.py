@@ -9,12 +9,12 @@ Densities are per lane (veh/m/lane); demand, supply and fluxes are totals
 across lanes (veh/s).  A per-cell capacity factor scales the capacity to
 model incidents or restrictions.
 
-`demand_supply`, `cell_speeds` and `CellStore.step` work on every cell at
-once; `ctm_step` is the step's form for one segment.  The scalar demand,
-supply and cell step, one cell at a time, are the tests' oracle
-(`tests/model_oracle.py`), and `cell_mean_speed` is both the speed of one
-cell, which the macro-to-micro release reads, and the oracle of
-`cell_speeds`.
+`demand_supply`, `cell_speeds`, `CellStore.step` and `CellStore.observe`
+work on every cell at once; `ctm_step` is the step's form for one segment.
+The scalar demand, supply, cell step and segment mean speed, one cell at a
+time, are the tests' oracle (`tests/model_oracle.py`), and
+`cell_mean_speed` is both the speed of one cell, which the macro-to-micro
+release reads, and the oracle of `cell_speeds`.
 """
 
 from __future__ import annotations
@@ -119,10 +119,17 @@ def cell_speeds(cells: MacroSegment | CellStore) -> np.ndarray:
     return np.where(occupied, flow / np.where(occupied, rho, 1.0), fd.v_f)
 
 
-def _mass_weighted_mean(mass: np.ndarray, moving: np.ndarray, v_f: float) -> float:
-    """Mean speed over cells of this mass and mass times speed (v_f when empty)."""
-    total = float(mass.sum())
-    return v_f if total <= 0 else float(moving.sum() / total)
+def _mean_speeds(mass: np.ndarray, speeds: np.ndarray, segment_of: np.ndarray,
+                 count: int, v_f: float) -> np.ndarray:
+    """Mass-weighted mean speed of each of `count` segments (v_f where empty),
+    from every cell's mass and speed and the index of its segment.  Both
+    sums run over each segment's cells left to right: a weighted
+    `np.bincount` adds them one by one, where `np.add.reduceat` would add
+    all but the first pairwise."""
+    total = np.bincount(segment_of, weights=mass, minlength=count)
+    moving = np.bincount(segment_of, weights=mass * speeds, minlength=count)
+    occupied = total > 0
+    return np.where(occupied, moving / np.where(occupied, total, 1.0), v_f)
 
 
 class MacroSegment:
@@ -188,8 +195,8 @@ class MacroSegment:
 
     def mean_speed(self) -> float:
         """Mass-weighted mean speed over the segment (v_f when empty)."""
-        mass = self.rho * self.dx * self.lanes
-        return _mass_weighted_mean(mass, mass * self.cell_speeds(), self.fd.v_f)
+        return float(_mean_speeds(self.rho * self.dx * self.lanes, self.cell_speeds(),
+                                  np.zeros(len(self), dtype=np.intp), 1, self.fd.v_f)[0])
 
 
 class CellStore:
@@ -198,9 +205,11 @@ class CellStore:
 
     Each segment's `COLUMNS`, cell starts and jam counters included, are
     rebound to views into the store, so a write through either side is
-    seen by the other; `slot[segments[k]] == k`.  The segment's own
-    `cell_speeds` and `mean_speed` call the same kernels as the store and
-    so give the same floats."""
+    seen by the other; `slot[segments[k]] == k`, and `segment_of` holds
+    each cell's k.  `observe` is one pass over every cell that serves both
+    the LOD observation and the step probe; each segment's sums in it run
+    left to right.  The segment's own `cell_speeds` and `mean_speed` call
+    the same kernels as the store and so give the same floats."""
 
     def __init__(self, segments: list[MacroSegment], fd: FundamentalDiagram,
                  dt: float):
@@ -212,6 +221,7 @@ class CellStore:
         self.first = ends - sizes
         self.last = ends - 1
         self.bounds = list(zip(self.first.tolist(), ends.tolist()))
+        self.segment_of = np.repeat(np.arange(len(segments)), sizes)
         for name in MacroSegment.COLUMNS:
             whole = np.concatenate([getattr(seg, name) for seg in segments]) \
                 if segments else np.empty(0, dtype=np.int64 if name == "slow" else float)
@@ -252,15 +262,14 @@ class CellStore:
         np.clip(rho, 0.0, self.fd.rho_jam, out=rho)
         return accepted, outflow
 
-    def speed_ratios(self) -> tuple[np.ndarray, list[float]]:
-        """Every cell's `cell_speeds() / v_f`, and per segment
-        `mean_speed() / v_f`."""
-        v_f = self.fd.v_f
+    def observe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every cell's speed (m/s) and mass (vehicles) and each segment's
+        mass-weighted mean speed, in one pass: the LOD observation and the
+        step probe both read it."""
         speeds = cell_speeds(self)
         mass = self.rho * self.dx * self.lanes
-        moving = mass * speeds
-        return speeds / v_f, [_mass_weighted_mean(mass[a:b], moving[a:b], v_f) / v_f
-                              for a, b in self.bounds]
+        return speeds, mass, _mean_speeds(mass, speeds, self.segment_of,
+                                          len(self.segments), self.fd.v_f)
 
 
 def ctm_step(segment: MacroSegment, upstream_inflow: float,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import EngineState, Probe
 
 
@@ -42,30 +44,44 @@ TRAJECTORY_COLUMNS = ("step", "time", "vehicle", "road", "lane", "position", "sp
 
 class StepRecordProbe(Probe):
     """Collects the per-step cluster records for later export: each step one
-    row per cluster plus a totals row, as tuples in `STEP_COLUMNS` order."""
+    row per cluster plus a totals row, as tuples in `STEP_COLUMNS` order.
+    A macro cluster's vehicles and mean speed come from one observation
+    pass over the cell store; lane lengths are kept per extent for the run."""
 
     def __init__(self):
         self.rows: list[tuple] = []
+        self._lane_lengths: dict[tuple[str, float, float], float] = {}
+
+    def on_initialized(self, state: EngineState) -> None:
+        self._lane_lengths.clear()   # a new run may lay other roads under an extent
 
     def on_step_end(self, state: EngineState) -> None:
         step, time = state.step, state.time
-        for chain_id in sorted(state.order):
-            for cluster in state.chain_clusters(chain_id):
-                lane_length = _lane_length(state, cluster)
-                if cluster.segment is None:
-                    count = float(len(cluster.vehicles))
-                    density = count / lane_length if lane_length > 0 else 0.0
-                    speed = (sum(v.speed for v in cluster.vehicles.values()) / count
-                             if count else state.fd.v_f)
-                else:
-                    count = cluster.segment.total_mass()
-                    density = count / lane_length if lane_length > 0 else 0.0
-                    speed = cluster.segment.mean_speed()
-                inflow, outflow = state.last_flows.get(cluster.id, (0.0, 0.0))
-                self.rows.append((step, time, cluster.id, chain_id,
-                                  cluster.representation, cluster.start, cluster.end,
-                                  count, density, speed, inflow, outflow,
-                                  None, None, None))
+        clusters = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)]
+        # the macro reaction's order: a store rebuilt here serves the next step
+        store = state.cell_store([c for c in clusters if c.segment is not None])
+        _, mass, means = store.observe()
+        means = means.tolist()
+        for cluster in clusters:
+            extent = (cluster.chain_id, cluster.start, cluster.end)
+            lane_length = self._lane_lengths.get(extent)
+            if lane_length is None:
+                lane_length = self._lane_lengths[extent] = _lane_length(state, cluster)
+            if cluster.segment is None:
+                count = float(len(cluster.vehicles))
+                speed = (sum(v.speed for v in cluster.vehicles.values()) / count
+                         if count else state.fd.v_f)
+            else:
+                k = store.slot[cluster.segment]
+                a, b = store.bounds[k]
+                count = float(np.sum(mass[a:b]))   # `total_mass()`, bit for bit
+                speed = means[k]
+            density = count / lane_length if lane_length > 0 else 0.0
+            inflow, outflow = state.last_flows.get(cluster.id, (0.0, 0.0))
+            self.rows.append((step, time, cluster.id, cluster.chain_id,
+                              cluster.representation, cluster.start, cluster.end,
+                              count, density, speed, inflow, outflow,
+                              None, None, None))
         self.rows.append((step, time, "TOTAL", "", "", None, None, None, None, None,
                           None, None, state.ledger.inserted, state.ledger.absorbed,
                           state.total_mass()))

@@ -3,7 +3,8 @@ reference that the engine's batch kernels must equal float for float.
 
 `behavior_chain` is the reference of `micro.behavior_chains` (and of its
 one-vehicle form `micro.behavior_chain`), `demand` and `supply` of
-`macro.demand_supply`, and `cell_step` of `macro.CellStore.step`.  Each
+`macro.demand_supply`, `cell_step` of `macro.CellStore.step`, and
+`mean_speed` of each segment's mean in `macro.CellStore.observe`.  Each
 formula is written as the models state it: IDM (Treiber, Hennecke and
 Helbing 2000), MOBIL (Kesting, Treiber and Helbing 2007) and the cell
 transmission model (Daganzo 1994).  Conventions follow `hybridflow.micro`:
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from hybridflow.macro import FundamentalDiagram, MacroCell, MacroSegment
+from hybridflow.macro import FundamentalDiagram, MacroCell, MacroSegment, cell_mean_speed
 from hybridflow.micro import (INF, LEFT, NAV_HORIZON, RIGHT, STAY, AdjacentView,
                               BehaviorContext, DriverParams, NonPositiveGap, Perception,
                               Vehicle)
@@ -197,3 +198,15 @@ def cell_step(segment: MacroSegment, upstream_inflow: float,
         segment.rho[i] = min(max(rho, 0.0), fd.rho_jam)
     return flux[0], flux[-1]
 
+
+def mean_speed(segment: MacroSegment) -> float:
+    """Mass-weighted mean speed of a segment, v_f when it holds no mass; the
+    mass and the mass times speed are summed over the cells left to right."""
+    fd = segment.fd
+    total = moving = 0.0
+    for i in range(len(segment)):
+        cell = segment.cell(i)
+        mass = cell.rho * cell.dx * cell.lanes
+        total += mass
+        moving += mass * cell_mean_speed(cell, fd)
+    return fd.v_f if total <= 0 else moving / total

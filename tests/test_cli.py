@@ -9,8 +9,10 @@ import pytest
 
 from hybridflow.cli import (STEP_COLUMNS, export_csv, export_step_records,
                             export_transitions, run_command)
-from hybridflow.engine import EngineState
+from hybridflow import probes
+from hybridflow.engine import EngineConfig, EngineState, Probe, SimulationEngine
 from hybridflow.probes import StepRecordProbe
+from hybridflow.scenario import parse_scenario
 from probe_contract import fail_at_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -351,6 +353,58 @@ class TestReproducibility:
     def test_empty_transition_log_is_header_only(self, tmp_path):
         export_transitions([], tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text().startswith("step,kind,")
+
+
+class ClusterByClusterRows(Probe):
+    """`StepRecordProbe`'s cluster rows built one cluster at a time: the
+    segment's `total_mass()` and `mean_speed()`, and the lane length walked
+    over the chain's pieces, every step."""
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+
+    def on_step_end(self, state: EngineState) -> None:
+        for chain_id in sorted(state.order):
+            for cluster in state.chain_clusters(chain_id):
+                lane_length = probes._lane_length(state, cluster)
+                if cluster.segment is None:
+                    count = float(len(cluster.vehicles))
+                    speed = (sum(v.speed for v in cluster.vehicles.values()) / count
+                             if count else state.fd.v_f)
+                else:
+                    count = cluster.segment.total_mass()
+                    speed = cluster.segment.mean_speed()
+                density = count / lane_length if lane_length > 0 else 0.0
+                inflow, outflow = state.last_flows.get(cluster.id, (0.0, 0.0))
+                self.rows.append((state.step, state.time, cluster.id, chain_id,
+                                  cluster.representation, cluster.start, cluster.end,
+                                  count, density, speed, inflow, outflow,
+                                  None, None, None))
+
+
+def bits(row: tuple) -> tuple:
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+class TestStepRecordProbe:
+    def test_rows_equal_the_cluster_by_cluster_rows(self):
+        # the jam fixture splits, refines, merges and coarsens under LOD, so
+        # extents change and macro segments are rebuilt during the run; the
+        # same probe then records runs of two other networks, where cluster
+        # ids start again at c0 and jam's extent [0, 1000) has two lanes
+        probe = StepRecordProbe()
+        for fixture, steps, kinds in (("jam", None, {"split", "refine", "merge"}),
+                                      ("minimal", 40, set()), ("hybrid", 40, set())):
+            reference, held = ClusterByClusterRows(), len(probe.rows)
+            state = SimulationEngine(EngineConfig(steps=steps, seed=1),
+                                     [reference, probe]).run(parse_scenario(FIXTURES / fixture))
+            assert kinds <= {t.kind for t in state.transitions}
+            rows = [row for row in probe.rows[held:] if row[2] != "TOTAL"]
+            after = {t.step + d for t in state.transitions for d in (0, 1)}
+            assert after <= {row[0] for row in rows}
+            assert len(rows) == len(reference.rows)
+            for row, expected in zip(rows, reference.rows):
+                assert bits(row) == bits(expected)
 
 
 class TestExportCsv:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hybridflow.macro import (CellStore, CflViolation, DensityOutOfRange, FundamentalDiagram,
                               MacroCell, MacroSegment, cell_mean_speed, ctm_step,
                               demand_supply, fd_flow)
-from model_oracle import cell_step, demand, supply
+from model_oracle import cell_step, demand, mean_speed, supply
 
 FD = FundamentalDiagram()   # v_f=25, rho_jam=0.15, q_max=0.5
 
@@ -260,8 +260,10 @@ def same_bits(a, b) -> bool:
 
 
 class TestCellStore:
-    """The one pass over concatenated segments equals the single-segment
-    forms, `ctm_step`, `cell_speeds` and `mean_speed`, bit for bit."""
+    """The one pass over concatenated segments equals the scalar oracles,
+    `cell_step`, `cell_mean_speed` and `mean_speed`, segment by segment and
+    bit for bit, and so do the single-segment `cell_speeds` and
+    `mean_speed`."""
 
     DT = 0.25   # CFL needs dx >= 25 m/s * 0.25 s
 
@@ -290,17 +292,20 @@ class TestCellStore:
             assert np.shares_memory(seg.rho, store.rho)
         rate = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.just(math.inf))
         for _ in range(3):
-            cells, means = store.speed_ratios()
+            cells, mass, means = store.observe()
             for oracle, (a, b), mean in zip(oracles, store.bounds, means):
-                speeds = oracle.cell_speeds()
-                assert same_bits(cells[a:b], speeds / FD.v_f)
-                assert same_bits(mean, oracle.mean_speed() / FD.v_f)
+                speeds = [cell_mean_speed(oracle.cell(i), FD) for i in range(len(oracle))]
+                assert same_bits(cells[a:b], speeds)
+                assert same_bits(oracle.cell_speeds(), speeds)
+                assert same_bits(mass[a:b], oracle.rho * oracle.dx * oracle.lanes)
+                assert same_bits(mean, mean_speed(oracle))
+                assert same_bits(oracle.mean_speed(), mean)
             inflow = [data.draw(rate) for _ in segments]
             supply_ = [data.draw(rate) for _ in segments]
             accepted, outflow = store.step(*store.profiles(), np.array(inflow),
                                            np.array(supply_))
             for k, (seg, oracle) in enumerate(zip(segments, oracles)):
-                a, q = ctm_step(oracle, inflow[k], supply_[k], self.DT)
+                a, q = cell_step(oracle, inflow[k], supply_[k], self.DT)
                 assert same_bits(accepted[k], a) and same_bits(outflow[k], q)
                 assert same_bits(seg.rho, oracle.rho)
 
@@ -331,4 +336,4 @@ class TestCellStore:
         store = CellStore([uniform_segment(), uniform_segment(n=3)], FD, self.DT)
         store.segments[1].rho[2] = FD.rho_jam + 1e-6
         with pytest.raises(DensityOutOfRange):
-            store.speed_ratios()
+            store.observe()
