@@ -708,6 +708,9 @@ class Scene:
             positions, vehicles = self.index.setdefault((veh.road, veh.lane), ([], []))
             positions.append(veh.position)
             vehicles.append(veh)
+        # ids of the vehicles that left through a gate or a sink this step;
+        # the index still lists them
+        self.departed: set[str] = set()
         # how far ahead of a slot the front of a vehicle covering it can be
         self.reach = float(self.length.max(initial=0.0)) + 1e-9
         # micro->macro gates per chain, sorted by position, as (position,
@@ -1232,7 +1235,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         if gate_dist <= dist_to_end + 1e-12:
             # reached a micro-to-macro boundary
             if scene.cross_gate(gate_into):
-                _leave(state, cluster, veh)
+                _leave(state, scene, cluster, veh)
                 return None
             veh.position += max(gate_dist - NODE_STANDOFF, 0.0)
             veh.speed = 0.0
@@ -1241,7 +1244,7 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         # reached the road end
         sinks = state.sinks_by_road.get(veh.road)
         if sinks:
-            _leave(state, cluster, veh)
+            _leave(state, scene, cluster, veh)
             removals.append((sinks[0].id, veh))
             return None
         hop = state.next_entry(veh.road, veh.lane, veh.route)
@@ -1253,12 +1256,12 @@ def _walk(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle,
         target = state.cluster_at(next_chain.id, next_chain.to_chain_pos(nxt, 0.0))
         if target.segment is not None:
             if scene.cross_gate(target.id):
-                _leave(state, cluster, veh)
+                _leave(state, scene, cluster, veh)
                 return None
             _hold_at_node(veh, road)
             break
         remaining -= dist_to_end
-        blocker = _first_vehicle_on(state, nxt, entry)
+        blocker = _first_vehicle_on(scene, nxt, entry)
         if blocker is not None and blocker.position - blocker.length - 0.1 < remaining:
             landing = blocker.position - blocker.length - 0.1
             if landing < 0.0:
@@ -1292,22 +1295,25 @@ def _settle(state: EngineState, scene: Scene, cluster: Cluster,
     owner = state.cluster_at(chain.id, min(cpos, chain.length - 1e-9))
     if owner.segment is not None:
         if scene.cross_gate(owner.id):
-            _leave(state, cluster, veh)
+            _leave(state, scene, cluster, veh)
             return None
         veh.position -= max(cpos - owner.start, 0.0)
         veh.speed = 0.0
         owner = state.clusters[state.itf_up[owner.id].upstream_id]
     if owner.id != cluster.id:
-        _leave(state, cluster, veh)
+        cluster.vehicles.pop(veh.id, None)
         owner.vehicles[veh.id] = veh
+        _flow(state, cluster.id, 0.0, 1.0 / state.dt)
         _flow(state, owner.id, 1.0 / state.dt, 0.0)
     return owner
 
 
-def _leave(state: EngineState, cluster: Cluster, veh: Vehicle) -> None:
-    """Take a vehicle out of its cluster and count it as outflow."""
+def _leave(state: EngineState, scene: Scene, cluster: Cluster, veh: Vehicle) -> None:
+    """Take a vehicle out of the micro layout through a gate or a sink:
+    out of its cluster, counted as outflow and as departed on the scene."""
     cluster.vehicles.pop(veh.id, None)
     _flow(state, cluster.id, 0.0, 1.0 / state.dt)
+    scene.departed.add(veh.id)
 
 
 def _hold_at_node(veh: Vehicle, road, speed: float = 0.0) -> None:
@@ -1316,16 +1322,25 @@ def _hold_at_node(veh: Vehicle, road, speed: float = 0.0) -> None:
     veh.speed = speed
 
 
-def _first_vehicle_on(state: EngineState, road_id: str, lane: int):
-    """Vehicle nearest to the start of a lane, from the live cluster state."""
+def _first_vehicle_on(scene: Scene, road_id: str, lane: int):
+    """Vehicle nearest to the start of a lane, least (position, id) first,
+    among the micro vehicles that stand on it now.
+
+    A walk of the lane's index: its entries are those of every vehicle on
+    the lane this step, some since gone to another road or out of the
+    micro layout.  Each entry's key is where the vehicle stood when it
+    joined the index, and a vehicle only moves forward from there, so no
+    entry beyond a key greater than the best position found can beat it."""
+    found = scene.index.get((road_id, lane))
+    if found is None:
+        return None
     best = None
-    for cluster in state.clusters.values():
-        if cluster.segment is not None:
-            continue
-        for veh in cluster.vehicles.values():
-            if (veh.road, veh.lane) == (road_id, lane):
-                if best is None or (veh.position, veh.id) < (best.position, best.id):
-                    best = veh
+    for key, veh in zip(*found):
+        if best is not None and key > best.position:
+            break
+        if (veh.road, veh.lane) == (road_id, lane) and veh.id not in scene.departed \
+                and (best is None or (veh.position, veh.id) < (best.position, best.id)):
+            best = veh
     return best
 
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -685,6 +686,88 @@ class TestMicroReactionOracle:
         # a crossing vehicle joins the macro segment later in the step
         left = len(removals) + sum(scene.crossings.values())
         assert state.ledger_residual() - residual == pytest.approx(left, abs=1e-9)
+
+
+def _first_vehicle_scan(state, road_id, lane):
+    """The look-up's oracle: the micro vehicle on a lane with the least
+    (position, id), from a scan of every micro cluster."""
+    best = None
+    for cluster in state.clusters.values():
+        if cluster.segment is not None:
+            continue
+        for veh in cluster.vehicles.values():
+            if (veh.road, veh.lane) == (road_id, lane):
+                if best is None or (veh.position, veh.id) < (best.position, best.id):
+                    best = veh
+    return best
+
+
+class TestFirstVehicleOracle:
+    """`_first_vehicle_on`, a walk of the scene's lane index, against a scan
+    of every micro vehicle."""
+
+    @given(reaction_scenes())
+    def test_walk_equals_the_scan_through_the_reaction(self, scene):
+        """At every look-up of the micro reaction, on every lane: also on
+        lanes that vehicles left through a gate or a sink this step."""
+        state, scene, accel, change = scene
+        look_up = engine._first_vehicle_on
+
+        def checked(scene, road_id, lane):
+            for key in scene.index:
+                assert look_up(scene, *key) is _first_vehicle_scan(state, *key)
+            return look_up(scene, road_id, lane)
+
+        with mock.patch.object(engine, "_first_vehicle_on", checked):
+            try:
+                engine._micro_reaction(state, scene, accel, change)
+            except SimulationError:
+                pass   # an aborted reaction is compared in TestMicroReactionOracle
+
+    @staticmethod
+    def add(state, road_id, lane, position, destination=None):
+        veh = Vehicle(id=state.new_vehicle_id(), road=road_id, lane=lane,
+                      position=position, speed=10.0, length=4.0,
+                      route=engine._route_for(state, road_id, destination))
+        chain = state.chain_of_road[road_id]
+        state.cluster_at(chain.id, chain.to_chain_pos(road_id, position)).vehicles[veh.id] = veh
+        return veh
+
+    @staticmethod
+    def walk(state, scene, veh, displacement):
+        home = next(c for c in state.clusters.values() if veh.id in c.vehicles)
+        return engine._walk(state, scene, home, veh, displacement, [])
+
+    @pytest.mark.parametrize("leaving, arriving", [(("b", 5.0), ("a", 199.0, "sb")),
+                                                   (("e", 5.0), ("d", 199.0, "sf"))])
+    def test_a_vehicle_gone_this_step_blocks_no_landing(self, leaving, arriving):
+        """The only vehicle on b (e) leaves at b's sink (through the gate
+        into f); one from a (d) then lands where its step takes it."""
+        state = reaction_state()
+        gone = self.add(state, leaving[0], 0, leaving[1])
+        veh = self.add(state, arriving[0], 0, arriving[1], arriving[2])
+        scene = Scene(state)
+        assert self.walk(state, scene, gone, 100.0) is None
+        assert engine._first_vehicle_on(scene, leaving[0], 0) is None
+        assert _first_vehicle_scan(state, leaving[0], 0) is None
+        self.walk(state, scene, veh, 10.0)
+        assert (veh.road, veh.position) == (leaving[0], 9.0)
+
+    def test_a_landing_before_a_vehicle_that_moved_leads_the_lane(self):
+        """b's vehicle moves first; one from a lands behind it, ahead of where
+        that vehicle started, and the next from a lands behind the first."""
+        state = reaction_state()
+        ahead = self.add(state, "b", 0, 3.0)
+        first = self.add(state, "a", 0, 199.0, "sb")
+        second = self.add(state, "a", 0, 195.0, "sb")
+        scene = Scene(state)
+        self.walk(state, scene, ahead, 10.0)
+        self.walk(state, scene, first, 12.0)
+        assert first.position == 13.0 - 4.0 - 0.1
+        assert engine._first_vehicle_on(scene, "b", 0) is first
+        assert _first_vehicle_scan(state, "b", 0) is first
+        self.walk(state, scene, second, 16.0)
+        assert second.position == first.position - 4.0 - 0.1
 
 
 class TestStopSign:
