@@ -23,7 +23,6 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -130,6 +129,18 @@ class Perception:
     follower_speed: float = 0.0
 
 
+def _power(base: float, exponent: float) -> float:
+    """IDM's power rule: base ** exponent as the exact IEEE products
+    base * base for exponent 2 and (base * base) * (base * base) for 4, and
+    Python's `**` for any other exponent."""
+    if exponent == 2:
+        return base * base
+    if exponent == 4:
+        square = base * base
+        return square * square
+    return base ** exponent
+
+
 def equilibrium_gap(v: float, params: DriverParams) -> float:
     """Gap at which a follower at speed v exactly holds its speed: the
     closed-form steady state of the acceleration law, defined only below
@@ -137,7 +148,7 @@ def equilibrium_gap(v: float, params: DriverParams) -> float:
     if v >= params.v0:
         raise DesiredSpeedReached(f"no equilibrium gap at v={v} >= v0={params.v0}")
     return (params.s0 + max(0.0, v * params.T)) \
-        / math.sqrt(1.0 - (v / params.v0) ** params.delta)
+        / math.sqrt(1.0 - _power(v / params.v0, params.delta))
 
 
 @dataclass(frozen=True)
@@ -179,9 +190,13 @@ def behavior_chain(vehicle: Vehicle, perception: Perception,
 # Entry i of every array describes vehicle i.  Each formula keeps the
 # operand order of the scalar models in `tests/model_oracle.py`, and min/max
 # keep Python's choice between equal operands, so every float equals the
-# scalar chain's.  Powers go through
-# Python's own `**`: `np.power` differs from it in the last bit on some
-# inputs.
+# scalar chain's.  Powers follow `_power`, entry by entry: for IDM's
+# exponents 2 and 4 (the default delta of Treiber, Hennecke and Helbing
+# 2000) it takes IEEE products, each rounded to nearest on every CPU, which
+# the batch computes as array products; other exponents go through
+# Python's `**`.  Not `np.power`: its last bit depends on the SIMD code
+# numpy dispatches to on the CPU.  Nor libm's `pow` for 2 and 4: its last
+# bit is the C library's, and it costs one Python call per entry.
 
 #: lane offset of each row of a view stack: row d is the lane in direction d
 VIEW_OFFSETS = np.array([[STAY], [RIGHT], [LEFT]])
@@ -257,20 +272,31 @@ def _py_max(a, b):
     return np.where(b > a, b, a)
 
 
+def _squares(bases: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """bases * bases at `where` unless the base is zero or negative; 0.0
+    elsewhere.  A zero base gives 0.0 for any exponent used here (>= 1); a
+    negative one makes the scalar model raise before its power."""
+    square = np.where(where & ~(bases <= 0.0), bases, 0.0)
+    square *= square
+    return square
+
+
 def _powers(bases: np.ndarray, exponents, where: np.ndarray) -> np.ndarray:
-    """bases ** exponents through Python's float power, at `where` unless the
-    base is zero or negative; 0.0 elsewhere.  A zero base gives 0.0 for the
-    exponents used here (>= 1); a negative one makes the scalar model raise
-    before its power."""
-    at = where & ~(bases <= 0.0)
-    out = np.zeros(bases.shape)
-    if isinstance(exponents, np.ndarray):
-        full = np.empty(bases.shape)
-        full[...] = exponents
-        exponents = full[at].tolist()
-    else:
-        exponents = repeat(exponents)
-    out[at] = list(map(pow, bases[at].tolist(), exponents))
+    """`_power` of each base and its exponent (a scalar or an array that
+    broadcasts to the bases), masked as `_squares` is.  Exponents 2 and 4
+    are array products of the squares; any other exponent goes through
+    Python's `**` one entry at a time."""
+    square = _squares(bases, where)
+    exponents = np.asarray(exponents)
+    four = exponents == 4
+    if four.all():
+        return square * square
+    two = exponents == 2
+    out = np.where(two, square, square * square)
+    other = ~(two | four) & where & ~(bases <= 0.0)
+    if other.any():
+        out[other] = list(map(_power, bases[other].tolist(),
+                              np.broadcast_to(exponents, bases.shape)[other].tolist()))
     return out
 
 
@@ -318,7 +344,7 @@ def behavior_chains(speed: np.ndarray, length: np.ndarray, lane: np.ndarray,
         (v / v0) ** delta; 0.0 outside `where`."""
         dynamic = v * params.T + v * dv / root
         ratio = (params.s0 + _py_max(0.0, dynamic)) / s
-        interaction = _powers(ratio, 2, where & ~np.isinf(s))
+        interaction = _squares(ratio, where & ~np.isinf(s))
         return np.where(where, params.a_max * (1.0 - free - interaction), 0.0)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

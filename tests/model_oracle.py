@@ -31,6 +31,17 @@ def desired_gap(v: float, dv: float, params: DriverParams) -> float:
     return params.s0 + max(0.0, dynamic)
 
 
+def power(base: float, exponent: float) -> float:
+    """base ** exponent as IDM's powers are computed: the IEEE products
+    base * base for exponent 2 and (base * base) * (base * base) for 4,
+    Python's `**` otherwise."""
+    if exponent == 2:
+        return base * base
+    if exponent == 4:
+        return (base * base) * (base * base)
+    return base ** exponent
+
+
 def idm_acceleration(v: float, s: float, dv: float, params: DriverParams) -> float:
     """Acceleration from own speed v, gap s and closing speed dv.
 
@@ -40,8 +51,8 @@ def idm_acceleration(v: float, s: float, dv: float, params: DriverParams) -> flo
         raise ValueError(f"speed must be non-negative, got {v}")
     if s <= 0:
         raise NonPositiveGap(f"gap must be positive, got {s}")
-    free = (v / params.v0) ** params.delta
-    interaction = 0.0 if math.isinf(s) else (desired_gap(v, dv, params) / s) ** 2
+    free = power(v / params.v0, params.delta)
+    interaction = 0.0 if math.isinf(s) else power(desired_gap(v, dv, params) / s, 2)
     return params.a_max * (1.0 - free - interaction)
 
 

@@ -137,9 +137,9 @@ def test_steps_json_matches_pinned_digest(json_digests, name):
 
 # micro_corridor, seed 1: instance -> (outcome, step reached, message or digest)
 DENSE = {
-    0: ("state_digest", 300, "2d4b6c50d62f5ffedaf85a09af39b754792d9a105ba905fad53a74ff52055d2f"),
-    1: ("state_digest", 300, "d0f25a000c0b986dee7deda19ca1cb47d96d77b124140cabe14bf9021e14de6c"),
-    2: ("state_digest", 300, "bb90208eb134ebe4531a013b4b795baa7e791c2927cd69c8f920ae84b1dd66b7"),
+    0: ("state_digest", 300, "e47d099f24cb98f3468aa8f7e25cf9a58656b1fc15e52cffc442521f1357678c"),
+    1: ("state_digest", 300, "ecfb5700da1774967a53aa8561c71bee56ab4a1185874c0dc3084137c0222a3f"),
+    2: ("state_digest", 300, "892daa011cae2f00fe79bb1472e0a28fe5f72e48d59f6e69aa1f43aceb906dec"),
 }
 
 
@@ -182,7 +182,7 @@ def test_dense_macro_network(tmp_path):
 
 # hybrid_jams_cli, seed 1, instance 0, after 1,200 steps: final state_digest,
 # (kind.trigger -> count) of the transition log, inserted vehicles
-DENSE_HYBRID = ("39f9200ec820921769705f9515c896abf82859d3430922da388b60047ed3d44a",
+DENSE_HYBRID = ("e93f64ef7b2f497a544c7c6a3d328671ac700a82ecbcc39d3e4ff3fe261229c4",
                 {"split.jam": 8, "refine.jam": 4, "merge.recovery": 10,
                  "coarsen.recovery": 4, "coarsen.budget": 2},
                 776)

@@ -16,7 +16,7 @@ import model_oracle
 from hybridflow.micro import (AdjacentView, BehaviorContext, DesiredSpeedReached,
                               DriverArrays, DriverParams, NonPositiveGap, Perception,
                               PerceptionArrays, Vehicle, behavior_chain, behavior_chains,
-                              equilibrium_gap, LEFT, RIGHT, STAY)
+                              _powers, _squares, equilibrium_gap, LEFT, RIGHT, STAY)
 
 P = DriverParams()   # canonical car settings
 
@@ -114,6 +114,53 @@ class TestEquilibriumGap:
     def test_error_at_desired_speed(self):
         with pytest.raises(DesiredSpeedReached):
             equilibrium_gap(P.v0, P)
+
+
+class TestPowers:
+    """IDM's power rule in the batch kernel: exponent 2 is b*b and 4 is
+    (b*b)*(b*b), both bit for bit, any other exponent Python's `**`, and
+    0.0 where the base is not positive or `where` is False."""
+
+    BASES = np.concatenate(([0.0, -0.0, -1.5, math.nan, INF, 1e-3, 0.7, 1.0, 1.3],
+                            np.random.default_rng(3).uniform(0.0, 2.0, 1000)))
+
+    @staticmethod
+    def expected(base, exponent, at):
+        if not at or not base > 0.0 and not math.isnan(base):
+            return 0.0
+        if exponent == 2:
+            return base * base
+        if exponent == 4:
+            return (base * base) * (base * base)
+        return base ** exponent
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("exponent", [2, 4, 4.0, 3.5])
+    def test_scalar_exponent(self, exponent):
+        where = np.arange(self.BASES.size) % 7 != 3
+        found = _powers(self.BASES, exponent, where)
+        assert self.bits(found) == self.bits(
+            [self.expected(b, exponent, at) for b, at in zip(self.BASES.tolist(), where)])
+
+    def test_squares_are_the_powers_of_two(self):
+        """`_squares`, which the interaction term takes, is exponent 2."""
+        where = np.arange(self.BASES.size) % 5 != 1
+        assert self.bits(_squares(self.BASES, where)) == self.bits(
+            [self.expected(b, 2, at) for b, at in zip(self.BASES.tolist(), where)])
+
+    def test_exponents_mixed_in_one_batch(self):
+        """Exponents by entry, as per-driver deltas, over a stack of rows."""
+        exponents = np.resize([1.0, 2.0, 3.5, 4.0], self.BASES.size)
+        bases = np.stack((self.BASES, self.BASES[::-1]))
+        where = np.ones(bases.shape, dtype=bool)
+        where[1, ::5] = False
+        found = _powers(bases, exponents, where)
+        assert self.bits(found.ravel()) == self.bits(
+            [self.expected(b, e, at) for row, at_row in zip(bases.tolist(), where.tolist())
+             for b, e, at in zip(row, exponents.tolist(), at_row)])
 
 
 def perception(leader_gap=INF, leader_dv=0.0, left=None, right=None,
@@ -240,8 +287,9 @@ class TestBehaviorChain:
 
     def test_equals_the_oracle_on_random_perceptions(self):
         """Accelerations bit for bit and lane changes, one vehicle at a time
-        and in one batch."""
+        and in one batch whose drivers' deltas mix 1, 2, 3.5 and 4."""
         scenes = random_scenes(np.random.default_rng(5), 20_000)
+        assert {veh.params.delta for veh, _, _ in scenes} == {1.0, 2.0, 3.5, 4.0}
         intents = [model_oracle.behavior_chain(*scene) for scene in scenes]
         assert {i.reason for i in intents} == {"acceleration", "overtaking", "navigation",
                                               "navigation_blocked"}
@@ -288,6 +336,7 @@ def random_scenes(rng, n):
     scenes = []
     for k in range(n):
         params = DriverParams(v0=float(rng.uniform(5, 40)), p=float(rng.uniform(0, 1)),
+                              delta=float(rng.choice([1.0, 2.0, 3.5, 4.0])),
                               da_th=float(rng.choice([0.0, 0.1, 0.3])),
                               b_safe=float(rng.uniform(0.5, 6)))
         lane = int(rng.integers(0, 3))
