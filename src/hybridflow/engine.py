@@ -392,7 +392,8 @@ class EngineState:
         """Partition, interface and bounds invariants: the structural pass
         of `MassAuditProbe`, which checks them at every consistent instant;
         `CanaryProbe` reads them too.  The interfaces are checked against
-        the clusters alone, not through `reindex` or its adjacency maps."""
+        the clusters alone, not through `reindex` or its adjacency maps, and
+        one behind a micro cluster may hold no carryover and no queue."""
         problems: list[str] = []
         for chain_id, ids in self.order.items():
             chain = self.chains[chain_id]
@@ -438,6 +439,8 @@ class EngineState:
             if abs(down.start - itf.position) > 1e-6:
                 problems.append(f"interface {itf.id} at {itf.position}: downstream "
                                 f"{down.id} starts at {down.start}")
+            if up.segment is None and (itf.pending or itf.carryover.any()):
+                problems.append(f"interface {itf.id} holds {itf.mass():g} behind micro {up.id}")
             into[down.id] = into.get(down.id, 0) + 1
         for c in self.clusters.values():
             n = into.get(c.id, 0)
@@ -1475,8 +1478,6 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
     if config.lod_enabled:
         _observe_and_plan(state)
 
-    _drain_pending_micro_interfaces(state, scene)
-
     by_gen = {gen.id: gen for gen in state.generators}
     for gen_id, spec in emissions:
         by_gen[gen_id].retry.append(spec)
@@ -1492,7 +1493,8 @@ def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> b
     chain = state.chain_of_road[spec.road]
     cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
     if cluster.segment is not None:
-        return False
+        raise SimulationError(f"insertion on {spec.road} lane {spec.lane} at "
+                              f"{spec.position:g} falls in macro cluster {cluster.id}")
     speed = spec.speed
     if speed is None:
         speed = min(spec.params.v0, scene.speed_cap(spec.road, spec.lane, spec.position))
@@ -1524,17 +1526,6 @@ def _dissolve_queue(seg: MacroSegment, queue) -> None:
     while queue and seg.room(0) >= 1.0:
         seg.rho[0] += 1.0 / (seg.dx[0] * seg.lanes[0])
         queue.popleft()
-
-
-def _drain_pending_micro_interfaces(state: EngineState, scene: Scene) -> None:
-    """Pending releases at interfaces whose downstream is micro keep trying,
-    even when the upstream side is no longer macroscopic."""
-    for key in sorted(state.interfaces):
-        itf = state.interfaces[key]
-        down = state.clusters[itf.downstream_id]
-        # behind a macro upstream the macro reaction drained it this step
-        if down.segment is None and state.clusters[itf.upstream_id].segment is None:
-            drain(itf.pending, lambda veh: _admit(state, scene, down, veh))
 
 
 # -- level-of-detail observation and application ---------------------------------
@@ -1588,8 +1579,6 @@ def _refusal(state: EngineState, action: Action) -> str | None:
             return refuse("the wrap boundary of a cyclic chain never merges", up.id, down.id)
         if up.representation != down.representation:
             return refuse(f"{up.representation} meets {down.representation}", up.id, down.id)
-        if up.segment is None and itf.pending:
-            return refuse(f"{len(itf.pending)} vehicles queued at {pos:g}", up.id, down.id)
         return None
     if action.kind == "split":
         cluster = state.cluster_at(action.chain_id, pos - 1e-6)
@@ -1647,12 +1636,20 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
 
     cluster = state.cluster_at(action.chain_id, action.position)
     if action.kind == "refine":
-        pre = cluster.mass()
+        # the outgoing interface turns micro upstream: its holdings melt first
+        itf_down = state.itf_down.get(cluster.id)
+        held = itf_down.mass() if itf_down is not None else 0.0
+        pre = cluster.mass() + held
+        unseated = bank_mass_into_segment(cluster.segment, len(cluster.segment) - 1, held)
+        if itf_down is not None:
+            itf_down.carryover[:] = 0.0
+            itf_down.pending.clear()
         vehicles, residual = disaggregate_cluster(
             cluster, chain, state.network,
             lambda road_id, lane, position, speed: _released_vehicle(
                 state, state.lod_rng, road_id, lane, position, speed),
             state.release_mix.min_spacing())
+        residual += unseated
         _bank_fraction(state, cluster, residual)
         state.controller.mark_switch(cluster, state.step, refined=True)
         _log_transition(state, stamp, action, (cluster.id,), pre,
@@ -1687,11 +1684,17 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
 
 
 def _bank_fraction(state: EngineState, cluster: Cluster, fraction: float) -> None:
+    """Bank a fraction of a vehicle at the nearest interface upstream behind
+    a macro cluster, else at the open chain's head source, else orphan it."""
     if fraction <= 0:
         return
-    itf_up = state.itf_up.get(cluster.id)
-    if itf_up is not None:
-        itf_up.add_fractional(fraction)
+    itf = first = state.itf_up.get(cluster.id)
+    while itf is not None and state.clusters[itf.upstream_id].segment is None:
+        itf = state.itf_up.get(itf.upstream_id)
+        if itf is first:   # round a ring that is all micro
+            itf = None
+    if itf is not None:
+        itf.add_fractional(fraction)
         return
     gen = state.head_source.get(cluster.chain_id)
     if gen is not None:
@@ -1747,7 +1750,8 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     vehicle named by a removal, or generator named by an insertion, is
     refused before anything applies.  An action that fails a precondition
     (`_refusal`) is refused before it changes anything, but what the set
-    applied before it stays applied."""
+    applied before it stays applied.  An insertion into a macro extent, or
+    a blocked one without a generator queue, raises `SimulationError`."""
     removed = sorted({i.vehicle_id for i in influences if isinstance(i, RemoveVehicle)})
     actions = [i for i in influences if isinstance(i, Action)]
     additions = sorted((i for i in influences if isinstance(i, AddVehicle)),

@@ -4,7 +4,8 @@ A cluster is a contiguous extent of one chain simulated under exactly one
 representation: vehicle-by-vehicle (micro) or as cell densities (macro).
 Boundary interfaces between adjacent clusters carry fractional-vehicle
 accumulators and pending-release queues so that switching representation
-and exchanging flux never create or destroy mass.
+and exchanging flux never create or destroy mass, and hold them only
+behind a macro cluster, whose outflow releases them as vehicles.
 """
 
 from __future__ import annotations
@@ -248,12 +249,11 @@ def disaggregate_cluster(cluster: Cluster, chain: Chain, network: RoadNetwork,
 
     Whole vehicles are carved out of the running density total with a single
     accumulator scanned downstream to upstream, so the count differs from
-    the true mass by less than one vehicle; the residual is returned for the
-    caller to bank in the upstream carryover.  `make_vehicle(road, lane,
-    position, speed)` draws driver parameters from the caller's stream.
-    `min_spacing` is the tightest front-to-front spacing ever placed
-    (standstill gap plus vehicle length); cells denser than that push the
-    excess to upstream cells."""
+    the true mass by less than one vehicle, the residual the caller banks.
+    `make_vehicle(road, lane, position, speed)` draws driver parameters from
+    the caller's stream.  `min_spacing` is the tightest front-to-front
+    spacing ever placed (standstill gap plus vehicle length); cells denser
+    than that push the excess to upstream cells."""
     if cluster.segment is None:
         raise ValueError(f"cluster {cluster.id} is not macro")
     seg = cluster.segment

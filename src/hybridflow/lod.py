@@ -104,24 +104,19 @@ def bank_mass_into_segment(segment: MacroSegment, cell: int, mass: float) -> flo
 
 def merge_clusters(a: Cluster, b: Cluster, shared: BoundaryInterface,
                    make_cluster_id) -> tuple[Cluster, float]:
-    """Concatenate two adjacent same-representation clusters.
-
-    Returns (merged cluster, fractional mass needing a new home).  A micro
-    pair's leftover is the interface's carryover; the engine's `_refusal`
-    lets such a pair merge only once the interface queues no whole vehicle.
-    A macro pair dissolves the interface's carryover and queue into the
-    boundary cell, spilling upstream, and the leftover is what no cell could
-    seat.  The merged cluster keeps the later jam and cooldown of the two,
-    is refined if either was, and counts recovery afresh.
-    """
+    """Concatenate two adjacent same-representation clusters; returns (merged
+    cluster, the mass no cell could seat).  A macro pair dissolves the
+    interface's carryover and queue into the boundary cell, spilling
+    upstream; a micro pair's interface holds nothing.  The merged cluster
+    keeps the later jam and cooldown of the two, is refined if either was,
+    and counts recovery afresh."""
     merged = Cluster(id=make_cluster_id(), chain_id=a.chain_id, start=a.start, end=b.end,
                      last_jam_step=max(a.last_jam_step, b.last_jam_step),
                      cooldown_until=max(a.cooldown_until, b.cooldown_until),
                      refined=a.refined or b.refined)
     if a.segment is None:
-        merged.vehicles.update(a.vehicles)
-        merged.vehicles.update(b.vehicles)
-        return merged, float(np.sum(shared.carryover))
+        merged.vehicles = a.vehicles | b.vehicles
+        return merged, 0.0
     merged.segment = MacroSegment.join(a.segment, b.segment)
     return merged, bank_mass_into_segment(merged.segment, len(a.segment), shared.mass())
 

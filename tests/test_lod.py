@@ -415,14 +415,13 @@ class TestMerge:
         ordered = sorted(merged.vehicles.values(), key=lambda v: v.position)
         assert [v.position for v in ordered] == [100, 200, 600, 700]
 
-    def test_micro_merge_returns_the_carryover(self):
+    def test_micro_merge_returns_no_leftover(self):
+        """An interface behind a micro cluster holds nothing to hand on."""
         a = micro_cluster_with("a", 0.0, 500.0, [100])
         b = micro_cluster_with("b", 500.0, 1000.0, [600])
-        shared = self.shared("a", "b")
-        shared.carryover[:] = [0.75]
-        merged, fraction = merge_clusters(a, b, shared, lambda: "m1")
+        merged, fraction = merge_clusters(a, b, self.shared("a", "b"), lambda: "m1")
         assert merged.id == "m1" and sorted(merged.vehicles) == ["a_v0", "b_v0"]
-        assert fraction == 0.75
+        assert fraction == 0.0
 
     def test_macro_merge_folds_interface_mass_into_boundary_cell(self):
         a = macro_cluster("a", 0.0, 500.0, rho=0.02)
@@ -709,7 +708,7 @@ class TestPlan:
         observe_n(ctl, [a, b], {"a": 1.0, "b": 1.0}, {}, POLICY.persistence)
 
         def queued(action):
-            # the engine's rule: a micro pair's merge waits for its queue
+            # a stand-in refusal: the planner proposes only the merges it lets pass
             return "vehicles queued" if itf.pending else None
         assert self.plan(ctl, [a, b], [itf], step=POLICY.persistence, refused=queued) == []
         itf.pending.clear()
