@@ -1874,26 +1874,33 @@ def forced_sequences(draw):
     return (draw(st.sampled_from(["hybrid", "ring", "jam", "minimal"])),
             draw(st.integers(1, 99)), draw(st.booleans()),
             draw(st.sampled_from([0, 60, 300])),
-            draw(st.lists(st.tuples(st.sampled_from(["split", "merge", "refine", "coarsen"]),
+            draw(st.lists(st.tuples(st.sampled_from(["split", "merge", "switch"]),
                                     st.integers(0, 5), st.floats(0.0, 1.0),
                                     st.integers(0, 30)), min_size=1, max_size=5)))
 
 
 def forced_action(state, kind, index, where):
     """The action of this kind on the `index`-th cluster or interface of
-    chain0: a split at the fraction `where` of the cluster, on a cell edge
-    of a macro one."""
+    chain0: a switch refines a macro cluster and coarsens a micro one, and a
+    split lands at the fraction `where` of the positions that leave both
+    parts long enough, on a cell edge of a macro cluster."""
     if kind == "merge":
         positions = sorted(itf.position for itf in state.interfaces.values())
         return Action(kind, "chain0", positions[index % len(positions)], "forced") \
             if positions else None
     cluster = state.chain_clusters("chain0")[index % len(state.order["chain0"])]
     position = (cluster.start + cluster.end) / 2.0
-    if kind == "split":
-        position = round(cluster.start + where * cluster.length, 1)
-        if cluster.segment is not None and len(cluster.segment) > 1:
-            edges = cluster.segment.start[1:]
-            position = float(edges[min(int(where * len(edges)), len(edges) - 1)])
+    if kind == "switch":
+        return Action("coarsen" if cluster.segment is None else "refine", "chain0",
+                      position, "forced")
+    least = state.policy.min_cluster_length
+    lo, hi = cluster.start + least, cluster.end - least
+    if cluster.segment is not None:
+        edges = [float(e) for e in cluster.segment.start[1:] if lo - 1e-9 <= e <= hi + 1e-9]
+        if edges:
+            position = edges[min(int(where * len(edges)), len(edges) - 1)]
+    elif lo <= hi:
+        position = round(lo + where * (hi - lo), 1)
     return Action(kind, "chain0", position, "forced")
 
 
