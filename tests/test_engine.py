@@ -1694,7 +1694,8 @@ class TestMergeJunction:
 class TestMergeWithPendingQueue:
     """A refine melts the queue at its outgoing interface into the refined
     cluster, so a micro pair's merge never finds a queue at their interface
-    and never waits for one to drain."""
+    and never waits for one to drain.  A queue only stands behind a macro
+    cluster, where a merge is refused as one across representations."""
 
     @staticmethod
     def queued_hybrid(tmp_path, config):
@@ -1711,6 +1712,25 @@ class TestMergeWithPendingQueue:
         for _ in range(12):
             advance_step(state, config)
         return state
+
+    def test_forced_merge_over_a_queue_is_refused(self, tmp_path):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = self.queued_hybrid(tmp_path, config)
+        shared = state.interfaces[("chain0", 1400000)]
+        assert state.cluster_at("chain0", 1399.0).segment is not None
+        assert len(shared.pending) == 1
+        queued = list(shared.pending)
+        digest, ledger = state.state_digest(), copy.deepcopy(state.ledger)
+        transitions, orphan = list(state.transitions), state.orphan_mass
+        with pytest.raises(ActionRefused, match=r"merge of .* at chain0@1400: macro meets micro"):
+            apply_system_influences(state, [Action("merge", "chain0", 1400.0, "forced")])
+        assert state.state_digest() == digest
+        assert state.ledger == ledger and state.orphan_mass == orphan
+        assert state.transitions == transitions
+        assert list(shared.pending) == queued
+        advance_step(state, config)
+        assert abs(state.ledger_residual()) <= 1e-9
+        assert state.consistency_errors() == []
 
     def test_merge_proceeds_once_the_queue_has_drained(self, tmp_path):
         config = EngineConfig(seed=1, lod_enabled=False)
