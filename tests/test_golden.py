@@ -6,6 +6,11 @@ same run with `--format json` writes `steps.json` in place of `steps.csv`,
 and that file is pinned too.  A change that only restructures or speeds up
 the engine must leave every digest as it is.
 
+The `scripted` fixture is the one whose source replays a script: its events
+cover an explicit speed, `speed="-1"`, driver overrides, destinations and
+two events at one instant on one lane, so the second waits in the retry
+queue; three `<vehicle>` elements seed it with overrides of their own.
+
 The fixtures carry at most about 17 micro vehicles, so a dense case pins
 the many-vehicle micro path as well: instances 0-2 of the benchmark's
 `micro_corridor` workload at seed 1 (about 390 vehicles each), built with
@@ -46,6 +51,7 @@ SCENARIOS = {
     "jam": FIXTURES / "jam",
     "ring": FIXTURES / "ring",
     "navigation": FIXTURES / "navigation" / "navigation-model.xml",
+    "scripted": FIXTURES / "scripted",
 }
 
 OUTPUTS = ("steps.csv", "trajectories.csv", "transitions.csv", "audit.json")
@@ -84,6 +90,12 @@ GOLDEN = {
         "transitions.csv": NO_TRANSITIONS,
         "audit.json": "867f5cab0466ceb25cce2187dd5d9e57c3000d15456b6087f07c47665b4b312c",
     },
+    "scripted": {
+        "steps.csv": "16e642f5e94b9cf270c9314071fb07ee57ae89c654aad1c8e4f89114f15500f1",
+        "trajectories.csv": "98b438d72477a1f01e540d4a9458337a443e198191cc7f9c64bc48d374ed3e41",
+        "transitions.csv": NO_TRANSITIONS,
+        "audit.json": "121092164c1ac25c784770b00fafd6a894cdaf9339af708a4d480cb1bac01801",
+    },
 }
 
 
@@ -94,6 +106,7 @@ GOLDEN_JSON = {
     "jam": "4a5b0d88954a89c6c845d120f1eb13af497a1bf54ba924a00f6038824547be30",
     "ring": "42d067c58eee3bc008ea55e5dcb7de0a74577feceb1a4df5a62ae1abe938c746",
     "navigation": "e57cb4dd2a0aac2b82e1cccf8f20861d0e80aef39d9aab3f6f14748f743a8ccc",
+    "scripted": "f7823b802fe65ed5ef044c773c0d9bde4e50a838ec2c7d02233cbc364332ca79",
 }
 
 

@@ -19,6 +19,7 @@ GOLDEN = [
     FIXTURES / "hybrid" / "scenario.xml",
     FIXTURES / "ring" / "scenario.xml",
     FIXTURES / "jam" / "scenario.xml",
+    FIXTURES / "scripted" / "scenario.xml",
 ]
 
 
