@@ -487,15 +487,7 @@ def build_state(model: ScenarioModel, config: EngineConfig) -> EngineState:
                 gp.input.id, gp.input.road, gp.input.lanes, gp.profile,
                 gp.mix, config.seed, poisson=gp.poisson))
         else:
-            events = []
-            for t, raw in gp.events:
-                params = DriverParams(**raw["overrides"])
-                events.append((t, InsertionSpec(
-                    road=gp.input.road, lane=raw["lane"], position=0.0,
-                    speed=None if raw["speed"] < 0 else raw["speed"],
-                    params=params, length=raw["length"],
-                    destination=raw["destination"])))
-            state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road, events))
+            state.generators.append(ScriptedGenerator(gp.input.id, gp.input.road, gp.events))
     for gen in state.generators:
         state.chain_generators.setdefault(state.chain_of_road[gen.road].id, []).append(gen)
     for chain in model.chains:

@@ -101,7 +101,9 @@ class VehicleMix:
 
 @dataclass(frozen=True)
 class InsertionSpec:
-    """One vehicle the engine should try to add this step."""
+    """One vehicle to place: a source's emission, a forced insertion, and,
+    as parsed from a scenario, an initial `<vehicle>` or a script `<event>`
+    (at its source's road, position 0)."""
 
     road: str
     lane: int

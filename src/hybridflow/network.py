@@ -111,7 +111,6 @@ class Route:
 class RoadNetwork:
     roads: dict[str, Road]
     nodes: dict[str, Node]
-    input_points: dict[str, InputPoint] = field(default_factory=dict)
     end_points: dict[str, SinkPoint] = field(default_factory=dict)
 
     def incoming(self, node_id: str) -> list[Road]:
@@ -149,7 +148,8 @@ class Violation:
 
 
 def validate_network(network: RoadNetwork) -> list[Violation]:
-    """Check every structural invariant; returns all violations found.
+    """Check every structural invariant of the road graph; returns all
+    violations found.  Connectors are checked where a level file declares them.
 
     Never mutates the network.  An empty list means the network is valid.
     """
@@ -203,15 +203,6 @@ def validate_network(network: RoadNetwork) -> list[Violation]:
                 out.append(Violation("TurnLaneOutOfRange", nid,
                                      f"turn {turn.from_road}[{turn.from_lane}]"
                                      f"->{turn.to_road}[{turn.to_lane}]"))
-
-    for pid, point in network.input_points.items():
-        if point.road not in roads:
-            out.append(Violation("DanglingInputPoint", pid, f"unknown road {point.road!r}"))
-        elif any(l < 0 or l >= roads[point.road].lane_count for l in point.lanes):
-            out.append(Violation("InputLaneOutOfRange", pid, f"lanes {list(point.lanes)}"))
-    for sid, sink in network.end_points.items():
-        if sink.road not in roads:
-            out.append(Violation("DanglingSink", sid, f"unknown road {sink.road!r}"))
 
     return out
 

@@ -21,7 +21,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .generation import Distribution, FlowProfile, VehicleMix
+from .generation import Distribution, FlowProfile, InsertionSpec, VehicleMix
 from .lod import LodPolicy
 from .macro import FundamentalDiagram
 from .micro import PARAM_NAMES, DriverParams
@@ -81,17 +81,6 @@ class DensitySpec:
 
 
 @dataclass(frozen=True)
-class VehicleSpec:
-    road: str
-    lane: int
-    position: float
-    speed: float
-    params: DriverParams
-    length: float
-    destination: str | None
-
-
-@dataclass(frozen=True)
 class RestrictionSpec:
     """Capacity restriction over a road interval and a time window."""
 
@@ -109,7 +98,7 @@ class GenerationPoint:
     mix: VehicleMix
     kind: str                 # "flow" | "script"
     profile: FlowProfile | None
-    events: tuple             # ((t, partial spec dict), ...) for scripts
+    events: tuple             # ((t, InsertionSpec), ...) for scripts
     generation_ref: str
     rhythm_ref: str
     poisson: bool = False
@@ -122,7 +111,7 @@ class LevelSpec:
     sinks: tuple              # SinkPoint
     clusters: tuple           # ClusterSpec
     densities: tuple          # DensitySpec
-    vehicles: tuple           # VehicleSpec
+    vehicles: tuple           # InsertionSpec
     restrictions: tuple       # RestrictionSpec
     release_mix: VehicleMix | None
     release_ref: str | None   # the file release_mix was read from
@@ -154,7 +143,7 @@ class ScenarioModel:
         return [d for lv in self.levels for d in lv.densities]
 
     @property
-    def vehicles(self) -> list[VehicleSpec]:
+    def vehicles(self) -> list[InsertionSpec]:
         return [v for lv in self.levels for v in lv.vehicles]
 
     @property
@@ -215,9 +204,16 @@ def _build(cls, path: Path, fld: str, **kwargs):
         raise SchemaViolation(path, fld, str(exc))
 
 
-def _overrides(el: ET.Element, path: Path) -> dict[str, float]:
-    """Driver-parameter attributes of a <vehicle> or <event>."""
-    return {k: _attr(el, k, path, float) for k in PARAM_NAMES if el.get(k)}
+def _insertion(el: ET.Element, path: Path, road: str, position: float,
+               speed: float | None) -> InsertionSpec:
+    """The vehicle a <vehicle> or script <event> places: both read the lane,
+    the length, the destination and any driver parameter alike."""
+    overrides = {k: _attr(el, k, path, float) for k in PARAM_NAMES if el.get(k)}
+    return InsertionSpec(road=road, lane=_attr(el, "lane", path, int), position=position,
+                         speed=speed,
+                         params=_build(DriverParams, path, f"<{el.tag}>", **overrides),
+                         length=_attr(el, "length", path, float, 4.0),
+                         destination=el.get("destination"))
 
 
 def _lanes_attr(el: ET.Element, path: Path) -> frozenset[int] | None:
@@ -300,8 +296,6 @@ def parse_scenario(root_file: str | Path) -> ScenarioModel:
 
     # attach connectors to the network
     for lv in levels:
-        for gp in lv.generation_points:
-            network.input_points[gp.input.id] = gp.input
         for sink in lv.sinks:
             network.end_points[sink.id] = sink
 
@@ -419,7 +413,7 @@ def _parse_generation(path: Path, network: RoadNetwork) -> VehicleMix:
     return VehicleMix(params=params, length=length, destinations=tuple(destinations))
 
 
-def _parse_rhythm(path: Path) -> tuple[str, FlowProfile | None, tuple, bool]:
+def _parse_rhythm(path: Path, road: str) -> tuple[str, FlowProfile | None, tuple, bool]:
     root = _load_xml(path)
     _expect_root(root, "rhythm", path)
     kind = _attr(root, "kind", path)
@@ -442,15 +436,8 @@ def _parse_rhythm(path: Path) -> tuple[str, FlowProfile | None, tuple, bool]:
             if t < last_t:
                 raise SchemaViolation(path, "<event t>", "events must be time-ordered")
             last_t = t
-            overrides = _overrides(el, path)
-            _build(DriverParams, path, "<event>", **overrides)   # checked here, built later
-            events.append((t, {
-                "lane": _attr(el, "lane", path, int),
-                "speed": _attr(el, "speed", path, float, -1.0, signed=True),
-                "length": _attr(el, "length", path, float, 4.0),
-                "destination": el.get("destination"),
-                "overrides": overrides,
-            }))
+            speed = _attr(el, "speed", path, float, -1.0, signed=True)
+            events.append((t, _insertion(el, path, road, 0.0, None if speed < 0 else speed)))
         return "script", None, tuple(events), poisson
     raise SchemaViolation(path, "<rhythm kind>", f"unknown kind {kind!r}")
 
@@ -479,11 +466,11 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
         gen_ref = _attr(el, "generation_ref", path)
         rhythm_ref = _attr(el, "rhythm_ref", path)
         mix = _parse_generation(base / gen_ref, network)
-        kind, profile, events, poisson = _parse_rhythm(base / rhythm_ref)
+        kind, profile, events, poisson = _parse_rhythm(base / rhythm_ref, road)
         for _t, event in events:
-            if not 0 <= event["lane"] < lane_count:
+            if not 0 <= event.lane < lane_count:
                 raise SchemaViolation(base / rhythm_ref, "<event lane>",
-                                      f"{event['lane']} not within lanes 0..{lane_count - 1} "
+                                      f"{event.lane} not within lanes 0..{lane_count - 1} "
                                       f"of {road}, the road of input point {pid}")
         points.append(GenerationPoint(
             input=InputPoint(id=pid, road=road, lanes=lane_tuple),
@@ -522,16 +509,10 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
                     value=_attr(el, "value", path, float))
         for el in root.findall("initial_density"))
 
-    vehicles = []
-    for el in root.findall("vehicle"):
-        road = known_road(_attr(el, "road", path), "vehicle road")
-        vehicles.append(VehicleSpec(
-            road=road, lane=_attr(el, "lane", path, int),
-            position=_attr(el, "position", path, float),
-            speed=_attr(el, "speed", path, float),
-            params=_build(DriverParams, path, "<vehicle>", **_overrides(el, path)),
-            length=_attr(el, "length", path, float, 4.0),
-            destination=el.get("destination")))
+    vehicles = tuple(
+        _insertion(el, path, known_road(_attr(el, "road", path), "vehicle road"),
+                   _attr(el, "position", path, float), _attr(el, "speed", path, float))
+        for el in root.findall("vehicle"))
 
     restrictions = tuple(
         RestrictionSpec(road=known_road(_attr(el, "road", path), "restriction road"),
@@ -550,7 +531,7 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
 
     return LevelSpec(ref=ref, generation_points=tuple(points), sinks=tuple(sinks),
                      clusters=tuple(clusters), densities=densities,
-                     vehicles=tuple(vehicles), restrictions=restrictions,
+                     vehicles=vehicles, restrictions=restrictions,
                      release_mix=release_mix, release_ref=release_ref)
 
 
@@ -574,6 +555,12 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
             return True
         return False
 
+    def check_destination(spec: InsertionSpec, path: Path, what: str) -> None:
+        sid = spec.destination
+        if sid is not None and (sid not in network.end_points or unreachable(spec.road, sid)):
+            raise DanglingReference(path, sid, f"{what} destination unknown or "
+                                    f"unreachable from road {spec.road}")
+
     for lv in model.levels:
         path = base / lv.ref
         for gp in lv.generation_points:
@@ -584,12 +571,7 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
                                             f"destination of {gp.input.id} unknown or "
                                             f"unreachable from road {road}")
             for _t, event in gp.events:
-                sid = event["destination"]
-                if sid is not None and (sid not in network.end_points
-                                        or unreachable(road, sid)):
-                    raise DanglingReference(path.parent / gp.rhythm_ref, sid,
-                                            f"event destination unknown or "
-                                            f"unreachable from road {road}")
+                check_destination(event, path.parent / gp.rhythm_ref, "event")
         # cluster extents must chain up contiguously
         for spec in lv.clusters:
             chain = by_road.get(spec.extents[0][0])
@@ -611,11 +593,7 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
             if not 0 <= veh.position <= road.length or not 0 <= veh.lane < road.lane_count:
                 raise SchemaViolation(path, "<vehicle>",
                                       f"placement outside road {veh.road}")
-            sid = veh.destination
-            if sid is not None and (sid not in network.end_points
-                                    or unreachable(veh.road, sid)):
-                raise DanglingReference(path, sid, "vehicle destination unknown or "
-                                        f"unreachable from road {veh.road}")
+            check_destination(veh, path, "vehicle")
         for rs in lv.restrictions:
             if not (0 < rs.factor <= 1):
                 raise SchemaViolation(path, "<restriction factor>",
@@ -772,17 +750,23 @@ def _serialize_level(lv: LevelSpec) -> str:
         out.append(f'  <initial_density road="{d.road}" start="{_fmt(d.start)}" '
                    f'end="{_fmt(d.end)}" value="{_fmt(d.value)}"/>')
     for v in sorted(lv.vehicles, key=lambda v: (v.road, v.lane, v.position)):
-        extra = "".join(f' {k}="{_fmt(getattr(v.params, k))}"' for k in PARAM_NAMES)
-        dest = f' destination="{v.destination}"' if v.destination else ""
         out.append(f'  <vehicle road="{v.road}" lane="{v.lane}" '
-                   f'position="{_fmt(v.position)}" speed="{_fmt(v.speed)}" '
-                   f'length="{_fmt(v.length)}"{dest}{extra}/>')
+                   f'position="{_fmt(v.position)}" {_insertion_attrs(v)}/>')
     for r in sorted(lv.restrictions, key=lambda r: (r.road, r.start, r.from_t)):
         out.append(f'  <restriction road="{r.road}" start="{_fmt(r.start)}" '
                    f'end="{_fmt(r.end)}" factor="{_fmt(r.factor)}" '
                    f'from_t="{_fmt(r.from_t)}" to_t="{_fmt(r.to_t)}"/>')
     out.append('</level>')
     return "\n".join(out) + "\n"
+
+
+def _insertion_attrs(spec: InsertionSpec) -> str:
+    """The attributes a <vehicle> and an <event> share, from `speed` on;
+    an event's speed left to the limit is written as -1."""
+    speed = -1.0 if spec.speed is None else spec.speed
+    dest = f' destination="{spec.destination}"' if spec.destination else ""
+    params = "".join(f' {k}="{_fmt(getattr(spec.params, k))}"' for k in PARAM_NAMES)
+    return f'speed="{_fmt(speed)}" length="{_fmt(spec.length)}"{dest}{params}'
 
 
 def _serialize_generation(mix: VehicleMix) -> str:
@@ -807,11 +791,7 @@ def _serialize_rhythm(gp: GenerationPoint) -> str:
     else:
         out.append('<rhythm kind="script">')
         for t, spec in gp.events:
-            extra = "".join(f' {k}="{_fmt(v)}"' for k, v in sorted(spec["overrides"].items()))
-            dest = f' destination="{spec["destination"]}"' if spec.get("destination") else ""
-            out.append(f'  <event t="{_fmt(t)}" lane="{spec["lane"]}" '
-                       f'speed="{_fmt(spec["speed"])}" length="{_fmt(spec["length"])}"'
-                       f'{dest}{extra}/>')
+            out.append(f'  <event t="{_fmt(t)}" lane="{spec.lane}" {_insertion_attrs(spec)}/>')
     out.append('</rhythm>')
     return "\n".join(out) + "\n"
 

@@ -223,7 +223,7 @@ class TestNumbersAndLanes:
         root = _copy_fixture(tmp_path)
         (root / "in1-rhythm.xml").write_text(_script().replace('speed="20"', 'speed="-1"'))
         model = parse_scenario(root)
-        assert model.generation_points[0].events[0][1]["speed"] == -1.0
+        assert model.generation_points[0].events[0][1].speed is None
 
 
 class TestRoundTrip:
