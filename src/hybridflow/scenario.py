@@ -294,9 +294,18 @@ def parse_scenario(root_file: str | Path) -> ScenarioModel:
                                 _attr(el, "ref", root_path))
                    for el in level_els)
 
-    # attach connectors to the network
+    # attach connectors to the network; an id names one connector of its kind
+    input_ids: set[str] = set()
     for lv in levels:
+        for gp in lv.generation_points:
+            if gp.input.id in input_ids:
+                raise SchemaViolation(base / lv.ref, f"<input_point {gp.input.id}>",
+                                      "duplicate input point id")
+            input_ids.add(gp.input.id)
         for sink in lv.sinks:
+            if sink.id in network.end_points:
+                raise SchemaViolation(base / lv.ref, f"<end_point {sink.id}>",
+                                      "duplicate end point id")
             network.end_points[sink.id] = sink
 
     model = ScenarioModel(time_step=time_step, duration=duration,
@@ -452,6 +461,16 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
             raise DanglingReference(path, rid, what)
         return rid
 
+    def extent(el, what) -> tuple[str, float, float]:
+        """An element's (road, start, end), which must lie on the road."""
+        road = known_road(_attr(el, "road", path), f"{what} road")
+        start, end = _attr(el, "start", path, float), _attr(el, "end", path, float)
+        length = network.roads[road].length
+        if not start < end <= length + 1e-9:
+            raise SchemaViolation(path, f"<{el.tag}>", f"[{start}, {end}] is not an "
+                                  f"extent within road {road} of {length} m")
+        return road, start, end
+
     points = []
     for el in root.findall("input_point"):
         pid = _attr(el, "id", path)
@@ -489,25 +508,14 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
         rep = _attr(el, "representation", path)
         if rep not in ("micro", "macro"):
             raise SchemaViolation(path, "<cluster representation>", f"unknown {rep!r}")
-        extents = []
-        if el.get("road"):
-            extents.append((known_road(el.get("road"), "cluster road"),
-                            _attr(el, "start", path, float),
-                            _attr(el, "end", path, float)))
-        for ex in el.findall("extent"):
-            extents.append((known_road(_attr(ex, "road", path), "cluster extent road"),
-                            _attr(ex, "start", path, float),
-                            _attr(ex, "end", path, float)))
+        extents = [extent(el, "cluster")] if el.get("road") else []
+        extents += [extent(ex, "cluster extent") for ex in el.findall("extent")]
         if not extents:
             raise SchemaViolation(path, "<cluster>", "no extent given")
         clusters.append(ClusterSpec(representation=rep, extents=tuple(extents)))
 
-    densities = tuple(
-        DensitySpec(road=known_road(_attr(el, "road", path), "density road"),
-                    start=_attr(el, "start", path, float),
-                    end=_attr(el, "end", path, float),
-                    value=_attr(el, "value", path, float))
-        for el in root.findall("initial_density"))
+    densities = tuple(DensitySpec(*extent(el, "density"), value=_attr(el, "value", path, float))
+                      for el in root.findall("initial_density"))
 
     vehicles = tuple(
         _insertion(el, path, known_road(_attr(el, "road", path), "vehicle road"),
@@ -515,9 +523,7 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
         for el in root.findall("vehicle"))
 
     restrictions = tuple(
-        RestrictionSpec(road=known_road(_attr(el, "road", path), "restriction road"),
-                        start=_attr(el, "start", path, float),
-                        end=_attr(el, "end", path, float),
+        RestrictionSpec(*extent(el, "restriction"),
                         factor=_attr(el, "factor", path, float),
                         from_t=_attr(el, "from_t", path, float, 0.0),
                         to_t=_attr(el, "to_t", path, float, math.inf, allow_inf=True))
@@ -580,9 +586,6 @@ def _validate_model(model: ScenarioModel, root_path: Path, base: Path) -> None:
                 if by_road.get(road) is not chain:
                     raise SchemaViolation(path, "<cluster>",
                                           f"extents span different chains at {road}")
-                if not 0 <= start < end <= network.roads[road].length + 1e-9:
-                    raise SchemaViolation(path, "<cluster>",
-                                          f"extent [{start}, {end}] outside road {road}")
                 cpos = chain.to_chain_pos(road, start)
                 if pos is not None and abs(cpos - pos) > 1e-6:
                     raise SchemaViolation(path, "<cluster>",

@@ -144,6 +144,21 @@ class TestExitCodes:
             UNREACHABLE, SINK_OUT2, ("in1-generation.xml", 'sink="out1"', 'sink="out2"')],
             "in1-generation.xml", "dangling reference 'out2': destination of in1 unknown "
             "or unreachable from road r1"),
+        "duplicate_input_point": ([("level.xml", "</level>", (
+            '  <input_point id="in1" road="r1" lanes="0" generation_ref="in1-generation.xml" '
+            'rhythm_ref="in1-rhythm.xml"/>\n</level>'))],
+            "level.xml", "<input_point in1>: duplicate input point id"),
+        "duplicate_end_point": ([("level.xml", "</level>",
+                                  '  <end_point id="out1" road="r1"/>\n</level>')],
+                                "level.xml", "<end_point out1>: duplicate end point id"),
+        "reversed_restriction": ([("level.xml", "</level>", (
+            '  <restriction road="r1" start="900" end="800" factor="0.5"/>\n</level>'))],
+            "level.xml", "<restriction>: [900.0, 800.0] is not an extent within road r1 "
+            "of 1000.0 m"),
+        "density_beyond_its_road": ([("level.xml", "</level>", (
+            '  <initial_density road="r1" start="5000" end="6000" value="0.01"/>\n</level>'))],
+            "level.xml", "<initial_density>: [5000.0, 6000.0] is not an extent within "
+            "road r1 of 1000.0 m"),
         "unreachable_event_destination": ([
             UNREACHABLE, SINK_OUT2,
             ("in1-rhythm.xml", '<rhythm kind="flow">\n  <flow t="0" q="600"/>',

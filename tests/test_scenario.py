@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from hybridflow.engine import EngineConfig, build_state
 from hybridflow.scenario import (DanglingReference, ScenarioFileNotFound,
                                  ScenarioSyntaxError, SchemaViolation,
                                  parse_scenario, serialize_scenario,
                                  write_scenario)
+from test_golden import load_bench_scenarios
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -279,6 +281,69 @@ class TestRoundTrip:
         assert reparsed.network.roads["r1"].signs == signs
 
 
+class TestConnectorsAndExtents:
+    """Each connector id names one connector of its kind, and each
+    restriction and initial density lies on its road; the hybrid fixture's
+    road r1 is 2,000 m long."""
+
+    DUPLICATES = {
+        "input_point": '  <input_point id="in1" road="r1" lanes="0" '
+                       'generation_ref="in1-generation.xml" rhythm_ref="in1-rhythm.xml"/>',
+        "end_point": '  <end_point id="out1" road="r1"/>',
+    }
+
+    @pytest.mark.parametrize("tag", sorted(DUPLICATES))
+    def test_duplicate_connector_id_in_one_level(self, tmp_path, tag):
+        root = _copy_fixture(tmp_path, "hybrid")
+        level = root / "level.xml"
+        level.write_text(level.read_text().replace(
+            "</level>", f"{self.DUPLICATES[tag]}\n</level>"))
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        kind = tag.replace("_", " ")
+        suffix = f"<{tag} {'in1' if tag == 'input_point' else 'out1'}>: duplicate {kind} id"
+        assert str(err.value) == f"{level}: {suffix}"
+
+    @pytest.mark.parametrize("element,name", [
+        ('<input_point id="in" road="r" lanes="all" generation_ref="gen.xml" '
+         'rhythm_ref="rhythm.xml"/>', "<input_point in>"),
+        ('<end_point id="out" road="r"/>', "<end_point out>")])
+    def test_duplicate_connector_id_across_levels(self, tmp_path, element, name):
+        root = TestMultipleLevels.two_levels(tmp_path)
+        level = root / ("level_b.xml" if "input_point" in element else "level_a.xml")
+        level.write_text(level.read_text().replace("</level>", f"  {element}\n</level>"))
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        assert str(err.value).startswith(f"{root / 'level_b.xml'}: {name}: duplicate")
+
+    @pytest.mark.parametrize("element", [
+        '<restriction road="r1" start="1900" end="1800" factor="0.5"/>',
+        '<restriction road="r1" start="1800" end="1800" factor="0.5"/>',
+        '<restriction road="r1" start="1900" end="2000.001" factor="0.5"/>',
+        '<initial_density road="r1" start="5000" end="6000" value="0.01"/>',
+        '<initial_density road="r1" start="800" end="700" value="0.01"/>'])
+    def test_extent_off_its_road_is_refused(self, tmp_path, element):
+        root = _copy_fixture(tmp_path, "hybrid")
+        level = root / "level.xml"
+        level.write_text(level.read_text().replace("</level>", f"  {element}\n</level>"))
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        tag = element.split()[0]
+        assert str(err.value).startswith(f"{level}: {tag}>: [")
+        assert str(err.value).endswith("is not an extent within road r1 of 2000.0 m")
+
+    def test_extent_may_end_at_its_road_end_within_the_cluster_tolerance(self, tmp_path):
+        root = _copy_fixture(tmp_path, "hybrid")
+        level = root / "level.xml"
+        level.write_text(level.read_text().replace("</level>", (
+            '  <restriction road="r1" start="0" end="2000.0000000001" factor="0.5"/>\n'
+            '  <initial_density road="r1" start="700" end="2000.0000000001" value="0.01"/>\n'
+            "</level>")))
+        model = parse_scenario(root)
+        assert [(r.start, r.end) for r in model.restrictions] == [(0.0, 2000.0000000001)]
+        assert [(d.start, d.end) for d in model.densities] == [(700.0, 2000.0000000001)]
+
+
 class TestMultipleLevels:
     @staticmethod
     def two_levels(tmp_path):
@@ -338,3 +403,17 @@ class TestMultipleLevels:
         assert reparsed.release_mix == model.release_mix
         assert [lv.release_mix for lv in reparsed.levels] == \
             [lv.release_mix for lv in model.levels]
+
+
+BENCH_SCENARIOS = load_bench_scenarios()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SCENARIOS.GENERATORS))
+def test_every_benchmark_instance_loads_and_builds(tmp_path, workload):
+    """No load-time check may refuse the benchmark's own input: instances 0-2
+    of every workload at seeds 1-10 parse and build."""
+    for seed in range(1, 11):
+        for index in range(3):
+            path = BENCH_SCENARIOS.write_instance(workload, seed, index,
+                                                  tmp_path / f"{seed}-{index}")
+            build_state(parse_scenario(path), EngineConfig(seed=seed))
