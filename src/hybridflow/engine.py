@@ -1481,12 +1481,18 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
             drain(gen.retry, lambda spec: _try_insert_spec(state, scene, spec))
 
 
-def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> bool:
+def _micro_cluster_of(state: EngineState, spec: InsertionSpec) -> Cluster:
+    """The cluster an insertion lands in, which must be micro."""
     chain = state.chain_of_road[spec.road]
     cluster = state.cluster_at(chain.id, chain.to_chain_pos(spec.road, spec.position))
     if cluster.segment is not None:
         raise SimulationError(f"insertion on {spec.road} lane {spec.lane} at "
                               f"{spec.position:g} falls in macro cluster {cluster.id}")
+    return cluster
+
+
+def _try_insert_spec(state: EngineState, scene: Scene, spec: InsertionSpec) -> bool:
+    cluster = _micro_cluster_of(state, spec)
     speed = spec.speed
     if speed is None:
         speed = min(spec.params.v0, scene.speed_cap(spec.road, spec.lane, spec.position))
@@ -1740,18 +1746,30 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
     Application order is removals, then structural actions, then
     insertions, each class ordered by target identifier.  An unknown
     vehicle named by a removal, or generator named by an insertion, is
-    refused before anything applies.  An action that fails a precondition
-    (`_refusal`) is refused before it changes anything, but what the set
-    applied before it stays applied.  An insertion into a macro extent, or
-    a blocked one without a generator queue, raises `SimulationError`."""
+    refused before anything applies.  So is an insertion that names a
+    generator but does not stand at its connector (the generator's road,
+    position 0): only there can the generator's queue place it later, so a
+    blocked insertion waits in the queue only from there.  An action that
+    fails a precondition (`_refusal`) is refused before it changes
+    anything, but what the set applied before it stays applied.  An
+    insertion into a macro extent, or a blocked one without a generator
+    queue, raises `SimulationError`."""
     removed = sorted({i.vehicle_id for i in influences if isinstance(i, RemoveVehicle)})
     actions = [i for i in influences if isinstance(i, Action)]
     additions = sorted((i for i in influences if isinstance(i, AddVehicle)),
                        key=lambda i: (i.spec.road, i.spec.lane, i.spec.position))
     by_gen = {g.id: g for g in state.generators}
     for infl in additions:
-        if infl.generator_id is not None and infl.generator_id not in by_gen:
+        if infl.generator_id is None:
+            continue
+        gen, spec = by_gen.get(infl.generator_id), infl.spec
+        if gen is None:
             raise UnknownTarget(f"no generator {infl.generator_id!r}")
+        if (spec.road, spec.position) != (gen.road, 0.0):
+            _micro_cluster_of(state, spec)   # one in a macro extent is refused as such
+            raise SimulationError(f"insertion on {spec.road} lane {spec.lane} at "
+                                  f"{spec.position:g} is not at the connector of "
+                                  f"generator {gen.id} ({gen.road} at 0)")
     holders = [next((c for c in state.clusters.values() if vid in c.vehicles), None)
                for vid in removed]
     if None in holders:

@@ -1078,6 +1078,31 @@ class TestSystemInfluences:
                                                        generator_id=gen.id)])
         assert list(gen.retry) == retry and state.ledger.inserted == inserted
 
+    def test_a_named_generator_takes_only_insertions_at_its_connector(self):
+        """Its queue places specs at its road's position 0 only. Queued at
+        1700 m behind a standing vehicle, this spec used to wait for good, and
+        to fail the run with `falls in macro cluster` once a coarsen turned
+        its cluster macro."""
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("hybrid"), config)
+        for _ in range(20):
+            advance_step(state, config)
+        state.cluster_at("chain0", 1700.0).vehicles["x"] = Vehicle(
+            id="x", road="r1", lane=0, position=1702.0, speed=0.0)
+        state.ledger.inserted += 1
+        (gen,) = state.generators
+        digest, retry, inserted = state.state_digest(), list(gen.retry), state.ledger.inserted
+        with pytest.raises(SimulationError, match=r"^insertion on r1 lane 0 at 1700 is not at "
+                           r"the connector of generator in1 \(r1 at 0\)$"):
+            apply_system_influences(state, [RemoveVehicle("x"), AddVehicle(
+                self.spec(position=1700.0), generator_id=gen.id)])
+        assert state.state_digest() == digest
+        assert list(gen.retry) == retry and state.ledger.inserted == inserted
+        apply_system_influences(state, [Action("coarsen", "chain0", 1700.0, "forced")])
+        for _ in range(20):
+            advance_step(state, config)
+        assert abs(state.ledger_residual()) <= 1e-9
+
     def test_blocked_insertion_names_an_unknown_generator(self):
         state = self.blocked()
         with pytest.raises(UnknownTarget, match="ghost"):
