@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridflow.engine import EngineConfig
+from hybridflow.engine import EngineConfig, Probe
 from hybridflow.lod import LodPolicy
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hybridflow"
@@ -122,9 +122,14 @@ def public_definitions(source: str, module: str) -> list[tuple[str, str]]:
     return defs
 
 
+#: the one lookup by string the engine makes is `getattr(probe, event)`
+PROBE_HOOKS = frozenset(name for name in vars(Probe) if not name.startswith("_"))
+
+
 def referenced_names(source: str) -> set[str]:
-    """Names the source reads, imports or holds as a string: the engine calls
-    probe callbacks through `getattr(probe, event)` with the event's name."""
+    """Names the source reads or imports, and each string that names a probe
+    hook, since the engine calls a hook through `getattr(probe, event)` with
+    its name; any other string, such as a CSV column name, is no use."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -134,15 +139,16 @@ def referenced_names(source: str) -> set[str]:
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
+                and node.value in PROBE_HOOKS:
             names.add(node.value)
     return names
 
 
 def test_reference_finder_sees_reads_imports_and_string_names():
-    source = ("from m import a\nimport p.b\nc()\nx.d\ngetattr(y, 'e')\n"
-              "'not a name'\ndef f(): pass\nclass G:\n    def h(self): pass\n")
-    assert referenced_names(source) == {"a", "b", "c", "x", "d", "getattr", "y", "e"}
+    source = ("from m import a\nimport p.b\nc()\nx.d\ngetattr(y, 'on_step_end')\n"
+              "'mean_speed'\n'not a name'\ndef f(): pass\nclass G:\n    def h(self): pass\n")
+    assert referenced_names(source) == {"a", "b", "c", "x", "d", "getattr", "y",
+                                        "on_step_end"}
     assert public_definitions(source, "mod") == [("mod.f", "f"), ("mod.G", "G"),
                                                  ("mod.G.h", "h")]
 
