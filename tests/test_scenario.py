@@ -182,6 +182,19 @@ BAD_INPUTS = {
     "vehicle_length_negative": ("level.xml", *_append(
         "</level>", '<vehicle road="r1" lane="0" position="10" speed="5" length="-4"/>')),
     "event_length_negative": ("in1-rhythm.xml", None, _script(extra=' length="-4"')),
+    "input_point_id_repeated": ("level.xml", *_append(
+        "</level>", '<input_point id="in1" road="r1" lanes="0" '
+        'generation_ref="in1-generation.xml" rhythm_ref="in1-rhythm.xml"/>')),
+    "end_point_id_repeated": ("level.xml", *_append(
+        "</level>", '<end_point id="out1" road="r1"/>')),
+    "restriction_reversed": ("level.xml", *_append(
+        "</level>", '<restriction road="r1" start="900" end="800" factor="0.5"/>')),
+    "restriction_empty": ("level.xml", *_append(
+        "</level>", '<restriction road="r1" start="800" end="800" factor="0.5"/>')),
+    "restriction_past_road_end": ("level.xml", *_append(
+        "</level>", '<restriction road="r1" start="900" end="1000.001" factor="0.5"/>')),
+    "density_beyond_road": ("level.xml", *_append(
+        "</level>", '<initial_density road="r1" start="5000" end="6000" value="0.01"/>')),
 }
 
 
@@ -198,9 +211,10 @@ def mutate(tmp_path: Path, name: str) -> tuple[Path, str]:
 
 
 class TestNumbersAndLanes:
-    """Non-finite or negative numbers, unreadable overrides, empty lane lists
-    and lanes outside the road are rejected at load, naming the file; `inf`
-    is read only where the canonical serializer writes it."""
+    """Non-finite or negative numbers, unreadable overrides, empty lane lists,
+    lanes outside the road, extents off their road and repeated connector ids
+    are rejected at load, naming the file; `inf` is read only where the
+    canonical serializer writes it."""
 
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     def test_bad_input_names_its_file(self, tmp_path, name):
@@ -220,6 +234,17 @@ class TestNumbersAndLanes:
         model = parse_scenario(root)
         assert model.network.end_points["out1"].capacity == math.inf
         assert model.restrictions[0].to_t == math.inf
+
+    def test_an_extent_may_pass_its_road_end_by_the_cluster_tolerance(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        path = root / "level.xml"
+        path.write_text(path.read_text().replace("</level>", (
+            '  <restriction road="r1" start="0" end="1000.0000000001" factor="0.5"/>\n'
+            '  <initial_density road="r1" start="900" end="1000.0000000001" value="0.01"/>\n'
+            "</level>")))
+        model = parse_scenario(root)
+        assert [(r.start, r.end) for r in model.restrictions] == [(0.0, 1000.0000000001)]
+        assert [(d.start, d.end) for d in model.densities] == [(900.0, 1000.0000000001)]
 
     def test_negative_event_speed_means_as_fast_as_allowed(self, tmp_path):
         root = _copy_fixture(tmp_path)
@@ -281,69 +306,6 @@ class TestRoundTrip:
         assert reparsed.network.roads["r1"].signs == signs
 
 
-class TestConnectorsAndExtents:
-    """Each connector id names one connector of its kind, and each
-    restriction and initial density lies on its road; the hybrid fixture's
-    road r1 is 2,000 m long."""
-
-    DUPLICATES = {
-        "input_point": '  <input_point id="in1" road="r1" lanes="0" '
-                       'generation_ref="in1-generation.xml" rhythm_ref="in1-rhythm.xml"/>',
-        "end_point": '  <end_point id="out1" road="r1"/>',
-    }
-
-    @pytest.mark.parametrize("tag", sorted(DUPLICATES))
-    def test_duplicate_connector_id_in_one_level(self, tmp_path, tag):
-        root = _copy_fixture(tmp_path, "hybrid")
-        level = root / "level.xml"
-        level.write_text(level.read_text().replace(
-            "</level>", f"{self.DUPLICATES[tag]}\n</level>"))
-        with pytest.raises(SchemaViolation) as err:
-            parse_scenario(root)
-        kind = tag.replace("_", " ")
-        suffix = f"<{tag} {'in1' if tag == 'input_point' else 'out1'}>: duplicate {kind} id"
-        assert str(err.value) == f"{level}: {suffix}"
-
-    @pytest.mark.parametrize("element,name", [
-        ('<input_point id="in" road="r" lanes="all" generation_ref="gen.xml" '
-         'rhythm_ref="rhythm.xml"/>', "<input_point in>"),
-        ('<end_point id="out" road="r"/>', "<end_point out>")])
-    def test_duplicate_connector_id_across_levels(self, tmp_path, element, name):
-        root = TestMultipleLevels.two_levels(tmp_path)
-        level = root / ("level_b.xml" if "input_point" in element else "level_a.xml")
-        level.write_text(level.read_text().replace("</level>", f"  {element}\n</level>"))
-        with pytest.raises(SchemaViolation) as err:
-            parse_scenario(root)
-        assert str(err.value).startswith(f"{root / 'level_b.xml'}: {name}: duplicate")
-
-    @pytest.mark.parametrize("element", [
-        '<restriction road="r1" start="1900" end="1800" factor="0.5"/>',
-        '<restriction road="r1" start="1800" end="1800" factor="0.5"/>',
-        '<restriction road="r1" start="1900" end="2000.001" factor="0.5"/>',
-        '<initial_density road="r1" start="5000" end="6000" value="0.01"/>',
-        '<initial_density road="r1" start="800" end="700" value="0.01"/>'])
-    def test_extent_off_its_road_is_refused(self, tmp_path, element):
-        root = _copy_fixture(tmp_path, "hybrid")
-        level = root / "level.xml"
-        level.write_text(level.read_text().replace("</level>", f"  {element}\n</level>"))
-        with pytest.raises(SchemaViolation) as err:
-            parse_scenario(root)
-        tag = element.split()[0]
-        assert str(err.value).startswith(f"{level}: {tag}>: [")
-        assert str(err.value).endswith("is not an extent within road r1 of 2000.0 m")
-
-    def test_extent_may_end_at_its_road_end_within_the_cluster_tolerance(self, tmp_path):
-        root = _copy_fixture(tmp_path, "hybrid")
-        level = root / "level.xml"
-        level.write_text(level.read_text().replace("</level>", (
-            '  <restriction road="r1" start="0" end="2000.0000000001" factor="0.5"/>\n'
-            '  <initial_density road="r1" start="700" end="2000.0000000001" value="0.01"/>\n'
-            "</level>")))
-        model = parse_scenario(root)
-        assert [(r.start, r.end) for r in model.restrictions] == [(0.0, 2000.0000000001)]
-        assert [(d.start, d.end) for d in model.densities] == [(700.0, 2000.0000000001)]
-
-
 class TestMultipleLevels:
     @staticmethod
     def two_levels(tmp_path):
@@ -385,6 +347,20 @@ class TestMultipleLevels:
         first = serialize_scenario(model)
         write_scenario(model, tmp_path / "round")
         assert serialize_scenario(parse_scenario(tmp_path / "round")) == first
+
+    @pytest.mark.parametrize("level,element", [
+        ("level_b.xml", '<input_point id="in" road="r" lanes="all" generation_ref="gen.xml" '
+                        'rhythm_ref="rhythm.xml"/>'),
+        ("level_a.xml", '<end_point id="out" road="r"/>')], ids=["input_point", "end_point"])
+    def test_a_connector_id_names_one_connector_across_levels(self, tmp_path, level, element):
+        root = self.two_levels(tmp_path)
+        path = root / level
+        path.write_text(path.read_text().replace("</level>", f"  {element}\n</level>"))
+        tag, cid = element.split()[0][1:], element.split('"')[1]
+        with pytest.raises(SchemaViolation) as err:
+            parse_scenario(root)
+        assert str(err.value) == (f"{root / 'level_b.xml'}: <{tag} {cid}>: duplicate "
+                                  f"{tag.replace('_', ' ')} id")
 
     def test_each_level_keeps_its_release_mix_file(self, tmp_path):
         root = self.two_levels(tmp_path)
