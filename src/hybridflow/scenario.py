@@ -466,7 +466,7 @@ def _parse_level(path: Path, network: RoadNetwork, ref: str) -> LevelSpec:
         road = known_road(_attr(el, "road", path), f"{what} road")
         start, end = _attr(el, "start", path, float), _attr(el, "end", path, float)
         length = network.roads[road].length
-        if not start < end <= length + 1e-9:
+        if not 0 <= start < end <= length + 1e-9:
             raise SchemaViolation(path, f"<{el.tag}>", f"[{start}, {end}] is not an "
                                   f"extent within road {road} of {length} m")
         return road, start, end
