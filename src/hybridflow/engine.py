@@ -74,8 +74,8 @@ class OverlapDetected(SimulationError):
 
 
 class UnknownTarget(SimulationError):
-    """A system influence referenced a vehicle or generator that does not
-    exist."""
+    """A system influence referenced a vehicle, road or generator that does
+    not exist."""
 
 
 class ActionRefused(SimulationError):
@@ -225,7 +225,13 @@ class EngineState:
         self.transitions: list[TransitionRecord] = []
         self.orphan_mass = 0.0
         self.last_flows: dict[str, list[float]] = {}
-        self.cells = CellStore([], self.fd, self.dt)   # see cell_store
+        self.ordered: list[Cluster] = []   # this and the next six: see reindex
+        self.macro: list[Cluster] = []
+        self.starts: dict[str, list[float]] = {}
+        self.gen_home: dict[str, Cluster] = {}
+        self.home_column: dict[str, int] = {}
+        self.home_bounds = np.empty((4, 0))
+        self._cells: CellStore | None = None
 
         self._next_vehicle = 0
         self._next_cluster = 0
@@ -233,8 +239,12 @@ class EngineState:
         self.lod_rng = np.random.default_rng(stream_seed(config.seed, "disaggregate"))
         self._release_rngs: dict[tuple[str, int], np.random.Generator] = {}
         self._route_cache: dict[tuple[str, str | None], Route | None] = {}
-        self._edge_lookups: dict[tuple, object] = {}   # see reindex
+        self._edge_lookups: dict[tuple, object] = {}   # see next_entry
         self.initial_mass = 0.0
+
+    def __getstate__(self) -> dict:
+        # the store's arrays are the segments' columns, which a copy cannot share
+        return {**self.__dict__, "_cells": None}
 
     # -- identifiers and streams -------------------------------------------
 
@@ -266,24 +276,31 @@ class EngineState:
         return [self.clusters[cid] for cid in self.order[chain_id]]
 
     def cluster_at(self, chain_id: str, chain_pos: float) -> Cluster:
-        starts, ids = self.cluster_starts(chain_id)
-        idx = bisect.bisect_right(starts, chain_pos + 1e-9) - 1
-        return self.clusters[ids[max(idx, 0)]]
+        idx = bisect.bisect_right(self.starts[chain_id], chain_pos + 1e-9) - 1
+        return self.clusters[self.order[chain_id][max(idx, 0)]]
 
     def reindex(self) -> None:
-        """Rebuild cluster order, and link one interface to each boundary of
-        the partition: every pair of adjacent clusters, keyed by the
-        downstream start, and the (last, first) pair of a cyclic chain, even
-        when that pair is one cluster.  An existing interface keeps its
-        holdings and only changes sides; a missing one is created."""
+        """Rebuild what the partition determines, after each change of an
+        extent or a representation: the cluster order (`ordered`, `macro`),
+        each chain's cluster starts, each generator's entry cluster, the
+        bounds `_stays_home` reads, and an interface at every pair of
+        adjacent clusters, keyed by the downstream start, and at the (last,
+        first) pair of a cyclic chain, even when that is one cluster.  An
+        interface keeps its holdings and only changes sides; a missing one
+        is created.  The cell store is dropped until `cells` is read."""
         self.order = {}
         for cid, cluster in self.clusters.items():
             self.order.setdefault(cluster.chain_id, []).append(cid)
-        self.itf_up = {}
-        self.itf_down = {}
+        self.itf_up, self.itf_down, self.home_column, bounds = {}, {}, {}, []
         for chain_id, ids in self.order.items():
             ids.sort(key=lambda cid: self.clusters[cid].start)
             chain = self.chains[chain_id]
+            self.starts[chain_id] = starts = [self.clusters[cid].start for cid in ids]
+            edges = [-INF] + starts[1:] + [INF]
+            for cid, lo, hi in zip(ids, edges, edges[1:]):
+                self.home_column[cid] = len(bounds)
+                bounds.append((self.road_arrays.chain_number[chain_id], lo, hi,
+                               chain.length - 1e-9))
             pairs = list(zip(ids, ids[1:]))
             if chain.cyclic:
                 pairs.append((ids[-1], ids[0]))
@@ -299,19 +316,18 @@ class EngineState:
                 itf.upstream_id, itf.downstream_id = up_id, down_id
                 self.itf_down[up_id] = itf
                 self.itf_up[down_id] = itf
-        self._edge_lookups = {}
+        self.ordered = [self.clusters[cid] for chain_id in sorted(self.order)
+                        for cid in self.order[chain_id]]
+        self.macro = [c for c in self.ordered if c.segment is not None]
+        self.home_bounds = np.array(bounds).T
+        self.gen_home = {}
+        for gen in self.generators:
+            chain = self.chain_of_road[gen.road]
+            self.gen_home[gen.id] = self.cluster_at(chain.id, chain.offset_of(gen.road))
+        self._cells = None
 
-    # The look-ups below depend only on the partition and the network, so
-    # each answer is kept until the next `reindex`.
-
-    def cluster_starts(self, chain_id: str) -> tuple[np.ndarray, list[str]]:
-        """Start of each cluster of a chain, ascending, and the clusters' ids."""
-        key = ("starts", chain_id)
-        if key not in self._edge_lookups:
-            ids = self.order[chain_id]
-            self._edge_lookups[key] = (
-                np.array([self.clusters[cid].start for cid in ids], dtype=float), ids)
-        return self._edge_lookups[key]
+    # The look-ups below depend only on the network and the routes, so each
+    # answer is kept for the run.
 
     def next_road(self, road_id: str, route: Route | None) -> str | None:
         """Road a vehicle takes after this one: its route's next road, or
@@ -345,16 +361,6 @@ class EngineState:
             self._edge_lookups[key] = permitted
         return self._edge_lookups[key]
 
-    def entry_cluster(self, gen) -> Cluster | None:
-        """Cluster holding a generator's connector, at its road's start (None
-        off every chain)."""
-        key = ("generator", gen.id)
-        if key not in self._edge_lookups:
-            chain = self.chain_of_road.get(gen.road)
-            self._edge_lookups[key] = None if chain is None else self.cluster_at(
-                chain.id, chain.offset_of(gen.road))
-        return self._edge_lookups[key]
-
     # -- audits ----------------------------------------------------------------
 
     def total_mass(self) -> float:
@@ -375,14 +381,13 @@ class EngineState:
         return (led.inserted + led.macro_in_mass
                 - led.absorbed - led.macro_out_mass) - held
 
-    def cell_store(self, macro: list[Cluster]) -> CellStore:
-        """The cell store over these macro clusters' segments, in this order;
-        rebuilt, with its CFL check, when they are not the segments it holds."""
-        held = self.cells.segments
-        if len(held) != len(macro) or any(seg is not c.segment
-                                           for seg, c in zip(held, macro)):
-            self.cells = CellStore([c.segment for c in macro], self.fd, self.dt)
-        return self.cells
+    @property
+    def cells(self) -> CellStore:
+        """The cell store over `macro`'s segments, in that order, built with
+        its CFL check on first use after each `reindex`."""
+        if self._cells is None:
+            self._cells = CellStore([c.segment for c in self.macro], self.fd, self.dt)
+        return self._cells
 
     def micro_vehicle_count(self) -> int:
         return sum(len(c.vehicles) for c in self.clusters.values()
@@ -412,6 +417,8 @@ class EngineState:
                     pos = chain.to_chain_pos(veh.road, veh.position)
                     if not (c.start - 1e-6 <= pos <= c.end + 1e-6):
                         problems.append(f"{veh.id} outside {c.id}")
+                    if not 0 <= veh.lane < self.network.roads[veh.road].lane_count:
+                        problems.append(f"{veh.id} on lane {veh.lane}, which {veh.road} lacks")
                     if veh.speed < 0:
                         problems.append(f"{veh.id} negative speed")
             else:
@@ -547,9 +554,7 @@ def _to_macro(state: EngineState, cluster: Cluster, densities) -> None:
 
 
 def _validate_macro_boundaries(state: EngineState) -> None:
-    for cluster in state.clusters.values():
-        if cluster.segment is None:
-            continue
+    for cluster in state.macro:
         problem = _macro_boundary_problem(state, cluster)
         if problem:
             raise ScenarioRefused(f"cluster {cluster.id}: {problem}")
@@ -573,7 +578,7 @@ def _macro_boundary_problem(state: EngineState, cluster: Cluster) -> str | None:
     # enters the head cluster, and lets out only at the sink ending the chain
     head_source = state.head_source.get(chain.id)
     dropped = [gen.id for gen in state.chain_generators.get(chain.id, ())
-               if gen is not head_source and state.entry_cluster(gen) is cluster]
+               if gen is not head_source and state.gen_home[gen.id] is cluster]
     if dropped:
         return f"macro extent would drop source {', '.join(dropped)}"
     passed = []
@@ -1037,9 +1042,7 @@ def _refresh_restrictions(state: EngineState) -> None:
     """Apply the time-dependent capacity factors to every macro cell."""
     active = [rs for rs in state.model.restrictions
               if rs.from_t <= state.time < rs.to_t]
-    for cluster in state.clusters.values():
-        if cluster.segment is None:
-            continue
+    for cluster in state.macro:
         chain = state.chains[cluster.chain_id]
         seg = cluster.segment
         seg.capacity_factor[:] = 1.0
@@ -1083,8 +1086,7 @@ def _natural(state: EngineState) -> list[tuple[str, InsertionSpec]]:
     """Phase 4: generator emissions."""
     emissions: list[tuple[str, InsertionSpec]] = []
     for gen in state.generators:
-        entry_cluster = state.entry_cluster(gen)
-        if entry_cluster is not None and entry_cluster.segment is not None:
+        if state.gen_home[gen.id].segment is not None:
             continue   # handled as continuous inflow in the macro reaction
         for spec in gen.generation_influences(state.time, state.dt):
             emissions.append((gen.id, spec))
@@ -1184,16 +1186,7 @@ def _stays_home(state: EngineState, scene: Scene, x: np.ndarray) -> np.ndarray:
     its own cluster for its new position `x`, as `_settle` asks; False may
     still mean home."""
     roads = state.road_arrays
-    bounds: dict[str, tuple[int, float, float, float]] = {}
-    for home in scene.homes:
-        if home.id not in bounds:
-            starts, ids = state.cluster_starts(home.chain_id)
-            k = ids.index(home.id)
-            bounds[home.id] = (roads.chain_number[home.chain_id],
-                               starts[k] if k else -INF,
-                               starts[k + 1] if k + 1 < len(ids) else INF,
-                               state.chains[home.chain_id].length - 1e-9)
-    chain, lo, hi, top = np.array([bounds[home.id] for home in scene.homes]).T
+    chain, lo, hi, top = state.home_bounds[:, [state.home_column[h.id] for h in scene.homes]]
     cpos = roads.chain_offset[scene.road] + x
     probe = np.where(top < cpos, top, cpos) + 1e-9
     return (roads.chain[scene.road] == chain) & (lo <= probe) & (probe < hi)
@@ -1365,15 +1358,14 @@ def _macro_reaction(state: EngineState, scene: Scene) -> None:
     """Advance every macro segment: each segment's boundary rates, one pass
     over all cells, then each segment's boundary settlement, in chain and
     start order."""
-    macro = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)
-             if c.segment is not None]
+    macro = state.macro
     if not macro:
         return
     # Boundary rates read the cells and release queues here, as the natural
     # phase saw them, because the micro reaction writes no macro density and
     # no interface queue: it only counts gate crossings on the scene, and
     # `absorb_crossed_remainder` runs in the settlement below.
-    store = state.cell_store(macro)
+    store = state.cells
     dem, sup = store.profiles()
     inflow, supply, micro_up = zip(*(_boundary_rates(state, scene, store, dem, sup, c)
                                      for c in macro))
@@ -1474,8 +1466,8 @@ def _system_reaction(state: EngineState, scene: Scene, config: EngineConfig,
     for gen_id, spec in emissions:
         by_gen[gen_id].retry.append(spec)
     for gen in state.generators:
-        entry = state.entry_cluster(gen)
-        if entry is not None and entry.segment is not None:
+        entry = state.gen_home[gen.id]
+        if entry.segment is not None:
             _dissolve_queue(entry.segment, gen.retry)
         else:
             drain(gen.retry, lambda spec: _try_insert_spec(state, scene, spec))
@@ -1529,11 +1521,9 @@ def _dissolve_queue(seg: MacroSegment, queue) -> None:
 # -- level-of-detail observation and application ---------------------------------
 
 def _observe_and_plan(state: EngineState) -> None:
-    clusters = sorted(state.clusters.values(), key=lambda c: (c.chain_id, c.start))
-    macro = [c for c in clusters if c.segment is not None]
+    clusters, macro, store = state.ordered, state.macro, state.cells
     # one speed pass over the cell store serves the cell counters and the
     # cluster ratios (mean speed over free speed)
-    store = state.cell_store(macro)
     speeds, _, means = store.observe()
     v_f = state.fd.v_f
     ratios = dict(zip((c.id for c in macro), (means / v_f).tolist()))
@@ -1647,6 +1637,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
             lambda road_id, lane, position, speed: _released_vehicle(
                 state, state.lod_rng, road_id, lane, position, speed),
             state.release_mix.min_spacing())
+        state.reindex()
         residual += unseated
         _bank_fraction(state, cluster, residual)
         state.controller.mark_switch(cluster, state.step, refined=True)
@@ -1665,6 +1656,7 @@ def _apply_action(state: EngineState, action: Action, stamp: int) -> None:
         pre = cluster.mass() + held_upstream()
         aggregate_cluster(cluster, chain, state.network, state.fd,
                           state.policy.target_dx)
+        state.reindex()
         seg = cluster.segment
         if itf_up is not None:
             # the downstream side is continuous now: fractional carryover and
@@ -1745,8 +1737,9 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
 
     Application order is removals, then structural actions, then
     insertions, each class ordered by target identifier.  An unknown
-    vehicle named by a removal, or generator named by an insertion, is
-    refused before anything applies.  So is an insertion that names a
+    vehicle named by a removal, or road or generator named by an insertion,
+    is refused before anything applies.  So is an insertion on a lane its
+    road lacks or off [0, road length], and one that names a
     generator but does not stand at its connector (the generator's road,
     position 0): only there can the generator's queue place it later, so a
     blocked insertion waits in the queue only from there.  An action that
@@ -1760,9 +1753,17 @@ def apply_system_influences(state: EngineState, influences) -> EngineState:
                        key=lambda i: (i.spec.road, i.spec.lane, i.spec.position))
     by_gen = {g.id: g for g in state.generators}
     for infl in additions:
+        spec = infl.spec
+        road = state.network.roads.get(spec.road)
+        if road is None:
+            raise UnknownTarget(f"no road {spec.road!r}")
+        if not (0 <= spec.lane < road.lane_count and 0.0 <= spec.position <= road.length):
+            raise SimulationError(f"insertion on {spec.road} lane {spec.lane} at "
+                                  f"{spec.position:g} is off its {road.lane_count} lanes "
+                                  f"of {road.length:g} m")
         if infl.generator_id is None:
             continue
-        gen, spec = by_gen.get(infl.generator_id), infl.spec
+        gen = by_gen.get(infl.generator_id)
         if gen is None:
             raise UnknownTarget(f"no generator {infl.generator_id!r}")
         if (spec.road, spec.position) != (gen.road, 0.0):

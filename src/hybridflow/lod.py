@@ -198,13 +198,14 @@ class LodController:
         """Deterministic plan: refine jams, coarsen recovered or over-budget
         micro clusters, merge recovered same-representation neighbors.
 
-        `store` is the cell store `observe` advanced; the jam pass visits,
-        in store order, only its segments with a cell at the persistence
-        count.  `refused(action)` gives the reason a coarsen or merge cannot
-        apply, or None; only actions that pass the policy are asked."""
+        `clusters` come in (chain, start) order, as `EngineState.ordered`
+        holds them.  `store` is the cell store `observe` advanced; the jam
+        pass visits, in store order, only its segments with a cell at the
+        persistence count.  `refused(action)` gives the reason a coarsen or
+        merge cannot apply, or None; only actions that pass the policy are
+        asked."""
         actions: list[Action] = []
         used: set[str] = set()
-        ordered = sorted(clusters, key=lambda c: (c.chain_id, c.start))
 
         # 1. jam-flagged macro clusters: isolate the region, then refine it
         persistence = self.policy.persistence
@@ -224,7 +225,7 @@ class LodController:
             used.add(cluster.id)
 
         # 2. recovered refined clusters coarsen back
-        for cluster in ordered:
+        for cluster in clusters:
             if cluster.segment is not None or cluster.id in used:
                 continue
             if not cluster.refined or cluster.recovered_steps < persistence:
@@ -241,7 +242,7 @@ class LodController:
         if micro_vehicles > self.policy.micro_vehicle_budget:
             shedding = micro_vehicles
             by_activity = sorted(
-                (c for c in ordered if c.segment is None and c.id not in used),
+                (c for c in clusters if c.segment is None and c.id not in used),
                 key=lambda c: (c.last_jam_step, c.chain_id, c.start))
             for cluster in by_activity:
                 if shedding <= self.policy.micro_vehicle_budget:

@@ -57,9 +57,7 @@ class StepRecordProbe(Probe):
 
     def on_step_end(self, state: EngineState) -> None:
         step, time = state.step, state.time
-        clusters = [c for chain_id in sorted(state.order) for c in state.chain_clusters(chain_id)]
-        # the macro reaction's order: a store rebuilt here serves the next step
-        store = state.cell_store([c for c in clusters if c.segment is not None])
+        clusters, store = state.ordered, state.cells
         _, mass, means = store.observe()
         means = means.tolist()
         for cluster in clusters:

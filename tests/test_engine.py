@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 import re
 import shutil
 import tempfile
@@ -1103,6 +1104,32 @@ class TestSystemInfluences:
             advance_step(state, config)
         assert abs(state.ledger_residual()) <= 1e-9
 
+    @pytest.mark.parametrize("road, lane, position, error, message", [
+        ("r9", 0, 0.0, UnknownTarget, "^no road 'r9'$"),
+        ("r1", 7, 0.0, SimulationError,
+         "^insertion on r1 lane 7 at 0 is off its 2 lanes of 1000 m$"),
+        ("r1", 0, 5000.0, SimulationError,
+         "^insertion on r1 lane 0 at 5000 is off its 2 lanes of 1000 m$"),
+    ], ids=["unknown-road", "lane-7", "at-5000-m"])
+    def test_an_insertion_off_the_network_is_refused_before_anything_applies(
+            self, road, lane, position, error, message):
+        """Checked whole with the set: the removal in it does not apply.
+        Placed, a lane-7 vehicle used to drive on a lane its road lacks."""
+        state = self.blocked()
+        digest = state.state_digest()
+        spec = InsertionSpec(road=road, lane=lane, position=position, speed=10.0,
+                             params=DriverParams(), length=4.0, destination="out1")
+        with pytest.raises(error, match=message):
+            apply_system_influences(state, [RemoveVehicle("x"), AddVehicle(spec)])
+        assert state.state_digest() == digest
+
+    def test_the_audit_sees_a_lane_its_road_lacks(self):
+        state = build_state(load("minimal"), EngineConfig(steps=0))
+        assert state.consistency_errors() == []
+        next(iter(state.clusters.values())).vehicles["x"] = Vehicle(
+            id="x", road="r1", lane=7, position=4.0, speed=0.0)
+        assert state.consistency_errors() == ["x on lane 7, which r1 lacks"]
+
     def test_blocked_insertion_names_an_unknown_generator(self):
         state = self.blocked()
         with pytest.raises(UnknownTarget, match="ghost"):
@@ -1207,6 +1234,42 @@ class TestDeterminism:
 
     def test_identical_digests_across_runs(self):
         assert self.digests() == self.digests()
+
+
+class TestFork:
+    """A deep copy and a pickle round trip of a state resume as the
+    original: the copy builds its own cell store over its own segments.
+    They used to keep a copied store whose arrays the segments no longer
+    shared, and to diverge."""
+
+    @staticmethod
+    def assert_forks_agree(state, config, steps):
+        forks = [state, copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for fork in forks:
+            for _ in range(steps):
+                advance_step(fork, config)
+        assert len({fork.state_digest() for fork in forks}) == 1
+
+    @pytest.mark.parametrize("name, transitions", [("hybrid", 0), ("jam", 3), ("ring", 0)])
+    def test_a_copy_resumes_as_the_original(self, name, transitions):
+        # the jam fixture's transitions need the LOD; the others run faster without
+        config = EngineConfig(seed=1, lod_enabled=name == "jam")
+        state = build_state(load(name), config)
+        for _ in range(200):
+            advance_step(state, config)
+        assert len(state.transitions) == transitions
+        self.assert_forks_agree(state, config, 400)
+
+    def test_a_copy_right_after_a_refine_resumes_as_the_original(self):
+        config = EngineConfig(seed=1, lod_enabled=False)
+        state = build_state(load("jam"), config)
+        for _ in range(100):
+            advance_step(state, config)
+        apply_system_influences(state, [Action("split", "chain0", 1800.0, "forced"),
+                                         Action("refine", "chain0", 1900.0, "forced")])
+        assert [c.representation for c in state.ordered] == [MACRO, MICRO]
+        assert state.cluster_at("chain0", 1900.0).vehicles
+        self.assert_forks_agree(state, config, 50)
 
 
 class TestCanary:
@@ -2009,6 +2072,63 @@ class TestNoHoldingBehindMicro:
                 check()
 
 
+class TestStaysHome:
+    """Wherever `_stays_home` says a vehicle stays in its cluster, the look-up
+    `_settle` makes, `cluster_at` at its new chain position held below the
+    chain end, gives that cluster.  New positions are drawn at and next to
+    each cluster boundary and road end of the vehicle's road, on multi-
+    cluster chains: an open chain's end, a ring's wrap, and the partitions
+    that split, merge, refine and coarsen leave."""
+
+    NEAR = (-1e-6, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9, 1e-6)
+
+    def check(self, state, rng, seen):
+        scene = Scene(state)
+        starts = {chain_id: [c.start for c in state.chain_clusters(chain_id)]
+                  for chain_id in state.order}
+        candidates = []
+        for veh in scene.vehicles:
+            chain = state.chain_of_road[veh.road]
+            offset, length = chain.offset_of(veh.road), state.network.roads[veh.road].length
+            edges = [b - offset for b in starts[chain.id] + [chain.length]
+                     if 0.0 <= b - offset <= length] + [0.0, length]
+            candidates.append([max(e + d, 0.0) for e in edges for d in self.NEAR]
+                              + rng.uniform(0.0, length, 4).tolist())
+        for _ in range(40):
+            x = np.array([cands[rng.integers(len(cands))] for cands in candidates])
+            stays = engine._stays_home(state, scene, x)
+            for veh, home, xi, stay in zip(scene.vehicles, scene.homes, x.tolist(),
+                                           stays.tolist()):
+                chain = state.chain_of_road[veh.road]
+                cpos = min(chain.offset_of(veh.road) + xi, chain.length - 1e-9)
+                if stay:
+                    assert state.cluster_at(chain.id, cpos) is home, (veh.id, xi)
+                seen.add((stay, any(abs(cpos - b) <= 1e-6
+                                    for b in starts[chain.id][1:] + [chain.length - 1e-9])))
+
+    @pytest.mark.parametrize("name, steps, actions", [
+        ("hybrid", 300, [("split", 350.0), ("refine", 1000.0), ("merge", 700.0),
+                         ("coarsen", 1000.0)]),
+        ("ring", 100, [("refine", 1500.0), ("split", 500.0), ("merge", 1000.0)]),
+    ])
+    def test_staying_home_agrees_with_cluster_at(self, name, steps, actions):
+        config = EngineConfig(seed=3, lod_enabled=False)
+        state = build_state(load(name), config)
+        rng = np.random.default_rng(11)
+        seen: set = set()
+        for _ in range(steps):
+            advance_step(state, config)
+        self.check(state, rng, seen)
+        for kind, position in actions:
+            apply_system_influences(state, [Action(kind, "chain0", position, "forced")])
+            self.check(state, rng, seen)
+            for _ in range(5):
+                advance_step(state, config)
+            self.check(state, rng, seen)
+        # home and not home were both met at a boundary or the chain end
+        assert {(True, True), (False, True)} <= seen
+
+
 class TestBankedFraction:
     """A refine at an open chain's head banks its fractional residual in the
     entry generator's accumulator, which the ledger counts as not yet
@@ -2289,7 +2409,7 @@ class TestMacroBoundaryConditions:
             (gen,) = state.generators
             for _ in range(400):
                 advance_step(state, config)
-                assert state.entry_cluster(gen).representation == MICRO
+                assert state.gen_home[gen.id].representation == MICRO
             assert abs(state.ledger_residual()) <= 1e-9
             inserted[lod_enabled] = state.ledger.inserted
         assert inserted[True] == inserted[False] == 33

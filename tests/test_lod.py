@@ -365,7 +365,7 @@ class TestPlanMatchesPerClusterLoop:
                 ctl.mark_switch(cluster, step - data.draw(st.integers(0, 8)), False)
         planned = ctl.plan(clusters, store, [], step, 0, lambda action: "refused")
         assert planned == per_cluster_jam_actions(ctl, ref, clusters, step)
-        # the plan does not depend on the order the clusters come in
+        # the jam pass does not depend on the order the clusters come in
         shuffled = data.draw(st.permutations(clusters))
         assert ctl.plan(shuffled, store, [], step, 0, lambda action: "refused") == planned
 
