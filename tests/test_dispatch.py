@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,7 +16,7 @@ def dispatch_targets() -> list[str]:
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy < 2
-        umath = np.core._multiarray_umath
+        from numpy.core import _multiarray_umath as umath
     return list(getattr(umath, "__cpu_dispatch__", []))
 
 
